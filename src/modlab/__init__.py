@@ -12,10 +12,8 @@ from .errors import (AxiomViolation, InternalInconsistency, JobParseError,
                      ModlabError, NotFullyInvariant, RingMismatch,
                      SizeCapExceeded)
 from .rings import (FiniteRing, IdealHandle, cyclic_ring, enumerate_ideals,
-                    ideal_intersection, ideal_product, ideal_sum,
                     is_prime_ring, is_simple_ring, make_ring, matrix_ring,
-                    principal_ideal, product_ring, quotient_ring,
-                    ring_from_tables)
+                    product_ring, quotient_ring, ring_from_tables)
 from .modules import (FiniteModule, ModuleMorphism, Submodule,
                       SubmoduleLattice, cogenerates, cyclic_module,
                       direct_sum_module, endomorphism_ring,
@@ -46,8 +44,7 @@ __all__ = [
     "AxiomViolation", "InternalInconsistency", "JobParseError", "ModlabError",
     "NotFullyInvariant", "RingMismatch", "SizeCapExceeded",
     "FiniteRing", "IdealHandle", "cyclic_ring", "enumerate_ideals",
-    "ideal_intersection", "ideal_product", "ideal_sum", "is_prime_ring",
-    "is_simple_ring", "make_ring", "matrix_ring", "principal_ideal",
+    "is_prime_ring", "is_simple_ring", "make_ring", "matrix_ring",
     "product_ring", "quotient_ring", "ring_from_tables",
     "FiniteModule", "ModuleMorphism", "Submodule", "SubmoduleLattice",
     "cogenerates", "cyclic_module", "direct_sum_module", "endomorphism_ring",

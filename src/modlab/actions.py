@@ -155,19 +155,10 @@ class PosetAction:
 
 def is_first(action, x):
     """No poset element kills a nonzero piece of x without killing x."""
-    lat = action.lattice
-    if x == lat.bottom:
+    if x == action.lattice.bottom:
         raise AxiomViolation("nonzero element", (x,),
                              "firstness is defined for nonzero elements")
-    act = action.act
-    bot = lat.bottom
-    for z in range(lat.size):
-        if z == bot or not lat.leq[z][x]:
-            continue
-        for s in range(action.poset.size):
-            if act[s][z] == bot and act[s][x] != bot:
-                return False
-    return True
+    return first_witness(action, x) is None
 
 
 def first_witness(action, x):
@@ -439,7 +430,7 @@ def random_instance_holds(seed, max_lattice=8, max_poset=4):
         if x == lattice.bottom:
             continue
         restricted, keep = restrict_action(action, x)
-        bridge = is_prime(restricted, 0)
+        bridge = is_prime(restricted, restricted.lattice.bottom)
         if is_first(action, x) != bridge:
             failures.append(("first_prime_bridge", x))
     domain = random_poset(rng, rng.randrange(1, max_poset + 1))

@@ -25,7 +25,8 @@ from .config import (DEFAULT_MODULE_CAP, DEFAULT_RING_CAP,
 from .errors import (InternalInconsistency, JobParseError, ModlabError,
                      SizeCapExceeded)
 from .firstness import firstness_report
-from .jobs import parse_job, render_structured, render_text, run_job
+from .jobs import (CHECK_KINDS as JOB_KINDS, parse_job, render_structured,
+                   render_text, run_job)
 from .rings import cyclic_ring, matrix_ring, product_ring
 
 EXIT_OK = 0
@@ -35,9 +36,7 @@ EXIT_ENGINE = 3
 EXIT_INCONSISTENT = 4
 
 VERIFY_KINDS = ("verify",)
-CHECK_KINDS = ("bjkn_prime", "prime", "rpid_first", "diuniform", "a_first",
-               "a_fully_first", "classes", "evaluate", "flags", "compare",
-               "classify", "lep")
+CHECK_KINDS = tuple(k for k in JOB_KINDS if k not in VERIFY_KINDS)
 
 
 def corpus_rings(ring_cap=DEFAULT_RING_CAP):
@@ -55,10 +54,10 @@ def corpus_rings(ring_cap=DEFAULT_RING_CAP):
 def _add_common_flags(sub):
     sub.add_argument("--cap-ring", type=int, default=DEFAULT_RING_CAP,
                      help="largest allowed ring order")
-    sub.add_argument("--cap-module", type=int, default=DEFAULT_MODULE_CAP,
+    # unset (None) leaves these to the job document's [universe] section
+    sub.add_argument("--cap-module", type=int, default=None,
                      help="largest allowed module order")
-    sub.add_argument("--universe-depth", type=int,
-                     default=DEFAULT_UNIVERSE_DEPTH,
+    sub.add_argument("--universe-depth", type=int, default=None,
                      help="direct-sum generation depth of universes")
     sub.add_argument("--format", choices=("text", "structured"), default=None,
                      help="override the document's output format")
@@ -91,6 +90,9 @@ def build_parser():
     p_corpus = subs.add_parser(
         "corpus", help="generate and sweep the built-in ring/module corpus")
     _add_common_flags(p_corpus)
+    # corpus has no job document to fall back on
+    p_corpus.set_defaults(cap_module=DEFAULT_MODULE_CAP,
+                          universe_depth=DEFAULT_UNIVERSE_DEPTH)
     p_corpus.add_argument("--actions", type=int, default=0, metavar="N",
                           help="also run N randomized order-action instances")
     return parser

@@ -215,7 +215,7 @@ def rpid_first_detail(module, family_join_cap=24):
             joins += 1
         if joins >= family_join_cap:
             break
-    via_family = _a_first_value(module, family)
+    via_family = a_first_detail(module, family)[0]
     if via_family != verdict:
         raise InternalInconsistency(
             f"trace-firstness routes disagree on {module!r}")
@@ -245,17 +245,6 @@ def endo_prime_implies_rpid_first(module, endo_cap=DEFAULT_ENDO_RING_CAP):
 
 # ---------------------------------------------------------------------------
 # firstness relative to a finite family
-
-def _a_first_value(module, family):
-    for pr in family:
-        if pr.evaluate(module).is_zero():
-            continue
-        for n in _nonzero_submodules(module):
-            nmod = n.as_module()
-            if pr.evaluate(nmod).is_zero():
-                return False
-    return True
-
 
 def a_first_detail(module, family):
     _require_nonzero(module, "family-firstness")
@@ -337,7 +326,7 @@ def class_membership(module, family):
         in_p = True
         in_sp = True
     else:
-        in_p = _a_first_value(module, family)
+        in_p = a_first_detail(module, family)[0]
         in_sp = a_fully_first_detail(module, family)[0]
     if len(family) == 1:
         # the first class of a single member is its fully-first class

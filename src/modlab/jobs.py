@@ -493,26 +493,24 @@ def _flatten(args):
 # ---------------------------------------------------------------------------
 # top-level parse
 
-def parse_job(document, ring_cap=DEFAULT_RING_CAP,
-              module_cap=DEFAULT_MODULE_CAP,
-              universe_depth=DEFAULT_UNIVERSE_DEPTH):
+def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
+              universe_depth=None):
     """Parse and fully resolve a job document.
 
     Caps provided here (e.g. from CLI flags) override the document's own
-    universe section.
+    universe section; those left at None come from the document, or else
+    from the package defaults.
     """
     sections = _split_sections(document)
-    depth = universe_depth
-    mod_cap = module_cap
+    universe = {"depth": DEFAULT_UNIVERSE_DEPTH, "cap": DEFAULT_MODULE_CAP}
     for lineno, line in sections.get("universe", []):
         m = re.match(r"(depth|cap)\s*=\s*(\d+)", line)
         if not m:
             raise JobParseError("universe lines are `depth = n` or `cap = n`",
                                 lineno, 1)
-        if m.group(1) == "depth":
-            depth = int(m.group(2))
-        else:
-            mod_cap = int(m.group(2))
+        universe[m.group(1)] = int(m.group(2))
+    depth = universe["depth"] if universe_depth is None else universe_depth
+    mod_cap = universe["cap"] if module_cap is None else module_cap
     output_format = "text"
     for lineno, line in sections.get("output", []):
         m = re.match(r"format\s*=\s*(text|structured)", line)

@@ -3,12 +3,15 @@
 Modules carry full addition and scalar-action tables over a ``FiniteRing``.
 Submodules are bitmasks over the element indices, interned per module so
 they can cache derived data (their own module structure, for instance).
-Hom-sets are enumerated by choosing a greedy generating set, recording one
-R-linear expression of every element in those generators, and keeping
-exactly the generator-image tuples that kill every relation of the
-generators; a tuple that kills all relations extends to a unique
-well-defined R-map, so no further scan is needed (the test suite still
-compares against an all-functions oracle on small instances).
+Maps are found by choosing a greedy generating set, recording one R-linear
+expression of every element in those generators, and searching the
+generator-image tuples that kill every relation of the generators; a tuple
+that kills all relations extends to a unique well-defined R-map, so no
+further scan is needed (the test suite still compares against an
+all-functions oracle on small instances).  One backtracking search serves
+Hom-set enumeration, the nonzero-map test and isomorphism search; they
+differ only in the candidate images, an optional per-image test, and what
+happens at a complete tuple.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_MODULE_CAP, MAX_HOM_CANDIDATES
 from .errors import (AxiomViolation, InternalInconsistency, RingMismatch,
                      SizeCapExceeded)
-from .rings import FiniteRing, enumerate_ideals
+from .rings import FiniteRing, enumerate_ideals, scan_abelian_group
 
 
 class FiniteModule:
@@ -28,11 +31,12 @@ class FiniteModule:
     ``add[a][b]`` is the index of a+b; ``act[r][m]`` is the index of r.m
     for a ring element index r.  ``origin`` records how the module was
     built (enough to re-embed carriers of submodules, preimages of
-    quotients, and direct-sum components).  Instances hash by identity.
+    quotients, and direct-sum components).  Instances hash by identity
+    and can be weakly referenced.
     """
 
     __slots__ = ("ring", "order", "add", "act", "zero", "neg", "labels",
-                 "provenance", "origin", "_cache")
+                 "provenance", "origin", "_cache", "__weakref__")
 
     def __init__(self, ring, add, act, labels=None, provenance="raw",
                  origin=("raw",), cap=DEFAULT_MODULE_CAP):
@@ -90,28 +94,7 @@ def _scan_module_axioms(ring, n, add, act):
             v = act[r][m]
             if not (0 <= v < n):
                 raise AxiomViolation("closure", (r, m, v), "act out of range")
-    zero = None
-    for e in rng:
-        if all(add[e][x] == x for x in rng):
-            zero = e
-            break
-    if zero is None:
-        raise AxiomViolation("additive identity", None)
-    for a in rng:
-        for b in rng:
-            if add[a][b] != add[b][a]:
-                raise AxiomViolation("additive commutativity", (a, b))
-            for c in rng:
-                if add[add[a][b]][c] != add[a][add[b][c]]:
-                    raise AxiomViolation("additive associativity", (a, b, c))
-    neg = [None] * n
-    for a in rng:
-        for b in rng:
-            if add[a][b] == zero:
-                neg[a] = b
-                break
-        if neg[a] is None:
-            raise AxiomViolation("additive inverse", (a,))
+    zero, neg = scan_abelian_group(n, add)
     one = ring.one
     for m in rng:
         if act[one][m] != m:
@@ -128,7 +111,7 @@ def _scan_module_axioms(ring, n, add, act):
             for b in rng:
                 if act[r][add[a][b]] != add[act[r][a]][act[r][b]]:
                     raise AxiomViolation("module distributivity", (r, a, b))
-    return zero, tuple(neg)
+    return zero, neg
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +511,61 @@ def _generator_data(module):
     return data
 
 
+def _search_images(target, rel_levels, candidates, on_full, accept=None):
+    """Depth-first search over generator images in ``target``.
+
+    ``candidates[i]`` lists the images tried for generator i, in order.  An
+    image is kept only if it kills every relation whose last nonzero slot
+    is generator i (``rel_levels[i + 1]``) and, when ``accept`` is given,
+    ``accept(i, h)`` holds.  ``on_full`` sees each complete image tuple;
+    the first tuple it returns true for ends the search and is returned.
+    Returns None when the search runs to the end.
+    """
+    k = len(candidates)
+    rzero = target.ring.zero
+    tadd, tact, tzero = target.add, target.act, target.zero
+    hvec = [tzero] * k
+
+    def extend(level):
+        if level == k:
+            hv = tuple(hvec)
+            return hv if on_full(hv) else None
+        rels = rel_levels[level + 1]
+        for h in candidates[level]:
+            hvec[level] = h
+            for vec in rels:
+                s = tzero
+                for j in range(level + 1):
+                    rj = vec[j]
+                    if rj != rzero:
+                        s = tadd[s][tact[rj][hvec[j]]]
+                if s != tzero:
+                    break
+            else:
+                if accept is None or accept(level, h):
+                    found = extend(level + 1)
+                    if found is not None:
+                        return found
+        return None
+
+    return extend(0)
+
+
+def _morphism_from_images(source, target, images):
+    """The map sending generator i of ``source`` to ``images[i]``."""
+    reps = _generator_data(source)[1]
+    rzero = source.ring.zero
+    tadd, tact, tzero = target.add, target.act, target.zero
+    fmap = []
+    for vec in reps:
+        s = tzero
+        for r, h in zip(vec, images):
+            if r != rzero:
+                s = tadd[s][tact[r][h]]
+        fmap.append(s)
+    return ModuleMorphism(source, target, fmap, validate=False)
+
+
 def hom_set(source, target):
     """All R-linear maps source -> target, canonically ordered (cached).
 
@@ -540,51 +578,15 @@ def hom_set(source, target):
     cache = source._cache.setdefault("homs", {})
     if target in cache:
         return cache[target]
-    gens, reps, rel_levels = _generator_data(source)
+    gens, _, rel_levels = _generator_data(source)
     k = len(gens)
-    ring = source.ring
-    rzero = ring.zero
-    tadd, tact, tzero = target.add, target.act, target.zero
-    if k and target.order ** k > MAX_HOM_CANDIDATES:
+    if target.order ** k > MAX_HOM_CANDIDATES:
         raise SizeCapExceeded(
             f"hom search over {target.order}^{k} candidates is out of range")
     images = []
-    hvec = [tzero] * k
-
-    def extend(level):
-        if level == k:
-            images.append(tuple(hvec))
-            return
-        rels = rel_levels[level + 1]
-        for h in range(target.order):
-            hvec[level] = h
-            ok = True
-            for vec in rels:
-                s = tzero
-                for j in range(level + 1):
-                    rj = vec[j]
-                    if rj != rzero:
-                        s = tadd[s][tact[rj][hvec[j]]]
-                if s != tzero:
-                    ok = False
-                    break
-            if ok:
-                extend(level + 1)
-
-    if k == 0:
-        images.append(())
-    else:
-        extend(0)
-    homs = []
-    for hv in images:
-        fmap = [tzero] * source.order
-        for e in range(source.order):
-            s = tzero
-            for r, h in zip(reps[e], hv):
-                if r != rzero:
-                    s = tadd[s][tact[r][h]]
-            fmap[e] = s
-        homs.append(ModuleMorphism(source, target, fmap, validate=False))
+    _search_images(target, rel_levels, [range(target.order)] * k,
+                   images.append)
+    homs = [_morphism_from_images(source, target, hv) for hv in images]
     homs.sort(key=lambda f: f.map)
     result = tuple(homs)
     cache[target] = result
@@ -595,38 +597,13 @@ def hom_nonzero_exists(source, target):
     """Whether a nonzero map source -> target exists (early exit)."""
     if target in source._cache.get("homs", {}):
         return any(not f.is_zero() for f in source._cache["homs"][target])
-    gens, reps, rel_levels = _generator_data(source)
-    k = len(gens)
-    if k == 0:
-        return False
-    ring = source.ring
-    rzero = ring.zero
-    tadd, tact, tzero = target.add, target.act, target.zero
-    hvec = [tzero] * k
+    gens, _, rel_levels = _generator_data(source)
+    tzero = target.zero
     # try nonzero images first so a hit surfaces early
     preferred = [h for h in range(target.order) if h != tzero] + [tzero]
-
-    def extend(level):
-        if level == k:
-            return any(h != tzero for h in hvec)
-        rels = rel_levels[level + 1]
-        for h in preferred:
-            hvec[level] = h
-            ok = True
-            for vec in rels:
-                s = tzero
-                for j in range(level + 1):
-                    rj = vec[j]
-                    if rj != rzero:
-                        s = tadd[s][tact[rj][hvec[j]]]
-                if s != tzero:
-                    ok = False
-                    break
-            if ok and extend(level + 1):
-                return True
-        return False
-
-    return extend(0)
+    found = _search_images(target, rel_levels, [preferred] * len(gens),
+                           lambda hv: any(h != tzero for h in hv))
+    return found is not None
 
 
 def all_function_homs(source, target):
@@ -676,58 +653,26 @@ def find_isomorphism(a, b):
     ann_b = _element_annihilators(b)
     if sorted(ann_a) != sorted(ann_b):
         return None
-    gens, reps, rel_levels = _generator_data(a)
-    k = len(gens)
-    if k == 0:
-        return ModuleMorphism(a, b, (b.zero,), validate=False)
-    ring = a.ring
-    rzero = ring.zero
-    tadd, tact, tzero = b.add, b.act, b.zero
+    gens, _, rel_levels = _generator_data(a)
     span_sizes = []
     span = a.zero_mask()
     for g in gens:
         span = sum_masks(a, span, cyclic_mask(a, g))
         span_sizes.append(bin(span).count("1"))
-    hvec = [tzero] * k
+    candidates = [[h for h in range(b.order) if ann_b[h] == ann_a[g]]
+                  for g in gens]
+    image_spans = [b.zero_mask()] + [None] * len(gens)
 
-    def extend(level, image_span):
-        if level == k:
-            return True
-        rels = rel_levels[level + 1]
-        want = ann_a[gens[level]]
-        for h in range(b.order):
-            if ann_b[h] != want:
-                continue
-            hvec[level] = h
-            ok = True
-            for vec in rels:
-                s = tzero
-                for j in range(level + 1):
-                    rj = vec[j]
-                    if rj != rzero:
-                        s = tadd[s][tact[rj][hvec[j]]]
-                if s != tzero:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            new_span = sum_masks(b, image_span, cyclic_mask(b, h))
-            if bin(new_span).count("1") != span_sizes[level]:
-                continue
-            if extend(level + 1, new_span):
-                return True
-        return False
+    def keeps_span_size(level, h):
+        span = sum_masks(b, image_spans[level], cyclic_mask(b, h))
+        image_spans[level + 1] = span
+        return bin(span).count("1") == span_sizes[level]
 
-    if not extend(0, b.zero_mask()):
+    found = _search_images(b, rel_levels, candidates, lambda hv: True,
+                           keeps_span_size)
+    if found is None:
         return None
-    fmap = [tzero] * a.order
-    for e in range(a.order):
-        s = tzero
-        for r, h in zip(reps[e], hvec):
-            if r != rzero:
-                s = tadd[s][tact[r][h]]
-        fmap[e] = s
-    return ModuleMorphism(a, b, fmap, validate=False)
+    return _morphism_from_images(a, b, found)
 
 
 def is_isomorphic(a, b):

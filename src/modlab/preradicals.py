@@ -21,8 +21,6 @@ from .modules import (embed_submask, enumerate_submodules, hom_set,
                       structural_summary, submodule, sum_masks, trad_mask)
 from .rings import IdealHandle, enumerate_ideals, is_ideal_mask
 
-_EVAL_CACHE = {}
-
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
 
 
@@ -36,18 +34,20 @@ class Preradical:
         return None
 
     def evaluate(self, module):
-        """Value on a module, as a submodule of it (cached)."""
+        """Value on a module, as a submodule of it.
+
+        Cached in the module, so a value lives exactly as long as its module.
+        """
         r = self.ring()
         if r is not None and r is not module.ring:
             raise RingMismatch(
                 f"preradical over {r.provenance} applied to a module over "
                 f"{module.ring.provenance}")
-        key = (id(self), id(module))
-        hit = _EVAL_CACHE.get(key)
+        values = module._cache.setdefault("preradical_values", {})
+        hit = values.get(self)
         if hit is None:
-            _EVAL_CACHE[key] = hit = (self, module,
-                                      submodule(module, self._compute(module)))
-        return hit[2]
+            values[self] = hit = submodule(module, self._compute(module))
+        return hit
 
     def _compute(self, module):
         raise NotImplementedError
@@ -64,18 +64,23 @@ def _sub_token(sub):
     return "{" + els + "}@" + sub.module.provenance
 
 
-class Alpha(Preradical):
-    """Least preradical sending the frozen module M to N (N f.i. in M).
+def _require_fully_invariant(sub):
+    lat = enumerate_submodules(sub.module)
+    if not lat.fully_invariant[lat.index[sub.mask]]:
+        raise NotFullyInvariant(f"{sub!r} is not fully invariant")
+
+
+class Beta(Preradical):
+    """Trace-style operator frozen at a submodule N of M (N need not be
+    fully invariant).
 
     Value on U: the sum of f(N) over all maps f: M -> U.
     """
 
     __slots__ = ("sub",)
+    tag = "beta"
 
     def __init__(self, sub):
-        lat = enumerate_submodules(sub.module)
-        if not lat.fully_invariant[lat.index[sub.mask]]:
-            raise NotFullyInvariant(f"{sub!r} is not fully invariant")
         self.sub = sub
 
     def ring(self):
@@ -93,7 +98,18 @@ class Alpha(Preradical):
         return out
 
     def describe(self):
-        return f"alpha({_sub_token(self.sub)})"
+        return f"{self.tag}({_sub_token(self.sub)})"
+
+
+class Alpha(Beta):
+    """Least preradical sending the frozen module M to N (N f.i. in M)."""
+
+    __slots__ = ()
+    tag = "alpha"
+
+    def __init__(self, sub):
+        _require_fully_invariant(sub)
+        super().__init__(sub)
 
 
 class Omega(Preradical):
@@ -107,9 +123,7 @@ class Omega(Preradical):
     __slots__ = ("sub",)
 
     def __init__(self, sub):
-        lat = enumerate_submodules(sub.module)
-        if not lat.fully_invariant[lat.index[sub.mask]]:
-            raise NotFullyInvariant(f"{sub!r} is not fully invariant")
+        _require_fully_invariant(sub)
         self.sub = sub
 
     def ring(self):
@@ -126,32 +140,6 @@ class Omega(Preradical):
 
     def describe(self):
         return f"omega({_sub_token(self.sub)})"
-
-
-class Beta(Preradical):
-    """Like Alpha but the frozen submodule need not be fully invariant."""
-
-    __slots__ = ("sub",)
-
-    def __init__(self, sub):
-        self.sub = sub
-
-    def ring(self):
-        return self.sub.module.ring
-
-    def _compute(self, module):
-        out = module.zero_mask()
-        seen = set()
-        for f in hom_set(self.sub.module, module):
-            img = f.image_of_mask(self.sub.mask)
-            if img in seen or img & ~out == 0:
-                continue
-            seen.add(img)
-            out = sum_masks(module, out, img)
-        return out
-
-    def describe(self):
-        return f"beta({_sub_token(self.sub)})"
 
 
 class Trad(Preradical):

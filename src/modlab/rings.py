@@ -4,7 +4,10 @@ A ring here is the index set ``0..order-1`` with full Cayley tables for
 addition and multiplication.  Constructors build cyclic rings, matrix
 rings, direct products, quotients, and rings from raw tables; every
 construction runs a complete axiom scan before the object is returned.
-Ideals are subsets represented as bitmasks over the element indices.
+Ideals are subsets represented as bitmasks over the element indices; the
+left ideals are the submodules of the regular module, so they come from
+its submodule lattice in ``modlab.modules`` (imported inside the functions
+that need it, since that module builds on this one).
 """
 
 from __future__ import annotations
@@ -74,6 +77,33 @@ def _scan_ring_axioms(n, add, mul):
                 if not (0 <= v < n):
                     raise AxiomViolation("closure", (a, b, v),
                                          f"{name} table entry out of range")
+    zero, neg = scan_abelian_group(n, add)
+    one = None
+    for e in rng:
+        if all(mul[e][x] == x and mul[x][e] == x for x in rng):
+            one = e
+            break
+    if one is None:
+        raise AxiomViolation("multiplicative identity", None,
+                             "no two-sided multiplicative identity")
+    if one == zero:
+        raise AxiomViolation("nontriviality", (zero, one), "one equals zero")
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    raise AxiomViolation("multiplicative associativity",
+                                         (a, b, c))
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    raise AxiomViolation("left distributivity", (a, b, c))
+                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
+                    raise AxiomViolation("right distributivity", (a, b, c))
+    return zero, one, neg
+
+
+def scan_abelian_group(n, add):
+    """Check that ``add`` is an abelian group table; return (zero, neg)."""
+    rng = range(n)
     zero = None
     for e in rng:
         if all(add[e][x] == x for x in rng):
@@ -97,27 +127,7 @@ def _scan_ring_axioms(n, add, mul):
                 break
         if neg[a] is None:
             raise AxiomViolation("additive inverse", (a,))
-    one = None
-    for e in rng:
-        if all(mul[e][x] == x and mul[x][e] == x for x in rng):
-            one = e
-            break
-    if one is None:
-        raise AxiomViolation("multiplicative identity", None,
-                             "no two-sided multiplicative identity")
-    if one == zero:
-        raise AxiomViolation("nontriviality", (zero, one), "one equals zero")
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise AxiomViolation("multiplicative associativity",
-                                         (a, b, c))
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    raise AxiomViolation("left distributivity", (a, b, c))
-                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
-                    raise AxiomViolation("right distributivity", (a, b, c))
-    return zero, one, tuple(neg)
+    return zero, tuple(neg)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +299,7 @@ class IdealHandle:
 
 
 def is_ideal_mask(ring, mask, sidedness):
-    """Check closure of a subset under the ideal axioms (used by the oracle)."""
+    """Check closure of a subset under the ideal axioms."""
     if not mask >> ring.zero & 1:
         return False
     els = [i for i in range(ring.order) if mask >> i & 1]
@@ -307,98 +317,25 @@ def is_ideal_mask(ring, mask, sidedness):
     return True
 
 
-def _additive_closure(ring, mask):
-    els = [i for i in range(ring.order) if mask >> i & 1]
-    add = ring.add
-    queue = list(els)
-    while queue:
-        x = queue.pop()
-        for y in els:
-            z = add[x][y]
-            if not mask >> z & 1:
-                mask |= 1 << z
-                els.append(z)
-                queue.append(z)
-    return mask
-
-
-def principal_ideal(ring, x, sidedness="two-sided"):
-    """Smallest ideal of the requested sidedness containing x."""
-    mul = ring.mul
-    if sidedness == "left":
-        mask = 0
-        for r in range(ring.order):
-            mask |= 1 << mul[r][x]
-        # Rx is already an additive subgroup: rx + sx = (r+s)x.
-        return IdealHandle(ring, mask, "left")
-    mask = 0
-    for r in range(ring.order):
-        rx = mul[r][x]
-        for s in range(ring.order):
-            mask |= 1 << mul[rx][s]
-    return IdealHandle(ring, _additive_closure(ring, mask), "two-sided")
-
-
-def ideal_sum(i, j):
-    ring = i.ring
-    add = ring.add
-    mask = 0
-    for a in i.carrier:
-        row = add[a]
-        for b in j.carrier:
-            mask |= 1 << row[b]
-    return IdealHandle(ring, mask, i.sidedness)
-
-
-def ideal_intersection(i, j):
-    return IdealHandle(i.ring, i.mask & j.mask, i.sidedness)
-
-
-def ideal_product(i, j):
-    """Two-sided product IJ: additive closure of the pairwise products."""
-    ring = i.ring
-    mul = ring.mul
-    mask = 1 << ring.zero
-    for a in i.carrier:
-        row = mul[a]
-        for b in j.carrier:
-            mask |= 1 << row[b]
-    return IdealHandle(ring, _additive_closure(ring, mask), "two-sided")
-
-
 def enumerate_ideals(ring, sidedness="two-sided"):
     """All ideals of the requested sidedness, canonically ordered.
 
-    Every ideal of a finite ring is a finite sum of principal ideals, so
-    closing the principal ones under pairwise sums reaches them all.  The
-    naive power-set filter exists only in the test suite as an oracle.
-    Sorted by (size, carrier); the list always starts at 0 and ends at R.
+    Left ideals are the submodules of the regular module, read off its
+    lattice; two-sided ideals are the left ideals also closed under right
+    multiplication.  The naive power-set filter exists only in the test
+    suite as an oracle.  Sorted by (size, carrier); the list always starts
+    at 0 and ends at R.
     """
     key = ("ideals", sidedness)
-    if key in ring._cache:
-        return ring._cache[key]
-    seen = {1 << ring.zero}
-    gens = []
-    for x in range(ring.order):
-        m = principal_ideal(ring, x, sidedness).mask
-        if m not in seen:
-            seen.add(m)
-            gens.append(m)
-    gen_handles = [IdealHandle(ring, m, sidedness) for m in gens]
-    queue = list(seen)
-    while queue:
-        m = queue.pop()
-        h = IdealHandle(ring, m, sidedness)
-        for g in gen_handles:
-            s = ideal_sum(h, g).mask
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    handles = [IdealHandle(ring, m, sidedness) for m in seen]
-    handles.sort(key=lambda h: (h.order, h.carrier))
-    result = tuple(handles)
-    ring._cache[key] = result
-    return result
+    if key not in ring._cache:
+        from .modules import enumerate_submodules, regular_module
+        masks = [s.mask for s in
+                 enumerate_submodules(regular_module(ring)).submodules]
+        if sidedness == "two-sided":
+            masks = [m for m in masks if is_ideal_mask(ring, m, "two-sided")]
+        ring._cache[key] = tuple(IdealHandle(ring, m, sidedness)
+                                 for m in masks)
+    return ring._cache[key]
 
 
 def is_simple_ring(ring):
@@ -407,10 +344,9 @@ def is_simple_ring(ring):
 
 def is_prime_ring(ring):
     """No pair of nonzero two-sided ideals with zero product."""
+    from .modules import regular_module, trad_mask
+    reg = regular_module(ring)
     zero_mask = 1 << ring.zero
     ideals = [i for i in enumerate_ideals(ring, "two-sided") if not i.is_zero()]
-    for i in ideals:
-        for j in ideals:
-            if ideal_product(i, j).mask == zero_mask:
-                return False
-    return True
+    return all(trad_mask(reg, i, j.mask) != zero_mask
+               for i in ideals for j in ideals)

@@ -215,6 +215,16 @@ def test_cli_verify_runs_only_theorems(tmp_path, capsys):
     assert [e["kind"] for e in data["checks"]] == ["verify"]
 
 
+def test_cli_flags_override_the_document_universe(tmp_path, capsys):
+    # DEMO says depth = 2; explicit flags win, absent ones leave it alone
+    assert parse_job(DEMO).universe_depth == 2
+    assert main(["check", _write(tmp_path, DEMO), "--format", "structured",
+                 "--universe-depth", "1", "--cap-module", "32"]) == 0
+    caps = json.loads(capsys.readouterr().out)["caps"]
+    assert caps["universe_depth"] == 1
+    assert caps["module"] == 32
+
+
 def test_cli_parse_error_exit_one(tmp_path, capsys):
     assert main(["define", _write(tmp_path, "[ring]\ncyclic(\n")]) == 1
     assert "parse error" in capsys.readouterr().err

@@ -327,6 +327,27 @@ def test_hom_set_matches_all_functions_oracle(idx):
     assert fast == slow
 
 
+def test_find_isomorphism_matches_all_functions_oracle():
+    from modlab.modules import find_isomorphism
+    r22 = product_ring([Z2, Z2])
+    s1, s2 = simple_modules(r22)
+    z4s = simple_modules(Z4)[0]
+    mods = [regular_module(Z4), direct_sum_module([z4s, z4s]),
+            regular_module(r22), direct_sum_module([s1, s2]),
+            direct_sum_module([s1, s1]), regular_module(Z6),
+            simple_modules(M22)[0], cyclic_module(regular_module(M22), 1)]
+    for a in mods:
+        for b in mods:
+            if a.ring is not b.ring or a.order != b.order:
+                continue
+            bijections = {f.map for f in all_function_homs(a, b)
+                          if f.is_bijective()}
+            found = find_isomorphism(a, b)
+            assert (found is not None) == bool(bijections)
+            if found is not None:
+                assert found.map in bijections
+
+
 def test_every_enumerated_hom_passes_the_full_scan():
     # the relation-filtered construction must agree with the exhaustive
     # additivity/linearity verifier on every map it emits

@@ -38,6 +38,17 @@ def test_alpha_on_frozen_module_returns_the_submodule():
     assert a.evaluate(z4_regular()).carrier == (0, 2)
 
 
+def test_preradical_values_do_not_keep_modules_alive():
+    import gc
+    import weakref
+    m = direct_sum_module([z4_regular(), z4_regular()])
+    assert not SOC.evaluate(m).is_zero()
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+
+
 def test_alpha_requires_fully_invariant():
     v = direct_sum_module([regular_module(Z2), regular_module(Z2)])
     line = enumerate_submodules(v).submodules[1]

@@ -2,10 +2,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlab.errors import AxiomViolation, SizeCapExceeded
+from modlab.modules import enumerate_submodules, regular_module
 from modlab.rings import (FiniteRing, cyclic_ring, enumerate_ideals,
-                          ideal_intersection, ideal_sum, is_ideal_mask,
-                          make_ring, matrix_ring, product_ring, quotient_ring,
-                          ring_from_tables)
+                          is_ideal_mask, make_ring, matrix_ring, product_ring,
+                          quotient_ring, ring_from_tables)
+
+
+def upper_triangular_f2():
+    """Upper triangular 2x2 matrices over F2: noncommutative, order 8.
+
+    Element a*4 + b*2 + c stands for [[a, b], [0, c]].
+    """
+    els = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    index = {e: i for i, e in enumerate(els)}
+    add = [[index[tuple(u ^ v for u, v in zip(x, y))] for y in els]
+           for x in els]
+    mul = [[index[(x[0] & y[0], (x[0] & y[1]) ^ (x[1] & y[2]), x[2] & y[2])]
+            for y in els] for x in els]
+    return ring_from_tables(add, mul)
+
+
+IDEAL_RINGS = [
+    lambda: cyclic_ring(4),
+    lambda: cyclic_ring(6),
+    lambda: cyclic_ring(8),
+    lambda: product_ring([cyclic_ring(2), cyclic_ring(2)]),
+    lambda: matrix_ring(cyclic_ring(2), 2),
+    upper_triangular_f2,
+]
 
 
 def test_cyclic4_basic():
@@ -95,11 +119,7 @@ def test_raw_tables_roundtrip():
 
 # --- lattice closure of the ideal set -------------------------------------
 
-@pytest.mark.parametrize("ring_fn", [
-    lambda: cyclic_ring(8),
-    lambda: product_ring([cyclic_ring(2), cyclic_ring(2)]),
-    lambda: matrix_ring(cyclic_ring(2), 2),
-])
+@pytest.mark.parametrize("ring_fn", IDEAL_RINGS)
 @pytest.mark.parametrize("sided", ["left", "two-sided"])
 def test_ideals_closed_under_sum_and_intersection(ring_fn, sided):
     ring = ring_fn()
@@ -107,8 +127,30 @@ def test_ideals_closed_under_sum_and_intersection(ring_fn, sided):
     masks = {i.mask for i in ideals}
     for a in ideals:
         for b in ideals:
-            assert ideal_sum(a, b).mask in masks
-            assert ideal_intersection(a, b).mask in masks
+            total = 0
+            for x in a.carrier:
+                for y in b.carrier:
+                    total |= 1 << ring.add[x][y]
+            assert total in masks
+            assert a.mask & b.mask in masks
+
+
+def test_upper_triangular_ring_is_noncommutative():
+    ring = upper_triangular_f2()
+    assert ring.order == 8 and not ring.is_commutative()
+    # left ideals that are not two-sided exist here
+    assert (len(enumerate_ideals(ring, "left"))
+            > len(enumerate_ideals(ring, "two-sided")))
+
+
+@pytest.mark.parametrize("ring_fn", IDEAL_RINGS)
+def test_two_sided_ideals_are_fully_invariant_left_ideals(ring_fn):
+    # End(R) acts on R by right multiplications, so the fully invariant
+    # submodules of the regular module are exactly the two-sided ideals
+    ring = ring_fn()
+    lat = enumerate_submodules(regular_module(ring))
+    fi = [s.mask for s, f in zip(lat.submodules, lat.fully_invariant) if f]
+    assert fi == [i.mask for i in enumerate_ideals(ring, "two-sided")]
 
 
 # --- power-set oracle -------------------------------------------------------
@@ -121,16 +163,11 @@ def powerset_ideals(ring, sided):
     return sorted(hits)
 
 
-@pytest.mark.parametrize("ring_fn", [
-    lambda: cyclic_ring(4),
-    lambda: cyclic_ring(6),
-    lambda: cyclic_ring(8),
-    lambda: product_ring([cyclic_ring(2), cyclic_ring(2)]),
-])
+@pytest.mark.parametrize("ring_fn", IDEAL_RINGS)
 @pytest.mark.parametrize("sided", ["left", "two-sided"])
 def test_ideal_enumeration_matches_powerset_oracle(ring_fn, sided):
     ring = ring_fn()
-    assert ring.order <= 8
+    assert ring.order <= 16
     got = sorted(i.mask for i in enumerate_ideals(ring, sided))
     assert got == powerset_ideals(ring, sided)
 
