@@ -12,17 +12,16 @@ from .errors import (AxiomViolation, InternalInconsistency, JobParseError,
                      ModlabError, NotFullyInvariant, RingMismatch,
                      SizeCapExceeded)
 from .rings import (FiniteRing, IdealHandle, cyclic_ring, enumerate_ideals,
-                    is_prime_ring, is_simple_ring, make_ring, matrix_ring,
-                    product_ring, quotient_ring, ring_from_tables)
+                    is_prime_ring, is_simple_ring, matrix_ring, product_ring,
+                    quotient_ring, ring_from_tables)
 from .modules import (FiniteModule, ModuleMorphism, Submodule,
                       SubmoduleLattice, cogenerates, cyclic_module,
                       direct_sum_module, endomorphism_ring,
                       enumerate_submodules, hom_nonzero_exists, hom_set,
                       is_atom, is_essential, is_injective, is_isomorphic,
-                      is_superfluous, lattice_position, make_module,
-                      module_from_tables, quotient_module, regular_module,
-                      simple_modules, structural_summary, submodule,
-                      zero_module)
+                      is_superfluous, module_from_tables, quotient_module,
+                      regular_module, simple_modules, structural_summary,
+                      submodule, zero_module)
 from .preradicals import (Alpha, Beta, Compose, Join, LinearFilter, Meet,
                           Omega, ONE, Preradical, RAD, SOC, Trad, ZERO,
                           check_naturality, compare, idempotent_core_at,
@@ -44,15 +43,14 @@ __all__ = [
     "AxiomViolation", "InternalInconsistency", "JobParseError", "ModlabError",
     "NotFullyInvariant", "RingMismatch", "SizeCapExceeded",
     "FiniteRing", "IdealHandle", "cyclic_ring", "enumerate_ideals",
-    "is_prime_ring", "is_simple_ring", "make_ring", "matrix_ring",
-    "product_ring", "quotient_ring", "ring_from_tables",
+    "is_prime_ring", "is_simple_ring", "matrix_ring", "product_ring",
+    "quotient_ring", "ring_from_tables",
     "FiniteModule", "ModuleMorphism", "Submodule", "SubmoduleLattice",
     "cogenerates", "cyclic_module", "direct_sum_module", "endomorphism_ring",
     "enumerate_submodules", "hom_nonzero_exists", "hom_set", "is_atom",
     "is_essential", "is_injective", "is_isomorphic", "is_superfluous",
-    "lattice_position", "make_module", "module_from_tables",
-    "quotient_module", "regular_module", "simple_modules",
-    "structural_summary", "submodule", "zero_module",
+    "module_from_tables", "quotient_module", "regular_module",
+    "simple_modules", "structural_summary", "submodule", "zero_module",
     "Alpha", "Beta", "Compose", "Join", "LinearFilter", "Meet", "Omega",
     "ONE", "Preradical", "RAD", "SOC", "Trad", "ZERO", "check_naturality",
     "compare", "idempotent_core_at", "product_hom_AB", "product_in",

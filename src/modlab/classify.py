@@ -6,7 +6,9 @@ its quotients by all submodules (this includes every simple module), and
 iterated pairwise direct sums up to the order cap, deduplicated up to
 isomorphism.  Every verdict produced here is explicitly "at universe
 scale": the harness checks the finite instances of each equivalence, never
-the statement about all modules.
+the statement about all modules.  A module-level side of a theorem ("every
+universe module is prime", "... is lep-first", ...) is asked of the
+deciders in ``firstness`` one module at a time, through ``_first_failure``.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_MODULE_CAP, DEFAULT_UNIVERSE_DEPTH
 from .errors import InternalInconsistency, SizeCapExceeded
-from .firstness import bjkn_prime_detail, prime_module_detail
+from .firstness import (a_first_detail, a_fully_first_detail,
+                        bjkn_prime_detail, prime_module_detail)
 from .modules import (direct_sum_module, enumerate_submodules,
                       hom_nonzero_exists, is_injective, is_isomorphic,
                       is_superfluous, is_essential, quotient_module,
-                      regular_module, simple_modules, structural_summary,
-                      submodule)
-from .preradicals import LinearFilter
+                      regular_module, simple_modules, structural_summary)
+from .preradicals import SOC, LinearFilter, left_exact_at
 from .rings import enumerate_ideals, is_simple_ring
 
 
@@ -242,48 +244,16 @@ class TheoremVerdict:
                 "witnesses": dict(self.witnesses), "details": dict(self.details)}
 
 
-def _all_universe_prime(universe):
+def _first_failure(universe, decide):
+    """Run a ``(verdict, witness)`` decider over the nonzero universe modules.
+
+    Returns (True, None), or False with the first failing module's
+    provenance merged into its witness.
+    """
     for m in universe.nonzero_modules():
-        verdict, witness = prime_module_detail(m)
+        verdict, witness = decide(m)
         if not verdict:
             return False, {"module": m.provenance, **(witness or {})}
-    return True, None
-
-
-def _all_universe_bjkn(universe):
-    for m in universe.nonzero_modules():
-        verdict, witness = bjkn_prime_detail(m)
-        if not verdict:
-            return False, {"module": m.provenance, **(witness or {})}
-    return True, None
-
-
-def _lep_certify(ring, universe):
-    """Left-exactness scan for every filter operator on the universe."""
-    from .modules import embed_submask
-    evaluators = enumerate_lep(ring)
-    for pr in evaluators:
-        for u in universe.modules:
-            whole = pr.evaluate(u).mask
-            for n in enumerate_submodules(u).submodules:
-                nmod = n.as_module()
-                part = embed_submask(nmod, pr.evaluate(nmod).mask)
-                if part != whole & n.mask:
-                    raise InternalInconsistency(
-                        f"filter operator fails left exactness on {u!r}")
-    return evaluators
-
-
-def _all_universe_lep_first(universe, evaluators):
-    for m in universe.nonzero_modules():
-        for pr in evaluators:
-            if pr.evaluate(m).is_zero():
-                continue
-            for n in enumerate_submodules(m).nonzero():
-                if pr.evaluate(n.as_module()).is_zero():
-                    return False, {"module": m.provenance,
-                                   "filter": pr.describe(),
-                                   "submodule": n.labels()}
     return True, None
 
 
@@ -297,7 +267,7 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
 
     if theorem_id == "T15":
         lhs = cls.is_simple
-        rhs, witness = _all_universe_prime(universe)
+        rhs, witness = _first_failure(universe, prime_module_detail)
         if witness:
             witnesses["non_prime_module"] = witness
         sides = {"ring_is_simple": lhs, "all_universe_modules_prime": rhs}
@@ -305,11 +275,19 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
 
     elif theorem_id == "T14":
         lhs = cls.is_left_semiartinian_on_universe and cls.is_left_local
-        evaluators = _lep_certify(ring, universe)
+        evaluators = enumerate_lep(ring)
+        for pr in evaluators:
+            for u in universe.modules:
+                if not left_exact_at(pr, u):
+                    raise InternalInconsistency(
+                        f"filter operator fails left exactness on {u!r}")
         details["filter_count"] = len(evaluators)
-        rhs, witness = _all_universe_lep_first(universe, evaluators)
+        rhs, witness = _first_failure(
+            universe, lambda m: a_first_detail(m, evaluators))
         if witness:
-            witnesses["non_lep_first"] = witness
+            witnesses["non_lep_first"] = {"module": witness["module"],
+                                          "filter": witness["member"],
+                                          "submodule": witness["submodule"]}
         sides = {"left_semiartinian_and_left_local": lhs,
                  "all_universe_modules_lep_first": rhs}
         consistent = lhs == rhs
@@ -317,7 +295,7 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
     elif theorem_id == "T14.3":
         s1 = (cls.is_left_semiartinian_on_universe and cls.is_left_local
               and cls.is_V_ring)
-        s2, witness = _all_universe_bjkn(universe)
+        s2, witness = _first_failure(universe, bjkn_prime_detail)
         if witness:
             witnesses["non_bjkn_module"] = witness
         s3 = cls.is_homogeneous_semisimple
@@ -355,7 +333,7 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
                  "all_superfluous": consistent}
 
     elif theorem_id == "Perror1":
-        lhs, witness = _all_universe_bjkn(universe)
+        lhs, witness = _first_failure(universe, bjkn_prime_detail)
         if witness:
             witnesses["non_bjkn_module"] = witness
         rhs = cls.is_BKN_on_universe
@@ -365,29 +343,21 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
         details["converse_fails_here"] = rhs and not lhs
 
     elif theorem_id == "P12":
-        in_p = True
-        in_sp = True
-        for m in universe.nonzero_modules():
-            soc_m = structural_summary(m).socle
-            sp = all(not structural_summary(n.as_module()).socle.is_zero()
-                     for n in enumerate_submodules(m).nonzero())
-            p = sp or soc_m.is_zero()
-            in_sp = in_sp and sp
-            in_p = in_p and p
-            if not p:
-                witnesses["module_not_in_first_class"] = {"module": m.provenance}
+        in_p, witness = _first_failure(
+            universe, lambda m: a_first_detail(m, [SOC]))
+        if witness:
+            witnesses["module_not_in_first_class"] = witness
+        in_sp, _ = _first_failure(
+            universe, lambda m: a_fully_first_detail(m, [SOC]))
         sides = {"universe_in_socle_first_class": in_p,
                  "universe_in_socle_fully_first_class": in_sp}
         consistent = in_p == in_sp
 
     elif theorem_id == "P8.5":
-        in_sp = True
-        for m in universe.nonzero_modules():
-            if any(structural_summary(n.as_module()).socle.is_zero()
-                   for n in enumerate_submodules(m).nonzero()):
-                in_sp = False
-                witnesses["socle_gap"] = {"module": m.provenance}
-                break
+        in_sp, witness = _first_failure(
+            universe, lambda m: a_fully_first_detail(m, [SOC]))
+        if witness:
+            witnesses["socle_gap"] = witness
         sides = {"universe_in_socle_fully_first_class": in_sp,
                  "left_semiartinian_on_universe":
                      cls.is_left_semiartinian_on_universe}

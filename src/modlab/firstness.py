@@ -6,7 +6,11 @@ four independently computed equivalent conditions (which must agree, or an
 InternalInconsistency is raised), primeness through both the annihilator
 and the ideal-action route, trace-firstness through pairwise nonzero homs
 cross-checked against a generated family of idempotent operators.
-Negative verdicts always carry the first witness in canonical scan order.
+Firstness relative to a finite family is one scan, ``a_fully_first_detail``;
+``a_first_detail`` runs it over the members that do not kill the module.
+These deciders are also the module-level sides of the theorems replayed by
+``classify.verify_theorem``.  Negative verdicts always carry the first
+witness in canonical scan order.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency
-from .modules import (cogenerates, endomorphism_ring, enumerate_submodules,
+from .modules import (_element_annihilators, cogenerates, cyclic_mask,
+                      endomorphism_ring, enumerate_submodules,
                       hom_nonzero_exists, hom_set, is_essential, submodule,
                       trad_mask)
 from .preradicals import Alpha, Join, SOC, product_in
@@ -44,7 +49,6 @@ def _cond_all_submodules_cogenerate(module):
 
 
 def _cond_cyclic_submodules_cogenerate(module):
-    from .modules import cyclic_mask
     seen = set()
     for x in range(module.order):
         if x == module.zero:
@@ -63,7 +67,6 @@ def _cond_cyclic_submodules_cogenerate(module):
 
 def _cond_pointwise_separation(module):
     """For every x, y nonzero there is a map into Ry not killing x."""
-    from .modules import cyclic_mask
     zero = module.zero
     by_mask = {}
     for y in range(module.order):
@@ -129,17 +132,12 @@ def is_bjkn_prime(module):
 # ---------------------------------------------------------------------------
 # primeness (= firstness under the two-sided-ideal action)
 
-def annihilator_mask(module, sub_mask=None):
-    """Ring elements killing every element of the given carrier."""
-    act = module.act
-    zero = module.zero
-    els = (range(module.order) if sub_mask is None
-           else [i for i in range(module.order) if sub_mask >> i & 1])
-    out = 0
-    for r in range(module.ring.order):
-        row = act[r]
-        if all(row[x] == zero for x in els):
-            out |= 1 << r
+def annihilator_mask(module, mask):
+    """Ring elements killing every element of the carrier ``mask``."""
+    out = (1 << module.ring.order) - 1
+    for x, ann in enumerate(_element_annihilators(module)):
+        if mask >> x & 1:
+            out &= ann
     return out
 
 
@@ -148,7 +146,7 @@ def prime_module_detail(module):
     submodules, and no ideal killing a nonzero submodule without killing
     the module."""
     _require_nonzero(module, "primeness")
-    ann_m = annihilator_mask(module)
+    ann_m = annihilator_mask(module, module.full_mask())
     via_ann = True
     ann_witness = None
     for n in _nonzero_submodules(module):
@@ -247,16 +245,14 @@ def endo_prime_implies_rpid_first(module, endo_cap=DEFAULT_ENDO_RING_CAP):
 # firstness relative to a finite family
 
 def a_first_detail(module, family):
+    """No member that leaves the module nonzero kills a nonzero submodule.
+
+    The members are filtered lazily, so each one is evaluated on the module
+    just before its submodule scan and the scan stops at the first witness.
+    """
     _require_nonzero(module, "family-firstness")
-    for pr in family:
-        if pr.evaluate(module).is_zero():
-            continue
-        for n in _nonzero_submodules(module):
-            if pr.evaluate(n.as_module()).is_zero():
-                return False, {"kind": "member_kills_submodule",
-                               "member": pr.describe(),
-                               "submodule": n.labels()}
-    return True, None
+    return a_fully_first_detail(
+        module, (pr for pr in family if not pr.evaluate(module).is_zero()))
 
 
 def is_A_first(module, family):
@@ -264,6 +260,7 @@ def is_A_first(module, family):
 
 
 def a_fully_first_detail(module, family):
+    """No member of the family kills a nonzero submodule."""
     for pr in family:
         for n in _nonzero_submodules(module):
             if pr.evaluate(n.as_module()).is_zero():

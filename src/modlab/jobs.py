@@ -21,9 +21,8 @@ from .classify import (THEOREM_IDS, classify_ring, enumerate_lep,
 from .config import (DEFAULT_MODULE_CAP, DEFAULT_RING_CAP,
                      DEFAULT_UNIVERSE_DEPTH)
 from .errors import InternalInconsistency, JobParseError, ModlabError
-from .firstness import (a_first_detail, a_fully_first_detail,
-                        bjkn_prime_detail, class_membership, diuniform_detail,
-                        prime_module_detail, rpid_first_detail)
+from .firstness import (NOTIONS, a_first_detail, a_fully_first_detail,
+                        class_membership, firstness_report)
 from .modules import (cyclic_module, direct_sum_module, enumerate_submodules,
                       module_from_tables, quotient_module, regular_module)
 from .preradicals import (Alpha, Beta, Compose, Join, Meet, Omega, ONE, RAD,
@@ -35,9 +34,8 @@ SCHEMA_VERSION = "1"
 
 SECTIONS = ("ring", "modules", "preradicals", "checks", "universe", "output")
 
-CHECK_KINDS = ("bjkn_prime", "prime", "rpid_first", "diuniform", "a_first",
-               "a_fully_first", "classes", "evaluate", "flags", "compare",
-               "classify", "lep", "verify")
+CHECK_KINDS = NOTIONS + ("a_first", "a_fully_first", "classes", "evaluate",
+                         "flags", "compare", "classify", "lep", "verify")
 
 
 @dataclass
@@ -444,7 +442,7 @@ def _parse_check(line, lineno, modules, preradicals):
             raise JobParseError(f"unknown preradical {tok!r}", lineno, 1)
         return tok
 
-    if kind in ("bjkn_prime", "prime", "rpid_first", "diuniform"):
+    if kind in NOTIONS:
         if len(tokens) != 2:
             raise JobParseError(f"{kind} takes one module", lineno, 1)
         args = (need_module(tokens[1]),)
@@ -552,15 +550,11 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
 def _run_one_check(spec, kind, args, universe):
     modules = spec.modules
     preradicals = spec.preradicals
-    if kind in ("bjkn_prime", "prime", "rpid_first", "diuniform"):
-        detail = {"bjkn_prime": bjkn_prime_detail,
-                  "prime": prime_module_detail,
-                  "rpid_first": rpid_first_detail,
-                  "diuniform": diuniform_detail}[kind]
-        verdict, witness = detail(modules[args[0]])
-        out = {"verdict": verdict}
-        if witness:
-            out["witness"] = witness
+    if kind in NOTIONS:
+        report = firstness_report(modules[args[0]], (kind,))
+        out = {"verdict": report.verdicts[kind]}
+        if kind in report.witnesses:
+            out["witness"] = report.witnesses[kind]
         return out
     if kind in ("a_first", "a_fully_first"):
         family = [preradicals[n] for n in args[1]]

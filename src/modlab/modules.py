@@ -68,9 +68,6 @@ class FiniteModule:
     def zero_mask(self):
         return 1 << self.zero
 
-    def element_label(self, i):
-        return self.labels[i]
-
     def __repr__(self):
         return f"FiniteModule({self.provenance}, order={self.order}, over {self.ring.provenance})"
 
@@ -163,14 +160,11 @@ class Submodule:
         return f"Submodule({els} of {self.module.provenance})"
 
 
-def submodule(module, mask, check=False):
+def submodule(module, mask):
     """Intern a submodule handle for a carrier bitmask."""
     subs = module._cache.setdefault("subs", {})
     s = subs.get(mask)
     if s is None:
-        if check and not is_submodule_mask(module, mask):
-            raise AxiomViolation("submodule closure", mask,
-                                 "carrier is not closed")
         s = Submodule(module, mask)
         subs[mask] = s
     return s
@@ -231,14 +225,6 @@ def additive_closure_mask(module, mask):
                 mask |= 1 << z
                 els.append(z)
                 queue.append(z)
-    return mask
-
-
-def closure_mask(module, seeds):
-    """Smallest submodule containing the given elements."""
-    mask = module.zero_mask()
-    for x in seeds:
-        mask = sum_masks(module, mask, cyclic_mask(module, x))
     return mask
 
 
@@ -783,41 +769,6 @@ def zero_module(ring):
     return ring._cache["zeromod"]
 
 
-def make_module(spec, cap=DEFAULT_MODULE_CAP):
-    """Build a module from a tagged description (mirrors ``make_ring``).
-
-    Shapes: ``("regular", ring)``, ``("quotient", module, submodule)``,
-    ``("sub", module, submodule_or_carrier)``, ``("direct_sum", [modules])``,
-    ``("cyclic", module, element)``, ``("raw", ring, add, act)``.
-    """
-    tag = spec[0]
-    if tag == "regular":
-        return regular_module(spec[1])
-    if tag == "quotient":
-        return quotient_module(spec[1], _as_submodule(spec[1], spec[2]))
-    if tag == "sub":
-        return _as_submodule(spec[1], spec[2]).as_module()
-    if tag == "direct_sum":
-        return direct_sum_module(spec[1], cap=cap)
-    if tag == "cyclic":
-        return cyclic_module(spec[1], spec[2])
-    if tag == "raw":
-        return module_from_tables(spec[1], spec[2], spec[3], cap=cap)
-    raise AxiomViolation("module constructor", tag,
-                         f"unknown constructor {tag!r}")
-
-
-def _as_submodule(module, ref):
-    if isinstance(ref, Submodule):
-        if ref.module is not module:
-            raise RingMismatch("submodule of a different module")
-        return ref
-    mask = 1 << module.zero
-    for e in ref:
-        mask |= 1 << e
-    return submodule(module, mask, check=True)
-
-
 def embed_submask(child, mask):
     """Map a submodule mask of a sub-as-module back into its parent."""
     tag = child.origin[0]
@@ -873,13 +824,6 @@ def structural_summary(module):
     return summary
 
 
-@dataclass(frozen=True)
-class LatticePosition:
-    is_essential: bool
-    is_superfluous: bool
-    is_atom: bool
-
-
 def is_essential(sub):
     module = sub.module
     zmask = module.zero_mask()
@@ -904,10 +848,6 @@ def is_superfluous(sub):
 def is_atom(sub):
     lat = enumerate_submodules(sub.module)
     return lat.index[sub.mask] in lat.atom_indices()
-
-
-def lattice_position(sub):
-    return LatticePosition(is_essential(sub), is_superfluous(sub), is_atom(sub))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFullyInvariant, RingMismatch
-from .modules import (embed_submask, enumerate_submodules, hom_set,
-                      quotient_module, regular_module, simple_modules,
-                      structural_summary, submodule, sum_masks, trad_mask)
+from .modules import (_element_annihilators, embed_submask,
+                      enumerate_submodules, hom_set, quotient_module,
+                      regular_module, simple_modules, structural_summary,
+                      submodule, sum_masks, trad_mask)
 from .rings import IdealHandle, enumerate_ideals, is_ideal_mask
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
@@ -219,14 +220,8 @@ class LinearFilter(Preradical):
         return self._ring
 
     def _compute(self, module):
-        act = module.act
         out = 0
-        zero = module.zero
-        for m in range(module.order):
-            ann = 0
-            for r in range(self._ring.order):
-                if act[r][m] == zero:
-                    ann |= 1 << r
+        for m, ann in enumerate(_element_annihilators(module)):
             if ann in self.ideal_masks:
                 out |= 1 << m
         return out
@@ -373,6 +368,16 @@ class PropertyFlags:
     universe_size: int
 
 
+def left_exact_at(pr, module):
+    """Whether s(N) = N & s(M) for every submodule N of the module M."""
+    whole = pr.evaluate(module).mask
+    for n in enumerate_submodules(module).submodules:
+        nmod = n.as_module()
+        if embed_submask(nmod, pr.evaluate(nmod).mask) != whole & n.mask:
+            return False
+    return True
+
+
 def property_flags(pr, universe):
     """Decide idempotent/radical/left-exact/t-radical on a finite universe."""
     mods = _universe_modules(universe)
@@ -395,12 +400,7 @@ def property_flags(pr, universe):
             if not pr.evaluate(q).is_zero():
                 radical = False
         if lex:
-            for n in enumerate_submodules(u).submodules:
-                nmod = n.as_module()
-                inner = embed_submask(nmod, pr.evaluate(nmod).mask)
-                if inner != val.mask & n.mask:
-                    lex = False
-                    break
+            lex = left_exact_at(pr, u)
         if trad:
             if not sigma_r_two_sided:
                 trad = False

@@ -55,9 +55,6 @@ class FiniteRing:
         return all(mul[a][b] == mul[b][a]
                    for a in range(self.order) for b in range(self.order))
 
-    def element_label(self, i):
-        return self.labels[i]
-
     def __repr__(self):
         return f"FiniteRing({self.provenance}, order={self.order})"
 
@@ -234,32 +231,6 @@ def quotient_ring(ring, ideal, cap=DEFAULT_RING_CAP):
 
 def ring_from_tables(add, mul, labels=None, cap=DEFAULT_RING_CAP):
     return FiniteRing(add, mul, labels=labels, provenance="raw", cap=cap)
-
-
-def make_ring(spec, cap=DEFAULT_RING_CAP):
-    """Build a ring from a tagged description.
-
-    Accepted shapes: ``("cyclic", n)``, ``("matrix", spec, k)``,
-    ``("product", [specs])``, ``("quotient", spec, ideal_index)`` with the
-    index into the canonical two-sided ideal list, ``("raw", add, mul)``.
-    """
-    tag = spec[0]
-    if tag == "cyclic":
-        return cyclic_ring(spec[1], cap=cap)
-    if tag == "matrix":
-        return matrix_ring(make_ring(spec[1], cap=cap), spec[2], cap=cap)
-    if tag == "product":
-        return product_ring([make_ring(s, cap=cap) for s in spec[1]], cap=cap)
-    if tag == "quotient":
-        base = make_ring(spec[1], cap=cap)
-        ideals = enumerate_ideals(base, "two-sided")
-        if not (0 <= spec[2] < len(ideals)):
-            raise AxiomViolation("ideal index", spec[2],
-                                 f"ring has {len(ideals)} two-sided ideals")
-        return quotient_ring(base, ideals[spec[2]], cap=cap)
-    if tag == "raw":
-        return ring_from_tables(spec[1], spec[2], cap=cap)
-    raise AxiomViolation("ring constructor", tag, f"unknown constructor {tag!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -201,10 +201,13 @@ def test_module_instance_collapses_ties():
 
 def test_action_instance_firstness_matches_family_firstness():
     # firstness of the top of the submodule lattice under the family action
-    # is family-firstness of the module itself
+    # is family-firstness of the module itself; the lep and socle families
+    # on whole universes are the scans behind the T14 and P12 sides
+    from modlab.classify import enumerate_lep, generate_universe
     from modlab.firstness import is_A_first
-    from modlab.modules import enumerate_submodules, simple_modules, submodule
+    from modlab.modules import simple_modules, submodule
     from modlab.preradicals import Alpha, RAD
+    from modlab.rings import product_ring
     z4 = cyclic_ring(4)
     z6 = cyclic_ring(6)
     cases = []
@@ -214,6 +217,11 @@ def test_action_instance_firstness_matches_family_firstness():
                     for s in simple_modules(ring)]
         cases.append((m, soc_like + [SOC, RAD]))
         cases.append((m, [Trad(i) for i in enumerate_ideals(ring, "two-sided")]))
+    for ring in (z4, z6, product_ring([cyclic_ring(2), cyclic_ring(2)])):
+        lep = list(enumerate_lep(ring))
+        for m in generate_universe(ring, depth=2).nonzero_modules():
+            cases.append((m, lep))
+            cases.append((m, [SOC]))
     for m, family in cases:
         inst = module_action_instance(m, family)
         top = inst.action.lattice.top

@@ -3,8 +3,10 @@ import pytest
 from modlab.classify import (THEOREM_IDS, TheoremVerdict, classify_ring,
                              enumerate_lep, generate_universe, verify_theorem)
 from modlab.errors import InternalInconsistency
+from modlab.firstness import annihilator_mask
 from modlab.modules import (enumerate_submodules, embed_submask,
                             regular_module, simple_modules, submodule)
+from modlab.preradicals import RAD, left_exact_at
 from modlab.rings import cyclic_ring, matrix_ring, product_ring
 
 Z2 = cyclic_ring(2)
@@ -100,6 +102,30 @@ def test_lep_operators_are_left_exact_everywhere():
                     nmod = n.as_module()
                     part = embed_submask(nmod, pr.evaluate(nmod).mask)
                     assert part == whole & n.mask
+                assert left_exact_at(pr, u)
+    # the radical is not left exact: rad(2Z4) = 0, but 2Z4 & rad(Z4) = 2Z4
+    assert not left_exact_at(RAD, regular_module(Z4))
+
+
+def test_annihilators_and_lep_operators_match_definition():
+    # read r.x = 0 straight off the action tables: annihilators of every
+    # submodule carrier, and each filter operator's value (the elements
+    # whose annihilator lies in the filter), on every depth-2 universe module
+    for ring in (Z4, Z6, R22):
+        lep = enumerate_lep(ring)
+        for m in generate_universe(ring, depth=2).modules:
+
+            def ann(mask):
+                return sum(1 << r for r in range(ring.order)
+                           if all(m.act[r][x] == m.zero
+                                  for x in range(m.order) if mask >> x & 1))
+
+            for n in enumerate_submodules(m).submodules:
+                assert annihilator_mask(m, n.mask) == ann(n.mask)
+            for pr in lep:
+                expected = sum(1 << x for x in range(m.order)
+                               if ann(1 << x) in pr.ideal_masks)
+                assert pr.evaluate(m).mask == expected
 
 
 def test_verify_t15_sides():
@@ -123,7 +149,8 @@ def test_verify_t14_z4_and_product():
     v = verify_theorem("T14", R22)
     assert not v.sides["left_semiartinian_and_left_local"]
     assert not v.sides["all_universe_modules_lep_first"]
-    assert "non_lep_first" in v.witnesses
+    assert set(v.witnesses["non_lep_first"]) == {"filter", "module",
+                                                 "submodule"}
     assert v.consistent
 
 

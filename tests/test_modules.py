@@ -7,7 +7,7 @@ from modlab.modules import (ModuleMorphism, all_function_homs, cogenerates,
                             cyclic_module, direct_sum_module,
                             enumerate_submodules, hom_nonzero_exists, hom_set,
                             is_atom, is_essential, is_injective,
-                            is_isomorphic, is_superfluous, make_module,
+                            is_isomorphic, is_superfluous, module_from_tables,
                             powerset_submodule_masks, quotient_module,
                             regular_module, simple_modules, structural_summary,
                             submodule, endomorphism_ring)
@@ -178,7 +178,7 @@ def test_isomorphism_found_under_relabelling():
                for a in range(base.order)]
         act = [[perm[base.act[r][inv[a]]] for a in range(base.order)]
                for r in range(base.ring.order)]
-        shuffled = make_module(("raw", base.ring, add, act))
+        shuffled = module_from_tables(base.ring, add, act)
         f = find_isomorphism(base, shuffled)
         assert f is not None
         f.check()
@@ -217,12 +217,8 @@ def test_quotient_module_tables():
     assert q.origin[3] == (0, 1, 0, 1)
 
 
-def test_make_module_dispatch():
-    m = make_module(("regular", Z4))
-    c = make_module(("cyclic", m, 2))
-    assert c.order == 2
-    with pytest.raises(AxiomViolation):
-        make_module(("sub", m, [1]))  # {0,1} is not closed
+def test_cyclic_module_of_regular():
+    assert cyclic_module(regular_module(Z4), 2).order == 2
 
 
 def test_morphism_validation_rejects_nonlinear():
@@ -399,4 +395,4 @@ def test_module_table_corruption_rejected(data):
     add = table if which == "add" else base.add
     act = table if which == "act" else base.act
     with pytest.raises(AxiomViolation):
-        make_module(("raw", Z4, add, act))
+        module_from_tables(Z4, add, act)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.modules import enumerate_submodules, regular_module
 from modlab.rings import (FiniteRing, cyclic_ring, enumerate_ideals,
-                          is_ideal_mask, make_ring, matrix_ring, product_ring,
+                          is_ideal_mask, matrix_ring, product_ring,
                           quotient_ring, ring_from_tables)
 
 
@@ -104,11 +104,10 @@ def test_quotient_requires_proper_two_sided():
         quotient_ring(r, left_only)
 
 
-def test_make_ring_dispatch():
-    r = make_ring(("quotient", ("cyclic", 8), 2))
-    assert r.order == 2
-    p = make_ring(("product", [("cyclic", 2), ("cyclic", 3)]))
-    assert p.order == 6
+def test_quotient_and_product_ring_orders():
+    z8 = cyclic_ring(8)
+    assert quotient_ring(z8, enumerate_ideals(z8, "two-sided")[2]).order == 2
+    assert product_ring([cyclic_ring(2), cyclic_ring(3)]).order == 6
 
 
 def test_raw_tables_roundtrip():
