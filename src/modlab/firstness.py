@@ -2,10 +2,12 @@
 
 Each notion is decided through the finite characterization that makes it
 checkable without quantifying over all preradicals: BJKN-primeness through
-four independently computed equivalent conditions (which must agree, or an
-InternalInconsistency is raised), primeness through both the annihilator
-and the ideal-action route, trace-firstness through pairwise nonzero homs
-cross-checked against a generated family of idempotent operators.
+four separately computed equivalent conditions (which must agree, or an
+InternalInconsistency is raised; the cogeneration and product routes read
+generating sets of Hom groups, the pointwise route enumerates Hom-sets),
+primeness through both the annihilator and the ideal-action route,
+trace-firstness through pairwise nonzero homs cross-checked against a
+generated family of idempotent operators.
 Firstness relative to a finite family is one scan, ``a_fully_first_detail``;
 ``a_first_detail`` runs it over the members that do not kill the module.
 These deciders are also the module-level sides of the theorems replayed by
@@ -66,7 +68,11 @@ def _cond_cyclic_submodules_cogenerate(module):
 
 
 def _cond_pointwise_separation(module):
-    """For every x, y nonzero there is a map into Ry not killing x."""
+    """For every x, y nonzero there is a map into Ry not killing x.
+
+    Runs over the enumerated Hom-sets, not over ``hom_generators``, so it
+    checks the other three routes independently of that code.
+    """
     zero = module.zero
     by_mask = {}
     for y in range(module.order):

@@ -3,13 +3,19 @@
 Modules carry full addition and scalar-action tables over a ``FiniteRing``.
 Submodules are bitmasks over the element indices, interned per module so
 they can cache derived data (their own module structure, for instance).
-Maps are found by choosing a greedy generating set, recording one R-linear
-expression of every element in those generators, and searching the
-generator-image tuples that kill every relation of the generators; a tuple
-that kills all relations extends to a unique well-defined R-map, so no
-further scan is needed (the test suite still compares against an
-all-functions oracle on small instances).  One backtracking search serves
-Hom-set enumeration, the nonzero-map test and isomorphism search; they
+Maps are described through a greedy generating set, one R-linear
+expression of every element in those generators, and the relations among
+the generators; a generator-image tuple that kills every relation extends
+to a unique well-defined R-map, so no further scan is needed (the test
+suite still compares against an all-functions oracle on small instances).
+
+Hom(M, T) is an abelian group under pointwise addition, and trace sums,
+rejects, preimage meets and fully-invariant flags need only a generating
+set of it: ``hom_generators`` computes one, of at most log2|Hom| maps, as
+the kernel of the relation map without listing Hom.  Where every map is
+needed (``hom_set``: oracles, End(M) as a ring, Baer's criterion, the
+pointwise BJKN route), and for the nonzero-map test and isomorphism
+search, one backtracking search over generator images serves; its callers
 differ only in the candidate images, an optional per-image test, and what
 happens at a complete tuple.
 """
@@ -250,7 +256,9 @@ class SubmoduleLattice:
 
     Canonical order is (size, carrier); index 0 is the zero submodule and
     the last index is the whole module.  ``fully_invariant`` is computed
-    lazily from the endomorphism Hom-set.
+    lazily from generators of End(M): N is fully invariant when every
+    generator maps it into itself, since every endomorphism is a sum of
+    them.
     """
 
     def __init__(self, module, submodules):
@@ -283,21 +291,10 @@ class SubmoduleLattice:
     @property
     def fully_invariant(self):
         if self._fi is None:
-            endos = hom_set(self.module, self.module)
-            flags = []
-            for s in self.submodules:
-                mask = s.mask
-                ok = True
-                for f in endos:
-                    fmap = f.map
-                    img = 0
-                    for x in s.carrier:
-                        img |= 1 << fmap[x]
-                    if img & ~mask:
-                        ok = False
-                        break
-                flags.append(ok)
-            self._fi = tuple(flags)
+            endos = hom_generators(self.module, self.module)
+            self._fi = tuple(all(f.image_of_mask(s.mask) & ~s.mask == 0
+                                 for f in endos)
+                             for s in self.submodules)
         return self._fi
 
     def atom_indices(self):
@@ -552,12 +549,21 @@ def _morphism_from_images(source, target, images):
     return ModuleMorphism(source, target, fmap, validate=False)
 
 
+def _check_hom_cap(target, k):
+    if target.order ** k > MAX_HOM_CANDIDATES:
+        raise SizeCapExceeded(
+            f"hom search over {target.order}^{k} candidates is out of range")
+
+
 def hom_set(source, target):
     """All R-linear maps source -> target, canonically ordered (cached).
 
     A generator-image tuple extends to a well-defined map exactly when it
     kills every relation among the generators, and the extension along the
-    recorded expressions is automatically additive and linear.
+    recorded expressions is automatically additive and linear.  Used where
+    every map is needed (oracles, End(M) as a ring, Baer's criterion, the
+    pointwise BJKN route); sums, kernels and preimages over all maps are
+    read off ``hom_generators`` instead.
     """
     if source.ring is not target.ring:
         raise RingMismatch("hom-set endpoints over different rings")
@@ -566,15 +572,118 @@ def hom_set(source, target):
         return cache[target]
     gens, _, rel_levels = _generator_data(source)
     k = len(gens)
-    if target.order ** k > MAX_HOM_CANDIDATES:
-        raise SizeCapExceeded(
-            f"hom search over {target.order}^{k} candidates is out of range")
+    _check_hom_cap(target, k)
     images = []
     _search_images(target, rel_levels, [range(target.order)] * k,
                    images.append)
     homs = [_morphism_from_images(source, target, hv) for hv in images]
     homs.sort(key=lambda f: f.map)
     result = tuple(homs)
+    cache[target] = result
+    return result
+
+
+def _extend_additive_span(add, span, c):
+    """The additive subgroup generated by the subgroup ``span`` and ``c``."""
+    out = set(span)
+    x = c
+    while x not in span:
+        out.update(add[s][x] for s in span)
+        x = add[x][c]
+    return out
+
+
+def _relation_basis(module):
+    """Relations of the greedy generators that generate all of them
+    additively (cached).
+
+    The relations whose last nonzero slot is i form, modulo those ending
+    earlier, a copy of their set of last coefficients; so lifting additive
+    generators of each level's last coefficients spans every relation.
+    """
+    if "relbasis" in module._cache:
+        return module._cache["relbasis"]
+    rel_levels = _generator_data(module)[2]
+    radd, rzero = module.ring.add, module.ring.zero
+    basis = []
+    for level, rels in enumerate(rel_levels):
+        span = {rzero}
+        for vec in rels:
+            c = vec[level - 1]
+            if c not in span:
+                basis.append(vec)
+                span = _extend_additive_span(radd, span, c)
+    result = tuple(basis)
+    module._cache["relbasis"] = result
+    return result
+
+
+def hom_generators(source, target):
+    """Maps generating the group Hom(source, target) under pointwise
+    addition, at most log2|Hom| of them (cached).
+
+    Hom is the kernel of the relation map Phi: T^k -> T^m sending images
+    of the k generators to the values of the m basis relations.  An
+    abelian Schreier-Sims chain (one level per coordinate, relation
+    coordinates first) of the graph {(Phi(x), x)} is grown from the graph
+    of every t.e_j, t an additive generator of T.  The elements that chain
+    inserts at levels >= m have zero relation values, generate the kernel,
+    and each at least doubles its level's orbit, whose sizes multiply to
+    |Hom|.  Every map is an integer combination of the result, so f(N) <=
+    sum g(N), the kernels meet in the same submodule, and the preimages of
+    a submodule meet in the same submodule.
+    """
+    if source.ring is not target.ring:
+        raise RingMismatch("hom-set endpoints over different rings")
+    cache = source._cache.setdefault("homgens", {})
+    if target in cache:
+        return cache[target]
+    k = len(_generator_data(source)[0])
+    _check_hom_cap(target, k)
+    rels = _relation_basis(source)
+    m = len(rels)
+    width = m + k
+    tadd, tact, tneg, tzero = target.add, target.act, target.neg, target.zero
+
+    def add(x, y):
+        return tuple(tadd[a][b] for a, b in zip(x, y))
+
+    def sub(x, y):
+        return tuple(tadd[a][tneg[b]] for a, b in zip(x, y))
+
+    zero = (tzero,) * width
+    orbits = [{tzero: zero} for _ in range(width)]
+    images = []
+
+    def sift(x, level):
+        while level < width:
+            v = x[level]
+            orbit = orbits[level]
+            if v not in orbit:
+                # x is a new basic generator: extend the orbit by its
+                # multiples, then sift n.x - rep(n.v) one level down
+                if level >= m:
+                    images.append(x[m:])
+                old = dict(orbit)
+                mult = x
+                while mult[level] not in old:
+                    for p, rep in old.items():
+                        orbit[tadd[p][mult[level]]] = add(rep, mult)
+                    mult = add(mult, x)
+                x = sub(mult, old[mult[level]])
+            else:
+                x = sub(x, orbit[v])
+            level += 1
+
+    span = {tzero}
+    for t in range(target.order):
+        if t in span:
+            continue
+        span = _extend_additive_span(tadd, span, t)
+        for j in range(k):
+            sift(tuple(tact[r[j]][t] for r in rels)
+                 + tuple(t if i == j else tzero for i in range(k)), 0)
+    result = tuple(_morphism_from_images(source, target, hv) for hv in images)
     cache[target] = result
     return result
 
@@ -854,57 +963,33 @@ def is_atom(sub):
 # cogeneration and injectivity
 
 def _reject_mask(module, cog):
-    """Intersection of the kernels of all maps module -> cog."""
+    """Intersection of the kernels of all maps module -> cog.
+
+    The kernels of a generating set of Hom(module, cog) meet in the same
+    submodule, since every map is a sum of generators.
+    """
     inter = module.full_mask()
     zmask = module.zero_mask()
-    for f in hom_set(module, cog):
+    for f in hom_generators(module, cog):
         inter &= f.kernel_mask()
         if inter == zmask:
             break
     return inter
 
 
-def _separating_family(module, cog):
-    """Greedy list of maps whose kernels meet trivially, or None.
-
-    A successful family (f_1..f_k) is a monomorphism M -> cog^k written in
-    coordinates, so this is the bounded-embedding route to cogeneration.
-    """
-    homs = hom_set(module, cog)
-    remaining = module.full_mask() & ~module.zero_mask()
-    family = []
-    for f in homs:
-        if remaining == 0:
-            break
-        killed = f.kernel_mask()
-        if remaining & ~killed:
-            family.append(f)
-            remaining &= killed
-    if remaining:
-        return None
-    return family
-
-
 def cogenerates(cog, module):
-    """Whether ``cog`` cogenerates ``module``.
+    """Whether ``cog`` cogenerates ``module``: the reject of cog in module
+    is zero.
 
-    Two independent routes, asserted equal: the reject of cog in module is
-    zero, and a finite separating family of maps into cog exists (at most
-    one per nonzero element, i.e. module embeds in a finite power of cog).
+    The reject is read off a generating set of Hom(module, cog); the BJKN
+    decider's pointwise-separation route, on the enumerated Hom-set, is the
+    check independent of it.
     """
     if isinstance(cog, Submodule):
         cog = cog.as_module()
     if cog.ring is not module.ring:
         raise RingMismatch("cogeneration across different rings")
-    via_reject = _reject_mask(module, cog) == module.zero_mask()
-    family = _separating_family(module, cog)
-    via_embedding = family is not None
-    if via_reject != via_embedding:
-        raise InternalInconsistency(
-            f"cogeneration routes disagree on {module!r} vs {cog!r}")
-    if via_embedding and len(family) > max(module.order - 1, 1):
-        raise InternalInconsistency("separating family longer than promised")
-    return via_reject
+    return _reject_mask(module, cog) == module.zero_mask()
 
 
 def is_injective(module):

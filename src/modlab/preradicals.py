@@ -5,10 +5,13 @@ naturally in all maps.  Here a preradical is an expression tree whose
 leaves are trace/reject-style operators frozen at a (submodule, module)
 pair, t-radicals I.(-) for a two-sided ideal, socle, radical, the two
 constants, and linear-filter operators; the nodes are joins, meets and
-composition.  Evaluation on any module over the same ring is exhaustive
-through Hom-sets, and every class-level property (idempotent, radical,
-left exact, t-radical, the pointwise order) is decided relative to an
-explicit finite universe of modules, never for the whole category.
+composition.  Evaluation on any module over the same ring is exact: the
+trace and reject operators sum images, or meet preimages, over a
+generating set of the Hom group (``modules.hom_generators``), which gives
+the same submodule as running over every map.  Every class-level property
+(idempotent, radical, left exact, t-radical, the pointwise order) is
+decided relative to an explicit finite universe of modules, never for the
+whole category.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 
 from .errors import NotFullyInvariant, RingMismatch
 from .modules import (_element_annihilators, embed_submask,
-                      enumerate_submodules, hom_set, quotient_module,
-                      regular_module, simple_modules, structural_summary,
-                      submodule, sum_masks, trad_mask)
+                      enumerate_submodules, hom_generators, hom_set,
+                      quotient_module, regular_module, simple_modules,
+                      structural_summary, submodule, sum_masks, trad_mask)
 from .rings import IdealHandle, enumerate_ideals, is_ideal_mask
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
@@ -75,7 +78,9 @@ class Beta(Preradical):
     """Trace-style operator frozen at a submodule N of M (N need not be
     fully invariant).
 
-    Value on U: the sum of f(N) over all maps f: M -> U.
+    Value on U: the sum of f(N) over all maps f: M -> U, which is the sum
+    over a generating set of Hom(M, U) (f(N) <= sum g_i(N) when f is a sum
+    of the g_i).
     """
 
     __slots__ = ("sub",)
@@ -89,13 +94,8 @@ class Beta(Preradical):
 
     def _compute(self, module):
         out = module.zero_mask()
-        seen = set()
-        for f in hom_set(self.sub.module, module):
-            img = f.image_of_mask(self.sub.mask)
-            if img in seen or img & ~out == 0:
-                continue
-            seen.add(img)
-            out = sum_masks(module, out, img)
+        for f in hom_generators(self.sub.module, module):
+            out = sum_masks(module, out, f.image_of_mask(self.sub.mask))
         return out
 
     def describe(self):
@@ -116,9 +116,10 @@ class Alpha(Beta):
 class Omega(Preradical):
     """Largest preradical sending the frozen module M to N (N f.i. in M).
 
-    Value on U: the intersection of f^{-1}(N) over all maps f: U -> M.
-    The hom-set is never empty (the zero map is there), and the zero map
-    contributes the whole of U, so an empty intersection cannot occur.
+    Value on U: the intersection of f^{-1}(N) over all maps f: U -> M,
+    which is the intersection over a generating set of Hom(U, M) (g_i(x)
+    in N for all i puts every sum of the g_i there).  With no generators
+    (Hom = 0) the value is the whole of U, the zero map's preimage.
     """
 
     __slots__ = ("sub",)
@@ -133,7 +134,7 @@ class Omega(Preradical):
     def _compute(self, module):
         out = module.full_mask()
         zmask = module.zero_mask()
-        for f in hom_set(module, self.sub.module):
+        for f in hom_generators(module, self.sub.module):
             out &= f.preimage_of_mask(self.sub.mask)
             if out == zmask:
                 break
@@ -218,6 +219,14 @@ class LinearFilter(Preradical):
 
     def ring(self):
         return self._ring
+
+    # equal filters share cached values, however often they are built
+    def __eq__(self, other):
+        return (isinstance(other, LinearFilter) and self._ring is other._ring
+                and self.ideal_masks == other.ideal_masks)
+
+    def __hash__(self):
+        return hash((id(self._ring), self.ideal_masks))
 
     def _compute(self, module):
         out = 0

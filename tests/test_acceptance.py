@@ -17,8 +17,7 @@ from modlab.firstness import (bjkn_prime_detail, endo_prime_implies_rpid_first,
 from modlab.modules import (all_function_homs, cogenerates,
                             enumerate_submodules, hom_set,
                             powerset_submodule_masks, regular_module,
-                            simple_modules, structural_summary, submodule,
-                            _separating_family)
+                            simple_modules, structural_summary, submodule)
 from modlab.preradicals import (Alpha, Compose, EQ, LE, Omega, SOC,
                                 check_naturality, compare, product_in,
                                 property_flags, socle_as_join_of_simple_traces)
@@ -192,6 +191,20 @@ def test_criterion_10_randomized_action_instances():
     ok = not failures and elapsed < 30
     _announce(10, ok, f"100 randomized action instances (|L|<=8, |P|<=4): "
                       f"{len(failures)} failures, {elapsed:.1f}s")
+
+
+def _separating_family(mod, cog):
+    """Greedy maps from the enumerated Hom-set whose kernels meet
+    trivially, or None: a monomorphism mod -> cog^k written in coordinates.
+    """
+    remaining = mod.full_mask() & ~mod.zero_mask()
+    family = []
+    for f in hom_set(mod, cog):
+        killed = f.kernel_mask()
+        if remaining & ~killed:
+            family.append(f)
+            remaining &= killed
+    return None if remaining else family
 
 
 def test_criterion_11_oracle_equivalences():

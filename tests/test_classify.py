@@ -154,6 +154,22 @@ def test_verify_t14_z4_and_product():
     assert v.consistent
 
 
+def test_repeated_t14_reuses_filter_values():
+    # filters from separate enumerate_lep calls are equal, so a second T14
+    # run finds every value in the modules' preradical caches
+    assert enumerate_lep(Z6) == enumerate_lep(Z6)
+    uni = generate_universe(Z6)
+
+    def cached_values():
+        return sum(len(m._cache.get("preradical_values", {}))
+                   for m in uni.modules)
+
+    verify_theorem("T14", Z6, uni)
+    first = cached_values()
+    verify_theorem("T14", Z6, uni)
+    assert cached_values() == first
+
+
 def test_verify_t143_three_way():
     for ring in (Z2, M22):
         v = verify_theorem("T14.3", ring)
