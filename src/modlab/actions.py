@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import AxiomViolation
-from .modules import embed_submask, enumerate_submodules
+from .modules import embed_submask, enumerate_submodules, sum_masks
 
 
 class FinitePoset:
@@ -248,11 +248,19 @@ class ModuleActionInstance:
 
 
 def submodule_bounded_lattice(module):
-    """The submodule lattice of a module as a plain bounded lattice."""
+    """The submodule lattice of a module as a plain bounded lattice.
+
+    Join is the sum and meet the intersection of carriers; the bounded
+    lattice certifies both tables as lub/glb of inclusion.
+    """
     lat = enumerate_submodules(module)
+    subs, index = lat.submodules, lat.index
     n = len(lat)
     leq = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
-    return FiniteBoundedLattice(leq, lat.join_table, lat.meet_table), lat
+    join = [[index[sum_masks(module, a.mask, b.mask)] for b in subs]
+            for a in subs]
+    meet = [[index[a.mask & b.mask] for b in subs] for a in subs]
+    return FiniteBoundedLattice(leq, join, meet), lat
 
 
 def module_action_instance(module, family):

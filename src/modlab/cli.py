@@ -25,8 +25,8 @@ from .config import (DEFAULT_MODULE_CAP, DEFAULT_RING_CAP,
 from .errors import (InternalInconsistency, JobParseError, ModlabError,
                      SizeCapExceeded)
 from .firstness import firstness_report
-from .jobs import (CHECK_KINDS as JOB_KINDS, parse_job, render_structured,
-                   render_text, run_job)
+from .jobs import (CHECK_KINDS as JOB_KINDS, SCHEMA_VERSION, parse_job,
+                   render_structured, render_text, run_job)
 from .rings import cyclic_ring, matrix_ring, product_ring
 
 EXIT_OK = 0
@@ -193,7 +193,7 @@ def cmd_corpus(args):
     if action_failures:
         inconsistencies.append(f"{len(action_failures)} action-instance failures")
     report = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "engine": {"name": "modlab", "version": __version__},
         "caps": {"ring": args.cap_ring, "module": args.cap_module,
                  "universe_depth": args.universe_depth},

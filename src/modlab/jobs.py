@@ -263,7 +263,7 @@ def _parse_module_def(line, lineno, ring, modules, module_cap):
 
     if kind == "regular":
         return name, regular_module(ring), "regular"
-    if kind == "quotient":
+    if kind in ("quotient", "sub"):
         cur.eat("(")
         ref = module_ref()
         cur.skip_ws()
@@ -275,20 +275,9 @@ def _parse_module_def(line, lineno, ring, modules, module_cap):
         cur.skip_ws()
         cur.eat(")")
         sub = _submodule_by_index(modules[ref], idx, cur)
-        return name, quotient_module(modules[ref], sub), f"quotient({ref},S{idx})"
-    if kind == "sub":
-        cur.eat("(")
-        ref = module_ref()
-        cur.skip_ws()
-        cur.eat(",")
-        cur.skip_ws()
-        if cur.peek() in "Ss":
-            cur.pos += 1
-        idx = cur.integer()
-        cur.skip_ws()
-        cur.eat(")")
-        sub = _submodule_by_index(modules[ref], idx, cur)
-        return name, sub.as_module(), f"sub({ref},S{idx})"
+        mod = (quotient_module(modules[ref], sub) if kind == "quotient"
+               else sub.as_module())
+        return name, mod, f"{kind}({ref},S{idx})"
     if kind == "direct_sum":
         cur.eat("(")
         refs = []

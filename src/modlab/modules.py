@@ -4,10 +4,12 @@ Modules carry full addition and scalar-action tables over a ``FiniteRing``.
 Submodules are bitmasks over the element indices, interned per module so
 they can cache derived data (their own module structure, for instance).
 Maps are described through a greedy generating set, one R-linear
-expression of every element in those generators, and the relations among
-the generators; a generator-image tuple that kills every relation extends
-to a unique well-defined R-map, so no further scan is needed (the test
-suite still compares against an all-functions oracle on small instances).
+expression of every element in those generators, and a basis of the
+relations among the generators, found while the generators are chosen; a
+generator-image tuple that kills every basis relation kills every
+relation, so it extends to a unique well-defined R-map and no further scan
+is needed (the test suite still compares against an all-functions oracle
+on small instances).
 
 Hom(M, T) is an abelian group under pointwise addition, and trace sums,
 rejects, preimage meets and fully-invariant flags need only a generating
@@ -252,34 +254,22 @@ def trad_mask(module, ideal, mask=None):
 # the submodule lattice
 
 class SubmoduleLattice:
-    """All submodules of a module, with join/meet tables and f.i. flags.
+    """All submodules of a module, their order and fully-invariant flags.
 
     Canonical order is (size, carrier); index 0 is the zero submodule and
-    the last index is the whole module.  ``fully_invariant`` is computed
-    lazily from generators of End(M): N is fully invariant when every
-    generator maps it into itself, since every endomorphism is a sum of
-    them.
+    the last index is the whole module.  Join and meet are ``sum_masks``
+    and ``&`` on the carriers, so no tables are kept.
+    ``fully_invariant`` is computed lazily from generators of End(M): N is
+    fully invariant when every generator maps it into itself, since every
+    endomorphism is a sum of them.
     """
 
     def __init__(self, module, submodules):
         self.module = module
         self.submodules = tuple(submodules)
         self.index = {s.mask: i for i, s in enumerate(self.submodules)}
-        n = len(self.submodules)
         self.bottom_index = 0
-        self.top_index = n - 1
-        join = []
-        meet = []
-        for a in self.submodules:
-            jrow = []
-            mrow = []
-            for b in self.submodules:
-                jrow.append(self.index[sum_masks(module, a.mask, b.mask)])
-                mrow.append(self.index[a.mask & b.mask])
-            join.append(tuple(jrow))
-            meet.append(tuple(mrow))
-        self.join_table = tuple(join)
-        self.meet_table = tuple(meet)
+        self.top_index = len(self.submodules) - 1
         self._fi = None
 
     def __len__(self):
@@ -433,25 +423,37 @@ class ModuleMorphism:
 
 
 def _generator_data(module):
-    """Greedy generators, one expression per element, and all relations.
+    """Greedy generators, one expression per element, and a relation basis.
 
     Returns ``(gens, reps, rel_levels)`` where ``reps[e]`` is a coefficient
-    tuple with e = sum_i reps[e][i].g_i, and ``rel_levels[i]`` lists the
-    coefficient tuples r with sum r_j.g_j = 0 whose last nonzero slot is i.
-    Adding a generator at least doubles the span, so the number of
-    generators is at most log2(order).
+    tuple with e = sum_i reps[e][i].g_i, and ``rel_levels[i]`` lists
+    relations r (sum r_j.g_j = 0) whose last nonzero slot is i.  Adding a
+    generator at least doubles the span, so the number of generators is at
+    most log2(order).
+
+    The relations ending at slot i form, modulo those ending earlier, a
+    copy of the left ideal {c : c.g_i in span(g_1..g_{i-1})}; so lifting
+    additive generators of each of these ideals, c -> rep(-c.g_i) + c.e_i,
+    gives relations that additively generate every relation.
     """
     if "gendata" in module._cache:
         return module._cache["gendata"]
     ring = module.ring
-    add, act = module.add, module.act
-    rzero = ring.zero
+    add, act, neg = module.add, module.act, module.neg
     gens = []
     reps = {module.zero: ()}
+    lifts = [[]]
     for x in range(module.order):
         if x in reps:
             continue
         gens.append(x)
+        level = []
+        span = {ring.zero}
+        for c in range(ring.order):
+            if act[c][x] in reps and c not in span:
+                level.append(reps[neg[act[c][x]]] + (c,))
+                span = _extend_additive_span(ring.add, span, c)
+        lifts.append(level)
         new_reps = {}
         for e in sorted(reps):
             vec = reps[e]
@@ -462,34 +464,11 @@ def _generator_data(module):
                     new_reps[e2] = vec + (r,)
         reps = new_reps
     k = len(gens)
-    if ring.order ** k > MAX_HOM_CANDIDATES:
-        raise SizeCapExceeded(
-            f"relation scan over {ring.order}^{k} combinations is out of range")
-    # enumerate every coefficient tuple and its value; collect the relations
-    partial = [((), module.zero)]
-    for g in gens:
-        nxt = []
-        for vec, s in partial:
-            row_s = add[s]
-            for r in range(ring.order):
-                nxt.append((vec + (r,), row_s[act[r][g]]))
-        partial = nxt
-    values = {s for _, s in partial}
-    if len(values) != module.order:
-        raise InternalInconsistency("generators do not span the module")
-    rel_levels = [[] for _ in range(k + 1)]
-    for vec, s in partial:
-        if s != module.zero:
-            continue
-        level = 0
-        for i in range(k - 1, -1, -1):
-            if vec[i] != rzero:
-                level = i + 1
-                break
-        if level:
-            rel_levels[level].append(vec)
+    pad = (ring.zero,) * k
+    rel_levels = tuple(tuple(vec + pad[len(vec):] for vec in level)
+                       for level in lifts)
     reps_list = tuple(reps[e] for e in range(module.order))
-    data = (tuple(gens), reps_list, tuple(tuple(r) for r in rel_levels))
+    data = (tuple(gens), reps_list, rel_levels)
     module._cache["gendata"] = data
     return data
 
@@ -498,10 +477,11 @@ def _search_images(target, rel_levels, candidates, on_full, accept=None):
     """Depth-first search over generator images in ``target``.
 
     ``candidates[i]`` lists the images tried for generator i, in order.  An
-    image is kept only if it kills every relation whose last nonzero slot
-    is generator i (``rel_levels[i + 1]``) and, when ``accept`` is given,
-    ``accept(i, h)`` holds.  ``on_full`` sees each complete image tuple;
-    the first tuple it returns true for ends the search and is returned.
+    image is kept only if it kills every basis relation whose last nonzero
+    slot is generator i (``rel_levels[i + 1]``) and, when ``accept`` is
+    given, ``accept(i, h)`` holds.  ``on_full`` sees each complete image
+    tuple; the first tuple it returns true for ends the search and is
+    returned.
     Returns None when the search runs to the end.
     """
     k = len(candidates)
@@ -593,37 +573,13 @@ def _extend_additive_span(add, span, c):
     return out
 
 
-def _relation_basis(module):
-    """Relations of the greedy generators that generate all of them
-    additively (cached).
-
-    The relations whose last nonzero slot is i form, modulo those ending
-    earlier, a copy of their set of last coefficients; so lifting additive
-    generators of each level's last coefficients spans every relation.
-    """
-    if "relbasis" in module._cache:
-        return module._cache["relbasis"]
-    rel_levels = _generator_data(module)[2]
-    radd, rzero = module.ring.add, module.ring.zero
-    basis = []
-    for level, rels in enumerate(rel_levels):
-        span = {rzero}
-        for vec in rels:
-            c = vec[level - 1]
-            if c not in span:
-                basis.append(vec)
-                span = _extend_additive_span(radd, span, c)
-    result = tuple(basis)
-    module._cache["relbasis"] = result
-    return result
-
-
 def hom_generators(source, target):
     """Maps generating the group Hom(source, target) under pointwise
     addition, at most log2|Hom| of them (cached).
 
     Hom is the kernel of the relation map Phi: T^k -> T^m sending images
-    of the k generators to the values of the m basis relations.  An
+    of the k generators to the values of the m basis relations (the
+    flattened ``rel_levels`` of ``_generator_data``).  An
     abelian Schreier-Sims chain (one level per coordinate, relation
     coordinates first) of the graph {(Phi(x), x)} is grown from the graph
     of every t.e_j, t an additive generator of T.  The elements that chain
@@ -638,9 +594,10 @@ def hom_generators(source, target):
     cache = source._cache.setdefault("homgens", {})
     if target in cache:
         return cache[target]
-    k = len(_generator_data(source)[0])
+    gens, _, rel_levels = _generator_data(source)
+    k = len(gens)
     _check_hom_cap(target, k)
-    rels = _relation_basis(source)
+    rels = [r for level in rel_levels for r in level]
     m = len(rels)
     width = m + k
     tadd, tact, tneg, tzero = target.add, target.act, target.neg, target.zero

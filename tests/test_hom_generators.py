@@ -1,6 +1,7 @@
 """Generators of Hom(M, T) against the enumerated Hom-set and the
 all-functions oracle, and the consumers that read them."""
 
+import itertools
 import math
 import sys
 
@@ -11,11 +12,12 @@ from modlab import modules
 from modlab.classify import generate_universe
 from modlab.errors import SizeCapExceeded
 from modlab.firstness import _cond_pointwise_separation
-from modlab.modules import (_reject_mask, all_function_homs,
-                            direct_sum_module, enumerate_submodules,
-                            find_isomorphism, hom_generators,
-                            hom_nonzero_exists, hom_set, module_from_tables,
-                            quotient_module, regular_module)
+from modlab.modules import (_generator_data, _reject_mask,
+                            all_function_homs, cyclic_mask, direct_sum_module,
+                            enumerate_submodules, find_isomorphism,
+                            hom_generators, hom_nonzero_exists, hom_set,
+                            module_from_tables, quotient_module,
+                            regular_module, submodule)
 from modlab.preradicals import Beta, Omega
 from modlab.rings import cyclic_ring, matrix_ring, product_ring
 
@@ -29,19 +31,23 @@ M22 = matrix_ring(cyclic_ring(2), 2)
 CORPUS = (Z2, Z4, Z6, Z8, R22, M22)
 
 
-def _span(gens, target, n):
-    """Every pointwise sum of the given maps, as image tuples."""
-    zero = (target.zero,) * n
+def _sums(add, vecs, zero):
+    """Every sum of the given tuples under the componentwise ``add``."""
     seen = {zero}
     stack = [zero]
     while stack:
         x = stack.pop()
-        for g in gens:
-            y = tuple(target.add[a][b] for a, b in zip(x, g.map))
+        for v in vecs:
+            y = tuple(add[a][b] for a, b in zip(x, v))
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
     return seen
+
+
+def _span(gens, target, n):
+    """Every pointwise sum of the given maps, as image tuples."""
+    return _sums(target.add, [g.map for g in gens], (target.zero,) * n)
 
 
 def test_generators_span_hom_on_corpus_universes():
@@ -58,6 +64,53 @@ def test_generators_span_hom_on_corpus_universes():
                     g.check()
                 pairs += 1
     assert pairs == 323
+
+
+def _relation_value(module, gens, vec):
+    s = module.zero
+    for r, g in zip(vec, gens):
+        s = module.add[s][module.act[r][g]]
+    return s
+
+
+def test_relation_basis_spans_every_relation():
+    count = 0
+    for ring in CORPUS:
+        rzero = ring.zero
+        for m in generate_universe(ring).modules:
+            gens, _, rel_levels = _generator_data(m)
+            k = len(gens)
+            assert len(rel_levels) == k + 1 and not rel_levels[0]
+            basis = []
+            for level, rels in enumerate(rel_levels):
+                for vec in rels:
+                    assert len(vec) == k
+                    assert _relation_value(m, gens, vec) == m.zero
+                    assert vec[level - 1] != rzero
+                    assert all(c == rzero for c in vec[level:])
+                    basis.append(vec)
+            brute = {vec for vec in itertools.product(range(ring.order),
+                                                      repeat=k)
+                     if _relation_value(m, gens, vec) == m.zero}
+            assert _sums(ring.add, basis, (rzero,) * k) == brute
+            count += 1
+    assert count == 41
+
+
+def test_hom_of_sixfold_sum_over_z16():
+    # |R|^k = 16^6 is far past MAX_HOM_CANDIDATES while |S|^k = 64 is not:
+    # the Hom-search cap is the only cap on generator data.
+    z16 = cyclic_ring(16)
+    reg = regular_module(z16)
+    two = z16.add[z16.one][z16.one]
+    s = quotient_module(reg, submodule(reg, cyclic_mask(reg, two)))
+    v = direct_sum_module([s] * 6)
+    assert s.order == 2 and v.order == 64
+    assert len(_generator_data(v)[0]) == 6
+    homs = hom_set(v, s)
+    assert len(homs) == 64
+    assert _span(hom_generators(v, s), s, v.order) == {f.map for f in homs}
+    assert find_isomorphism(v, v) is not None
 
 
 def _small_modules():
