@@ -60,15 +60,8 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     mods = [reg]
 
     def add(candidate):
-        for m in mods:
-            try:
-                if is_isomorphic(m, candidate):
-                    return
-            except SizeCapExceeded:
-                # past the search caps, only exact table duplicates merge
-                if m.add == candidate.add and m.act == candidate.act:
-                    return
-        mods.append(candidate)
+        if not any(is_isomorphic(m, candidate) for m in mods):
+            mods.append(candidate)
 
     for sub in enumerate_submodules(reg).submodules:
         add(quotient_module(reg, sub))

@@ -9,10 +9,5 @@ DEFAULT_RING_CAP = 16
 DEFAULT_MODULE_CAP = 64
 DEFAULT_UNIVERSE_DEPTH = 2
 
-# Endomorphism rings of large modules blow past the ring cap quickly; the
-# deciders that need End(M) as a ring treat modules above this as out of
-# range rather than grinding through huge tables.
-DEFAULT_ENDO_RING_CAP = 64
-
 # Guard for the generator-image search in hom-set enumeration.
 MAX_HOM_CANDIDATES = 4_000_000

@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency
 from .modules import (_element_annihilators, cogenerates, cyclic_mask,
-                      endomorphism_ring, enumerate_submodules,
-                      hom_nonzero_exists, hom_set, is_essential, submodule,
-                      trad_mask)
+                      enumerate_submodules, hom_nonzero_exists, hom_set,
+                      is_essential, submodule, trad_mask)
 from .preradicals import Alpha, Join, SOC, product_in
-from .rings import enumerate_ideals, is_prime_ring
-from .config import DEFAULT_ENDO_RING_CAP
+from .rings import enumerate_ideals
 
 
 def _nonzero_submodules(module):
@@ -234,17 +232,6 @@ def is_retractable(module):
     """Nonzero maps from the module onto (into) every nonzero submodule."""
     return all(hom_nonzero_exists(module, n.as_module())
                for n in _nonzero_submodules(module))
-
-
-def endo_prime_implies_rpid_first(module, endo_cap=DEFAULT_ENDO_RING_CAP):
-    """Check one module against the retractable/prime-endomorphism
-    sufficient condition.  Returns (applies, holds, skipped)."""
-    end = endomorphism_ring(module, cap=endo_cap)
-    if end is None:
-        return False, True, True
-    if not (is_retractable(module) and is_prime_ring(end)):
-        return False, True, False
-    return True, is_rpid_first(module), False
 
 
 # ---------------------------------------------------------------------------

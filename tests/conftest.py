@@ -1,0 +1,45 @@
+"""Helpers shared by the table-corruption tests."""
+
+import pytest
+from hypothesis import strategies as st
+
+from modlab.errors import AxiomViolation
+
+
+def _corrupt(data, table, n, square):
+    """A copy of ``table`` (entries in 0..n-1) with one drawn corruption:
+    a changed entry, the same change at (i, j) and (j, i) when the table
+    is square, or two rows swapped."""
+    rows = [list(row) for row in table]
+    kind = data.draw(st.sampled_from(
+        ["single", "swap"] + (["symmetric"] if square else [])))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if kind == "swap":
+        k = data.draw(st.integers(0, len(rows) - 1).filter(lambda k: k != i))
+        rows[i], rows[k] = rows[k], rows[i]
+    else:
+        j = data.draw(st.integers(0, n - 1))
+        old = rows[i][j]
+        rows[i][j] = data.draw(
+            st.integers(0, n - 1).filter(lambda v: v != old))
+        if kind == "symmetric":
+            rows[j][i] = rows[i][j]
+    return tuple(map(tuple, rows))
+
+
+def _scan_outcome(scan, *args):
+    """What a scan reports: its first three results, or the violation."""
+    try:
+        return scan(*args)[:3]
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness, str(exc)
+
+
+@pytest.fixture(scope="session")
+def corrupt():
+    return _corrupt
+
+
+@pytest.fixture(scope="session")
+def scan_outcome():
+    return _scan_outcome

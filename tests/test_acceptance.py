@@ -11,17 +11,16 @@ import time
 from modlab.actions import random_instance_holds
 from modlab.classify import enumerate_lep, generate_universe, verify_theorem
 from modlab.errors import InternalInconsistency
-from modlab.firstness import (bjkn_prime_detail, endo_prime_implies_rpid_first,
-                              is_bjkn_prime, is_diuniform, is_rpid_first,
-                              rpid_first_detail)
+from modlab.firstness import (bjkn_prime_detail, is_bjkn_prime, is_diuniform,
+                              is_retractable, is_rpid_first, rpid_first_detail)
 from modlab.modules import (all_function_homs, cogenerates,
-                            enumerate_submodules, hom_set,
+                            endomorphism_ring, enumerate_submodules, hom_set,
                             powerset_submodule_masks, regular_module,
                             simple_modules, structural_summary, submodule)
 from modlab.preradicals import (Alpha, Compose, EQ, LE, Omega, SOC,
                                 check_naturality, compare, product_in,
                                 property_flags, socle_as_join_of_simple_traces)
-from modlab.rings import cyclic_ring, matrix_ring, product_ring
+from modlab.rings import cyclic_ring, is_prime_ring, matrix_ring, product_ring
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)
@@ -163,6 +162,18 @@ def test_criterion_08_rpid_criterion_and_strict_gap():
     _announce(8, ok, f"pairwise-hom criterion == generated idempotent family "
                      f"({mismatches} mismatches); regular(Z4) shows the "
                      f"strict gap to BJKN-primeness")
+
+
+def endo_prime_implies_rpid_first(module, endo_cap=64):
+    """Check one module against the retractable/prime-endomorphism
+    sufficient condition.  Returns (applies, holds, skipped); End(M) is
+    built as a ring only up to ``endo_cap`` elements."""
+    end = endomorphism_ring(module, cap=endo_cap)
+    if end is None:
+        return False, True, True
+    if not (is_retractable(module) and is_prime_ring(end)):
+        return False, True, False
+    return True, is_rpid_first(module), False
 
 
 def test_criterion_09_retractable_prime_endo_implies_rpid_first():

@@ -1,9 +1,15 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modlab.classify import generate_universe
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.rings import cyclic_ring, matrix_ring, product_ring
-from modlab.modules import (ModuleMorphism, all_function_homs, cogenerates,
+from modlab.modules import (ModuleMorphism, _scan_module_axioms,
+                            _scan_module_axioms_exhaustive, all_function_homs,
+                            cogenerates,
                             cyclic_module, direct_sum_module,
                             enumerate_submodules, hom_nonzero_exists, hom_set,
                             is_atom, is_essential, is_injective,
@@ -182,7 +188,7 @@ def test_isomorphism_found_under_relabelling():
         f = find_isomorphism(base, shuffled)
         assert f is not None
         f.check()
-        assert f.is_bijective()
+        assert f.is_injective()  # between equal orders, so bijective
 
 
 def test_non_isomorphic_same_order_pair():
@@ -201,7 +207,7 @@ def test_endomorphism_ring_of_regular_is_opposite_sized():
     m = regular_module(Z4)
     e = endomorphism_ring(m, cap=64)
     assert e.order == 4
-    assert e.is_commutative()
+    assert e.mul == tuple(zip(*e.mul))  # commutative
 
 
 def test_endomorphism_ring_cap_returns_none():
@@ -337,7 +343,7 @@ def test_find_isomorphism_matches_all_functions_oracle():
             if a.ring is not b.ring or a.order != b.order:
                 continue
             bijections = {f.map for f in all_function_homs(a, b)
-                          if f.is_bijective()}
+                          if f.is_injective()}
             found = find_isomorphism(a, b)
             assert (found is not None) == bool(bijections)
             if found is not None:
@@ -391,3 +397,65 @@ def test_module_table_corruption_rejected(data):
     act = table if which == "act" else base.act
     with pytest.raises(AxiomViolation):
         module_from_tables(Z4, add, act)
+
+
+@functools.cache
+def cross_check_modules():
+    """Every nonzero module of the depth-2 universes of Z4, Z6, F2xF2 and
+    M2(F2)."""
+    return [m for ring in (Z4, Z6, product_ring([Z2, Z2]), M22)
+            for m in generate_universe(ring, depth=2).nonzero_modules()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_module_certificate_agrees_with_exhaustive_scan(corrupt, scan_outcome,
+                                                        data):
+    # the reduced scan must reject exactly the tables the full scan
+    # rejects, and report the same axiom, witness and message
+    base = data.draw(st.sampled_from(cross_check_modules()))
+    ring, n = base.ring, base.order
+    add, act = base.add, base.act
+    if data.draw(st.booleans()):
+        add = corrupt(data, add, n, square=True)
+    else:
+        act = corrupt(data, act, n, square=False)
+    assert (scan_outcome(_scan_module_axioms, ring, n, add, act)
+            == scan_outcome(_scan_module_axioms_exhaustive, ring, n, add, act))
+
+
+def test_module_distributivity_alone_is_rejected():
+    # F3^3 over F3xF3: (1,0) projects onto the line L through (0,0,1)
+    # along K, the lines through (0,1,0), (1,0,0), (1,1,0) and (1,2,1);
+    # K meets every coset of L once but is no plane, so the projection is
+    # not additive.  (0,1) acts as one minus the projection.  Every other
+    # axiom holds, and r(a+b) = ra+rb holds only for b in L.
+    ring = product_ring([cyclic_ring(3), cyclic_ring(3)])
+    els = list(itertools.product(range(3), repeat=3))
+    index = {e: i for i, e in enumerate(els)}
+
+    def comb(c, x, d, y):
+        return tuple((c * u + d * v) % 3 for u, v in zip(x, y))
+
+    line = [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+    transversal = {comb(c, v, 0, v) for c in range(3)
+                   for v in ((0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 2, 1))}
+    proj = {m: next(p for p in line if comb(1, m, 2, p) in transversal)
+            for m in els}
+    add = [[index[comb(1, x, 1, y)] for y in els] for x in els]
+    act = [[index[comb(a, proj[m], b, comb(1, m, 2, proj[m]))] for m in els]
+           for a, b in itertools.product(range(3), repeat=2)]
+    with pytest.raises(AxiomViolation) as exc:
+        module_from_tables(ring, add, act)
+    assert exc.value.axiom == "module distributivity"
+
+
+def test_non_submodule_masks_are_rejected():
+    m = regular_module(Z4)
+    for mask in (0b0011, 0b0110):  # {0,1} misses 1+1; {1,2} misses 0
+        with pytest.raises(AxiomViolation) as exc:
+            quotient_module(m, submodule(m, mask))
+        assert exc.value.axiom == "submodule"
+        with pytest.raises(AxiomViolation) as exc:
+            submodule(m, mask).as_module()
+        assert exc.value.axiom == "submodule"

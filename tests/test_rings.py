@@ -3,9 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.modules import enumerate_submodules, regular_module
-from modlab.rings import (FiniteRing, cyclic_ring, enumerate_ideals,
-                          is_ideal_mask, matrix_ring, product_ring,
-                          quotient_ring, ring_from_tables)
+from modlab.rings import (FiniteRing, _scan_ring_axioms,
+                          _scan_ring_axioms_exhaustive, cyclic_ring,
+                          enumerate_ideals, is_ideal_mask, matrix_ring,
+                          product_ring, quotient_ring, ring_from_tables,
+                          scan_abelian_group, scan_abelian_group_exhaustive)
 
 
 def upper_triangular_f2():
@@ -20,6 +22,10 @@ def upper_triangular_f2():
     mul = [[index[(x[0] & y[0], (x[0] & y[1]) ^ (x[1] & y[2]), x[2] & y[2])]
             for y in els] for x in els]
     return ring_from_tables(add, mul)
+
+
+def is_commutative(ring):
+    return ring.mul == tuple(zip(*ring.mul))
 
 
 IDEAL_RINGS = [
@@ -48,7 +54,7 @@ def test_cyclic1_rejected():
 def test_matrix_ring_order_and_noncommutativity():
     m = matrix_ring(cyclic_ring(2), 2)
     assert m.order == 16
-    assert not m.is_commutative()
+    assert not is_commutative(m)
 
 
 def test_matrix_ring_cap():
@@ -136,7 +142,7 @@ def test_ideals_closed_under_sum_and_intersection(ring_fn, sided):
 
 def test_upper_triangular_ring_is_noncommutative():
     ring = upper_triangular_f2()
-    assert ring.order == 8 and not ring.is_commutative()
+    assert ring.order == 8 and not is_commutative(ring)
     # left ideals that are not two-sided exist here
     assert (len(enumerate_ideals(ring, "left"))
             > len(enumerate_ideals(ring, "two-sided")))
@@ -193,3 +199,45 @@ def test_single_entry_corruption_is_rejected(data):
     mul = table if which == "mul" else base.mul
     with pytest.raises(AxiomViolation):
         FiniteRing(add, mul)
+
+
+CROSS_CHECK_RINGS = RINGS_FOR_CORRUPTION + [matrix_ring(cyclic_ring(2), 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ring_certificate_agrees_with_exhaustive_scan(corrupt, scan_outcome,
+                                                      data):
+    # the reduced scan must reject exactly the tables the full scan
+    # rejects, and report the same axiom, witness and message
+    base = data.draw(st.sampled_from(CROSS_CHECK_RINGS))
+    n, add, mul = base.order, base.add, base.mul
+    if data.draw(st.booleans()):
+        add = corrupt(data, add, n, square=True)
+    else:
+        mul = corrupt(data, mul, n, square=True)
+    assert (scan_outcome(_scan_ring_axioms, n, add, mul)
+            == scan_outcome(_scan_ring_axioms_exhaustive, n, add, mul))
+
+
+# Z6 with 2+2, 2+5 and 5+5 changed from 4, 1, 4 to 1, 4, 1: still a
+# commutative Latin square with identity 0 and inverses, generated by 1
+# alone, and equal to Z6 wherever the generator 1 is a summand; yet
+# (1+1)+2 = 1 and 1+(1+2) = 4.
+LOOP_6 = ((0, 1, 2, 3, 4, 5),
+          (1, 2, 3, 4, 5, 0),
+          (2, 3, 1, 5, 0, 4),
+          (3, 4, 5, 0, 1, 2),
+          (4, 5, 0, 1, 2, 3),
+          (5, 0, 4, 2, 3, 1))
+
+
+def test_nonassociative_loop_is_rejected():
+    for scan in (scan_abelian_group, scan_abelian_group_exhaustive):
+        with pytest.raises(AxiomViolation) as exc:
+            scan(6, LOOP_6)
+        assert exc.value.axiom == "additive associativity"
+        assert exc.value.witness == (1, 1, 2)
+    with pytest.raises(AxiomViolation) as exc:
+        ring_from_tables(LOOP_6, cyclic_ring(6).mul)
+    assert exc.value.axiom == "additive associativity"
