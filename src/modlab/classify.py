@@ -13,15 +13,15 @@ deciders in ``firstness`` one module at a time, through ``_first_failure``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_MODULE_CAP, DEFAULT_UNIVERSE_DEPTH
 from .errors import InternalInconsistency, SizeCapExceeded
-from .firstness import (a_first_detail, a_fully_first_detail,
-                        bjkn_prime_detail, prime_module_detail)
+from .firstness import a_first_detail, a_fully_first_detail, decide
 from .modules import (direct_sum_module, enumerate_submodules,
-                      hom_nonzero_exists, is_injective, is_isomorphic,
-                      is_superfluous, is_essential, quotient_module,
+                      hom_nonzero_exists, is_injective, is_superfluous,
+                      is_essential, isomorphism_classes, quotient_module,
                       regular_module, simple_modules, structural_summary)
 from .preradicals import SOC, LinearFilter, left_exact_at
 from .rings import enumerate_ideals, is_simple_ring
@@ -57,20 +57,19 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     if key in ring._cache:
         return ring._cache[key]
     reg = regular_module(ring)
-    mods = [reg]
 
-    def add(candidate):
-        if not any(is_isomorphic(m, candidate) for m in mods):
-            mods.append(candidate)
+    def first_occurrences(candidates):
+        return [cls[0] for cls in isomorphism_classes(candidates)]
 
-    for sub in enumerate_submodules(reg).submodules:
-        add(quotient_module(reg, sub))
+    mods = first_occurrences(
+        [reg] + [quotient_module(reg, sub)
+                 for sub in enumerate_submodules(reg).submodules])
     for _ in range(depth - 1):
         current = [m for m in mods if not m.is_zero()]
-        for i, a in enumerate(current):
-            for b in current[i:]:
-                if a.order * b.order <= module_cap:
-                    add(direct_sum_module([a, b], cap=module_cap))
+        mods = first_occurrences(
+            mods + [direct_sum_module([a, b], cap=module_cap)
+                    for i, a in enumerate(current) for b in current[i:]
+                    if a.order * b.order <= module_cap])
     universe = Universe(ring, tuple(mods), depth, module_cap)
     ring._cache[key] = universe
     return universe
@@ -79,7 +78,7 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
 # ---------------------------------------------------------------------------
 # ring classification
 
-@dataclass
+@dataclass(frozen=True)
 class RingClassification:
     """Flags with the scans that justify them; universe-scale flags say so."""
     ring_provenance: str
@@ -105,13 +104,23 @@ class RingClassification:
             "is_V_ring": self.is_V_ring,
             "is_BKN_on_universe": self.is_BKN_on_universe,
             "simple_module_count": self.simple_module_count,
-            "witnesses": dict(self.witnesses),
+            "witnesses": copy.deepcopy(self.witnesses),
         }
 
 
 def classify_ring(ring, universe=None):
+    """The ring's classification over ``universe``, computed once per
+    universe and cached on the ring under the universe's own key."""
     if universe is None:
         universe = generate_universe(ring)
+    key = ("classification", universe.depth, universe.module_cap)
+    hit = ring._cache.get(key)
+    if hit is None or hit[0] is not universe:
+        hit = ring._cache[key] = (universe, _classify(ring, universe))
+    return hit[1]
+
+
+def _classify(ring, universe):
     witnesses = {}
     simple = is_simple_ring(ring)
     reg_summary = structural_summary(regular_module(ring))
@@ -237,14 +246,14 @@ class TheoremVerdict:
                 "witnesses": dict(self.witnesses), "details": dict(self.details)}
 
 
-def _first_failure(universe, decide):
+def _first_failure(universe, decider):
     """Run a ``(verdict, witness)`` decider over the nonzero universe modules.
 
     Returns (True, None), or False with the first failing module's
     provenance merged into its witness.
     """
     for m in universe.nonzero_modules():
-        verdict, witness = decide(m)
+        verdict, witness = decider(m)
         if not verdict:
             return False, {"module": m.provenance, **(witness or {})}
     return True, None
@@ -260,7 +269,7 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
 
     if theorem_id == "T15":
         lhs = cls.is_simple
-        rhs, witness = _first_failure(universe, prime_module_detail)
+        rhs, witness = _first_failure(universe, lambda m: decide(m, "prime"))
         if witness:
             witnesses["non_prime_module"] = witness
         sides = {"ring_is_simple": lhs, "all_universe_modules_prime": rhs}
@@ -288,7 +297,8 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
     elif theorem_id == "T14.3":
         s1 = (cls.is_left_semiartinian_on_universe and cls.is_left_local
               and cls.is_V_ring)
-        s2, witness = _first_failure(universe, bjkn_prime_detail)
+        s2, witness = _first_failure(
+            universe, lambda m: decide(m, "bjkn_prime"))
         if witness:
             witnesses["non_bjkn_module"] = witness
         s3 = cls.is_homogeneous_semisimple
@@ -326,7 +336,8 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
                  "all_superfluous": consistent}
 
     elif theorem_id == "Perror1":
-        lhs, witness = _first_failure(universe, bjkn_prime_detail)
+        lhs, witness = _first_failure(
+            universe, lambda m: decide(m, "bjkn_prime"))
         if witness:
             witnesses["non_bjkn_module"] = witness
         rhs = cls.is_BKN_on_universe

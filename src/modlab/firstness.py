@@ -7,7 +7,10 @@ InternalInconsistency is raised; the cogeneration and product routes read
 generating sets of Hom groups, the pointwise route enumerates Hom-sets),
 primeness through both the annihilator and the ideal-action route,
 trace-firstness through pairwise nonzero homs cross-checked against a
-generated family of idempotent operators.
+generated family of idempotent operators, built and tested one
+isomorphism class of submodules at a time (a preradical commutes with
+isomorphisms, so it kills a submodule exactly when it kills every
+isomorphic one).  ``decide`` caches each notion's verdict per module.
 Firstness relative to a finite family is one scan, ``a_fully_first_detail``;
 ``a_first_detail`` runs it over the members that do not kill the module.
 These deciders are also the module-level sides of the theorems replayed by
@@ -17,12 +20,15 @@ witness in canonical scan order.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 
 from .errors import InternalInconsistency
 from .modules import (_element_annihilators, cogenerates, cyclic_mask,
                       enumerate_submodules, hom_nonzero_exists, hom_set,
-                      is_essential, submodule, trad_mask)
+                      is_essential, isomorphism_classes, submodule,
+                      trad_mask)
 from .preradicals import Alpha, Join, SOC, product_in
 from .rings import enumerate_ideals
 
@@ -187,37 +193,49 @@ def is_prime_module(module):
 # ---------------------------------------------------------------------------
 # firstness for idempotent preradicals
 
-def rpid_first_detail(module, family_join_cap=24):
-    """Pairwise nonzero-hom criterion, cross-checked against quantification
-    over a generated family of idempotent operators (traces of the nonzero
-    submodules, the socle, and a sample of their joins)."""
-    _require_nonzero(module, "trace-firstness")
+def _rpid_pairwise(module):
+    """A nonzero map between every ordered pair of nonzero submodules.
+
+    The witness route of trace-firstness: it runs ``hom_nonzero_exists`` on
+    every pair and reads no isomorphism classes, so it checks the family
+    route independently.
+    """
     subs = _nonzero_submodules(module)
-    verdict = True
-    witness = None
     for n in subs:
         nmod = n.as_module()
         for k in subs:
             if not hom_nonzero_exists(nmod, k.as_module()):
-                verdict = False
-                witness = {"kind": "hom_vanishes",
-                           "source": n.labels(), "target": k.labels()}
-                break
-        if not verdict:
-            break
-    family = [Alpha(submodule(n.as_module(), n.as_module().full_mask()))
-              for n in subs]
-    family.append(SOC)
-    joins = 0
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if joins >= family_join_cap:
-                break
-            family.append(Join((family[i], family[j])))
-            joins += 1
-        if joins >= family_join_cap:
-            break
-    via_family = a_first_detail(module, family)[0]
+                return False, {"kind": "hom_vanishes",
+                               "source": n.labels(), "target": k.labels()}
+    return True, None
+
+
+def rpid_first_detail(module, family_join_cap=24):
+    """Pairwise nonzero-hom criterion, cross-checked against quantification
+    over a generated family of idempotent operators.
+
+    The family is the trace alpha_N of one nonzero submodule N per
+    isomorphism class, the socle, and the first ``family_join_cap`` joins
+    of pairs of those members.  The family route tests each member that
+    leaves the module nonzero on one submodule per class.  Both reductions
+    are exact, because a preradical t commutes with isomorphisms: for an
+    isomorphism f: N -> N', naturality along f and along its inverse
+    gives f(t(N)) = t(N').  So t kills N exactly when it kills every
+    N' isomorphic to N, and alpha_N = alpha_N' (a map from N' is a map
+    from N composed with f, with the same image).  The pairwise route
+    still runs on every ordered pair of submodules and gives the witness;
+    the routes must agree.
+    """
+    _require_nonzero(module, "trace-firstness")
+    verdict, witness = _rpid_pairwise(module)
+    reps = [cls[0] for cls in isomorphism_classes(
+        n.as_module() for n in _nonzero_submodules(module))]
+    members = [Alpha(submodule(n, n.full_mask())) for n in reps] + [SOC]
+    family = members + list(islice(map(Join, combinations(members, 2)),
+                                   family_join_cap))
+    via_family = not any(pr.evaluate(n).is_zero()
+                         for pr in family if not pr.evaluate(module).is_zero()
+                         for n in reps)
     if via_family != verdict:
         raise InternalInconsistency(
             f"trace-firstness routes disagree on {module!r}")
@@ -362,17 +380,30 @@ class FirstnessReport:
 NOTIONS = ("bjkn_prime", "prime", "rpid_first", "diuniform")
 
 
+def decide(module, notion):
+    """``(verdict, witness)`` of one of the ``NOTIONS`` deciders, computed
+    once per module and cached in it.
+
+    Each call returns its own copy of the witness, so a caller cannot
+    change what later callers read.
+    """
+    decided = module._cache.setdefault("decided", {})
+    if notion not in decided:
+        # looked up per call, so a decider patched in this module is used
+        decider = {"bjkn_prime": bjkn_prime_detail,
+                   "prime": prime_module_detail,
+                   "rpid_first": rpid_first_detail,
+                   "diuniform": diuniform_detail}[notion]
+        decided[notion] = decider(module)
+    verdict, witness = decided[notion]
+    return verdict, copy.deepcopy(witness)
+
+
 def firstness_report(module, notions=NOTIONS, families=None):
     """Run the requested deciders and collect verdicts plus witnesses."""
     report = FirstnessReport(module.provenance, module.order)
-    deciders = {
-        "bjkn_prime": bjkn_prime_detail,
-        "prime": prime_module_detail,
-        "rpid_first": rpid_first_detail,
-        "diuniform": diuniform_detail,
-    }
     for notion in notions:
-        verdict, witness = deciders[notion](module)
+        verdict, witness = decide(module, notion)
         report.verdicts[notion] = verdict
         if witness is not None:
             report.witnesses[notion] = witness

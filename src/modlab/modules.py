@@ -25,6 +25,7 @@ happens at a complete tuple.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import getitem
 
@@ -255,7 +256,12 @@ def is_submodule_mask(module, mask):
 
 
 def _require_submodule(sub):
-    if not is_submodule_mask(sub.module, sub.mask):
+    """Raise ``AxiomViolation("submodule", carrier)`` unless the interned
+    mask is closed; a lattice already built answers by lookup."""
+    lat = sub.module._cache.get("lattice")
+    closed = (sub.mask in lat.index if lat is not None
+              else is_submodule_mask(sub.module, sub.mask))
+    if not closed:
         raise AxiomViolation("submodule", sub.carrier,
                              "carrier is not a submodule")
 
@@ -797,6 +803,36 @@ def is_isomorphic(a, b):
     return find_isomorphism(a, b) is not None
 
 
+def isomorphism_classes(modules):
+    """Partition ``modules`` into isomorphism classes.
+
+    Classes come in order of first occurrence and keep their members in
+    input order, so the first member of each class is its first-occurrence
+    representative.  Modules are bucketed by invariants an isomorphism
+    preserves, the order and, where orders are shared, the sorted multiset
+    of element annihilators; a module is compared, by ``find_isomorphism``,
+    only with the first member of each class in its bucket.  Nothing is
+    kept between calls.
+    """
+    modules = list(modules)
+    orders = Counter(m.order for m in modules)
+    buckets = {}
+    classes = []
+    for m in modules:
+        key = m.order
+        if orders[key] > 1:
+            key = (key, tuple(sorted(_element_annihilators(m))))
+        bucket = buckets.setdefault(key, [])
+        for cls in bucket:
+            if is_isomorphic(cls[0], m):
+                cls.append(m)
+                break
+        else:
+            bucket.append([m])
+            classes.append(bucket[-1])
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -951,13 +987,9 @@ def structural_summary(module):
     radical = submodule(module, rad_mask)
     is_simple = len(lat) == 2
     is_semisimple = soc_mask == module.full_mask()
-    homogeneous = is_semisimple
-    if is_semisimple and len(atoms) > 1:
-        first = lat.submodules[atoms[0]].as_module()
-        for i in atoms[1:]:
-            if not is_isomorphic(first, lat.submodules[i].as_module()):
-                homogeneous = False
-                break
+    homogeneous = is_semisimple and (
+        len(atoms) < 2 or len(isomorphism_classes(
+            lat.submodules[i].as_module() for i in atoms)) == 1)
     summary = StructuralSummary(is_simple, is_semisimple, homogeneous,
                                 socle, radical)
     module._cache["structure"] = summary
@@ -966,11 +998,13 @@ def structural_summary(module):
 
 def is_essential(sub):
     module = sub.module
+    lat = enumerate_submodules(module)
+    _require_submodule(sub)
     zmask = module.zero_mask()
     if sub.mask == zmask:
         # 0 is essential only in the zero module
         return module.is_zero()
-    for other in enumerate_submodules(module).nonzero():
+    for other in lat.nonzero():
         if sub.mask & other.mask == zmask:
             return False
     return True
@@ -978,8 +1012,10 @@ def is_essential(sub):
 
 def is_superfluous(sub):
     module = sub.module
+    lat = enumerate_submodules(module)
+    _require_submodule(sub)
     full = module.full_mask()
-    for other in enumerate_submodules(module).submodules:
+    for other in lat.submodules:
         if other.mask != full and sum_masks(module, sub.mask, other.mask) == full:
             return False
     return True
@@ -987,6 +1023,7 @@ def is_superfluous(sub):
 
 def is_atom(sub):
     lat = enumerate_submodules(sub.module)
+    _require_submodule(sub)
     return lat.index[sub.mask] in lat.atom_indices()
 
 
@@ -1055,11 +1092,9 @@ def simple_modules(ring):
         return ring._cache["simples"]
     reg = regular_module(ring)
     lat = enumerate_submodules(reg)
-    reps = []
-    for i in lat.maximal_indices():
-        q = quotient_module(reg, lat.submodules[i])
-        if not any(is_isomorphic(q, r) for r in reps):
-            reps.append(q)
+    reps = [cls[0] for cls in isomorphism_classes(
+        quotient_module(reg, lat.submodules[i])
+        for i in lat.maximal_indices())]
     reps.sort(key=lambda m: m.order)
     result = tuple(reps)
     ring._cache["simples"] = result

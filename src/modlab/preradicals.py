@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFullyInvariant, RingMismatch
-from .modules import (_element_annihilators, embed_submask,
-                      enumerate_submodules, hom_generators, hom_set,
-                      quotient_module, regular_module, simple_modules,
-                      structural_summary, submodule, sum_masks, trad_mask)
+from .modules import (_element_annihilators, _require_submodule,
+                      embed_submask, enumerate_submodules, hom_generators,
+                      hom_set, quotient_module, regular_module,
+                      simple_modules, structural_summary, submodule,
+                      sum_masks, trad_mask)
 from .rings import IdealHandle, enumerate_ideals, is_ideal_mask
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
@@ -70,7 +71,10 @@ def _sub_token(sub):
 
 def _require_fully_invariant(sub):
     lat = enumerate_submodules(sub.module)
-    if not lat.fully_invariant[lat.index[sub.mask]]:
+    i = lat.index.get(sub.mask)
+    if i is None:
+        _require_submodule(sub)  # raises: the mask is not in the lattice
+    if not lat.fully_invariant[i]:
         raise NotFullyInvariant(f"{sub!r} is not fully invariant")
 
 
@@ -87,6 +91,7 @@ class Beta(Preradical):
     tag = "beta"
 
     def __init__(self, sub):
+        _require_submodule(sub)
         self.sub = sub
 
     def ring(self):
@@ -110,7 +115,7 @@ class Alpha(Beta):
 
     def __init__(self, sub):
         _require_fully_invariant(sub)
-        super().__init__(sub)
+        self.sub = sub
 
 
 class Omega(Preradical):

@@ -1,7 +1,8 @@
 import pytest
 
-from modlab.classify import (THEOREM_IDS, TheoremVerdict, classify_ring,
-                             enumerate_lep, generate_universe, verify_theorem)
+from modlab.classify import (THEOREM_IDS, TheoremVerdict, Universe,
+                             classify_ring, enumerate_lep, generate_universe,
+                             verify_theorem)
 from modlab.errors import InternalInconsistency
 from modlab.firstness import annihilator_mask
 from modlab.modules import (enumerate_submodules, embed_submask,
@@ -64,6 +65,18 @@ def test_classify_product_not_left_local():
     assert not cls.is_left_local
     assert cls.is_semisimple and not cls.is_homogeneous_semisimple
     assert not cls.is_BKN_on_universe
+
+
+def test_classification_cached_per_universe():
+    u = generate_universe(R22)
+    cls = classify_ring(R22, u)
+    assert classify_ring(R22, u) is cls
+    # a caller's edit of the report leaves the cached witnesses alone
+    cls.to_dict()["witnesses"]["left_local"]["orders"].append(99)
+    assert cls.witnesses["left_local"]["orders"] == [2, 2]
+    # another universe under the same key is classified afresh
+    other = Universe(R22, u.modules[:2], u.depth, u.module_cap)
+    assert classify_ring(R22, other) is not cls
 
 
 def test_lep_of_z4_is_three_filters():

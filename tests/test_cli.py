@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from modlab import classify, firstness
 from modlab.cli import main
 from modlab.errors import JobParseError, SizeCapExceeded
 from modlab.jobs import (parse_job, render_structured, render_text, run_job)
@@ -262,3 +264,30 @@ def test_cli_corpus_reports_converse_gaps(capsys):
     gaps = data["gap_witnesses"]
     assert "cyclic(4)" in gaps["diuniform_not_bjkn_prime"]
     assert gaps["prime_not_bjkn_prime"] == "not witnessed at these caps"
+
+
+def test_corpus_computes_each_fact_once(monkeypatch, capsys):
+    # one classification per ring, one decision per (module, notion):
+    # the theorem sides read both from the caches
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(classify, "_classify",
+                        counting("classify", classify._classify))
+    for name in ("bjkn_prime_detail", "prime_module_detail"):
+        original = getattr(firstness, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "modlab" and \
+                    getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting(name, original))
+    assert main(["corpus", "--format", "structured"]) == 0
+    modules = sum(len(block["modules"])
+                  for block in json.loads(capsys.readouterr().out)["rings"])
+    assert modules == 35
+    assert counts == {"classify": 6, "bjkn_prime_detail": 35,
+                      "prime_module_detail": 35}

@@ -1,8 +1,8 @@
 import pytest
 
 from modlab.errors import InternalInconsistency
-from modlab.firstness import (ClassMembership, bjkn_prime_detail,
-                              class_membership, diuniform_detail,
+from modlab.firstness import (NOTIONS, ClassMembership, bjkn_prime_detail,
+                              class_membership, decide, diuniform_detail,
                               firstness_report, is_A_first, is_A_fully_first,
                               is_bjkn_prime, is_diuniform, is_prime_module,
                               is_retractable, is_rpid_first,
@@ -252,3 +252,18 @@ def test_firstness_report_with_family():
                            families={"p2": [simple_trace(s2)]})
     assert rep.verdicts["a_first[p2]"]
     assert rep.verdicts["a_fully_first[p2]"]
+
+
+def test_decide_caches_and_copies_witnesses():
+    m = regular_module(Z4)
+    deciders = (bjkn_prime_detail, prime_module_detail, rpid_first_detail,
+                diuniform_detail)
+    for notion, detail in zip(NOTIONS, deciders):
+        assert decide(m, notion) == detail(m)
+    assert set(m._cache["decided"]) == set(NOTIONS)
+    verdict, witness = decide(m, "bjkn_prime")
+    assert verdict is False
+    witness["x"] = "changed"
+    firstness_report(m).witnesses["prime"]["submodule"] = ()
+    assert decide(m, "bjkn_prime") == bjkn_prime_detail(m)
+    assert decide(m, "prime") == prime_module_detail(m)

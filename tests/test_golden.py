@@ -1,0 +1,28 @@
+"""Structured reports compared byte for byte with recorded ones.
+
+The files under ``tests/golden/`` were recorded at commit e961f8e with the
+commands below.  A change that means to alter a report re-records them
+and says why; any other difference is a regression.
+"""
+
+import pathlib
+
+import pytest
+
+from modlab.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DEMO = str(ROOT / "demo.job")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("corpus-actions20.json",
+     ["corpus", "--format", "structured", "--actions", "20"]),
+    ("check-demo.json", ["check", DEMO, "--format", "structured"]),
+    ("verify-demo.json", ["verify", DEMO, "--format", "structured"]),
+])
+def test_structured_report_is_unchanged(name, argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(
+        encoding="utf-8")

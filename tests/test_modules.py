@@ -17,6 +17,7 @@ from modlab.modules import (ModuleMorphism, _scan_module_axioms,
                             powerset_submodule_masks, quotient_module,
                             regular_module, simple_modules, structural_summary,
                             submodule, endomorphism_ring)
+from modlab.preradicals import Alpha, Beta, Omega
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)
@@ -459,3 +460,15 @@ def test_non_submodule_masks_are_rejected():
         with pytest.raises(AxiomViolation) as exc:
             submodule(m, mask).as_module()
         assert exc.value.axiom == "submodule"
+        # the predicates and the frozen trace/reject operators refuse too
+        # (at the parent: KeyError from is_atom and Alpha, False from
+        # is_essential and is_superfluous, a non-submodule from Beta)
+        sub = submodule(m, mask)
+        for refuse in (is_atom, is_essential, is_superfluous,
+                       lambda s: Alpha(s).evaluate(m),
+                       lambda s: Omega(s).evaluate(m),
+                       lambda s: Beta(s).evaluate(m)):
+            with pytest.raises(AxiomViolation) as exc:
+                refuse(sub)
+            assert (exc.value.axiom, exc.value.witness) == (
+                "submodule", sub.carrier)
