@@ -409,8 +409,15 @@ def random_action(rng, poset, lattice):
     return PosetAction(poset, lattice, act)
 
 
-def random_monotone_map(rng, domain, codomain, tries=200):
-    for _ in range(tries):
+# random draws before a monotone map is given up on
+MONOTONE_MAP_TRIES = 200
+# sizes of the random lattice and posets of one randomized instance
+MAX_LATTICE = 8
+MAX_POSET = 4
+
+
+def random_monotone_map(rng, domain, codomain):
+    for _ in range(MONOTONE_MAP_TRIES):
         f = [rng.randrange(codomain.size) for _ in range(domain.size)]
         if all(codomain.leq[f[a]][f[b]]
                for a in range(domain.size) for b in range(domain.size)
@@ -419,7 +426,7 @@ def random_monotone_map(rng, domain, codomain, tries=200):
     return None
 
 
-def random_instance_holds(seed, max_lattice=8, max_poset=4):
+def random_instance_holds(seed):
     """One randomized check of the generic facts; returns list of failures.
 
     Verifies that atoms are first, that x is first exactly when the bottom
@@ -427,8 +434,8 @@ def random_instance_holds(seed, max_lattice=8, max_poset=4):
     stay first under pullback along a random monotone map.
     """
     rng = random.Random(seed)
-    lattice = random_lattice(rng, max_lattice)
-    poset = random_poset(rng, rng.randrange(1, max_poset + 1))
+    lattice = random_lattice(rng, MAX_LATTICE)
+    poset = random_poset(rng, rng.randrange(1, MAX_POSET + 1))
     action = random_action(rng, poset, lattice)
     failures = []
     for a in lattice.atoms():
@@ -441,7 +448,7 @@ def random_instance_holds(seed, max_lattice=8, max_poset=4):
         bridge = is_prime(restricted, restricted.lattice.bottom)
         if is_first(action, x) != bridge:
             failures.append(("first_prime_bridge", x))
-    domain = random_poset(rng, rng.randrange(1, max_poset + 1))
+    domain = random_poset(rng, rng.randrange(1, MAX_POSET + 1))
     f = random_monotone_map(rng, domain, poset)
     if f is not None:
         pulled = pullback(action, f, domain)

@@ -166,7 +166,11 @@ def _classify(ring, universe):
 # ---------------------------------------------------------------------------
 # left exact preradicals through linear filters of left ideals
 
-def enumerate_lep(ring, subset_cap=20):
+# filters are subsets of the left ideals; more ideals than this is refused
+LEP_IDEAL_CAP = 20
+
+
+def enumerate_lep(ring):
     """All linear filters of left ideals, as evaluable operators.
 
     A linear filter is a nonempty upward-closed family of left ideals,
@@ -177,7 +181,7 @@ def enumerate_lep(ring, subset_cap=20):
     """
     ideals = enumerate_ideals(ring, "left")
     n = len(ideals)
-    if n > subset_cap:
+    if n > LEP_IDEAL_CAP:
         raise SizeCapExceeded(
             f"{n} left ideals; filter enumeration is out of range")
     masks = [i.mask for i in ideals]

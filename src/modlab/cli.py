@@ -1,9 +1,10 @@
 """Batch command line front end.
 
-Commands: ``define`` validates a job document, ``check`` runs its
-firstness/classification checks, ``verify`` runs its equivalence
-verifications, ``corpus`` generates the built-in ring corpus and sweeps
-every decider plus the randomized order-action properties over it.
+Commands: ``define`` validates a job document, ``check`` and ``verify``
+run the checks of a job that ``jobs.CHECKS`` gives to that command (the
+firstness/classification checks, the equivalence verifications), and
+``corpus`` generates the built-in ring corpus and sweeps every decider plus
+the randomized order-action properties over it.
 
 Exit codes: 0 ok (negative mathematical verdicts included), 1 parse error,
 2 size cap exceeded, 3 engine error, 4 internal inconsistency (independent
@@ -25,8 +26,8 @@ from .config import (DEFAULT_MODULE_CAP, DEFAULT_RING_CAP,
 from .errors import (InternalInconsistency, JobParseError, ModlabError,
                      SizeCapExceeded)
 from .firstness import firstness_report
-from .jobs import (CHECK_KINDS as JOB_KINDS, SCHEMA_VERSION, parse_job,
-                   render_structured, render_text, run_job)
+from .jobs import (CHECKS, SCHEMA_VERSION, parse_job, render_structured,
+                   render_text, run_job)
 from .rings import cyclic_ring, matrix_ring, product_ring
 
 EXIT_OK = 0
@@ -34,9 +35,6 @@ EXIT_PARSE = 1
 EXIT_CAP = 2
 EXIT_ENGINE = 3
 EXIT_INCONSISTENT = 4
-
-VERIFY_KINDS = ("verify",)
-CHECK_KINDS = tuple(k for k in JOB_KINDS if k not in VERIFY_KINDS)
 
 
 def corpus_rings(ring_cap=DEFAULT_RING_CAP):
@@ -73,19 +71,13 @@ def build_parser():
                         version=f"modlab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_define = subs.add_parser("define", help="validate a job document")
-    p_define.add_argument("job", help="path to the job document")
-    _add_common_flags(p_define)
-
-    p_check = subs.add_parser(
-        "check", help="run the firstness/classification checks of a job")
-    p_check.add_argument("job")
-    _add_common_flags(p_check)
-
-    p_verify = subs.add_parser(
-        "verify", help="run the equivalence verifications of a job")
-    p_verify.add_argument("job")
-    _add_common_flags(p_verify)
+    for command, help_text in (
+            ("define", "validate a job document"),
+            ("check", "run the firstness/classification checks of a job"),
+            ("verify", "run the equivalence verifications of a job")):
+        p_job = subs.add_parser(command, help=help_text)
+        p_job.add_argument("job", help="path to the job document")
+        _add_common_flags(p_job)
 
     p_corpus = subs.add_parser(
         "corpus", help="generate and sweep the built-in ring/module corpus")
@@ -109,13 +101,6 @@ def _load_spec(args):
     return spec
 
 
-def _emit(report, spec_format, runtime):
-    if spec_format == "structured":
-        sys.stdout.write(render_structured(report))
-    else:
-        sys.stdout.write(render_text(report, runtime=runtime))
-
-
 def cmd_define(args):
     spec = _load_spec(args)
     sys.stdout.write(
@@ -125,19 +110,17 @@ def cmd_define(args):
     return EXIT_OK
 
 
-def cmd_check(args):
+def cmd_run(args):
+    """``check`` and ``verify``: run the checks ``CHECKS`` gives the command."""
     spec = _load_spec(args)
     start = time.perf_counter()
-    report, code = run_job(spec, kinds=CHECK_KINDS)
-    _emit(report, spec.output_format, time.perf_counter() - start)
-    return code
-
-
-def cmd_verify(args):
-    spec = _load_spec(args)
-    start = time.perf_counter()
-    report, code = run_job(spec, kinds=VERIFY_KINDS)
-    _emit(report, spec.output_format, time.perf_counter() - start)
+    report, code = run_job(spec, kinds=[kind for kind, check in CHECKS.items()
+                                        if check.command == args.command])
+    if spec.output_format == "structured":
+        sys.stdout.write(render_structured(report))
+    else:
+        sys.stdout.write(render_text(report,
+                                     runtime=time.perf_counter() - start))
     return code
 
 
@@ -244,8 +227,8 @@ def cmd_corpus(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"define": cmd_define, "check": cmd_check,
-                "verify": cmd_verify, "corpus": cmd_corpus}
+    handlers = {"define": cmd_define, "check": cmd_run, "verify": cmd_run,
+                "corpus": cmd_corpus}
     try:
         return handlers[args.command](args)
     except JobParseError as exc:

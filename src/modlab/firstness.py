@@ -210,12 +210,16 @@ def _rpid_pairwise(module):
     return True, None
 
 
-def rpid_first_detail(module, family_join_cap=24):
+# joins of pairs of members added to trace-firstness's family route
+FAMILY_JOINS = 24
+
+
+def rpid_first_detail(module):
     """Pairwise nonzero-hom criterion, cross-checked against quantification
     over a generated family of idempotent operators.
 
     The family is the trace alpha_N of one nonzero submodule N per
-    isomorphism class, the socle, and the first ``family_join_cap`` joins
+    isomorphism class, the socle, and the first ``FAMILY_JOINS`` joins
     of pairs of those members.  The family route tests each member that
     leaves the module nonzero on one submodule per class.  Both reductions
     are exact, because a preradical t commutes with isomorphisms: for an
@@ -232,7 +236,7 @@ def rpid_first_detail(module, family_join_cap=24):
         n.as_module() for n in _nonzero_submodules(module))]
     members = [Alpha(submodule(n, n.full_mask())) for n in reps] + [SOC]
     family = members + list(islice(map(Join, combinations(members, 2)),
-                                   family_join_cap))
+                                   FAMILY_JOINS))
     via_family = not any(pr.evaluate(n).is_zero()
                          for pr in family if not pr.evaluate(module).is_zero()
                          for n in reps)

@@ -1,19 +1,31 @@
 """Job documents: parsing, resolution, execution, and report rendering.
 
 A job document is section-based text (sections: ring, modules, preradicals,
-checks, universe, output).  ``parse_job`` fully resolves it into live
-objects or raises a parse error carrying line/column; ``run_job`` executes
-the checks in declaration order and assembles a report that is
-byte-identical across runs for the structured format.  Mathematical
-negatives are successful runs; only cross-check disagreements (engine
-bugs) make the exit status nonzero.
+checks, universe, output).  The language is declared here once:
+
+- expressions are read through the primitives of ``_Cursor``: a
+  comma-separated list, an indexed reference (``S<k>`` resolved by
+  ``_submodule``, ``I<k>`` by ``_ideal``) and a raw table with its
+  canonical text;
+- ``[modules]`` and ``[preradicals]`` lines go through one ``name =
+  expression`` reader, and every definition line, like the ring line,
+  holds exactly one expression;
+- ``CHECKS`` gives each check kind its argument signature, its runner and
+  the command (``check`` or ``verify``) that runs it.
+
+``parse_job`` fully resolves a document into live objects or raises a parse
+error carrying line/column; ``run_job`` executes the checks in declaration
+order and assembles a report that is byte-identical across runs for the
+structured format.  Mathematical negatives are successful runs; only
+cross-check disagreements (engine bugs) make the exit status nonzero.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .classify import (THEOREM_IDS, classify_ring, enumerate_lep,
@@ -22,7 +34,7 @@ from .config import (DEFAULT_MODULE_CAP, DEFAULT_RING_CAP,
                      DEFAULT_UNIVERSE_DEPTH)
 from .errors import InternalInconsistency, JobParseError, ModlabError
 from .firstness import (NOTIONS, a_first_detail, a_fully_first_detail,
-                        class_membership, firstness_report)
+                        class_membership, decide)
 from .modules import (cyclic_module, direct_sum_module, enumerate_submodules,
                       module_from_tables, quotient_module, regular_module)
 from .preradicals import (Alpha, Beta, Compose, Join, Meet, Omega, ONE, RAD,
@@ -34,8 +46,7 @@ SCHEMA_VERSION = "1"
 
 SECTIONS = ("ring", "modules", "preradicals", "checks", "universe", "output")
 
-CHECK_KINDS = NOTIONS + ("a_first", "a_fully_first", "classes", "evaluate",
-                         "flags", "compare", "classify", "lep", "verify")
+_CONSTANTS = {"soc": SOC, "rad": RAD, "zero": ZERO, "one": ONE}
 
 
 @dataclass
@@ -47,7 +58,7 @@ class JobSpec:
     module_texts: list
     preradicals: dict
     preradical_texts: list
-    checks: list                       # (kind, args, canonical_text)
+    checks: list                       # (kind, argument names, canonical_text)
     universe_depth: int = DEFAULT_UNIVERSE_DEPTH
     ring_cap: int = DEFAULT_RING_CAP
     module_cap: int = DEFAULT_MODULE_CAP
@@ -88,6 +99,12 @@ class _Cursor:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
+    def expect(self, ch):
+        """``ch`` after optional blanks.  An opening parenthesis is eaten
+        directly instead: it follows its constructor's name without a gap."""
+        self.skip_ws()
+        self.eat(ch)
+
     def skip_ws(self):
         while self.peek() in " \t":
             self.pos += 1
@@ -111,6 +128,41 @@ class _Cursor:
     def done(self):
         self.skip_ws()
         return self.pos >= len(self.text)
+
+    def items(self, item):
+        """``(a, b, ...)``: one or more comma-separated entries, each read by
+        ``item()`` as a (value, canonical text) pair.  Returns the values
+        and the texts joined by commas."""
+        self.eat("(")
+        parts = [item()]
+        self.skip_ws()
+        while self.peek() == ",":
+            self.pos += 1
+            parts.append(item())
+            self.skip_ws()
+        self.eat(")")
+        return [v for v, _ in parts], ",".join(t for _, t in parts)
+
+    def index(self, prefix):
+        """An index written ``<prefix><k>`` (prefix in either case) or ``<k>``."""
+        self.skip_ws()
+        if self.peek() in (prefix, prefix.lower()):
+            self.pos += 1
+        return self.integer()
+
+    def table(self, text):
+        """The integer rows of ``text``, written ``a b / c d``, and their
+        canonical text; an error points at the cursor."""
+        rows = []
+        for chunk in text.split("/"):
+            entries = chunk.split()
+            if not entries:
+                self.error("empty table row")
+            try:
+                rows.append([int(e) for e in entries])
+            except ValueError:
+                self.error("table entries must be integers")
+        return rows, " / ".join(" ".join(map(str, row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -142,69 +194,110 @@ def _split_sections(document):
 
 
 # ---------------------------------------------------------------------------
+# what every constructor shares
+
+def _expression(text, lineno, parse, what):
+    """``parse(cursor)`` over all of ``text``: trailing input is an error."""
+    cur = _Cursor(text, lineno)
+    value = parse(cur)
+    if not cur.done():
+        cur.error(f"trailing input after {what}")
+    return value
+
+
+def _definitions(lines, kind, noun, parse):
+    """``name = expression`` lines, in order, each name defined once.
+
+    ``parse(cursor, defined)`` reads one expression and may refer to the
+    names defined above it.  Returns the definitions by name and their
+    canonical ``(name, text)`` pairs.
+    """
+    defined = {}
+    texts = []
+    for lineno, line in lines:
+        m = re.match(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)", line)
+        if not m:
+            raise JobParseError(f"{kind} lines look like `name = {noun}`",
+                                lineno, 1)
+        name = m.group(1)
+        if name in defined:
+            raise JobParseError(f"duplicate {kind} name {name!r}", lineno, 1)
+        value, text = _expression(m.group(2), lineno,
+                                  lambda cur: parse(cur, defined),
+                                  f"{kind} {noun}")
+        defined[name] = value
+        texts.append((name, text))
+    return defined, texts
+
+
+def _module_ref(cur, modules):
+    """A module named above: (module, name)."""
+    name = cur.word()
+    if name not in modules:
+        cur.error(f"unknown module {name!r}")
+    return modules[name], name
+
+
+def _submodule(cur, module, idx):
+    """``S<idx>``: the submodule at canonical index ``idx`` of ``module``."""
+    subs = enumerate_submodules(module).submodules
+    if not 0 <= idx < len(subs):
+        cur.error(f"module has {len(subs)} submodules, S{idx} unresolved")
+    return subs[idx]
+
+
+def _ideal(cur, ring, idx):
+    """``I<idx>``: the two-sided ideal at canonical index ``idx`` of ``ring``."""
+    ideals = enumerate_ideals(ring, "two-sided")
+    if not 0 <= idx < len(ideals):
+        cur.error(f"ring has {len(ideals)} two-sided ideals, I{idx} unresolved")
+    return ideals[idx]
+
+
+def _raw_tables(pieces, second, what, usage, cur):
+    """The ``add`` and ``second`` tables of a raw ring or module, each
+    written once as a ``name = rows`` piece and read by the piece's cursor;
+    a missing table is reported at ``cur``."""
+    tables = {}
+    for piece_cur, piece in pieces:
+        m = re.match(rf"\s*(add|{second})\s*=\s*(.+)", piece)
+        if not m:
+            piece_cur.error(usage)
+        if m.group(1) in tables:
+            piece_cur.error(f"duplicate {m.group(1)} table")
+        tables[m.group(1)] = piece_cur.table(m.group(2))
+    if len(tables) < 2:
+        cur.error(f"raw {what} needs both add and {second} tables")
+    return tables["add"], tables[second]
+
+
+# ---------------------------------------------------------------------------
 # ring expressions
-
-def _parse_table_rows(text, cur):
-    rows = []
-    for chunk in text.split("/"):
-        entries = chunk.split()
-        if not entries:
-            cur.error("empty table row")
-        try:
-            rows.append([int(e) for e in entries])
-        except ValueError:
-            cur.error("table entries must be integers")
-    return rows
-
 
 def _parse_ring_expr(cur, cap):
     name = cur.word().lower()
     if name == "cyclic":
         cur.eat("(")
         n = cur.integer()
-        cur.skip_ws()
-        cur.eat(")")
+        cur.expect(")")
         return cyclic_ring(n, cap=cap), f"cyclic({n})"
     if name == "matrix":
         cur.eat("(")
         base, base_text = _parse_ring_expr(cur, cap)
-        cur.skip_ws()
-        cur.eat(",")
+        cur.expect(",")
         k = cur.integer()
-        cur.skip_ws()
-        cur.eat(")")
+        cur.expect(")")
         return matrix_ring(base, k, cap=cap), f"matrix({base_text},{k})"
     if name == "product":
-        cur.eat("(")
-        factors = []
-        texts = []
-        while True:
-            ring, text = _parse_ring_expr(cur, cap)
-            factors.append(ring)
-            texts.append(text)
-            cur.skip_ws()
-            if cur.peek() == ",":
-                cur.eat(",")
-                continue
-            cur.eat(")")
-            break
-        return (product_ring(factors, cap=cap),
-                "product(" + ",".join(texts) + ")")
+        factors, text = cur.items(lambda: _parse_ring_expr(cur, cap))
+        return product_ring(factors, cap=cap), f"product({text})"
     if name == "quotient":
         cur.eat("(")
         base, base_text = _parse_ring_expr(cur, cap)
-        cur.skip_ws()
-        cur.eat(",")
-        cur.skip_ws()
-        if cur.peek() in "Ii":
-            cur.pos += 1
-        idx = cur.integer()
-        cur.skip_ws()
-        cur.eat(")")
-        ideals = enumerate_ideals(base, "two-sided")
-        if not 0 <= idx < len(ideals):
-            cur.error(f"ring has {len(ideals)} two-sided ideals, I{idx} unresolved")
-        return (quotient_ring(base, ideals[idx], cap=cap),
+        cur.expect(",")
+        idx = cur.index("I")
+        cur.expect(")")
+        return (quotient_ring(base, _ideal(cur, base, idx), cap=cap),
                 f"quotient({base_text},I{idx})")
     cur.error(f"unknown ring constructor {name!r}")
 
@@ -212,113 +305,59 @@ def _parse_ring_expr(cur, cap):
 def _parse_ring_section(lines, cap):
     lineno, first = lines[0]
     if first.lower() == "raw":
-        tables = {}
-        for lno, line in lines[1:]:
-            m = re.match(r"(add|mul)\s*=\s*(.+)", line)
-            if not m:
-                raise JobParseError("raw ring lines must be add/mul tables", lno, 1)
-            tables[m.group(1)] = _parse_table_rows(m.group(2), _Cursor(line, lno))
-        if "add" not in tables or "mul" not in tables:
-            raise JobParseError("raw ring needs both add and mul tables", lineno, 1)
-        ring = ring_from_tables(tables["add"], tables["mul"], cap=cap)
-        add_text = " / ".join(" ".join(map(str, r)) for r in tables["add"])
-        mul_text = " / ".join(" ".join(map(str, r)) for r in tables["mul"])
-        return ring, f"raw\nadd = {add_text}\nmul = {mul_text}"
+        (add, add_text), (mul, mul_text) = _raw_tables(
+            [(_Cursor(line, lno), line) for lno, line in lines[1:]], "mul",
+            "ring", "raw ring lines must be add/mul tables",
+            _Cursor(first, lineno))
+        return (ring_from_tables(add, mul, cap=cap),
+                f"raw\nadd = {add_text}\nmul = {mul_text}")
     if len(lines) > 1:
         raise JobParseError("ring section must be a single constructor line",
                             lines[1][0], 1)
-    cur = _Cursor(first, lineno)
-    ring, text = _parse_ring_expr(cur, cap)
-    if not cur.done():
-        cur.error("trailing input after ring constructor")
-    return ring, text
+    return _expression(first, lineno, lambda cur: _parse_ring_expr(cur, cap),
+                       "ring constructor")
 
 
 # ---------------------------------------------------------------------------
-# module definitions
+# module expressions
 
-def _submodule_by_index(module, idx, cur):
-    lat = enumerate_submodules(module)
-    if not 0 <= idx < len(lat):
-        cur.error(f"module has {len(lat)} submodules, S{idx} unresolved")
-    return lat.submodules[idx]
-
-
-def _parse_module_def(line, lineno, ring, modules, module_cap):
-    m = re.match(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)", line)
-    if not m:
-        raise JobParseError("module lines look like `name = constructor`",
-                            lineno, 1)
-    name, rhs = m.group(1), m.group(2)
-    if name in modules:
-        raise JobParseError(f"duplicate module name {name!r}", lineno, 1)
-    cur = _Cursor(rhs, lineno)
+def _parse_module_expr(cur, ring, modules, cap):
     kind = cur.word().lower()
-
-    def module_ref():
-        ref = cur.word()
-        if ref not in modules:
-            cur.error(f"unknown module {ref!r}")
-        return ref
-
     if kind == "regular":
-        return name, regular_module(ring), "regular"
+        return regular_module(ring), "regular"
     if kind in ("quotient", "sub"):
         cur.eat("(")
-        ref = module_ref()
-        cur.skip_ws()
-        cur.eat(",")
-        cur.skip_ws()
-        if cur.peek() in "Ss":
-            cur.pos += 1
-        idx = cur.integer()
-        cur.skip_ws()
-        cur.eat(")")
-        sub = _submodule_by_index(modules[ref], idx, cur)
-        mod = (quotient_module(modules[ref], sub) if kind == "quotient"
-               else sub.as_module())
-        return name, mod, f"{kind}({ref},S{idx})"
+        module, ref = _module_ref(cur, modules)
+        cur.expect(",")
+        idx = cur.index("S")
+        cur.expect(")")
+        sub = _submodule(cur, module, idx)
+        return (quotient_module(module, sub) if kind == "quotient"
+                else sub.as_module()), f"{kind}({ref},S{idx})"
     if kind == "direct_sum":
-        cur.eat("(")
-        refs = []
-        while True:
-            refs.append(module_ref())
-            cur.skip_ws()
-            if cur.peek() == ",":
-                cur.eat(",")
-                continue
-            cur.eat(")")
-            break
-        return (name, direct_sum_module([modules[r] for r in refs],
-                                        cap=module_cap),
-                "direct_sum(" + ",".join(refs) + ")")
+        parts, text = cur.items(lambda: _module_ref(cur, modules))
+        return direct_sum_module(parts, cap=cap), f"direct_sum({text})"
     if kind == "cyclic":
         cur.eat("(")
-        ref = module_ref()
-        cur.skip_ws()
-        cur.eat(",")
+        module, ref = _module_ref(cur, modules)
+        cur.expect(",")
         el = cur.integer()
-        cur.skip_ws()
-        cur.eat(")")
-        if not 0 <= el < modules[ref].order:
+        cur.expect(")")
+        if not 0 <= el < module.order:
             cur.error(f"element {el} out of range for {ref!r}")
-        return name, cyclic_module(modules[ref], el), f"cyclic({ref},{el})"
+        return cyclic_module(module, el), f"cyclic({ref},{el})"
     if kind == "raw":
         cur.eat("(")
-        body = rhs[cur.pos:rhs.rfind(")")]
-        parts = dict()
-        for piece in body.split(";"):
-            mm = re.match(r"\s*(add|act)\s*=\s*(.+)", piece)
-            if not mm:
-                cur.error("raw module needs `add = ...; act = ...`")
-            parts[mm.group(1)] = _parse_table_rows(mm.group(2), cur)
-        if "add" not in parts or "act" not in parts:
-            cur.error("raw module needs both add and act tables")
-        mod = module_from_tables(ring, parts["add"], parts["act"],
-                                 cap=module_cap)
-        add_text = " / ".join(" ".join(map(str, r)) for r in parts["add"])
-        act_text = " / ".join(" ".join(map(str, r)) for r in parts["act"])
-        return name, mod, f"raw(add = {add_text} ; act = {act_text})"
+        end = cur.text.find(")", cur.pos)
+        if end < 0:
+            cur.pos = len(cur.text)
+            cur.error("expected ')'")
+        (add, add_text), (act, act_text) = _raw_tables(
+            [(cur, piece) for piece in cur.text[cur.pos:end].split(";")],
+            "act", "module", "raw module needs `add = ...; act = ...`", cur)
+        cur.pos = end + 1
+        return (module_from_tables(ring, add, act, cap=cap),
+                f"raw(add = {add_text} ; act = {act_text})")
     cur.error(f"unknown module constructor {kind!r}")
 
 
@@ -326,30 +365,20 @@ def _parse_module_def(line, lineno, ring, modules, module_cap):
 # preradical expressions
 
 def _parse_preradical_expr(cur, ring, modules, preradicals):
+    def operand():
+        return _parse_preradical_expr(cur, ring, modules, preradicals)
+
     name = cur.word()
     lowered = name.lower()
-    if lowered == "soc":
-        return SOC, "soc"
-    if lowered == "rad":
-        return RAD, "rad"
-    if lowered == "zero":
-        return ZERO, "zero"
-    if lowered == "one":
-        return ONE, "one"
+    if lowered in _CONSTANTS:
+        return _CONSTANTS[lowered], lowered
     if lowered in ("alpha", "omega", "beta"):
         cur.eat("(")
-        cur.skip_ws()
-        if cur.peek() in "Ss":
-            cur.pos += 1
-        idx = cur.integer()
-        cur.skip_ws()
-        cur.eat("@")
-        ref = cur.word()
-        if ref not in modules:
-            cur.error(f"unknown module {ref!r}")
-        cur.skip_ws()
-        cur.eat(")")
-        sub = _submodule_by_index(modules[ref], idx, cur)
+        idx = cur.index("S")
+        cur.expect("@")
+        module, ref = _module_ref(cur, modules)
+        cur.expect(")")
+        sub = _submodule(cur, module, idx)
         try:
             pr = {"alpha": Alpha, "omega": Omega, "beta": Beta}[lowered](sub)
         except ModlabError as exc:
@@ -357,124 +386,144 @@ def _parse_preradical_expr(cur, ring, modules, preradicals):
         return pr, f"{lowered}(S{idx}@{ref})"
     if lowered == "trad":
         cur.eat("(")
-        cur.skip_ws()
-        if cur.peek() in "Ii":
-            cur.pos += 1
-        idx = cur.integer()
-        cur.skip_ws()
-        cur.eat(")")
-        ideals = enumerate_ideals(ring, "two-sided")
-        if not 0 <= idx < len(ideals):
-            cur.error(f"ring has {len(ideals)} two-sided ideals, I{idx} unresolved")
-        return Trad(ideals[idx]), f"trad(I{idx})"
+        idx = cur.index("I")
+        cur.expect(")")
+        return Trad(_ideal(cur, ring, idx)), f"trad(I{idx})"
     if lowered in ("join", "meet"):
-        cur.eat("(")
-        parts = []
-        texts = []
-        while True:
-            pr, text = _parse_preradical_expr(cur, ring, modules, preradicals)
-            parts.append(pr)
-            texts.append(text)
-            cur.skip_ws()
-            if cur.peek() == ",":
-                cur.eat(",")
-                continue
-            cur.eat(")")
-            break
-        node = Join(parts) if lowered == "join" else Meet(parts)
-        return node, f"{lowered}(" + ",".join(texts) + ")"
+        parts, text = cur.items(operand)
+        return (Join if lowered == "join" else Meet)(parts), f"{lowered}({text})"
     if lowered == "comp":
         cur.eat("(")
-        outer, outer_text = _parse_preradical_expr(cur, ring, modules, preradicals)
-        cur.skip_ws()
-        cur.eat(",")
-        inner, inner_text = _parse_preradical_expr(cur, ring, modules, preradicals)
-        cur.skip_ws()
-        cur.eat(")")
+        outer, outer_text = operand()
+        cur.expect(",")
+        inner, inner_text = operand()
+        cur.expect(")")
         return Compose(outer, inner), f"comp({outer_text},{inner_text})"
     if name in preradicals:
         return preradicals[name], name
     cur.error(f"unknown preradical {name!r}")
 
 
-def _parse_preradical_def(line, lineno, ring, modules, preradicals):
-    m = re.match(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)", line)
-    if not m:
-        raise JobParseError("preradical lines look like `name = expression`",
-                            lineno, 1)
-    name, rhs = m.group(1), m.group(2)
-    if name in preradicals:
-        raise JobParseError(f"duplicate preradical name {name!r}", lineno, 1)
-    cur = _Cursor(rhs, lineno)
-    pr, text = _parse_preradical_expr(cur, ring, modules, preradicals)
-    if not cur.done():
-        cur.error("trailing input after preradical expression")
-    return name, pr, text
-
-
 # ---------------------------------------------------------------------------
 # checks
+#
+# A runner takes the spec, the universe, the check kind and the argument
+# names, and returns the fields of the check's report entry.  It calls the
+# engine through this module's globals, looked up at call time.
+
+def _verdict(verdict, witness):
+    out = {"verdict": verdict}
+    if witness is not None:
+        out["witness"] = witness
+    return out
+
+
+def _family(spec, names):
+    return [spec.preradicals[n] for n in names]
+
+
+def _run_notion(spec, universe, kind, module):
+    return _verdict(*decide(spec.modules[module], kind))
+
+
+def _run_a_first(spec, universe, kind, module, *family):
+    return _verdict(*a_first_detail(spec.modules[module],
+                                    _family(spec, family)))
+
+
+def _run_a_fully_first(spec, universe, kind, module, *family):
+    return _verdict(*a_fully_first_detail(spec.modules[module],
+                                          _family(spec, family)))
+
+
+def _run_classes(spec, universe, kind, module, *family):
+    return asdict(class_membership(spec.modules[module],
+                                   _family(spec, family)))
+
+
+def _run_evaluate(spec, universe, kind, preradical, module):
+    value = spec.preradicals[preradical].evaluate(spec.modules[module])
+    return {"carrier": list(value.labels())}
+
+
+def _run_flags(spec, universe, kind, preradical):
+    return asdict(property_flags(spec.preradicals[preradical], universe))
+
+
+def _run_compare(spec, universe, kind, left, right):
+    return {"relation": compare(spec.preradicals[left],
+                                spec.preradicals[right], universe)}
+
+
+def _run_classify(spec, universe, kind):
+    return classify_ring(spec.ring, universe).to_dict()
+
+
+def _run_lep(spec, universe, kind):
+    evaluators = enumerate_lep(spec.ring)
+    return {"count": len(evaluators),
+            "filters": [p.describe() for p in evaluators]}
+
+
+def _run_verify(spec, universe, kind, theorem):
+    verdict = verify_theorem(theorem, spec.ring, universe)
+    if not verdict.consistent:
+        raise InternalInconsistency(
+            f"theorem {theorem} sides disagree: {verdict.sides}")
+    return verdict.to_dict()
+
+
+class Check(NamedTuple):
+    """One check kind: ``signature`` names the role of each argument
+    ("module", "preradical", "theorem"; a last "preradicals" takes one or
+    more), ``usage`` is what an arity error says it takes, ``run`` is its
+    runner and ``command`` the CLI command that runs it."""
+    signature: tuple
+    usage: str
+    run: Callable
+    command: str
+
+
+CHECKS = {
+    **{notion: Check(("module",), "one module", _run_notion, "check")
+       for notion in NOTIONS},
+    "a_first": Check(("module", "preradicals"), "a module and preradicals",
+                     _run_a_first, "check"),
+    "a_fully_first": Check(("module", "preradicals"),
+                           "a module and preradicals", _run_a_fully_first,
+                           "check"),
+    "classes": Check(("module", "preradicals"), "a module and preradicals",
+                     _run_classes, "check"),
+    "evaluate": Check(("preradical", "module"), "a preradical and a module",
+                      _run_evaluate, "check"),
+    "flags": Check(("preradical",), "one preradical", _run_flags, "check"),
+    "compare": Check(("preradical", "preradical"), "two preradicals",
+                     _run_compare, "check"),
+    "classify": Check((), "no arguments", _run_classify, "check"),
+    "lep": Check((), "no arguments", _run_lep, "check"),
+    "verify": Check(("theorem",), "one of " + ", ".join(THEOREM_IDS),
+                    _run_verify, "verify"),
+}
+
 
 def _parse_check(line, lineno, modules, preradicals):
-    tokens = line.split()
-    kind = tokens[0].lower()
-    if kind not in CHECK_KINDS:
+    kind, *names = line.split()
+    kind = kind.lower()
+    if kind not in CHECKS:
         raise JobParseError(f"unknown check {kind!r}", lineno, 1)
-
-    def need_module(tok):
-        if tok not in modules:
-            raise JobParseError(f"unknown module {tok!r}", lineno, 1)
-        return tok
-
-    def need_preradical(tok):
-        if tok not in preradicals:
-            raise JobParseError(f"unknown preradical {tok!r}", lineno, 1)
-        return tok
-
-    if kind in NOTIONS:
-        if len(tokens) != 2:
-            raise JobParseError(f"{kind} takes one module", lineno, 1)
-        args = (need_module(tokens[1]),)
-    elif kind in ("a_first", "a_fully_first", "classes"):
-        if len(tokens) < 3:
-            raise JobParseError(f"{kind} takes a module and preradicals",
-                                lineno, 1)
-        args = (need_module(tokens[1]),
-                tuple(need_preradical(t) for t in tokens[2:]))
-    elif kind == "evaluate":
-        if len(tokens) != 3:
-            raise JobParseError("evaluate takes a preradical and a module",
-                                lineno, 1)
-        args = (need_preradical(tokens[1]), need_module(tokens[2]))
-    elif kind == "flags":
-        if len(tokens) != 2:
-            raise JobParseError("flags takes one preradical", lineno, 1)
-        args = (need_preradical(tokens[1]),)
-    elif kind == "compare":
-        if len(tokens) != 3:
-            raise JobParseError("compare takes two preradicals", lineno, 1)
-        args = (need_preradical(tokens[1]), need_preradical(tokens[2]))
-    elif kind in ("classify", "lep"):
-        if len(tokens) != 1:
-            raise JobParseError(f"{kind} takes no arguments", lineno, 1)
-        args = ()
-    else:  # verify
-        if len(tokens) != 2 or tokens[1] not in THEOREM_IDS:
-            raise JobParseError(
-                f"verify takes one of {', '.join(THEOREM_IDS)}", lineno, 1)
-        args = (tokens[1],)
-    canonical = " ".join([kind] + _flatten(args))
-    return kind, args, canonical
-
-
-def _flatten(args):
-    out = []
-    for a in args:
-        if isinstance(a, tuple):
-            out.extend(a)
-        else:
-            out.append(a)
-    return out
+    roles = list(CHECKS[kind].signature)
+    if roles[-1:] == ["preradicals"]:
+        roles[-1:] = ["preradical"] * max(1, len(names) - len(roles) + 1)
+    usage = f"{kind} takes {CHECKS[kind].usage}"
+    if len(names) != len(roles):
+        raise JobParseError(usage, lineno, 1)
+    scopes = {"module": modules, "preradical": preradicals,
+              "theorem": THEOREM_IDS}
+    for role, name in zip(roles, names):
+        if name not in scopes[role]:
+            raise JobParseError(usage if role == "theorem"
+                                else f"unknown {role} {name!r}", lineno, 1)
+    return kind, tuple(names), " ".join([kind] + names)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +540,7 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
     sections = _split_sections(document)
     universe = {"depth": DEFAULT_UNIVERSE_DEPTH, "cap": DEFAULT_MODULE_CAP}
     for lineno, line in sections.get("universe", []):
-        m = re.match(r"(depth|cap)\s*=\s*(\d+)", line)
+        m = re.fullmatch(r"(depth|cap)\s*=\s*(\d+)", line)
         if not m:
             raise JobParseError("universe lines are `depth = n` or `cap = n`",
                                 lineno, 1)
@@ -500,33 +549,22 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
     mod_cap = universe["cap"] if module_cap is None else module_cap
     output_format = "text"
     for lineno, line in sections.get("output", []):
-        m = re.match(r"format\s*=\s*(text|structured)", line)
+        m = re.fullmatch(r"format\s*=\s*(text|structured)", line)
         if not m:
             raise JobParseError("output lines are `format = text|structured`",
                                 lineno, 1)
         output_format = m.group(1)
 
     ring, ring_text = _parse_ring_section(sections["ring"], ring_cap)
-
-    modules = {}
-    module_texts = []
-    for lineno, line in sections.get("modules", []):
-        name, mod, text = _parse_module_def(line, lineno, ring, modules,
-                                            mod_cap)
-        modules[name] = mod
-        module_texts.append((name, text))
-
-    preradicals = {}
-    preradical_texts = []
-    for lineno, line in sections.get("preradicals", []):
-        name, pr, text = _parse_preradical_def(line, lineno, ring, modules,
-                                               preradicals)
-        preradicals[name] = pr
-        preradical_texts.append((name, text))
-
-    checks = []
-    for lineno, line in sections.get("checks", []):
-        checks.append(_parse_check(line, lineno, modules, preradicals))
+    modules, module_texts = _definitions(
+        sections.get("modules", []), "module", "constructor",
+        lambda cur, defined: _parse_module_expr(cur, ring, defined, mod_cap))
+    preradicals, preradical_texts = _definitions(
+        sections.get("preradicals", []), "preradical", "expression",
+        lambda cur, defined: _parse_preradical_expr(cur, ring, modules,
+                                                    defined))
+    checks = [_parse_check(line, lineno, modules, preradicals)
+              for lineno, line in sections.get("checks", [])]
 
     return JobSpec(ring, ring_text, modules, module_texts, preradicals,
                    preradical_texts, checks, depth, ring_cap, mod_cap,
@@ -536,63 +574,12 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
 # ---------------------------------------------------------------------------
 # execution
 
-def _run_one_check(spec, kind, args, universe):
-    modules = spec.modules
-    preradicals = spec.preradicals
-    if kind in NOTIONS:
-        report = firstness_report(modules[args[0]], (kind,))
-        out = {"verdict": report.verdicts[kind]}
-        if kind in report.witnesses:
-            out["witness"] = report.witnesses[kind]
-        return out
-    if kind in ("a_first", "a_fully_first"):
-        family = [preradicals[n] for n in args[1]]
-        detail = a_first_detail if kind == "a_first" else a_fully_first_detail
-        verdict, witness = detail(modules[args[0]], family)
-        out = {"verdict": verdict}
-        if witness:
-            out["witness"] = witness
-        return out
-    if kind == "classes":
-        family = [preradicals[n] for n in args[1]]
-        cm = class_membership(modules[args[0]], family)
-        return {"in_pretorsion": cm.in_pretorsion,
-                "in_pretorsion_free": cm.in_pretorsion_free,
-                "in_first_class": cm.in_first_class,
-                "in_fully_first": cm.in_fully_first}
-    if kind == "evaluate":
-        val = preradicals[args[0]].evaluate(modules[args[1]])
-        return {"carrier": list(val.labels())}
-    if kind == "flags":
-        flags = property_flags(preradicals[args[0]], universe)
-        return {"idempotent": flags.idempotent, "radical": flags.radical,
-                "left_exact": flags.left_exact, "t_radical": flags.t_radical,
-                "universe_size": flags.universe_size}
-    if kind == "compare":
-        rel = compare(preradicals[args[0]], preradicals[args[1]], universe)
-        return {"relation": rel}
-    if kind == "classify":
-        return classify_ring(spec.ring, universe).to_dict()
-    if kind == "lep":
-        evaluators = enumerate_lep(spec.ring)
-        return {"count": len(evaluators),
-                "filters": [p.describe() for p in evaluators]}
-    if kind == "verify":
-        verdict = verify_theorem(args[0], spec.ring, universe)
-        out = verdict.to_dict()
-        if not verdict.consistent:
-            raise InternalInconsistency(
-                f"theorem {args[0]} sides disagree: {verdict.sides}")
-        return out
-    raise InternalInconsistency(f"unhandled check kind {kind!r}")
-
-
 def run_job(spec, kinds=None):
     """Execute the checks; returns (report_dict, exit_code).
 
-    ``kinds`` restricts execution (the CLI `check` command skips verify
-    entries, `verify` runs only them).  Exit code 4 signals at least one
-    internal inconsistency; math negatives leave it at 0.
+    ``kinds`` restricts execution (the CLI runs the kinds whose ``CHECKS``
+    command is the one given).  Exit code 4 signals at least one internal
+    inconsistency; math negatives leave it at 0.
     """
     results = []
     exit_code = 0
@@ -603,7 +590,7 @@ def run_job(spec, kinds=None):
             continue
         entry = {"check": text, "kind": kind}
         try:
-            entry.update(_run_one_check(spec, kind, args, universe))
+            entry.update(CHECKS[kind].run(spec, universe, kind, *args))
             entry["status"] = "ok"
         except InternalInconsistency as exc:
             entry["status"] = "inconsistent"

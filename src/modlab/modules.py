@@ -987,9 +987,11 @@ def structural_summary(module):
     radical = submodule(module, rad_mask)
     is_simple = len(lat) == 2
     is_semisimple = soc_mask == module.full_mask()
-    homogeneous = is_semisimple and (
-        len(atoms) < 2 or len(isomorphism_classes(
-            lat.submodules[i].as_module() for i in atoms)) == 1)
+    # homogeneous: every simple summand isomorphic to the first; atoms are
+    # built as modules only until one is not
+    homogeneous = is_semisimple and all(
+        is_isomorphic(lat.submodules[atoms[0]].as_module(),
+                      lat.submodules[i].as_module()) for i in atoms[1:])
     summary = StructuralSummary(is_simple, is_semisimple, homogeneous,
                                 socle, radical)
     module._cache["structure"] = summary

@@ -70,6 +70,8 @@ def _sub_token(sub):
 
 
 def _require_fully_invariant(sub):
+    if sub.is_zero() or sub.is_full():
+        return  # fully invariant in every module: no endomorphisms needed
     lat = enumerate_submodules(sub.module)
     i = lat.index.get(sub.mask)
     if i is None:

@@ -197,7 +197,7 @@ def test_criterion_10_randomized_action_instances():
     start = time.perf_counter()
     failures = []
     for seed in range(100):
-        failures.extend(random_instance_holds(seed, max_lattice=8, max_poset=4))
+        failures.extend(random_instance_holds(seed))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 30
     _announce(10, ok, f"100 randomized action instances (|L|<=8, |P|<=4): "

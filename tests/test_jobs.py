@@ -1,14 +1,18 @@
 """Job-document parsing pinned at its edges: the error (message, line and
-column) of each malformed document, and the canonical round trip of every
-well-formed document the repository ships."""
+column) of each malformed document, the canonical round trip of every
+well-formed document the repository ships, and the check table kept in
+step with the demo and the README."""
 
 import json
 import pathlib
+import re
 
 import pytest
 
+from modlab.classify import THEOREM_IDS
+from modlab.cli import main
 from modlab.errors import JobParseError
-from modlab.jobs import parse_job
+from modlab.jobs import CHECKS, parse_job
 
 from test_cli import DEMO
 
@@ -110,12 +114,59 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("document, message, line, column", MALFORMED)
+def _ids(table):
+    return [f"{i}-" + re.sub(r"\W+", "_", message).strip("_")[:40]
+            for i, (_, message, _, _) in enumerate(table)]
+
+
+@pytest.mark.parametrize("document, message, line, column", MALFORMED,
+                         ids=_ids(MALFORMED))
 def test_malformed_document_error(document, message, line, column):
     with pytest.raises(JobParseError) as exc:
         parse_job(document)
     assert (str(exc.value), exc.value.line, exc.value.column) == (
         f"{message} at line {line}, column {column}", line, column)
+
+
+# documents that were accepted, silently canonicalised, or failed only in
+# the engine: each definition line holds one expression, a raw table is
+# given once, and [universe]/[output] lines must match in full
+REFUSED = [
+    (R + "[modules]\nM = regular junk\n",
+     "trailing input after module constructor", 4, 9),
+    (M + "Q = quotient(M, S1) extra\n",
+     "trailing input after module constructor", 5, 17),
+    (M + "C = cyclic(M, 2) q\n", "trailing input after module constructor",
+     5, 14),
+    (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / 0 1) zzz\n",
+     "trailing input after module constructor", 4, 40),
+    (R + "[modules]\nM = regular, sub(M, S1)\n",
+     "trailing input after module constructor", 4, 8),
+    (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / 0 1\n", "expected ')'", 4, 38),
+    (R + "[universe]\ndepth = 1 cap = 8\n",
+     "universe lines are `depth = n` or `cap = n`", 4, 1),
+    (R + "[output]\nformat = structuredXYZ\n",
+     "output lines are `format = text|structured`", 4, 1),
+    (RAW_RING + "add = 0 1 / 1 0\nmul = 0 0 / 0 1\n", "duplicate add table",
+     4, 1),
+    (TWO + "X = raw(add = 0 1 / 1 0 ; add = 0 1 / 1 0 ; act = 0 0 / 0 1)\n",
+     "duplicate add table", 4, 5),
+    # the body of raw( ends at its first ')'
+    (TWO + "X = raw(add = 0 1) / 1 0 ; act = 0 0 / 0 1)\n",
+     "raw module needs both add and act tables", 4, 5),
+]
+
+
+@pytest.mark.parametrize("document, message, line, column", REFUSED,
+                         ids=_ids(REFUSED))
+def test_malformed_line_is_refused(document, message, line, column, tmp_path,
+                                   capsys):
+    test_malformed_document_error(document, message, line, column)
+    path = tmp_path / "job.txt"
+    path.write_text(document)
+    assert main(["define", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"parse error: {message} at line {line}, column {column}\n")
 
 
 def _well_formed_documents():
@@ -135,3 +186,14 @@ def test_canonical_round_trip():
         again = parse_job(canon)
         assert again == spec, key
         assert again.canonical_document() == canon, key
+
+
+def test_demo_and_readme_cover_the_check_table():
+    # a check kind cannot be added without a demo line and documentation
+    demo = parse_job((ROOT / "demo.job").read_text(encoding="utf-8"))
+    assert {kind for kind, _, _ in demo.checks} == set(CHECKS)
+    assert {args[0] for kind, args, _ in demo.checks
+            if kind == "verify"} == set(THEOREM_IDS)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Job documents", 1)[1].split("```", 2)[1]
+    assert {kind for kind, _, _ in parse_job(example).checks} == set(CHECKS)
