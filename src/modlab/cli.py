@@ -14,6 +14,7 @@ routes to one verdict disagreed: an engine bug, never mathematics).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 
@@ -246,6 +247,13 @@ def main(argv=None):
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_ENGINE
+    finally:
+        # rings, modules and submodules refer to each other in cycles
+        # (ring -> regular module -> ring, module -> submodule -> module),
+        # so only the cyclic collector frees them; collecting here, after
+        # the handler's frame is gone, frees the command's objects when it
+        # returns rather than whenever the collector next runs
+        gc.collect()
 
 
 if __name__ == "__main__":

@@ -196,15 +196,28 @@ def is_prime_module(module):
 def _rpid_pairwise(module):
     """A nonzero map between every ordered pair of nonzero submodules.
 
-    The witness route of trace-firstness: it runs ``hom_nonzero_exists`` on
-    every pair and reads no isomorphism classes, so it checks the family
-    route independently.
+    The witness route of trace-firstness: it decides every pair by
+    ``hom_nonzero_exists`` and reads no isomorphism classes, so it checks
+    the family route independently.  Atoms are tested first: Hom(N, K) is
+    nonzero as soon as Hom(N, A) is for an atom A <= K (compose with the
+    inclusion), so a direct search runs only on the K that contain none of
+    the atoms N reaches.  The pairs are scanned in the same order either
+    way, so the first failing pair, the witness, is the same.
     """
-    subs = _nonzero_submodules(module)
+    lat = enumerate_submodules(module)
+    atoms = [lat.submodules[i] for i in lat.atom_indices()]
+    atom_masks = {a.mask for a in atoms}
+    subs = lat.nonzero()
     for n in subs:
         nmod = n.as_module()
+        reached = [a.mask for a in atoms
+                   if hom_nonzero_exists(nmod, a.as_module())]
         for k in subs:
-            if not hom_nonzero_exists(nmod, k.as_module()):
+            # an atom N does not reach has no nonzero map from N
+            nonzero = (any(a & ~k.mask == 0 for a in reached)
+                       or k.mask not in atom_masks
+                       and hom_nonzero_exists(nmod, k.as_module()))
+            if not nonzero:
                 return False, {"kind": "hom_vanishes",
                                "source": n.labels(), "target": k.labels()}
     return True, None

@@ -48,6 +48,8 @@ SECTIONS = ("ring", "modules", "preradicals", "checks", "universe", "output")
 
 _CONSTANTS = {"soc": SOC, "rad": RAD, "zero": ZERO, "one": ONE}
 
+_DIGITS = re.compile(r"[0-9]+")
+
 
 @dataclass
 class JobSpec:
@@ -159,9 +161,13 @@ class _Cursor:
             if not entries:
                 self.error("empty table row")
             try:
-                rows.append([int(e) for e in entries])
+                row = [int(e) for e in entries]
             except ValueError:
                 self.error("table entries must be integers")
+            # int() also takes signs, underscores and non-ASCII digits
+            if not all(map(_DIGITS.fullmatch, entries)):
+                self.error("table entries are written in the digits 0-9 only")
+            rows.append(row)
         return rows, " / ".join(" ".join(map(str, row)) for row in rows)
 
 
@@ -529,6 +535,21 @@ def _parse_check(line, lineno, modules, preradicals):
 # ---------------------------------------------------------------------------
 # top-level parse
 
+def _settings(sections, section, pattern, usage):
+    """The ``key = value`` lines of a settings section, each key given at
+    most once; every line must match ``pattern`` (groups: key, value)."""
+    values = {}
+    for lineno, line in sections.get(section, []):
+        m = re.fullmatch(pattern, line)
+        if not m:
+            raise JobParseError(usage, lineno, 1)
+        if m.group(1) in values:
+            raise JobParseError(f"duplicate {section} setting {m.group(1)!r}",
+                                lineno, 1)
+        values[m.group(1)] = m.group(2)
+    return values
+
+
 def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
               universe_depth=None):
     """Parse and fully resolve a job document.
@@ -538,22 +559,16 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
     from the package defaults.
     """
     sections = _split_sections(document)
-    universe = {"depth": DEFAULT_UNIVERSE_DEPTH, "cap": DEFAULT_MODULE_CAP}
-    for lineno, line in sections.get("universe", []):
-        m = re.fullmatch(r"(depth|cap)\s*=\s*(\d+)", line)
-        if not m:
-            raise JobParseError("universe lines are `depth = n` or `cap = n`",
-                                lineno, 1)
-        universe[m.group(1)] = int(m.group(2))
-    depth = universe["depth"] if universe_depth is None else universe_depth
-    mod_cap = universe["cap"] if module_cap is None else module_cap
-    output_format = "text"
-    for lineno, line in sections.get("output", []):
-        m = re.fullmatch(r"format\s*=\s*(text|structured)", line)
-        if not m:
-            raise JobParseError("output lines are `format = text|structured`",
-                                lineno, 1)
-        output_format = m.group(1)
+    universe = _settings(
+        sections, "universe", r"(depth|cap)\s*=\s*([0-9]+)",
+        "universe lines are `depth = n` or `cap = n`")
+    depth = int(universe.get("depth", DEFAULT_UNIVERSE_DEPTH)
+                if universe_depth is None else universe_depth)
+    mod_cap = int(universe.get("cap", DEFAULT_MODULE_CAP)
+                  if module_cap is None else module_cap)
+    output_format = _settings(
+        sections, "output", r"(format)\s*=\s*(text|structured)",
+        "output lines are `format = text|structured`").get("format", "text")
 
     ring, ring_text = _parse_ring_section(sections["ring"], ring_cap)
     modules, module_texts = _definitions(

@@ -275,20 +275,46 @@ def cyclic_mask(module, x):
     return mask
 
 
+def _elements(mask):
+    """The indices of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _coset_mask(module, els, y):
+    """y + A for the elements ``els`` of A."""
+    row = module.add[y]
+    out = 0
+    for a in els:
+        out |= 1 << row[a]
+    return out
+
+
 def sum_masks(module, mask_a, mask_b):
-    """Sum of two submodules: the set of pairwise sums is already closed."""
-    if mask_a == mask_b or mask_b & ~mask_a == 0:
+    """Sum of two submodules, as a union of cosets of the larger one.
+
+    Both masks must be submodules.  With A the larger, A + B is the union
+    of the cosets A + y for y in B, and A + y = A + y' whenever y' lies in
+    A + y; so each element of B already covered by a coset is skipped, and
+    the cost is about |A + B| additions rather than |A|.|B|.
+    """
+    if mask_b & ~mask_a == 0:
         return mask_a
     if mask_a & ~mask_b == 0:
         return mask_b
-    add = module.add
-    els_b = [i for i in range(module.order) if mask_b >> i & 1]
-    out = 0
-    for a in range(module.order):
-        if mask_a >> a & 1:
-            row = add[a]
-            for b in els_b:
-                out |= 1 << row[b]
+    if mask_a.bit_count() < mask_b.bit_count():
+        mask_a, mask_b = mask_b, mask_a
+    els_a = _elements(mask_a)
+    out = mask_a
+    rest = mask_b & ~mask_a
+    while rest:
+        coset = _coset_mask(module, els_a, (rest & -rest).bit_length() - 1)
+        out |= coset
+        rest &= ~coset
     return out
 
 
@@ -385,22 +411,28 @@ class SubmoduleLattice:
 
 
 def enumerate_submodules(module):
-    """The full submodule lattice, by closing cyclics under pairwise sums."""
+    """The full submodule lattice, closed from zero under adding cyclics.
+
+    Every submodule is a sum Rx_1 + ... + Rx_k, so closing {0} under
+    m -> m + Rx reaches all of them.  For a submodule m, m + Rx depends
+    only on the coset x + m: for a in m, m + R(x + a) = m + Rx, as each
+    side contains both x and x + a.  So each m is summed with one cyclic
+    per coset, not one per element.
+    """
     if "lattice" in module._cache:
         return module._cache["lattice"]
-    zero_mask = module.zero_mask()
-    cyclics = []
-    seen = {zero_mask}
-    for x in range(module.order):
-        m = cyclic_mask(module, x)
-        if m not in seen:
-            seen.add(m)
-            cyclics.append(m)
+    cyclics = [cyclic_mask(module, x) for x in range(module.order)]
+    full = module.full_mask()
+    seen = {module.zero_mask()}
     queue = list(seen)
     while queue:
         m = queue.pop()
-        for c in cyclics:
-            s = sum_masks(module, m, c)
+        els = _elements(m)
+        uncovered = full & ~m
+        while uncovered:
+            x = (uncovered & -uncovered).bit_length() - 1
+            uncovered &= ~_coset_mask(module, els, x)
+            s = sum_masks(module, m, cyclics[x])
             if s not in seen:
                 seen.add(s)
                 queue.append(s)

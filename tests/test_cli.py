@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 
@@ -7,6 +8,8 @@ from modlab import classify, firstness
 from modlab.cli import main
 from modlab.errors import JobParseError, SizeCapExceeded
 from modlab.jobs import (parse_job, render_structured, render_text, run_job)
+from modlab.modules import FiniteModule
+from modlab.rings import FiniteRing
 
 DEMO = """
 # a small job over the integers mod 4
@@ -291,3 +294,23 @@ def test_corpus_computes_each_fact_once(monkeypatch, capsys):
     assert modules == 35
     assert counts == {"classify": 6, "bjkn_prime_detail": 35,
                       "prime_module_detail": 35}
+
+
+def test_corpus_command_frees_its_rings_and_modules(capsys):
+    # rings and modules refer to each other in cycles; with automatic
+    # collection off, only the command's own exit path can free them
+    def live():
+        return [o for o in gc.get_objects()
+                if isinstance(o, (FiniteRing, FiniteModule))]
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live()  # held, so no new object can reuse one of their ids
+        assert main(["corpus", "--actions", "2"]) == 0
+        old = set(map(id, before))
+        left = [o for o in live() if id(o) not in old]
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert left == []

@@ -11,9 +11,10 @@ from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
 from modlab.firstness import _rpid_pairwise, rpid_first_detail
 from modlab.modules import (direct_sum_module, enumerate_submodules,
-                            find_isomorphism, isomorphism_classes,
-                            quotient_module, regular_module, submodule)
-from modlab.rings import cyclic_ring, product_ring
+                            find_isomorphism, hom_nonzero_exists,
+                            isomorphism_classes, quotient_module,
+                            regular_module, submodule)
+from modlab.rings import cyclic_ring, matrix_ring, product_ring
 
 REFERENCE = (pathlib.Path(__file__).resolve().parent.parent
              / "perfbench" / "reference" / "deep-d3.json")
@@ -88,8 +89,12 @@ def test_pairwise_route_does_not_use_classes(monkeypatch):
 
 
 def _build_ring(spec):
-    assert spec[0] == "cyclic", spec
-    return cyclic_ring(spec[1])
+    if spec[0] == "cyclic":
+        return cyclic_ring(spec[1])
+    if spec[0] == "product":
+        return product_ring([_build_ring(s) for s in spec[1]])
+    assert spec[0] == "matrix", spec
+    return matrix_ring(_build_ring(spec[1]), spec[2])
 
 
 def _build_module(ring, recipe):
@@ -101,6 +106,19 @@ def _build_module(ring, recipe):
     return direct_sum_module([_build_module(ring, r) for r in recipe[1]])
 
 
+def deep_reference_modules(notion=None):
+    """(key, module) for each deep-d3 reference decision, read from the
+    benchmark's reference file, optionally only those of one notion."""
+    items = json.loads(REFERENCE.read_text(encoding="utf-8"))["items"]
+    out = []
+    for key, item in sorted(items.items()):
+        if notion in (None, item["notion"]):
+            module = _build_module(_build_ring(item["ring"]), item["recipe"])
+            assert module.order == item["order"], key
+            out.append((key, module))
+    return out
+
+
 @pytest.mark.parametrize("key", ["cyclic(2)#4:rpid_first",   # F2^4
                                  "cyclic(4)#7:rpid_first",   # Z4+Z4+Z2
                                  "cyclic(6)#11:rpid_first"])  # Z3^3 over Z6
@@ -110,3 +128,25 @@ def test_rpid_first_on_deep_modules_matches_reference(key):
     assert module.order == item["order"]
     verdict, witness = rpid_first_detail(module)
     assert {"verdict": verdict, "witness": witness} == item["outcome"]
+
+
+def _pairwise_full_scan(module):
+    """Trace-firstness's pairwise route without the atom shortcut: one
+    nonzero-map search per ordered pair of nonzero submodules."""
+    subs = enumerate_submodules(module).nonzero()
+    for n in subs:
+        for k in subs:
+            if not hom_nonzero_exists(n.as_module(), k.as_module()):
+                return False, {"kind": "hom_vanishes",
+                               "source": n.labels(), "target": k.labels()}
+    return True, None
+
+
+def test_pairwise_route_matches_the_full_scan():
+    # verdict and witness, on the corpus universes and the deep modules
+    mods = [m for ring in corpus_rings()
+            for m in generate_universe(ring, depth=2).nonzero_modules()]
+    mods += [m for _, m in deep_reference_modules("rpid_first")]
+    outcomes = [_pairwise_full_scan(m) for m in mods]
+    assert [_rpid_pairwise(m) for m in mods] == outcomes
+    assert (len(mods), sum(not v for v, _ in outcomes)) == (44, 11)

@@ -154,6 +154,20 @@ REFUSED = [
     # the body of raw( ends at its first ')'
     (TWO + "X = raw(add = 0 1) / 1 0 ; act = 0 0 / 0 1)\n",
      "raw module needs both add and act tables", 4, 5),
+    # int() reads these; a table entry is digits only
+    (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / 0_0 1)\n",
+     "table entries are written in the digits 0-9 only", 4, 5),
+    ("[ring]\nraw\nadd = 0 1 / 1 0\nmul = 0 0 / 0 +1\n",
+     "table entries are written in the digits 0-9 only", 4, 1),
+    (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / -1 1)\n",
+     "table entries are written in the digits 0-9 only", 4, 5),
+    # a setting given twice was silently overridden by the later line
+    (R + "[universe]\ndepth = 1\ndepth = 3\n",
+     "duplicate universe setting 'depth'", 5, 1),
+    (R + "[universe]\ncap = 8\ndepth = 1\ncap = 8\n",
+     "duplicate universe setting 'cap'", 6, 1),
+    (R + "[output]\nformat = text\nformat = structured\n",
+     "duplicate output setting 'format'", 5, 1),
 ]
 
 
