@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 from .errors import (AxiomViolation, InternalInconsistency, JobParseError,
                      ModlabError, NotFullyInvariant, RingMismatch,
                      SizeCapExceeded)
-from .rings import (FiniteRing, IdealHandle, cyclic_ring, enumerate_ideals,
-                    is_prime_ring, is_simple_ring, matrix_ring, product_ring,
-                    quotient_ring, ring_from_tables)
+from .rings import (FiniteRing, cyclic_ring, enumerate_ideals, is_prime_ring,
+                    is_simple_ring, matrix_ring, product_ring, quotient_ring,
+                    ring_from_tables)
 from .modules import (FiniteModule, ModuleMorphism, Submodule,
                       SubmoduleLattice, cogenerates, cyclic_module,
                       direct_sum_module, endomorphism_ring,
@@ -42,9 +42,9 @@ from .jobs import JobSpec, parse_job, run_job
 __all__ = [
     "AxiomViolation", "InternalInconsistency", "JobParseError", "ModlabError",
     "NotFullyInvariant", "RingMismatch", "SizeCapExceeded",
-    "FiniteRing", "IdealHandle", "cyclic_ring", "enumerate_ideals",
-    "is_prime_ring", "is_simple_ring", "matrix_ring", "product_ring",
-    "quotient_ring", "ring_from_tables",
+    "FiniteRing", "cyclic_ring", "enumerate_ideals", "is_prime_ring",
+    "is_simple_ring", "matrix_ring", "product_ring", "quotient_ring",
+    "ring_from_tables",
     "FiniteModule", "ModuleMorphism", "Submodule", "SubmoduleLattice",
     "cogenerates", "cyclic_module", "direct_sum_module", "endomorphism_ring",
     "enumerate_submodules", "hom_nonzero_exists", "hom_set", "is_atom",

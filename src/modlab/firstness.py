@@ -175,7 +175,7 @@ def prime_module_detail(module):
                 via_trad = False
                 trad_witness = {
                     "kind": "ideal_kills_submodule_not_module",
-                    "ideal": [module.ring.labels[i] for i in ideal.carrier],
+                    "ideal": list(ideal.labels()),
                     "submodule": n.labels()}
                 break
         if not via_trad:
@@ -416,21 +416,12 @@ def decide(module, notion):
     return verdict, copy.deepcopy(witness)
 
 
-def firstness_report(module, notions=NOTIONS, families=None):
-    """Run the requested deciders and collect verdicts plus witnesses."""
+def firstness_report(module):
+    """Run every decider and collect verdicts plus witnesses."""
     report = FirstnessReport(module.provenance, module.order)
-    for notion in notions:
+    for notion in NOTIONS:
         verdict, witness = decide(module, notion)
         report.verdicts[notion] = verdict
         if witness is not None:
             report.witnesses[notion] = witness
-    for name, family in (families or {}).items():
-        verdict, witness = a_first_detail(module, family)
-        report.verdicts[f"a_first[{name}]"] = verdict
-        if witness:
-            report.witnesses[f"a_first[{name}]"] = witness
-        verdict, witness = a_fully_first_detail(module, family)
-        report.verdicts[f"a_fully_first[{name}]"] = verdict
-        if witness:
-            report.witnesses[f"a_fully_first[{name}]"] = witness
     return report

@@ -50,6 +50,8 @@ _CONSTANTS = {"soc": SOC, "rad": RAD, "zero": ZERO, "one": ONE}
 
 _DIGITS = re.compile(r"[0-9]+")
 
+_DEFINITION = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)")
+
 
 @dataclass
 class JobSpec:
@@ -84,9 +86,12 @@ class JobSpec:
 
 
 class _Cursor:
+    """A position in one physical line of a document, starting at its first
+    non-blank; an error reports the 1-based column in that line."""
+
     def __init__(self, text, line):
         self.text = text
-        self.pos = 0
+        self.pos = len(text) - len(text.lstrip())
         self.line = line
 
     def error(self, message):
@@ -175,25 +180,29 @@ class _Cursor:
 # section splitting
 
 def _split_sections(document):
+    """The ``(line number, line)`` pairs of each section, comments and
+    trailing blanks cut; leading blanks are kept, so columns stay those of
+    the physical line."""
     sections = {}
     current = None
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if not line:
             continue
-        stripped = line.strip()
+        cur = _Cursor(line, lineno)
+        stripped = line.lstrip()
         if stripped.startswith("[") and stripped.endswith("]"):
             name = stripped[1:-1].strip().lower()
             if name not in SECTIONS:
-                raise JobParseError(f"unknown section [{name}]", lineno, 1)
+                cur.error(f"unknown section [{name}]")
             if name in sections:
-                raise JobParseError(f"duplicate section [{name}]", lineno, 1)
+                cur.error(f"duplicate section [{name}]")
             current = name
             sections[name] = []
             continue
         if current is None:
-            raise JobParseError("content before any section header", lineno, 1)
-        sections[current].append((lineno, stripped))
+            cur.error("content before any section header")
+        sections[current].append((lineno, line))
     if "ring" not in sections or not sections["ring"]:
         raise JobParseError("missing [ring] section", 1, 1)
     return sections
@@ -202,9 +211,8 @@ def _split_sections(document):
 # ---------------------------------------------------------------------------
 # what every constructor shares
 
-def _expression(text, lineno, parse, what):
-    """``parse(cursor)`` over all of ``text``: trailing input is an error."""
-    cur = _Cursor(text, lineno)
+def _expression(cur, parse, what):
+    """``parse(cur)`` over the rest of the line: trailing input is an error."""
     value = parse(cur)
     if not cur.done():
         cur.error(f"trailing input after {what}")
@@ -221,15 +229,15 @@ def _definitions(lines, kind, noun, parse):
     defined = {}
     texts = []
     for lineno, line in lines:
-        m = re.match(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)", line)
+        cur = _Cursor(line, lineno)
+        m = _DEFINITION.match(line, cur.pos)
         if not m:
-            raise JobParseError(f"{kind} lines look like `name = {noun}`",
-                                lineno, 1)
+            cur.error(f"{kind} lines look like `name = {noun}`")
         name = m.group(1)
         if name in defined:
-            raise JobParseError(f"duplicate {kind} name {name!r}", lineno, 1)
-        value, text = _expression(m.group(2), lineno,
-                                  lambda cur: parse(cur, defined),
+            cur.error(f"duplicate {kind} name {name!r}")
+        cur.pos = m.start(2)
+        value, text = _expression(cur, lambda cur: parse(cur, defined),
                                   f"{kind} {noun}")
         defined[name] = value
         texts.append((name, text))
@@ -310,7 +318,7 @@ def _parse_ring_expr(cur, cap):
 
 def _parse_ring_section(lines, cap):
     lineno, first = lines[0]
-    if first.lower() == "raw":
+    if first.lstrip().lower() == "raw":
         (add, add_text), (mul, mul_text) = _raw_tables(
             [(_Cursor(line, lno), line) for lno, line in lines[1:]], "mul",
             "ring", "raw ring lines must be add/mul tables",
@@ -318,9 +326,10 @@ def _parse_ring_section(lines, cap):
         return (ring_from_tables(add, mul, cap=cap),
                 f"raw\nadd = {add_text}\nmul = {mul_text}")
     if len(lines) > 1:
-        raise JobParseError("ring section must be a single constructor line",
-                            lines[1][0], 1)
-    return _expression(first, lineno, lambda cur: _parse_ring_expr(cur, cap),
+        _Cursor(lines[1][1], lines[1][0]).error(
+            "ring section must be a single constructor line")
+    return _expression(_Cursor(first, lineno),
+                       lambda cur: _parse_ring_expr(cur, cap),
                        "ring constructor")
 
 
@@ -513,22 +522,29 @@ CHECKS = {
 
 
 def _parse_check(line, lineno, modules, preradicals):
-    kind, *names = line.split()
-    kind = kind.lower()
+    """``kind arg ...``.  An unknown name is reported at the name, a
+    surplus argument at the first one and a missing one at the line's
+    end."""
+    cur = _Cursor(line, lineno)
+    kind, *args = re.finditer(r"\S+", line)
+    kind = kind.group().lower()
     if kind not in CHECKS:
-        raise JobParseError(f"unknown check {kind!r}", lineno, 1)
+        cur.error(f"unknown check {kind!r}")
+    names = [m.group() for m in args]
     roles = list(CHECKS[kind].signature)
     if roles[-1:] == ["preradicals"]:
         roles[-1:] = ["preradical"] * max(1, len(names) - len(roles) + 1)
     usage = f"{kind} takes {CHECKS[kind].usage}"
     if len(names) != len(roles):
-        raise JobParseError(usage, lineno, 1)
+        cur.pos = args[len(roles)].start() if args[len(roles):] else len(line)
+        cur.error(usage)
     scopes = {"module": modules, "preradical": preradicals,
               "theorem": THEOREM_IDS}
-    for role, name in zip(roles, names):
-        if name not in scopes[role]:
-            raise JobParseError(usage if role == "theorem"
-                                else f"unknown {role} {name!r}", lineno, 1)
+    for role, m in zip(roles, args):
+        if m.group() not in scopes[role]:
+            cur.pos = m.start()
+            cur.error(usage if role == "theorem"
+                      else f"unknown {role} {m.group()!r}")
     return kind, tuple(names), " ".join([kind] + names)
 
 
@@ -540,12 +556,12 @@ def _settings(sections, section, pattern, usage):
     most once; every line must match ``pattern`` (groups: key, value)."""
     values = {}
     for lineno, line in sections.get(section, []):
-        m = re.fullmatch(pattern, line)
+        cur = _Cursor(line, lineno)
+        m = re.fullmatch(pattern, line[cur.pos:])
         if not m:
-            raise JobParseError(usage, lineno, 1)
+            cur.error(usage)
         if m.group(1) in values:
-            raise JobParseError(f"duplicate {section} setting {m.group(1)!r}",
-                                lineno, 1)
+            cur.error(f"duplicate {section} setting {m.group(1)!r}")
         values[m.group(1)] = m.group(2)
     return values
 

@@ -1102,8 +1102,7 @@ def is_injective(module):
     for ideal in enumerate_ideals(ring, "left"):
         if ideal.is_zero():
             continue
-        sub = submodule(reg, ideal.mask)
-        imod = sub.as_module()
+        imod = ideal.as_module()
         carrier = imod.origin[2]
         restrictions = {tuple(g.map[e] for e in carrier) for g in full_homs}
         for f in hom_set(imod, module):

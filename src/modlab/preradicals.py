@@ -24,7 +24,7 @@ from .modules import (_element_annihilators, _require_submodule,
                       hom_set, quotient_module, regular_module,
                       simple_modules, structural_summary, submodule,
                       sum_masks, trad_mask)
-from .rings import IdealHandle, enumerate_ideals, is_ideal_mask
+from .rings import enumerate_ideals, is_two_sided
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
 
@@ -152,24 +152,25 @@ class Omega(Preradical):
 
 
 class Trad(Preradical):
-    """The t-radical U -> I.U for a two-sided ideal I."""
+    """The t-radical U -> I.U for a two-sided ideal I, a submodule of the
+    regular module."""
 
     __slots__ = ("ideal",)
 
     def __init__(self, ideal):
-        if ideal.sidedness != "two-sided":
+        _require_submodule(ideal)
+        if not is_two_sided(ideal):
             raise NotFullyInvariant("t-radicals need a two-sided ideal")
         self.ideal = ideal
 
     def ring(self):
-        return self.ideal.ring
+        return self.ideal.module.ring
 
     def _compute(self, module):
         return trad_mask(module, self.ideal)
 
     def describe(self):
-        els = ",".join(self.ideal.ring.labels[i] for i in self.ideal.carrier)
-        return "trad({" + els + "})"
+        return "trad({" + ",".join(self.ideal.labels()) + "})"
 
 
 class Soc(Preradical):
@@ -400,11 +401,8 @@ def property_flags(pr, universe):
     idem = True
     radical = True
     lex = True
-    trad = True
-    ring = mods[0].ring
-    reg = regular_module(ring)
-    sigma_r = pr.evaluate(reg)
-    sigma_r_two_sided = is_ideal_mask(ring, sigma_r.mask, "two-sided")
+    sigma_r = pr.evaluate(regular_module(mods[0].ring))
+    trad = is_two_sided(sigma_r)
     for u in mods:
         val = pr.evaluate(u)
         if idem:
@@ -418,12 +416,7 @@ def property_flags(pr, universe):
         if lex:
             lex = left_exact_at(pr, u)
         if trad:
-            if not sigma_r_two_sided:
-                trad = False
-            else:
-                ideal = IdealHandle(ring, sigma_r.mask, "two-sided")
-                if trad_mask(u, ideal) != val.mask:
-                    trad = False
+            trad = trad_mask(u, sigma_r) == val.mask
     return PropertyFlags(idem, radical, lex, trad, len(mods))
 
 

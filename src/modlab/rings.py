@@ -5,10 +5,10 @@ addition and multiplication.  Constructors build cyclic rings, matrix
 rings, direct products, quotients, and rings from raw tables; every
 construction checks every ring axiom before the object is returned (see
 ``scan_abelian_group`` for how the checks stay complete in O(n^2 log n)).
-Ideals are subsets represented as bitmasks over the element indices; the
-left ideals are the submodules of the regular module, so they come from
-its submodule lattice in ``modlab.modules`` (imported inside the functions
-that need it, since that module builds on this one).
+An ideal is a ``Submodule`` handle of the regular module: the left ideals
+are its lattice, read off ``modlab.modules`` (imported inside the functions
+that need it, since that module builds on this one), and the two-sided
+ideals are the left ideals closed under right multiplication.
 """
 
 from __future__ import annotations
@@ -352,34 +352,30 @@ def product_ring(factors, cap=DEFAULT_RING_CAP):
 
 
 def quotient_ring(ring, ideal, cap=DEFAULT_RING_CAP):
-    """Quotient by a proper two-sided ideal.
+    """Quotient by a proper two-sided ideal, a handle from ``enumerate_ideals``.
 
-    Cosets are labelled by their smallest member; the canonical projection
-    is stored on the result as ``projection`` (old index -> coset index).
+    The tables are those of the quotient module R/I: cosets are labelled
+    by their least member, ``add`` is the module's, and the product of two
+    cosets is the first one's least member acting on the second.  The
+    canonical projection is stored on the result as ``projection`` (old
+    index -> coset index).
     """
-    if ideal.sidedness != "two-sided":
+    from .modules import quotient_module, regular_module
+    quo = quotient_module(regular_module(ring), ideal)
+    if not is_two_sided(ideal):
         raise AxiomViolation("two-sided ideal", ideal.carrier,
                              "quotient requires a two-sided ideal")
-    if ideal.mask == (1 << ring.order) - 1:
+    if ideal.is_full():
         raise AxiomViolation("proper ideal", ideal.carrier,
                              "cannot quotient by the whole ring")
-    n = ring.order
-    proj = [None] * n
+    proj = quo.origin[3]
     reps = []
-    for x in range(n):
-        if proj[x] is not None:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for i in ideal.carrier:
-            proj[ring.add[x][i]] = idx
-    m = len(reps)
-    add = [[proj[ring.add[reps[a]][reps[b]]] for b in range(m)] for a in range(m)]
-    mul = [[proj[ring.mul[reps[a]][reps[b]]] for b in range(m)] for a in range(m)]
-    labels = tuple("[" + ring.labels[r] + "]" for r in reps)
-    return FiniteRing(add, mul, labels=labels,
+    for x, coset in enumerate(proj):
+        if coset == len(reps):
+            reps.append(x)
+    return FiniteRing(quo.add, [quo.act[r] for r in reps], labels=quo.labels,
                       provenance=f"quotient({ring.provenance})",
-                      projection=tuple(proj), cap=cap)
+                      projection=proj, cap=cap)
 
 
 def ring_from_tables(add, mul, labels=None, cap=DEFAULT_RING_CAP):
@@ -389,77 +385,32 @@ def ring_from_tables(add, mul, labels=None, cap=DEFAULT_RING_CAP):
 # ---------------------------------------------------------------------------
 # ideals
 
-class IdealHandle:
-    """A left or two-sided ideal, as a bitmask over the element indices."""
-
-    __slots__ = ("ring", "mask", "carrier", "sidedness")
-
-    def __init__(self, ring, mask, sidedness):
-        self.ring = ring
-        self.mask = mask
-        self.carrier = tuple(i for i in range(ring.order) if mask >> i & 1)
-        self.sidedness = sidedness
-
-    @property
-    def order(self):
-        return len(self.carrier)
-
-    def is_zero(self):
-        return self.mask == 1 << self.ring.zero
-
-    def is_full(self):
-        return self.mask == (1 << self.ring.order) - 1
-
-    def __eq__(self, other):
-        return (isinstance(other, IdealHandle) and self.ring is other.ring
-                and self.mask == other.mask and self.sidedness == other.sidedness)
-
-    def __hash__(self):
-        return hash((id(self.ring), self.mask, self.sidedness))
-
-    def __repr__(self):
-        els = "{" + ",".join(self.ring.labels[i] for i in self.carrier) + "}"
-        return f"Ideal({self.sidedness}, {els})"
-
-
-def is_ideal_mask(ring, mask, sidedness):
-    """Check closure of a subset under the ideal axioms."""
-    if not mask >> ring.zero & 1:
-        return False
-    els = [i for i in range(ring.order) if mask >> i & 1]
-    for a in els:
-        if not mask >> ring.neg[a] & 1:
-            return False
-        for b in els:
-            if not mask >> ring.add[a][b] & 1:
-                return False
-        for r in range(ring.order):
-            if not mask >> ring.mul[r][a] & 1:
-                return False
-            if sidedness == "two-sided" and not mask >> ring.mul[a][r] & 1:
-                return False
-    return True
+def is_two_sided(ideal):
+    """Whether a left ideal, a submodule handle, is a two-sided ideal: a
+    submodule of its ring's regular module closed under right
+    multiplication.  End(R) acts on R by right multiplications, so these
+    are the regular module's fully invariant submodules."""
+    mask, mul = ideal.mask, ideal.module.ring.mul
+    return (ideal.module.origin[0] == "regular"
+            and all(mask >> x & 1 for a in ideal.carrier for x in mul[a]))
 
 
 def enumerate_ideals(ring, sidedness="two-sided"):
-    """All ideals of the requested sidedness, canonically ordered.
+    """The ``"left"`` or ``"two-sided"`` ideals, as submodule handles of
+    the regular module.
 
-    Left ideals are the submodules of the regular module, read off its
-    lattice; two-sided ideals are the left ideals also closed under right
-    multiplication.  The naive power-set filter exists only in the test
-    suite as an oracle.  Sorted by (size, carrier); the list always starts
-    at 0 and ends at R.
+    Left ideals are the regular module's lattice; two-sided ideals are the
+    left ideals closed under right multiplication.  The naive power-set
+    filter exists only in the test suite as an oracle.  Sorted by (size,
+    carrier); the list always starts at 0 and ends at R.
     """
-    key = ("ideals", sidedness)
-    if key not in ring._cache:
-        from .modules import enumerate_submodules, regular_module
-        masks = [s.mask for s in
-                 enumerate_submodules(regular_module(ring)).submodules]
-        if sidedness == "two-sided":
-            masks = [m for m in masks if is_ideal_mask(ring, m, "two-sided")]
-        ring._cache[key] = tuple(IdealHandle(ring, m, sidedness)
-                                 for m in masks)
-    return ring._cache[key]
+    from .modules import enumerate_submodules, regular_module
+    ideals = enumerate_submodules(regular_module(ring)).submodules
+    if sidedness != "two-sided":
+        return ideals
+    if "two-sided ideals" not in ring._cache:
+        ring._cache["two-sided ideals"] = tuple(filter(is_two_sided, ideals))
+    return ring._cache["two-sided ideals"]
 
 
 def is_simple_ring(ring):

@@ -1,7 +1,8 @@
 import pytest
 
 from modlab.errors import InternalInconsistency
-from modlab.firstness import (NOTIONS, ClassMembership, bjkn_prime_detail,
+from modlab.firstness import (NOTIONS, ClassMembership, a_first_detail,
+                              a_fully_first_detail, bjkn_prime_detail,
                               class_membership, decide, diuniform_detail,
                               firstness_report, is_A_first, is_A_fully_first,
                               is_bjkn_prime, is_diuniform, is_prime_module,
@@ -246,12 +247,11 @@ def test_firstness_report_contents():
     assert d["order"] == 4
 
 
-def test_firstness_report_with_family():
+def test_a_first_details_with_family():
     s2 = simple_modules(Z6)[0]
-    rep = firstness_report(s2, notions=("bjkn_prime",),
-                           families={"p2": [simple_trace(s2)]})
-    assert rep.verdicts["a_first[p2]"]
-    assert rep.verdicts["a_fully_first[p2]"]
+    family = [simple_trace(s2)]
+    assert a_first_detail(s2, family) == (True, None)
+    assert a_fully_first_detail(s2, family) == (True, None)
 
 
 def test_decide_caches_and_copies_witnesses():

@@ -56,61 +56,73 @@ MALFORMED = [
     (R + "[modules]\n= regular\n",
      "module lines look like `name = constructor`", 4, 1),
     (M + "M = regular\n", "duplicate module name 'M'", 5, 1),
-    (R + "[modules]\nQ = quotient(N, S1)\n", "unknown module 'N'", 4, 11),
-    (M + "X = sub(M, S9)\n", "module has 3 submodules, S9 unresolved", 5, 11),
-    (M + "C = cyclic(M, 9)\n", "element 9 out of range for 'M'", 5, 13),
-    (M + "D = direct_sum(M M)\n", "expected ')'", 5, 14),
+    (R + "[modules]\nQ = quotient(N, S1)\n", "unknown module 'N'", 4, 15),
+    (M + "X = sub(M, S9)\n", "module has 3 submodules, S9 unresolved", 5, 15),
+    (M + "C = cyclic(M, 9)\n", "element 9 out of range for 'M'", 5, 17),
+    (M + "D = direct_sum(M M)\n", "expected ')'", 5, 18),
     (R + "[modules]\nX = twisted(M)\n", "unknown module constructor 'twisted'",
-     4, 8),
+     4, 12),
     (TWO + "X = raw(add = 0 1 / 1 0 ; mul = 0 0 / 0 1)\n",
-     "raw module needs `add = ...; act = ...`", 4, 5),
-    (TWO + "X = raw()\n", "raw module needs `add = ...; act = ...`", 4, 5),
+     "raw module needs `add = ...; act = ...`", 4, 9),
+    (TWO + "X = raw()\n", "raw module needs `add = ...; act = ...`", 4, 9),
     (TWO + "X = raw(add = 0 1 / 1 0)\n",
-     "raw module needs both add and act tables", 4, 5),
+     "raw module needs both add and act tables", 4, 9),
     (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / x 1)\n",
-     "table entries must be integers", 4, 5),
+     "table entries must be integers", 4, 9),
     (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / / 0 1)\n", "empty table row",
-     4, 5),
+     4, 9),
     # preradicals
     (M + "[preradicals]\nbad line\n",
      "preradical lines look like `name = expression`", 6, 1),
     (M + "[preradicals]\na = soc\na = rad\n", "duplicate preradical name 'a'",
      7, 1),
     (M + "[preradicals]\na = rad extra\n",
-     "trailing input after preradical expression", 6, 5),
-    (M + "[preradicals]\na = alpha(S1@N)\n", "unknown module 'N'", 6, 11),
-    (M + "[preradicals]\na = alpha(S1 M)\n", "expected '@'", 6, 10),
+     "trailing input after preradical expression", 6, 9),
+    (M + "[preradicals]\na = alpha(S1@N)\n", "unknown module 'N'", 6, 15),
+    (M + "[preradicals]\na = alpha(S1 M)\n", "expected '@'", 6, 14),
     (M + "[preradicals]\na = alpha(S9@M)\n",
-     "module has 3 submodules, S9 unresolved", 6, 12),
+     "module has 3 submodules, S9 unresolved", 6, 16),
     (TWO + "M = regular\nD = direct_sum(M, M)\n[preradicals]\n"
      "a = omega(S1@D)\n",
      "Submodule({(0,0),(0,1)} of sum(regular(cyclic(2))+regular(cyclic(2))))"
-     " is not fully invariant", 7, 12),
+     " is not fully invariant", 7, 16),
     (M + "[preradicals]\na = trad(I9)\n",
-     "ring has 3 two-sided ideals, I9 unresolved", 6, 9),
-    (M + "[preradicals]\na = frob\n", "unknown preradical 'frob'", 6, 5),
-    (M + "[preradicals]\na = comp(soc)\n", "expected ','", 6, 9),
-    (M + "[preradicals]\na = join(soc, rad\n", "expected ')'", 6, 14),
+     "ring has 3 two-sided ideals, I9 unresolved", 6, 13),
+    (M + "[preradicals]\na = frob\n", "unknown preradical 'frob'", 6, 9),
+    (M + "[preradicals]\na = comp(soc)\n", "expected ','", 6, 13),
+    (M + "[preradicals]\na = join(soc, rad\n", "expected ')'", 6, 18),
     # checks
     (P + "[checks]\nbogus M\n", "unknown check 'bogus'", 8, 1),
-    (P + "[checks]\nbjkn_prime\n", "bjkn_prime takes one module", 8, 1),
-    (P + "[checks]\nbjkn_prime N\n", "unknown module 'N'", 8, 1),
+    (P + "[checks]\nbjkn_prime\n", "bjkn_prime takes one module", 8, 11),
+    (P + "[checks]\nbjkn_prime N\n", "unknown module 'N'", 8, 12),
     (P + "[checks]\na_first M\n", "a_first takes a module and preradicals",
-     8, 1),
-    (P + "[checks]\na_first M b\n", "unknown preradical 'b'", 8, 1),
+     8, 10),
+    (P + "[checks]\na_first M b\n", "unknown preradical 'b'", 8, 11),
     (P + "[checks]\nevaluate a\n", "evaluate takes a preradical and a module",
-     8, 1),
-    (P + "[checks]\nflags\n", "flags takes one preradical", 8, 1),
-    (P + "[checks]\ncompare a\n", "compare takes two preradicals", 8, 1),
-    (P + "[checks]\nclassify M\n", "classify takes no arguments", 8, 1),
-    (P + "[checks]\nlep x\n", "lep takes no arguments", 8, 1),
+     8, 11),
+    (P + "[checks]\nflags\n", "flags takes one preradical", 8, 6),
+    (P + "[checks]\ncompare a\n", "compare takes two preradicals", 8, 10),
+    (P + "[checks]\nclassify M\n", "classify takes no arguments", 8, 10),
+    (P + "[checks]\nlep x\n", "lep takes no arguments", 8, 5),
     (P + "[checks]\nverify T99\n",
-     "verify takes one of T15, T14, T14.3, P14.1, Perror1, P12, P8.5", 8, 1),
+     "verify takes one of T15, T14, T14.3, P14.1, Perror1, P12, P8.5", 8, 8),
     # universe and output
     (R + "[universe]\ndepth two\n",
      "universe lines are `depth = n` or `cap = n`", 4, 1),
     (R + "[output]\nformat = html\n",
      "output lines are `format = text|structured`", 4, 1),
+    # columns are those of the physical line, leading blanks included
+    (M + "  X = sub(M, S9)\n", "module has 3 submodules, S9 unresolved", 5, 17),
+    (P + "[checks]\n  a_first M b\n", "unknown preradical 'b'", 8, 13),
+    (P + "[checks]\n\tbjkn_prime\n", "bjkn_prime takes one module", 8, 12),
+    (R + "  [bogus]\n", "unknown section [bogus]", 3, 3),
+    ("[ring]\n  cyclic(4) x\n", "trailing input after ring constructor", 2,
+     13),
+    ("[ring]\n raw\n add = 0 1 / 1 x\nmul = 0 0 / 0 1\n",
+     "table entries must be integers", 3, 2),
+    (M + "   M = regular\n", "duplicate module name 'M'", 5, 4),
+    (R + "[universe]\n  depth two\n",
+     "universe lines are `depth = n` or `cap = n`", 4, 3),
 ]
 
 
@@ -133,16 +145,16 @@ def test_malformed_document_error(document, message, line, column):
 # given once, and [universe]/[output] lines must match in full
 REFUSED = [
     (R + "[modules]\nM = regular junk\n",
-     "trailing input after module constructor", 4, 9),
+     "trailing input after module constructor", 4, 13),
     (M + "Q = quotient(M, S1) extra\n",
-     "trailing input after module constructor", 5, 17),
+     "trailing input after module constructor", 5, 21),
     (M + "C = cyclic(M, 2) q\n", "trailing input after module constructor",
-     5, 14),
+     5, 18),
     (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / 0 1) zzz\n",
-     "trailing input after module constructor", 4, 40),
+     "trailing input after module constructor", 4, 44),
     (R + "[modules]\nM = regular, sub(M, S1)\n",
-     "trailing input after module constructor", 4, 8),
-    (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / 0 1\n", "expected ')'", 4, 38),
+     "trailing input after module constructor", 4, 12),
+    (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / 0 1\n", "expected ')'", 4, 42),
     (R + "[universe]\ndepth = 1 cap = 8\n",
      "universe lines are `depth = n` or `cap = n`", 4, 1),
     (R + "[output]\nformat = structuredXYZ\n",
@@ -150,17 +162,17 @@ REFUSED = [
     (RAW_RING + "add = 0 1 / 1 0\nmul = 0 0 / 0 1\n", "duplicate add table",
      4, 1),
     (TWO + "X = raw(add = 0 1 / 1 0 ; add = 0 1 / 1 0 ; act = 0 0 / 0 1)\n",
-     "duplicate add table", 4, 5),
+     "duplicate add table", 4, 9),
     # the body of raw( ends at its first ')'
     (TWO + "X = raw(add = 0 1) / 1 0 ; act = 0 0 / 0 1)\n",
-     "raw module needs both add and act tables", 4, 5),
+     "raw module needs both add and act tables", 4, 9),
     # int() reads these; a table entry is digits only
     (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / 0_0 1)\n",
-     "table entries are written in the digits 0-9 only", 4, 5),
+     "table entries are written in the digits 0-9 only", 4, 9),
     ("[ring]\nraw\nadd = 0 1 / 1 0\nmul = 0 0 / 0 +1\n",
      "table entries are written in the digits 0-9 only", 4, 1),
     (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / -1 1)\n",
-     "table entries are written in the digits 0-9 only", 4, 5),
+     "table entries are written in the digits 0-9 only", 4, 9),
     # a setting given twice was silently overridden by the later line
     (R + "[universe]\ndepth = 1\ndepth = 3\n",
      "duplicate universe setting 'depth'", 5, 1),
@@ -181,6 +193,14 @@ def test_malformed_line_is_refused(document, message, line, column, tmp_path,
     assert main(["define", str(path)]) == 1
     assert capsys.readouterr().err == (
         f"parse error: {message} at line {line}, column {column}\n")
+
+
+def test_indented_document_parses_like_its_canonical_form():
+    document = "".join("  " + line for line in
+                       (ROOT / "demo.job").read_text(encoding="utf-8")
+                       .splitlines(keepends=True))
+    assert parse_job(document) == parse_job(
+        (ROOT / "demo.job").read_text(encoding="utf-8"))
 
 
 def _well_formed_documents():

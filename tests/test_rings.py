@@ -1,13 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlab.errors import AxiomViolation, SizeCapExceeded
-from modlab.modules import enumerate_submodules, regular_module
+from modlab.cli import corpus_rings
+from modlab.errors import (AxiomViolation, NotFullyInvariant, RingMismatch,
+                           SizeCapExceeded)
+from modlab.modules import (direct_sum_module, enumerate_submodules,
+                            regular_module, submodule)
+from modlab.preradicals import Trad
 from modlab.rings import (FiniteRing, _scan_ring_axioms,
                           _scan_ring_axioms_exhaustive, cyclic_ring,
-                          enumerate_ideals, is_ideal_mask, matrix_ring,
-                          product_ring, quotient_ring, ring_from_tables,
-                          scan_abelian_group, scan_abelian_group_exhaustive)
+                          enumerate_ideals, matrix_ring, product_ring,
+                          quotient_ring, ring_from_tables, scan_abelian_group,
+                          scan_abelian_group_exhaustive)
 
 
 def upper_triangular_f2():
@@ -103,11 +107,78 @@ def test_quotient_requires_proper_two_sided():
     full = enumerate_ideals(r, "two-sided")[-1]
     with pytest.raises(AxiomViolation):
         quotient_ring(r, full)
-    left_only = enumerate_ideals(r, "left")[1]
-    # over a commutative ring the handle is still tagged by sidedness
-    assert left_only.sidedness == "left"
+    # {0,2} is two-sided, so the left list's handle quotients as well
+    left = enumerate_ideals(r, "left")[1]
+    assert left is enumerate_ideals(r, "two-sided")[1]
+    assert quotient_ring(r, left).projection == (0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("ring_fn", [upper_triangular_f2,
+                                     lambda: matrix_ring(cyclic_ring(2), 2)])
+def test_one_sided_left_ideal_is_refused(ring_fn):
+    ring = ring_fn()
+    two_sided = enumerate_ideals(ring, "two-sided")
+    one_sided = [i for i in enumerate_ideals(ring, "left")
+                 if i not in two_sided]
+    assert one_sided
+    for ideal in one_sided:
+        with pytest.raises(AxiomViolation) as exc:
+            quotient_ring(ring, ideal)
+        assert exc.value.axiom == "two-sided ideal"
+        with pytest.raises(NotFullyInvariant):
+            Trad(ideal)
+
+
+def test_ideal_of_another_ring_is_refused():
+    z4, z6 = cyclic_ring(4), cyclic_ring(6)
+    for ideal in enumerate_ideals(z6):
+        with pytest.raises(RingMismatch):
+            quotient_ring(z4, ideal)
+    # a submodule of another module over the same ring is not an ideal
+    m = direct_sum_module([regular_module(z4)] * 2)
+    with pytest.raises(RingMismatch):
+        quotient_ring(z4, enumerate_submodules(m).submodules[1])
+
+
+def test_trad_refuses_what_is_not_an_ideal():
+    z4 = cyclic_ring(4)
     with pytest.raises(AxiomViolation):
-        quotient_ring(r, left_only)
+        Trad(submodule(regular_module(z4), 0b0011))  # {0,1} is not closed
+    m = direct_sum_module([regular_module(z4)] * 2)
+    with pytest.raises(NotFullyInvariant):
+        Trad(enumerate_submodules(m).submodules[1])
+
+
+def coset_quotient(ring, ideal):
+    """The quotient construction of its own coset loop: (add, mul,
+    labels, projection), cosets numbered by their least member."""
+    n = ring.order
+    proj = [None] * n
+    reps = []
+    for x in range(n):
+        if proj[x] is not None:
+            continue
+        idx = len(reps)
+        reps.append(x)
+        for i in ideal.carrier:
+            proj[ring.add[x][i]] = idx
+    m = len(reps)
+    add = [[proj[ring.add[reps[a]][reps[b]]] for b in range(m)]
+           for a in range(m)]
+    mul = [[proj[ring.mul[reps[a]][reps[b]]] for b in range(m)]
+           for a in range(m)]
+    labels = tuple("[" + ring.labels[r] + "]" for r in reps)
+    return add, mul, labels, tuple(proj)
+
+
+def test_quotient_matches_coset_construction():
+    for ring in [fn() for fn in IDEAL_RINGS] + corpus_rings():
+        for ideal in enumerate_ideals(ring, "two-sided")[:-1]:
+            q = quotient_ring(ring, ideal)
+            add, mul, labels, proj = coset_quotient(ring, ideal)
+            assert q.add == tuple(map(tuple, add))
+            assert q.mul == tuple(map(tuple, mul))
+            assert (q.labels, q.projection) == (labels, proj)
 
 
 def test_quotient_and_product_ring_orders():
@@ -159,6 +230,25 @@ def test_two_sided_ideals_are_fully_invariant_left_ideals(ring_fn):
 
 
 # --- power-set oracle -------------------------------------------------------
+
+def is_ideal_mask(ring, mask, sidedness):
+    """Check closure of a subset under the ideal axioms."""
+    if not mask >> ring.zero & 1:
+        return False
+    els = [i for i in range(ring.order) if mask >> i & 1]
+    for a in els:
+        if not mask >> ring.neg[a] & 1:
+            return False
+        for b in els:
+            if not mask >> ring.add[a][b] & 1:
+                return False
+        for r in range(ring.order):
+            if not mask >> ring.mul[r][a] & 1:
+                return False
+            if sidedness == "two-sided" and not mask >> ring.mul[a][r] & 1:
+                return False
+    return True
+
 
 def powerset_ideals(ring, sided):
     hits = []
