@@ -6,7 +6,8 @@ checks, universe, output).  The language is declared here once:
 - expressions are read through the primitives of ``_Cursor``: a
   comma-separated list, an indexed reference (``S<k>`` resolved by
   ``_submodule``, ``I<k>`` by ``_ideal``) and a raw table with its
-  canonical text;
+  canonical text, read by a cursor of its own line or ``;`` piece, so an
+  error points at the bad entry;
 - ``[modules]`` and ``[preradicals]`` lines go through one ``name =
   expression`` reader, and every definition line, like the ring line,
   holds exactly one expression;
@@ -50,6 +51,9 @@ _CONSTANTS = {"soc": SOC, "rad": RAD, "zero": ZERO, "one": ONE}
 
 _DIGITS = re.compile(r"[0-9]+")
 
+# a table token after optional blanks: an entry, a row break, or the end
+_TABLE_TOKEN = re.compile(r"\s*([^\s/]+|/|$)")
+
 _DEFINITION = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)")
 
 
@@ -87,7 +91,8 @@ class JobSpec:
 
 class _Cursor:
     """A position in one physical line of a document, starting at its first
-    non-blank; an error reports the 1-based column in that line."""
+    non-blank; an error reports the 1-based column in that line.  ``text``
+    may be a prefix of the line, which bounds what the cursor reads."""
 
     def __init__(self, text, line):
         self.text = text
@@ -157,22 +162,42 @@ class _Cursor:
             self.pos += 1
         return self.integer()
 
-    def table(self, text):
-        """The integer rows of ``text``, written ``a b / c d``, and their
-        canonical text; an error points at the cursor."""
-        rows = []
-        for chunk in text.split("/"):
-            entries = chunk.split()
-            if not entries:
-                self.error("empty table row")
+    def pieces(self, end, sep):
+        """One cursor per ``sep``-separated piece of the text from here to
+        ``end``, each at its piece's first non-blank and reading no further
+        than its piece."""
+        cursors = []
+        start = self.pos
+        for piece in self.text[start:end].split(sep):
+            cur = _Cursor(self.text[:start + len(piece)], self.line)
+            cur.pos = start
+            cur.skip_ws()
+            cursors.append(cur)
+            start += len(piece) + len(sep)
+        return cursors
+
+    def table(self):
+        """The integer rows written ``a b / c d`` from here to the end of
+        the text, and their canonical text.  An error points at the bad
+        entry, or at the ``/`` or end that closes an empty row."""
+        rows, row = [], []
+        for m in _TABLE_TOKEN.finditer(self.text, self.pos):
+            self.pos, token = m.start(1), m.group(1)
+            if token in ("/", ""):
+                if not row:
+                    self.error("empty table row")
+                rows.append(row)
+                row = []
+                if not token:
+                    break
+                continue
             try:
-                row = [int(e) for e in entries]
+                row.append(int(token))
             except ValueError:
                 self.error("table entries must be integers")
             # int() also takes signs, underscores and non-ASCII digits
-            if not all(map(_DIGITS.fullmatch, entries)):
+            if not _DIGITS.fullmatch(token):
                 self.error("table entries are written in the digits 0-9 only")
-            rows.append(row)
         return rows, " / ".join(" ".join(map(str, row)) for row in rows)
 
 
@@ -270,16 +295,18 @@ def _ideal(cur, ring, idx):
 
 def _raw_tables(pieces, second, what, usage, cur):
     """The ``add`` and ``second`` tables of a raw ring or module, each
-    written once as a ``name = rows`` piece and read by the piece's cursor;
-    a missing table is reported at ``cur``."""
+    written once as a ``name = rows`` piece and read by the piece's own
+    cursor; a missing table is reported at ``cur``."""
     tables = {}
-    for piece_cur, piece in pieces:
-        m = re.match(rf"\s*(add|{second})\s*=\s*(.+)", piece)
+    named = re.compile(rf"(add|{second})\s*=(?=.)")
+    for piece in pieces:
+        m = named.match(piece.text, piece.pos)
         if not m:
-            piece_cur.error(usage)
+            piece.error(usage)
         if m.group(1) in tables:
-            piece_cur.error(f"duplicate {m.group(1)} table")
-        tables[m.group(1)] = piece_cur.table(m.group(2))
+            piece.error(f"duplicate {m.group(1)} table")
+        piece.pos = m.end()
+        tables[m.group(1)] = piece.table()
     if len(tables) < 2:
         cur.error(f"raw {what} needs both add and {second} tables")
     return tables["add"], tables[second]
@@ -320,7 +347,7 @@ def _parse_ring_section(lines, cap):
     lineno, first = lines[0]
     if first.lstrip().lower() == "raw":
         (add, add_text), (mul, mul_text) = _raw_tables(
-            [(_Cursor(line, lno), line) for lno, line in lines[1:]], "mul",
+            [_Cursor(line, lno) for lno, line in lines[1:]], "mul",
             "ring", "raw ring lines must be add/mul tables",
             _Cursor(first, lineno))
         return (ring_from_tables(add, mul, cap=cap),
@@ -368,8 +395,8 @@ def _parse_module_expr(cur, ring, modules, cap):
             cur.pos = len(cur.text)
             cur.error("expected ')'")
         (add, add_text), (act, act_text) = _raw_tables(
-            [(cur, piece) for piece in cur.text[cur.pos:end].split(";")],
-            "act", "module", "raw module needs `add = ...; act = ...`", cur)
+            cur.pieces(end, ";"), "act", "module",
+            "raw module needs `add = ...; act = ...`", cur)
         cur.pos = end + 1
         return (module_from_tables(ring, add, act, cap=cap),
                 f"raw(add = {add_text} ; act = {act_text})")

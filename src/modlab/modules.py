@@ -43,10 +43,18 @@ class FiniteModule:
     ``add[a][b]`` is the index of a+b; ``act[r][m]`` is the index of r.m
     for a ring element index r.  Every instance, raw or derived (a
     submodule, quotient or direct sum), passes ``_scan_module_axioms``
-    before it is returned.  ``origin`` records how the module was built
-    (enough to re-embed carriers of submodules, preimages of quotients,
-    and direct-sum components).  Instances hash by identity and can be
-    weakly referenced.
+    before it is returned.  The scan runs once per distinct pair of
+    (``add``, ``act``) tables per ring: ``ring._cache["module tables"]``
+    maps every pair the ring has accepted to those very tables, their zero
+    and their negation, and a module built on an equal pair takes them
+    from there.  That is exact, since the scan reads nothing but the two
+    tables and the ring's tables, identity and additive generators, all
+    immutable for the ring's lifetime; a repeat would find the same zero
+    and negation.  A rejected pair is not kept, so it raises on every
+    build, and the memo dies with its ring.  ``origin`` records how the
+    module was built (enough to re-embed carriers of submodules,
+    preimages of quotients, and direct-sum components).  Instances hash
+    by identity and can be weakly referenced.
     """
 
     __slots__ = ("ring", "order", "add", "act", "zero", "neg", "labels",
@@ -63,15 +71,18 @@ class FiniteModule:
             labels = tuple(str(i) for i in range(n))
         else:
             labels = tuple(labels)
+        accepted = ring._cache.setdefault("module tables", {})
+        found = accepted.get((add, act))
+        if found is None:
+            found = accepted[add, act] = (
+                add, act, *_scan_module_axioms(ring, n, add, act))
         self.ring = ring
         self.order = n
-        self.add = add
-        self.act = act
+        self.add, self.act, self.zero, self.neg = found
         self.labels = labels
         self.provenance = provenance
         self.origin = origin
         self._cache = {}
-        self.zero, self.neg = _scan_module_axioms(ring, n, add, act)
 
     def is_zero(self):
         return self.order == 1
@@ -110,6 +121,9 @@ def _scan_module_axioms(ring, n, add, act):
     When a reduced check fails, ``_scan_module_axioms_exhaustive`` names
     the violation, so a rejected table reports the same axiom and witness
     as the full O(|R|^2 n + |R| n^2 + n^3) scan would.
+
+    ``FiniteModule`` runs this once per distinct pair of tables per ring;
+    its docstring says why that is exact.
     """
     return certified_scan(_module_certificate,
                           _scan_module_axioms_exhaustive, ring, n, add, act)

@@ -26,11 +26,12 @@ class FiniteRing:
     ``add`` and ``mul`` are tuples of row tuples, ``add[a][b]`` being the
     index of a+b.  ``zero``/``one`` are element indices and ``neg[a]`` is
     the additive inverse.  Instances are immutable after construction and
-    hash by identity, so they can key caches directly.
+    hash by identity, so they can key caches directly, and can be weakly
+    referenced.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "neg", "labels",
-                 "provenance", "projection", "_cache")
+                 "provenance", "projection", "_cache", "__weakref__")
 
     def __init__(self, add, mul, labels=None, provenance="raw",
                  projection=None, cap=DEFAULT_RING_CAP):
@@ -402,11 +403,15 @@ def enumerate_ideals(ring, sidedness="two-sided"):
     Left ideals are the regular module's lattice; two-sided ideals are the
     left ideals closed under right multiplication.  The naive power-set
     filter exists only in the test suite as an oracle.  Sorted by (size,
-    carrier); the list always starts at 0 and ends at R.
+    carrier); the list always starts at 0 and ends at R.  Any other
+    ``sidedness`` raises ``ValueError``.
     """
+    if sidedness not in ("left", "two-sided"):
+        raise ValueError(f"sidedness must be 'left' or 'two-sided', "
+                         f"not {sidedness!r}")
     from .modules import enumerate_submodules, regular_module
     ideals = enumerate_submodules(regular_module(ring)).submodules
-    if sidedness != "two-sided":
+    if sidedness == "left":
         return ideals
     if "two-sided ideals" not in ring._cache:
         ring._cache["two-sided ideals"] = tuple(filter(is_two_sided, ideals))

@@ -37,9 +37,9 @@ MALFORMED = [
      4, 1),
     (RAW_RING, "raw ring needs both add and mul tables", 2, 1),
     ("[ring]\nraw\nadd = 0 1 / / 1 0\nmul = 0 0 / 0 1\n", "empty table row",
-     3, 1),
+     3, 13),
     ("[ring]\nraw\nadd = 0 1 / 1 x\nmul = 0 0 / 0 1\n",
-     "table entries must be integers", 3, 1),
+     "table entries must be integers", 3, 15),
     ("[ring]\ncyclic(4)\ncyclic(2)\n",
      "ring section must be a single constructor line", 3, 1),
     ("[ring]\ncyclic(4) x\n", "trailing input after ring constructor", 2, 11),
@@ -63,14 +63,14 @@ MALFORMED = [
     (R + "[modules]\nX = twisted(M)\n", "unknown module constructor 'twisted'",
      4, 12),
     (TWO + "X = raw(add = 0 1 / 1 0 ; mul = 0 0 / 0 1)\n",
-     "raw module needs `add = ...; act = ...`", 4, 9),
+     "raw module needs `add = ...; act = ...`", 4, 27),
     (TWO + "X = raw()\n", "raw module needs `add = ...; act = ...`", 4, 9),
     (TWO + "X = raw(add = 0 1 / 1 0)\n",
      "raw module needs both add and act tables", 4, 9),
     (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / x 1)\n",
-     "table entries must be integers", 4, 9),
+     "table entries must be integers", 4, 39),
     (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / / 0 1)\n", "empty table row",
-     4, 9),
+     4, 39),
     # preradicals
     (M + "[preradicals]\nbad line\n",
      "preradical lines look like `name = expression`", 6, 1),
@@ -119,10 +119,25 @@ MALFORMED = [
     ("[ring]\n  cyclic(4) x\n", "trailing input after ring constructor", 2,
      13),
     ("[ring]\n raw\n add = 0 1 / 1 x\nmul = 0 0 / 0 1\n",
-     "table entries must be integers", 3, 2),
+     "table entries must be integers", 3, 16),
     (M + "   M = regular\n", "duplicate module name 'M'", 5, 4),
     (R + "[universe]\n  depth two\n",
      "universe lines are `depth = n` or `cap = n`", 4, 3),
+    # a table error points at its entry, or at what closes an empty row,
+    # in whichever piece of a raw module body it sits
+    (TWO + "X = raw(add = 0 y / 1 0 ; act = 0 0 / 0 1)\n",
+     "table entries must be integers", 4, 17),
+    (TWO + "X = raw( act = 0 0 / 0 1 ;add = 0 1 / 1 0 /)\n",
+     "empty table row", 4, 44),
+    (TWO + "X = raw(add = / 0 1 / 1 0 ; act = 0 0 / 0 1)\n",
+     "empty table row", 4, 15),
+    (TWO + "X = raw(add = 0 1 / 1 0 ;; act = 0 0 / 0 1)\n",
+     "raw module needs `add = ...; act = ...`", 4, 26),
+    (TWO + "X = raw(add = 0 1 / 1 0 ; act =)\n",
+     "raw module needs `add = ...; act = ...`", 4, 27),
+    (TWO + "X = raw(add = 0 1 / 1 0 ; act = )\n", "empty table row", 4, 33),
+    ("[ring]\nraw\nadd = 0 1 / 1 0\nmul = 0 0 / 0 1 /  \n",
+     "empty table row", 4, 18),
 ]
 
 
@@ -162,17 +177,17 @@ REFUSED = [
     (RAW_RING + "add = 0 1 / 1 0\nmul = 0 0 / 0 1\n", "duplicate add table",
      4, 1),
     (TWO + "X = raw(add = 0 1 / 1 0 ; add = 0 1 / 1 0 ; act = 0 0 / 0 1)\n",
-     "duplicate add table", 4, 9),
+     "duplicate add table", 4, 27),
     # the body of raw( ends at its first ')'
     (TWO + "X = raw(add = 0 1) / 1 0 ; act = 0 0 / 0 1)\n",
      "raw module needs both add and act tables", 4, 9),
     # int() reads these; a table entry is digits only
     (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / 0_0 1)\n",
-     "table entries are written in the digits 0-9 only", 4, 9),
+     "table entries are written in the digits 0-9 only", 4, 39),
     ("[ring]\nraw\nadd = 0 1 / 1 0\nmul = 0 0 / 0 +1\n",
-     "table entries are written in the digits 0-9 only", 4, 1),
+     "table entries are written in the digits 0-9 only", 4, 15),
     (TWO + "X = raw(add = 0 1 / 1 0 ; act = 0 0 / -1 1)\n",
-     "table entries are written in the digits 0-9 only", 4, 9),
+     "table entries are written in the digits 0-9 only", 4, 39),
     # a setting given twice was silently overridden by the later line
     (R + "[universe]\ndepth = 1\ndepth = 3\n",
      "duplicate universe setting 'depth'", 5, 1),

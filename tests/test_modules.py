@@ -1,12 +1,17 @@
 import functools
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modlab import modules
 from modlab.classify import generate_universe
 from modlab.errors import AxiomViolation, SizeCapExceeded
-from modlab.rings import cyclic_ring, matrix_ring, product_ring
+from modlab.jobs import parse_job, run_job
+from modlab.rings import (cyclic_ring, matrix_ring, product_ring,
+                          ring_from_tables)
 from modlab.modules import (ModuleMorphism, _scan_module_axioms,
                             _scan_module_axioms_exhaustive, all_function_homs,
                             cogenerates,
@@ -421,8 +426,87 @@ def test_module_certificate_agrees_with_exhaustive_scan(corrupt, scan_outcome,
         add = corrupt(data, add, n, square=True)
     else:
         act = corrupt(data, act, n, square=False)
-    assert (scan_outcome(_scan_module_axioms, ring, n, add, act)
-            == scan_outcome(_scan_module_axioms_exhaustive, ring, n, add, act))
+    with pytest.MonkeyPatch.context() as mp:
+        # the ring's memo of accepted tables is not consulted here, so a
+        # swap of two equal rows, which leaves the base's tables, is
+        # certified too
+        calls = count_certificates(mp)
+        reduced = scan_outcome(_scan_module_axioms, ring, n, add, act)
+    assert len(calls) == 1
+    assert reduced == scan_outcome(_scan_module_axioms_exhaustive,
+                                   ring, n, add, act)
+
+
+def count_certificates(mp):
+    """The tables ``modules._module_certificate`` is run on from now on,
+    under the monkeypatch ``mp``."""
+    calls = []
+    real = modules._module_certificate
+
+    @functools.wraps(real)
+    def counted(ring, n, add, act):
+        calls.append((ring, add, act))
+        return real(ring, n, add, act)
+
+    mp.setattr(modules, "_module_certificate", counted)
+    return calls
+
+
+def test_equal_tables_are_certified_once_per_ring(monkeypatch):
+    ring = cyclic_ring(4)
+    calls = count_certificates(monkeypatch)
+    reg = regular_module(ring)
+    # the same tables again: as lists, as a sum of one summand, and with
+    # equal floats; each module takes the accepted tables themselves
+    again = module_from_tables(ring, [list(r) for r in reg.add], reg.act)
+    alone = direct_sum_module([reg])
+    floats = module_from_tables(ring, reg.add,
+                                [[float(x) for x in r] for r in reg.act])
+    assert len(calls) == 1
+    for m in (again, alone, floats):
+        assert (m.add, m.act, m.zero, m.neg) == (reg.add, reg.act, reg.zero,
+                                                 reg.neg)
+        assert m.add is reg.add and m.act is reg.act
+    assert type(floats.act[1][1]) is int
+    # a second ring object with the same tables has its own memo
+    twin = ring_from_tables(ring.add, ring.mul)
+    module_from_tables(twin, reg.add, reg.act)
+    module_from_tables(twin, reg.add, reg.act)
+    assert [r for r, _, _ in calls] == [ring, twin]
+    assert list(twin._cache["module tables"]) == [(reg.add, reg.act)]
+
+
+def test_rejected_table_raises_on_every_build(monkeypatch):
+    ring = cyclic_ring(4)
+    reg = regular_module(ring)
+    # 3.1 = 1 instead of 3: scalar distributivity fails first
+    act = [list(row) for row in reg.act]
+    act[3][1] = 1
+    calls = count_certificates(monkeypatch)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(AxiomViolation) as exc:
+            module_from_tables(ring, reg.add, act)
+        raised.append((exc.value.axiom, exc.value.witness, str(exc.value)))
+    assert len(calls) == 3
+    assert raised == [raised[0]] * 3
+    assert raised[0][0] == "scalar distributivity"
+    assert list(ring._cache["module tables"]) == [(reg.add, reg.act)]
+
+
+def test_a_dropped_job_leaves_nothing_alive():
+    # the memo lives in the ring's own cache and holds only tables, so a
+    # job's ring and modules die with the job
+    spec = parse_job("[ring]\ncyclic(4)\n[modules]\nM = regular\n"
+                     "Q = quotient(M, S1)\nD = direct_sum(M, Q)\n"
+                     "[checks]\nbjkn_prime D\nclassify\n")
+    report = run_job(spec)
+    assert spec.ring._cache["module tables"]
+    ring, module = weakref.ref(spec.ring), weakref.ref(spec.modules["D"])
+    del spec, report
+    gc.collect()
+    assert ring() is None
+    assert module() is None
 
 
 def test_module_distributivity_alone_is_rejected():

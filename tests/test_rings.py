@@ -80,6 +80,14 @@ def test_ideal_list_contains_zero_and_full():
             assert ideals[-1].is_full()
 
 
+@pytest.mark.parametrize("sidedness", ["right", "two_sided", "Left", ""])
+def test_unknown_sidedness_is_refused(sidedness):
+    # M2(F2) has a left ideal that is no right ideal, so answering "right"
+    # with the left ideals would be wrong, not just unsupported
+    with pytest.raises(ValueError, match="sidedness must be"):
+        enumerate_ideals(matrix_ring(cyclic_ring(2), 2), sidedness)
+
+
 def test_matrix_ring_is_simple():
     m = matrix_ring(cyclic_ring(2), 2)
     assert len(enumerate_ideals(m, "two-sided")) == 2
