@@ -3,23 +3,26 @@
 Modules carry full addition and scalar-action tables over a ``FiniteRing``.
 Submodules are bitmasks over the element indices, interned per module so
 they can cache derived data (their own module structure, for instance).
-Maps are described through a greedy generating set, one R-linear
-expression of every element in those generators, and a basis of the
-relations among the generators, found while the generators are chosen; a
-generator-image tuple that kills every basis relation kills every
-relation, so it extends to a unique well-defined R-map and no further scan
-is needed (the test suite still compares against an all-functions oracle
-on small instances).
+Maps are described through a greedy generating set, the step that first
+reached each element (e = e' + r.g_i, e' reached earlier), and a basis of
+the relations among the generators, found while the generators are
+chosen; a generator-image tuple that kills every basis relation kills
+every relation, so it extends to a unique well-defined R-map, filled along
+the steps with one addition and one action per element, and no further
+scan is needed (the test suite still compares against an all-functions
+oracle on small instances).
 
 Hom(M, T) is an abelian group under pointwise addition, and trace sums,
 rejects, preimage meets and fully-invariant flags need only a generating
 set of it: ``hom_generators`` computes one, of at most log2|Hom| maps, as
-the kernel of the relation map without listing Hom.  Where every map is
+the kernel of the relation map without listing Hom, and is capped by the
+size of the chain it builds (``MAX_HOM_CHAIN``).  Where every map is
 needed (``hom_set``: oracles, End(M) as a ring, Baer's criterion, the
 pointwise BJKN route), and for the nonzero-map test and isomorphism
 search, one backtracking search over generator images serves; its callers
 differ only in the candidate images, an optional per-image test, and what
-happens at a complete tuple.
+happens at a complete tuple.  ``hom_set`` is capped by its |T|^k
+candidate tuples (``MAX_HOM_CANDIDATES``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import getitem
 
-from .config import DEFAULT_MODULE_CAP, MAX_HOM_CANDIDATES
+from .config import DEFAULT_MODULE_CAP, MAX_HOM_CANDIDATES, MAX_HOM_CHAIN
 from .errors import (AxiomViolation, InternalInconsistency, RingMismatch,
                      SizeCapExceeded)
 from .rings import (FiniteRing, certified_scan, differ, enumerate_ideals,
@@ -506,12 +509,9 @@ class ModuleMorphism:
     def image_of_mask(self, mask):
         f = self.map
         out = 0
-        for x in self.source_elements(mask):
+        for x in _elements(mask):
             out |= 1 << f[x]
         return out
-
-    def source_elements(self, mask):
-        return [i for i in range(self.source.order) if mask >> i & 1]
 
     def preimage_of_mask(self, mask):
         f = self.map
@@ -539,13 +539,17 @@ class ModuleMorphism:
 
 
 def _generator_data(module):
-    """Greedy generators, one expression per element, and a relation basis.
+    """Greedy generators, one step per element, and a relation basis.
 
-    Returns ``(gens, reps, rel_levels)`` where ``reps[e]`` is a coefficient
-    tuple with e = sum_i reps[e][i].g_i, and ``rel_levels[i]`` lists
+    Returns ``(gens, steps, rel_levels)``.  ``steps`` lists every nonzero
+    element once, as ``(e, e', r, i)`` with e = e' + r.g_i, in the order
+    the greedy loop first reaches them; e' lies in the span of the earlier
+    generators, so it is zero or listed before e.  ``rel_levels[i]`` lists
     relations r (sum r_j.g_j = 0) whose last nonzero slot is i.  Adding a
     generator at least doubles the span, so the number of generators is at
-    most log2(order).
+    most log2(order).  The coefficient tuples that express each element of
+    the current span are kept only while the generators are chosen, for
+    the lifts below.
 
     The relations ending at slot i form, modulo those ending earlier, a
     copy of the left ideal {c : c.g_i in span(g_1..g_{i-1})}; so lifting
@@ -558,10 +562,12 @@ def _generator_data(module):
     add, act, neg = module.add, module.act, module.neg
     gens = []
     reps = {module.zero: ()}
+    steps = []
     lifts = [[]]
     for x in range(module.order):
         if x in reps:
             continue
+        i = len(gens)
         gens.append(x)
         level = []
         span = {ring.zero}
@@ -578,13 +584,14 @@ def _generator_data(module):
                 e2 = row_e[act[r][x]]
                 if e2 not in new_reps:
                     new_reps[e2] = vec + (r,)
+                    if e2 not in reps:
+                        steps.append((e2, e, r, i))
         reps = new_reps
     k = len(gens)
     pad = (ring.zero,) * k
     rel_levels = tuple(tuple(vec + pad[len(vec):] for vec in level)
                        for level in lifts)
-    reps_list = tuple(reps[e] for e in range(module.order))
-    data = (tuple(gens), reps_list, rel_levels)
+    data = (tuple(gens), tuple(steps), rel_levels)
     module._cache["gendata"] = data
     return data
 
@@ -631,17 +638,17 @@ def _search_images(target, rel_levels, candidates, on_full, accept=None):
 
 
 def _morphism_from_images(source, target, images):
-    """The map sending generator i of ``source`` to ``images[i]``."""
-    reps = _generator_data(source)[1]
-    rzero = source.ring.zero
-    tadd, tact, tzero = target.add, target.act, target.zero
-    fmap = []
-    for vec in reps:
-        s = tzero
-        for r, h in zip(vec, images):
-            if r != rzero:
-                s = tadd[s][tact[r][h]]
-        fmap.append(s)
+    """The map sending generator i of ``source`` to ``images[i]``.
+
+    Filled along the steps of ``_generator_data``: f(e) = f(e') + r.h_i
+    for e = e' + r.g_i, one addition and one action per element.  Callers
+    pass only image tuples that kill every basis relation, so the map is
+    well defined and every expression of e gives this value.
+    """
+    tadd, tact = target.add, target.act
+    fmap = [target.zero] * source.order
+    for e, prev, r, i in _generator_data(source)[1]:
+        fmap[e] = tadd[fmap[prev]][tact[r][images[i]]]
     return ModuleMorphism(source, target, fmap, validate=False)
 
 
@@ -704,6 +711,11 @@ def hom_generators(source, target):
     |Hom|.  Every map is an integer combination of the result, so f(N) <=
     sum g(N), the kernels meet in the same submodule, and the preimages of
     a submodule meet in the same submodule.
+
+    Each level's orbit is a subset of T, so the chain of width w = m + k
+    stores at most w.|T| vectors of length w; it is refused when w^2.|T|
+    exceeds ``MAX_HOM_CHAIN``.  The |T|^k cap of ``hom_set`` does not
+    apply: nothing here runs over image tuples.
     """
     if source.ring is not target.ring:
         raise RingMismatch("hom-set endpoints over different rings")
@@ -712,17 +724,21 @@ def hom_generators(source, target):
         return cache[target]
     gens, _, rel_levels = _generator_data(source)
     k = len(gens)
-    _check_hom_cap(target, k)
     rels = [r for level in rel_levels for r in level]
     m = len(rels)
     width = m + k
-    tadd, tact, tneg, tzero = target.add, target.act, target.neg, target.zero
+    if width * width * target.order > MAX_HOM_CHAIN:
+        raise SizeCapExceeded(
+            f"hom generator chain of width {width} over a target of order "
+            f"{target.order} is out of range")
+    tadd, tact, tzero = target.add, target.act, target.zero
+    rows, negs = tadd.__getitem__, target.neg.__getitem__
 
     def add(x, y):
-        return tuple(tadd[a][b] for a, b in zip(x, y))
+        return tuple(map(getitem, map(rows, x), y))
 
     def sub(x, y):
-        return tuple(tadd[a][tneg[b]] for a, b in zip(x, y))
+        return tuple(map(getitem, map(rows, x), map(negs, y)))
 
     zero = (tzero,) * width
     orbits = [{tzero: zero} for _ in range(width)]

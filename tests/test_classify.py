@@ -4,7 +4,7 @@ from modlab.classify import (THEOREM_IDS, TheoremVerdict, Universe,
                              classify_ring, enumerate_lep, generate_universe,
                              verify_theorem)
 from modlab.errors import InternalInconsistency
-from modlab.firstness import annihilator_mask
+from modlab.firstness import NOTIONS, annihilator_mask, firstness_report
 from modlab.modules import (enumerate_submodules, embed_submask,
                             regular_module, simple_modules, submodule)
 from modlab.preradicals import RAD, left_exact_at
@@ -234,6 +234,21 @@ def test_all_theorems_consistent_everywhere():
             v = verify_theorem(tid, ring, uni)
             assert isinstance(v, TheoremVerdict)
             assert v.consistent, (ring.provenance, tid, v.sides)
+
+
+def test_depth_three_z6_is_decided_and_consistent():
+    # the depth-3 universe of Z6 holds sums of four generators, whose Hom
+    # search into a module of order 48 is over 48^4 candidate images
+    ring = cyclic_ring(6)
+    uni = generate_universe(ring, depth=3)
+    assert uni.depth == 3
+    classify_ring(ring, uni)
+    for m in uni.nonzero_modules():
+        report = firstness_report(m)
+        assert set(report.verdicts) == set(NOTIONS)
+    for tid in THEOREM_IDS:
+        v = verify_theorem(tid, ring, uni)
+        assert v.consistent, (tid, v.sides)
 
 
 def test_unknown_theorem_id():

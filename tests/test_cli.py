@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from modlab import classify, firstness
+from modlab import classify, firstness, modules
 from modlab.cli import main
 from modlab.errors import JobParseError, SizeCapExceeded
 from modlab.jobs import (parse_job, render_structured, render_text, run_job)
@@ -238,6 +238,14 @@ def test_cli_parse_error_exit_one(tmp_path, capsys):
 def test_cli_cap_error_exit_two(tmp_path, capsys):
     bad = "[ring]\nmatrix(cyclic(3),2)\n"
     assert main(["define", _write(tmp_path, bad)]) == 2
+
+
+def test_cli_corpus_chain_cap_exit_two(monkeypatch, capsys):
+    monkeypatch.setattr(modules, "MAX_HOM_CHAIN", 1)
+    assert main(["corpus", "--universe-depth", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("size cap: hom generator chain of width ")
+    assert "over a target of order " in err
 
 
 def test_cli_missing_file_exit_engine(tmp_path, capsys):

@@ -3,6 +3,7 @@ all-functions oracle, and the consumers that read them."""
 
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -12,7 +13,8 @@ from modlab import modules
 from modlab.classify import generate_universe
 from modlab.errors import SizeCapExceeded
 from modlab.firstness import _cond_pointwise_separation
-from modlab.modules import (_generator_data, _reject_mask,
+from modlab.modules import (_generator_data, _morphism_from_images,
+                            _reject_mask, _search_images,
                             all_function_homs, cyclic_mask, direct_sum_module,
                             enumerate_submodules, find_isomorphism,
                             hom_generators, hom_nonzero_exists, hom_set,
@@ -99,7 +101,8 @@ def test_relation_basis_spans_every_relation():
 
 def test_hom_of_sixfold_sum_over_z16():
     # |R|^k = 16^6 is far past MAX_HOM_CANDIDATES while |S|^k = 64 is not:
-    # the Hom-search cap is the only cap on generator data.
+    # the relation basis comes from the greedy loop, not from a scan over
+    # all coefficient tuples, so neither Hom route is refused here.
     z16 = cyclic_ring(16)
     reg = regular_module(z16)
     two = z16.add[z16.one][z16.one]
@@ -145,17 +148,147 @@ def test_generator_consumers_match_hom_set():
                     assert Omega(n).evaluate(u).mask == pre
 
 
-def test_generators_refused_with_hom_set(monkeypatch):
+def _chain_width(module):
+    """m + k: the basis relations and the generators of ``module``."""
+    gens, _, rel_levels = _generator_data(module)
+    return sum(map(len, rel_levels)) + len(gens)
+
+
+def test_chain_cap_refuses_just_above_its_bound(monkeypatch):
     m = direct_sum_module([regular_module(Z4)] * 2)
     t = regular_module(Z4)
-    monkeypatch.setattr(modules, "MAX_HOM_CANDIDATES", 4 ** 2 - 1)
-    with pytest.raises(SizeCapExceeded):
-        hom_set(m, t)
-    with pytest.raises(SizeCapExceeded):
+    w = _chain_width(m)
+    bound = w * w * t.order
+    monkeypatch.setattr(modules, "MAX_HOM_CHAIN", bound - 1)
+    with pytest.raises(SizeCapExceeded,
+                       match=f"chain of width {w} over a target of order 4 "):
         hom_generators(m, t)
-    monkeypatch.setattr(modules, "MAX_HOM_CANDIDATES", 4 ** 2)
-    assert len(_span(hom_generators(m, t), t, m.order)) == 16
-    assert len(hom_set(m, t)) == 16
+    monkeypatch.setattr(modules, "MAX_HOM_CHAIN", bound)
+    assert _span(hom_generators(m, t), t, m.order) == \
+        {f.map for f in hom_set(m, t)}
+
+
+def _fresh(m):
+    """A module on the tables of ``m`` with nothing cached yet."""
+    return module_from_tables(m.ring, m.add, m.act)
+
+
+# the all-functions oracle filters all |T|^|S| functions: cheap pairs only
+ORACLE_REACH = 2 ** 12
+
+
+def test_generators_answer_where_hom_set_is_refused(monkeypatch):
+    mods = [_fresh(m) for m in _small_modules()]
+    pairs = oracle_pairs = 0
+    for a in mods:
+        k = len(_generator_data(a)[0])
+        for b in mods:
+            if b.ring is not a.ring:
+                continue
+            monkeypatch.setattr(modules, "MAX_HOM_CANDIDATES",
+                                b.order ** k - 1)
+            with pytest.raises(SizeCapExceeded, match="hom search over"):
+                hom_set(a, b)
+            span = _span(hom_generators(a, b), b, a.order)
+            if b.order ** a.order <= ORACLE_REACH:
+                oracle = all_function_homs(a, b)
+                oracle_pairs += 1
+            else:
+                monkeypatch.undo()
+                oracle = hom_set(a, b)
+            assert span == {f.map for f in oracle}
+            pairs += 1
+    assert (pairs, oracle_pairs) == (175, 123)
+
+
+def _coefficients(module):
+    """One coefficient tuple c per element e, e = sum_i c_i.g_i over the
+    greedy generators: the expressions that maps were once summed over."""
+    gens = _generator_data(module)[0]
+    ring = module.ring
+    add, act = module.add, module.act
+    coefs = {module.zero: (ring.zero,) * len(gens)}
+    for i, g in enumerate(gens):
+        for e, vec in list(coefs.items()):
+            for r in range(ring.order):
+                coefs.setdefault(add[e][act[r][g]],
+                                 vec[:i] + (r,) + vec[i + 1:])
+    assert len(coefs) == module.order
+    return coefs
+
+
+def _by_coefficients(coefs, target, images):
+    """f(e) = sum_i c_i(e).images[i], term by term."""
+    tadd, tact = target.add, target.act
+    out = []
+    for e in range(len(coefs)):
+        s = target.zero
+        for r, h in zip(coefs[e], images):
+            s = tadd[s][tact[r][h]]
+        out.append(s)
+    return tuple(out)
+
+
+def _assert_maps_by_coefficients(source, target):
+    """Every map of ``hom_set`` and ``hom_generators`` equals the
+    coefficient formula on its generator images.  The ``hom_set`` images
+    come from the search, not from the built maps, so a builder that
+    misplaces an image cannot agree with itself here."""
+    gens, _, rel_levels = _generator_data(source)
+    coefs = _coefficients(source)
+    found = []
+    _search_images(target, rel_levels, [range(target.order)] * len(gens),
+                   found.append)
+    built = {_morphism_from_images(source, target, hv).map: hv
+             for hv in found}
+    assert set(built) == {f.map for f in hom_set(source, target)}
+    gens_maps = hom_generators(source, target)
+    images = list(built.items()) + [(f.map, [f.map[g] for g in gens])
+                                    for f in gens_maps]
+    for fmap, hv in images:
+        assert fmap == _by_coefficients(coefs, target, hv)
+    return len(found) + len(gens_maps)
+
+
+def test_maps_match_the_coefficient_formula():
+    count = 0
+    for ring in CORPUS:
+        mods = generate_universe(ring).modules
+        for a in mods:
+            for b in mods:
+                count += _assert_maps_by_coefficients(a, b)
+    assert count == 16293
+
+
+def _permuted(m, perm):
+    """The module ``m`` with element x renamed perm[x]."""
+    n = m.order
+    inv = sorted(range(n), key=perm.__getitem__)
+    add = [[perm[m.add[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+    act = [[perm[m.act[r][inv[a]]] for a in range(n)]
+           for r in range(m.ring.order)]
+    return module_from_tables(m.ring, add, act)
+
+
+def test_maps_from_a_permuted_module():
+    mods = generate_universe(Z4).modules
+    m = next(x for x in mods if x.order == 16)
+    perm = list(range(m.order))
+    random.Random(3).shuffle(perm)
+    p = _permuted(m, perm)
+    assert p.zero == perm[m.zero] != 0
+    reached = [e for e, *_ in _generator_data(p)[1]]
+    assert sorted(reached) != reached
+    for b in mods:
+        homs = hom_set(p, b)
+        assert {tuple(f.map[perm[x]] for x in range(m.order))
+                for f in homs} == {f.map for f in hom_set(m, b)}
+        gens = hom_generators(p, b)
+        assert _span(gens, b, p.order) == {f.map for f in homs}
+        _assert_maps_by_coefficients(p, b)
+    iso = find_isomorphism(p, m)
+    iso.check()
+    assert sorted(iso.map) == list(range(m.order))
 
 
 def test_cross_checks_do_not_use_generators(monkeypatch):

@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -32,6 +33,23 @@ M22 = matrix_ring(cyclic_ring(2), 2)
 
 def soc_sub(mod):
     return structural_summary(mod).socle
+
+
+def test_image_of_mask_on_arbitrary_masks():
+    rng = random.Random(5)
+    for ring in (Z4, Z6, M22):
+        mods = generate_universe(ring).modules
+        for a in mods:
+            masks = [0, a.full_mask()] + [rng.getrandbits(a.order)
+                                          for _ in range(6)]
+            for b in mods:
+                for f in hom_set(a, b)[:8]:
+                    for mask in masks:
+                        image = 0
+                        for x in range(a.order):
+                            if mask >> x & 1:
+                                image |= 1 << f.map[x]
+                        assert f.image_of_mask(mask) == image
 
 
 def test_regular_z4():
