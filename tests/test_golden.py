@@ -1,8 +1,9 @@
 """Structured reports compared byte for byte with recorded ones.
 
-The files under ``tests/golden/`` were recorded at commit e961f8e with the
-commands below.  A change that means to alter a report re-records them
-and says why; any other difference is a regression.
+The files under ``tests/golden/`` were recorded with the commands below,
+``corpus-d3.json`` at commit 829d310 and the others at commit e961f8e.  A
+change that means to alter a report re-records them and says why; any
+other difference is a regression.
 """
 
 import pathlib
@@ -19,6 +20,8 @@ DEMO = str(ROOT / "demo.job")
 @pytest.mark.parametrize("name, argv", [
     ("corpus-actions20.json",
      ["corpus", "--format", "structured", "--actions", "20"]),
+    ("corpus-d3.json",
+     ["corpus", "--format", "structured", "--universe-depth", "3"]),
     ("check-demo.json", ["check", DEMO, "--format", "structured"]),
     ("verify-demo.json", ["verify", DEMO, "--format", "structured"]),
 ])
