@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from .errors import InternalInconsistency
-from .modules import (_element_annihilators, cogenerates, cyclic_mask,
+from .modules import (annihilator_mask, cogenerates, cyclic_mask,
                       enumerate_submodules, hom_nonzero_exists, hom_set,
                       is_essential, isomorphism_classes, submodule,
                       trad_mask)
@@ -141,15 +141,6 @@ def is_bjkn_prime(module):
 
 # ---------------------------------------------------------------------------
 # primeness (= firstness under the two-sided-ideal action)
-
-def annihilator_mask(module, mask):
-    """Ring elements killing every element of the carrier ``mask``."""
-    out = (1 << module.ring.order) - 1
-    for x, ann in enumerate(_element_annihilators(module)):
-        if mask >> x & 1:
-            out &= ann
-    return out
-
 
 def prime_module_detail(module):
     """Two routes asserted equal: equal annihilators of all nonzero

@@ -374,7 +374,9 @@ class SubmoduleLattice:
 
     Canonical order is (size, carrier); index 0 is the zero submodule and
     the last index is the whole module.  Join and meet are ``sum_masks``
-    and ``&`` on the carriers, so no tables are kept.
+    and ``&`` on the carriers, so no tables are kept.  A nonzero submodule
+    is an atom when it contains no atom listed before it, since a proper
+    nonzero submodule is smaller and contains an atom; maximals dually.
     ``fully_invariant`` is computed lazily from generators of End(M): N is
     fully invariant when every generator maps it into itself, since every
     endomorphism is a sum of them.
@@ -384,8 +386,6 @@ class SubmoduleLattice:
         self.module = module
         self.submodules = tuple(submodules)
         self.index = {s.mask: i for i, s in enumerate(self.submodules)}
-        self.bottom_index = 0
-        self.top_index = len(self.submodules) - 1
         self._fi = None
 
     def __len__(self):
@@ -404,24 +404,18 @@ class SubmoduleLattice:
         return self._fi
 
     def atom_indices(self):
-        out = []
-        for i, s in enumerate(self.submodules):
-            if i == self.bottom_index:
-                continue
-            if all(j in (self.bottom_index, i) or not self.leq(j, i)
-                   for j in range(len(self.submodules))):
-                out.append(i)
-        return out
+        found = []
+        for s in self.submodules[1:]:
+            if all(a & ~s.mask for a in found):
+                found.append(s.mask)
+        return [self.index[m] for m in found]
 
     def maximal_indices(self):
-        out = []
-        for i, s in enumerate(self.submodules):
-            if i == self.top_index:
-                continue
-            if all(j in (self.top_index, i) or not self.leq(i, j)
-                   for j in range(len(self.submodules))):
-                out.append(i)
-        return out
+        found = []
+        for s in reversed(self.submodules[:-1]):
+            if all(s.mask & ~m for m in found):
+                found.append(s.mask)
+        return sorted(self.index[m] for m in found)
 
     def nonzero(self):
         return self.submodules[1:]
@@ -821,6 +815,15 @@ def _element_annihilators(module):
     return result
 
 
+def annihilator_mask(module, mask):
+    """Ring elements killing every element of the carrier ``mask``."""
+    out = (1 << module.ring.order) - 1
+    for x, ann in enumerate(_element_annihilators(module)):
+        if mask >> x & 1:
+            out &= ann
+    return out
+
+
 def find_isomorphism(a, b):
     """A bijective map a -> b, or None.
 
@@ -1033,56 +1036,44 @@ class StructuralSummary:
 
 
 def structural_summary(module):
-    """Socle, radical, and the (homogeneous) semisimplicity flags (cached)."""
+    """Socle, radical, and the simple and (homogeneous) semisimple flags,
+    read off J = J(R) with no lattice of M (cached).  R/J is semisimple, so
+    Soc(M) = {x : Jx = 0} and Rad(M) = JM.  A simple module is the only one
+    of the simple ring R/P, P its maximal two-sided annihilator; so a
+    semisimple M != 0 is homogeneous exactly when ann(M), the meet of its
+    simple summands' annihilators, is maximal (M = 0 is so vacuously)."""
     if "structure" in module._cache:
         return module._cache["structure"]
-    lat = enumerate_submodules(module)
-    atoms = lat.atom_indices()
-    soc_mask = module.zero_mask()
-    for i in atoms:
-        soc_mask = sum_masks(module, soc_mask, lat.submodules[i].mask)
-    socle = submodule(module, soc_mask)
-    maximals = lat.maximal_indices()
-    rad_mask = module.full_mask()
-    for i in maximals:
-        rad_mask &= lat.submodules[i].mask
-    radical = submodule(module, rad_mask)
-    is_simple = len(lat) == 2
-    is_semisimple = soc_mask == module.full_mask()
-    # homogeneous: every simple summand isomorphic to the first; atoms are
-    # built as modules only until one is not
-    homogeneous = is_semisimple and all(
-        is_isomorphic(lat.submodules[atoms[0]].as_module(),
-                      lat.submodules[i].as_module()) for i in atoms[1:])
-    summary = StructuralSummary(is_simple, is_semisimple, homogeneous,
-                                socle, radical)
+    ring, full = module.ring, module.full_mask()
+    jac = jacobson_radical(ring)
+    anns = _element_annihilators(module)
+    soc_mask = sum(1 << x for x, a in enumerate(anns) if jac.mask & ~a == 0)
+    ann_m = annihilator_mask(module, full)
+    ideals = enumerate_ideals(ring, "two-sided")
+    homogeneous = soc_mask == full and (
+        module.is_zero() or sum(ann_m & ~i.mask == 0 for i in ideals) == 2)
+    is_simple = not module.is_zero() and all(
+        cyclic_mask(module, x) == full
+        for x in range(module.order) if x != module.zero)
+    summary = StructuralSummary(is_simple, soc_mask == full, homogeneous,
+                                submodule(module, soc_mask),
+                                submodule(module, trad_mask(module, jac)))
     module._cache["structure"] = summary
     return summary
 
 
 def is_essential(sub):
-    module = sub.module
-    lat = enumerate_submodules(module)
+    """N meets every nonzero submodule: Soc(M) <= N, as each one contains
+    a simple submodule."""
     _require_submodule(sub)
-    zmask = module.zero_mask()
-    if sub.mask == zmask:
-        # 0 is essential only in the zero module
-        return module.is_zero()
-    for other in lat.nonzero():
-        if sub.mask & other.mask == zmask:
-            return False
-    return True
+    return structural_summary(sub.module).socle.mask & ~sub.mask == 0
 
 
 def is_superfluous(sub):
-    module = sub.module
-    lat = enumerate_submodules(module)
+    """N + K = M only for K = M: N <= Rad(M), as M is finitely generated."""
     _require_submodule(sub)
-    full = module.full_mask()
-    for other in lat.submodules:
-        if other.mask != full and sum_masks(module, sub.mask, other.mask) == full:
-            return False
-    return True
+    rad = structural_summary(sub.module).jacobson_radical
+    return sub.mask & ~rad.mask == 0
 
 
 def is_atom(sub):
@@ -1162,6 +1153,18 @@ def simple_modules(ring):
     result = tuple(reps)
     ring._cache["simples"] = result
     return result
+
+
+def jacobson_radical(ring):
+    """J(R): the meet of the regular module's maximal submodules (cached)."""
+    if "jacobson" not in ring._cache:
+        reg = regular_module(ring)
+        lat = enumerate_submodules(reg)
+        mask = reg.full_mask()
+        for i in lat.maximal_indices():
+            mask &= lat.submodules[i].mask
+        ring._cache["jacobson"] = submodule(reg, mask)
+    return ring._cache["jacobson"]
 
 
 def endomorphism_ring(module, cap=None):

@@ -8,10 +8,11 @@ constants, and linear-filter operators; the nodes are joins, meets and
 composition.  Evaluation on any module over the same ring is exact: the
 trace and reject operators sum images, or meet preimages, over a
 generating set of the Hom group (``modules.hom_generators``), which gives
-the same submodule as running over every map.  Every class-level property
-(idempotent, radical, left exact, t-radical, the pointwise order) is
-decided relative to an explicit finite universe of modules, never for the
-whole category.
+the same submodule as running over every map, and socle and radical are
+{x : Jx = 0} and JM for the ring's Jacobson radical J, with no submodule
+lattice.  Every class-level property (idempotent, radical, left exact,
+t-radical, the pointwise order) is decided relative to an explicit
+finite universe of modules, never for the whole category.
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ class Trad(Preradical):
 
 
 class Soc(Preradical):
+    """Soc(M) = {x : Jx = 0}, J the Jacobson radical of the ring."""
+
     __slots__ = ()
 
     def _compute(self, module):
@@ -184,6 +187,8 @@ class Soc(Preradical):
 
 
 class Rad(Preradical):
+    """Rad(M) = JM, J the Jacobson radical of the ring."""
+
     __slots__ = ()
 
     def _compute(self, module):
