@@ -20,10 +20,10 @@ DEMO = str(ROOT / "demo.job")
 @pytest.mark.parametrize("name, argv", [
     ("corpus-actions20.json",
      ["corpus", "--format", "structured", "--actions", "20"]),
-    ("corpus-d3.json",
-     ["corpus", "--format", "structured", "--universe-depth", "3"]),
     ("check-demo.json", ["check", DEMO, "--format", "structured"]),
     ("verify-demo.json", ["verify", DEMO, "--format", "structured"]),
+    ("corpus-d3.json",
+     ["corpus", "--format", "structured", "--universe-depth", "3"]),
 ])
 def test_structured_report_is_unchanged(name, argv, capsys):
     assert main(argv) == 0
