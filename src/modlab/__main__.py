@@ -1,0 +1,8 @@
+"""``python -m modlab``: the ``modlab`` command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

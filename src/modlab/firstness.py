@@ -100,16 +100,19 @@ def _cond_pointwise_separation(module):
 
 
 def _cond_products_nonzero(module):
-    """Products of nonzero submodule pairs are nonzero.
+    """Products of nonzero submodule pairs are nonzero, decided on atoms.
 
-    The quantifier runs over all nonzero submodules (proper or not): with a
-    zero factor the product is trivially zero, and allowing the improper
-    factor only adds products that are nonzero anyway whenever the rest
-    are.
+    The product of N and K, the sum of f(N) over maps f: M -> K, grows
+    with N, and it grows with K (a map into K' <= K is a map into K).
+    Every nonzero submodule contains an atom, so every product of nonzero
+    submodules is nonzero exactly when every product of two atoms is.
+    Only the verdict is read: ``bjkn_prime_detail`` reports the pointwise
+    route's witness.
     """
-    subs = _nonzero_submodules(module)
-    for left in subs:
-        for right in subs:
+    lat = enumerate_submodules(module)
+    atoms = [lat.submodules[i] for i in lat.atom_indices()]
+    for left in atoms:
+        for right in atoms:
             if product_in(module, left, right).is_zero():
                 return False, {"kind": "zero_product",
                                "left": left.labels(),
@@ -142,39 +145,41 @@ def is_bjkn_prime(module):
 # ---------------------------------------------------------------------------
 # primeness (= firstness under the two-sided-ideal action)
 
-def prime_module_detail(module):
-    """Two routes asserted equal: equal annihilators of all nonzero
-    submodules, and no ideal killing a nonzero submodule without killing
-    the module."""
-    _require_nonzero(module, "primeness")
+def _prime_via_annihilators(module):
+    """All nonzero submodules have the module's annihilator."""
     ann_m = annihilator_mask(module, module.full_mask())
-    via_ann = True
-    ann_witness = None
     for n in _nonzero_submodules(module):
         if annihilator_mask(module, n.mask) != ann_m:
-            via_ann = False
-            ann_witness = {"kind": "annihilator_jump", "submodule": n.labels()}
-            break
-    via_trad = True
-    trad_witness = None
+            return False, {"kind": "annihilator_jump", "submodule": n.labels()}
+    return True, None
+
+
+def _prime_via_ideals(module):
+    """No two-sided ideal kills a nonzero submodule without killing the
+    module."""
     zmask = module.zero_mask()
     for ideal in enumerate_ideals(module.ring, "two-sided"):
         if trad_mask(module, ideal) == zmask:
             continue  # kills the module, nothing to check
         for n in _nonzero_submodules(module):
             if trad_mask(module, ideal, n.mask) == zmask:
-                via_trad = False
-                trad_witness = {
-                    "kind": "ideal_kills_submodule_not_module",
-                    "ideal": list(ideal.labels()),
-                    "submodule": n.labels()}
-                break
-        if not via_trad:
-            break
-    if via_ann != via_trad:
+                return False, {"kind": "ideal_kills_submodule_not_module",
+                               "ideal": list(ideal.labels()),
+                               "submodule": n.labels()}
+    return True, None
+
+
+def prime_module_detail(module):
+    """Verdict plus the ideal-action route's witness, with the
+    annihilator and ideal-action routes asserted to agree."""
+    _require_nonzero(module, "primeness")
+    routes = {"annihilators": _prime_via_annihilators(module),
+              "ideal_action": _prime_via_ideals(module)}
+    verdicts = {name: v for name, (v, _) in routes.items()}
+    if len(set(verdicts.values())) != 1:
         raise InternalInconsistency(
-            f"primeness routes disagree on {module!r}")
-    return via_ann, trad_witness or ann_witness
+            f"primeness routes disagree on {module!r}: {verdicts}")
+    return routes["ideal_action"]
 
 
 def is_prime_module(module):
@@ -192,20 +197,24 @@ def _rpid_pairwise(module):
     the family route independently.  Atoms are tested first: Hom(N, K) is
     nonzero as soon as Hom(N, A) is for an atom A <= K (compose with the
     inclusion), so a direct search runs only on the K that contain none of
-    the atoms N reaches.  The pairs are scanned in the same order either
-    way, so the first failing pair, the witness, is the same.
+    the atoms N reaches.  Each K carries one bitmask of the atoms it
+    contains and each N one bitmask of the atoms it reaches, so that test
+    is one AND.  The pairs are scanned in the same order either way, so
+    the first failing pair, the witness, is the same.
     """
     lat = enumerate_submodules(module)
     atoms = [lat.submodules[i] for i in lat.atom_indices()]
     atom_masks = {a.mask for a in atoms}
     subs = lat.nonzero()
+    below = [sum(1 << i for i, a in enumerate(atoms) if a.mask & ~k.mask == 0)
+             for k in subs]
     for n in subs:
         nmod = n.as_module()
-        reached = [a.mask for a in atoms
-                   if hom_nonzero_exists(nmod, a.as_module())]
-        for k in subs:
+        reached = sum(1 << i for i, a in enumerate(atoms)
+                      if hom_nonzero_exists(nmod, a.as_module()))
+        for k, k_atoms in zip(subs, below):
             # an atom N does not reach has no nonzero map from N
-            nonzero = (any(a & ~k.mask == 0 for a in reached)
+            nonzero = (k_atoms & reached
                        or k.mask not in atom_masks
                        and hom_nonzero_exists(nmod, k.as_module()))
             if not nonzero:
@@ -245,8 +254,9 @@ def rpid_first_detail(module):
                          for pr in family if not pr.evaluate(module).is_zero()
                          for n in reps)
     if via_family != verdict:
+        verdicts = {"pairwise": verdict, "family": via_family}
         raise InternalInconsistency(
-            f"trace-firstness routes disagree on {module!r}")
+            f"trace-firstness routes disagree on {module!r}: {verdicts}")
     return verdict, witness
 
 

@@ -428,22 +428,44 @@ def enumerate_submodules(module):
     m -> m + Rx reaches all of them.  For a submodule m, m + Rx depends
     only on the coset x + m: for a in m, m + R(x + a) = m + Rx, as each
     side contains both x and x + a.  So each m is summed with one cyclic
-    per coset, not one per element.
+    per coset, not one per element.  The pass that finds one
+    representative per coset also labels every element with its coset
+    of m; m + Rx is the union of the cosets m + rx, so it is read off the
+    labels of the distinct elements rx, |Rx| lookups.
     """
     if "lattice" in module._cache:
         return module._cache["lattice"]
-    cyclics = [cyclic_mask(module, x) for x in range(module.order)]
+    # the distinct elements rx of each Rx
+    cyclics = [{row[x] for row in module.act} for x in range(module.order)]
+    add = module.add
     full = module.full_mask()
+    label = [0] * module.order  # element -> index of its coset in cosets
     seen = {module.zero_mask()}
     queue = list(seen)
     while queue:
         m = queue.pop()
         els = _elements(m)
+        for a in els:
+            label[a] = 0
+        cosets = [m]
+        reps = []
         uncovered = full & ~m
         while uncovered:
             x = (uncovered & -uncovered).bit_length() - 1
-            uncovered &= ~_coset_mask(module, els, x)
-            s = sum_masks(module, m, cyclics[x])
+            row = add[x]
+            i = len(cosets)
+            coset = 0
+            for a in els:
+                y = row[a]
+                coset |= 1 << y
+                label[y] = i
+            cosets.append(coset)
+            reps.append(x)
+            uncovered &= ~coset
+        for x in reps:
+            s = m
+            for y in cyclics[x]:
+                s |= cosets[label[y]]
             if s not in seen:
                 seen.add(s)
                 queue.append(s)

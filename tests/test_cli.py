@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -228,6 +231,16 @@ def test_cli_flags_override_the_document_universe(tmp_path, capsys):
     caps = json.loads(capsys.readouterr().out)["caps"]
     assert caps["universe_depth"] == 1
     assert caps["module"] == 32
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "modlab", "define",
+                           "demo.job"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok:")
 
 
 def test_cli_parse_error_exit_one(tmp_path, capsys):

@@ -1,7 +1,13 @@
+import re
+
 import pytest
 
+from modlab import firstness
+from modlab.classify import generate_universe
+from modlab.cli import corpus_rings
 from modlab.errors import InternalInconsistency
-from modlab.firstness import (NOTIONS, ClassMembership, a_first_detail,
+from modlab.firstness import (NOTIONS, ClassMembership,
+                              _cond_products_nonzero, a_first_detail,
                               a_fully_first_detail, bjkn_prime_detail,
                               class_membership, decide, diuniform_detail,
                               firstness_report, is_A_first, is_A_fully_first,
@@ -9,10 +15,13 @@ from modlab.firstness import (NOTIONS, ClassMembership, a_first_detail,
                               is_retractable, is_rpid_first,
                               prime_module_detail, rpid_first_detail)
 from modlab.modules import (direct_sum_module, endomorphism_ring,
-                            regular_module, simple_modules, submodule)
-from modlab.preradicals import Alpha, SOC, ZERO
+                            enumerate_submodules, regular_module,
+                            simple_modules, submodule)
+from modlab.preradicals import Alpha, SOC, ZERO, product_in
 from modlab.rings import (cyclic_ring, is_prime_ring, matrix_ring,
                           product_ring)
+
+from test_isomorphism_classes import deep_reference_modules
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)
@@ -267,3 +276,40 @@ def test_decide_caches_and_copies_witnesses():
     firstness_report(m).witnesses["prime"]["submodule"] = ()
     assert decide(m, "bjkn_prime") == bjkn_prime_detail(m)
     assert decide(m, "prime") == prime_module_detail(m)
+
+
+def _products_full_scan(module):
+    """BJKN's products route without the reduction to atoms: one product
+    per ordered pair of nonzero submodules."""
+    subs = enumerate_submodules(module).nonzero()
+    return all(not product_in(module, left, right).is_zero()
+               for left in subs for right in subs)
+
+
+def test_products_route_matches_the_full_scan():
+    mods = [m for ring in corpus_rings()
+            for m in generate_universe(ring, depth=2).nonzero_modules()]
+    mods += [m for _, m in deep_reference_modules("bjkn_prime")]
+    verdicts = [_products_full_scan(m) for m in mods]
+    assert [_cond_products_nonzero(m)[0] for m in mods] == verdicts
+    assert (len(mods), verdicts.count(False)) == (40, 21)
+
+
+def test_prime_disagreement_names_each_route(monkeypatch):
+    monkeypatch.setattr(firstness, "_prime_via_annihilators",
+                        lambda module: (False, None))
+    verdicts = {"annihilators": False, "ideal_action": True}
+    with pytest.raises(InternalInconsistency,
+                       match=re.escape(f"disagree on {regular_module(Z2)!r}"
+                                       f": {verdicts}")):
+        prime_module_detail(regular_module(Z2))
+
+
+def test_trace_firstness_disagreement_names_each_route(monkeypatch):
+    monkeypatch.setattr(firstness, "_rpid_pairwise",
+                        lambda module: (False, None))
+    verdicts = {"pairwise": False, "family": True}
+    with pytest.raises(InternalInconsistency,
+                       match=re.escape(f"disagree on {regular_module(Z2)!r}"
+                                       f": {verdicts}")):
+        rpid_first_detail(regular_module(Z2))
