@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_MODULE_CAP, DEFAULT_UNIVERSE_DEPTH
 from .errors import InternalInconsistency, SizeCapExceeded
 from .firstness import a_first_detail, a_fully_first_detail, decide
-from .modules import (direct_sum_module, enumerate_submodules,
+from .modules import (atoms, direct_sum_module, enumerate_submodules,
                       hom_nonzero_exists, is_injective, is_superfluous,
                       is_essential, isomorphism_classes, quotient_module,
                       regular_module, simple_modules, structural_summary)
@@ -317,9 +317,7 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
             for e in universe.nonzero_modules():
                 if not is_injective(e):
                     continue
-                lat = enumerate_submodules(e)
-                for i in lat.atom_indices():
-                    s = lat.submodules[i]
+                for s in atoms(e):
                     if s.is_full() or not is_essential(s):
                         continue
                     pairs.append((s, e))

@@ -3,19 +3,24 @@
 Each notion is decided through the finite characterization that makes it
 checkable without quantifying over all preradicals: BJKN-primeness through
 four separately computed equivalent conditions (which must agree, or an
-InternalInconsistency is raised; the cogeneration and product routes read
-generating sets of Hom groups, the pointwise route enumerates Hom-sets),
-primeness through both the annihilator and the ideal-action route,
-trace-firstness through pairwise nonzero homs cross-checked against a
-generated family of idempotent operators, built and tested one
-isomorphism class of submodules at a time (a preradical commutes with
-isomorphisms, so it kills a submodule exactly when it kills every
-isomorphic one).  ``decide`` caches each notion's verdict per module.
-Firstness relative to a finite family is one scan, ``a_fully_first_detail``;
-``a_first_detail`` runs it over the members that do not kill the module.
-These deciders are also the module-level sides of the theorems replayed by
-``classify.verify_theorem``.  Negative verdicts always carry the first
-witness in canonical scan order.
+InternalInconsistency is raised): homogeneous semisimplicity read off
+J(R), cogeneration by the cyclic submodules and products of atoms over
+generating sets of Hom groups, and pointwise separation over enumerated
+Hom-sets; primeness through both the annihilator and the ideal-action
+route; trace-firstness through pairwise nonzero homs, decided by the
+action of the atoms' annihilators, cross-checked against a generated
+family of idempotent operators.  ``decide`` caches each notion's verdict
+per module.  Firstness relative to a finite family is one scan,
+``a_fully_first_detail``; ``a_first_detail`` runs it over the members
+that do not kill the module.  These deciders are also the module-level
+sides of the theorems replayed by ``classify.verify_theorem``.
+
+Every "for all nonzero submodules" quantifier whose failure passes down
+to smaller submodules (an ideal, a preradical or an annihilator jump that
+hits N also hits the atoms of N) runs over ``modules.atoms``, which builds
+no lattice; by the scan-order argument given there, the first failure,
+and so the witness, is the one a scan of every nonzero submodule in
+lattice order finds.  Negative verdicts always carry that first witness.
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from .errors import InternalInconsistency
-from .modules import (annihilator_mask, cogenerates, cyclic_mask,
+from .modules import (annihilator_mask, atoms, cogenerates, cyclic_mask,
                       enumerate_submodules, hom_nonzero_exists, hom_set,
-                      is_essential, isomorphism_classes, submodule,
-                      trad_mask)
+                      is_essential, isomorphism_classes, regular_module,
+                      structural_summary, submodule, trad_mask)
 from .preradicals import Alpha, Join, SOC, product_in
 from .rings import enumerate_ideals
 
@@ -46,12 +51,16 @@ def _require_nonzero(module, notion):
 # ---------------------------------------------------------------------------
 # BJKN-primeness: four equivalent conditions computed independently
 
-def _cond_all_submodules_cogenerate(module):
-    for n in _nonzero_submodules(module):
-        if not cogenerates(n, module):
-            return False, {"kind": "non_cogenerating_submodule",
-                           "submodule": n.labels()}
-    return True, None
+def _cond_homogeneous_semisimple(module):
+    """M is a direct sum of copies of one simple module.
+
+    All nonzero submodules cogenerate M exactly when all atoms do, since a
+    map into an atom A <= N is a map into N.  An atom S that cogenerates M
+    embeds M in a power of S, so M is homogeneous semisimple; conversely
+    every atom of S^n is a copy of S, and S cogenerates S^n.  The flag is
+    read off J(R) by ``structural_summary``, with no Hom group.
+    """
+    return structural_summary(module).is_homogeneous_semisimple, None
 
 
 def _cond_cyclic_submodules_cogenerate(module):
@@ -109,10 +118,8 @@ def _cond_products_nonzero(module):
     Only the verdict is read: ``bjkn_prime_detail`` reports the pointwise
     route's witness.
     """
-    lat = enumerate_submodules(module)
-    atoms = [lat.submodules[i] for i in lat.atom_indices()]
-    for left in atoms:
-        for right in atoms:
+    for left in atoms(module):
+        for right in atoms(module):
             if product_in(module, left, right).is_zero():
                 return False, {"kind": "zero_product",
                                "left": left.labels(),
@@ -124,7 +131,7 @@ def bjkn_prime_detail(module):
     """Verdict plus witness, with the four routes asserted to agree."""
     _require_nonzero(module, "BJKN-primeness")
     routes = {
-        "all_submodules_cogenerate": _cond_all_submodules_cogenerate(module),
+        "homogeneous_semisimple": _cond_homogeneous_semisimple(module),
         "cyclic_submodules_cogenerate": _cond_cyclic_submodules_cogenerate(module),
         "pointwise_separation": _cond_pointwise_separation(module),
         "products_nonzero": _cond_products_nonzero(module),
@@ -133,7 +140,7 @@ def bjkn_prime_detail(module):
     if len(set(verdicts.values())) != 1:
         raise InternalInconsistency(
             f"BJKN-prime routes disagree on {module!r}: {verdicts}")
-    verdict = verdicts["all_submodules_cogenerate"]
+    verdict = verdicts["homogeneous_semisimple"]
     witness = None if verdict else routes["pointwise_separation"][1]
     return verdict, witness
 
@@ -146,9 +153,10 @@ def is_bjkn_prime(module):
 # primeness (= firstness under the two-sided-ideal action)
 
 def _prime_via_annihilators(module):
-    """All nonzero submodules have the module's annihilator."""
+    """All nonzero submodules have the module's annihilator, decided on
+    the atoms: ann(N) <= ann(A) for an atom A <= N."""
     ann_m = annihilator_mask(module, module.full_mask())
-    for n in _nonzero_submodules(module):
+    for n in atoms(module):
         if annihilator_mask(module, n.mask) != ann_m:
             return False, {"kind": "annihilator_jump", "submodule": n.labels()}
     return True, None
@@ -156,12 +164,12 @@ def _prime_via_annihilators(module):
 
 def _prime_via_ideals(module):
     """No two-sided ideal kills a nonzero submodule without killing the
-    module."""
+    module, decided on the atoms: an ideal that kills N kills its atoms."""
     zmask = module.zero_mask()
     for ideal in enumerate_ideals(module.ring, "two-sided"):
         if trad_mask(module, ideal) == zmask:
             continue  # kills the module, nothing to check
-        for n in _nonzero_submodules(module):
+        for n in atoms(module):
             if trad_mask(module, ideal, n.mask) == zmask:
                 return False, {"kind": "ideal_kills_submodule_not_module",
                                "ideal": list(ideal.labels()),
@@ -190,36 +198,37 @@ def is_prime_module(module):
 # firstness for idempotent preradicals
 
 def _rpid_pairwise(module):
-    """A nonzero map between every ordered pair of nonzero submodules.
+    """A nonzero map between every ordered pair of nonzero submodules,
+    decided on atoms by the action of their annihilators.
 
-    The witness route of trace-firstness: it decides every pair by
-    ``hom_nonzero_exists`` and reads no isomorphism classes, so it checks
-    the family route independently.  Atoms are tested first: Hom(N, K) is
-    nonzero as soon as Hom(N, A) is for an atom A <= K (compose with the
-    inclusion), so a direct search runs only on the K that contain none of
-    the atoms N reaches.  Each K carries one bitmask of the atoms it
-    contains and each N one bitmask of the atoms it reaches, so that test
-    is one AND.  The pairs are scanned in the same order either way, so
-    the first failing pair, the witness, is the same.
+    The witness route of trace-firstness.  Hom(N, K) = 0 gives
+    Hom(N, A) = 0 for every atom A <= K (a map into A is a map into K), so
+    for each N the first K in lattice order with no nonzero map from N is
+    an atom (the scan-order argument of ``modules.atoms``), and scanning
+    the pairs (N, atom) finds the same first failing pair, the witness.
+    For an atom A with P = ann(A), Hom(N, A) != 0 exactly when P.N != N:
+    P is a maximal two-sided ideal containing J = J(R), a map onto the
+    simple A factors through the semisimple N/JN, and P.(N/JN) is the sum
+    of the homogeneous components of N/JN other than A's; since J <= P,
+    P.N = N exactly when P.(N/JN) = N/JN.  One regular-module ideal
+    handle serves each distinct atom annihilator.  The route reads no
+    Hom-set and no isomorphism class, so it checks the family route
+    independently.
     """
-    lat = enumerate_submodules(module)
-    atoms = [lat.submodules[i] for i in lat.atom_indices()]
-    atom_masks = {a.mask for a in atoms}
-    subs = lat.nonzero()
-    below = [sum(1 << i for i, a in enumerate(atoms) if a.mask & ~k.mask == 0)
-             for k in subs]
-    for n in subs:
-        nmod = n.as_module()
-        reached = sum(1 << i for i, a in enumerate(atoms)
-                      if hom_nonzero_exists(nmod, a.as_module()))
-        for k, k_atoms in zip(subs, below):
-            # an atom N does not reach has no nonzero map from N
-            nonzero = (k_atoms & reached
-                       or k.mask not in atom_masks
-                       and hom_nonzero_exists(nmod, k.as_module()))
-            if not nonzero:
+    reg = regular_module(module.ring)
+    found = atoms(module)
+    anns = {}  # annihilator mask -> its index in ideals
+    which = [anns.setdefault(annihilator_mask(module, a.mask), len(anns))
+             for a in found]
+    ideals = [submodule(reg, mask) for mask in anns]
+    for n in _nonzero_submodules(module):
+        reached = [trad_mask(module, p, n.mask) != n.mask for p in ideals]
+        if all(reached):
+            continue
+        for a, i in zip(found, which):
+            if not reached[i]:
                 return False, {"kind": "hom_vanishes",
-                               "source": n.labels(), "target": k.labels()}
+                               "source": n.labels(), "target": a.labels()}
     return True, None
 
 
@@ -234,14 +243,17 @@ def rpid_first_detail(module):
     The family is the trace alpha_N of one nonzero submodule N per
     isomorphism class, the socle, and the first ``FAMILY_JOINS`` joins
     of pairs of those members.  The family route tests each member that
-    leaves the module nonzero on one submodule per class.  Both reductions
-    are exact, because a preradical t commutes with isomorphisms: for an
-    isomorphism f: N -> N', naturality along f and along its inverse
-    gives f(t(N)) = t(N').  So t kills N exactly when it kills every
-    N' isomorphic to N, and alpha_N = alpha_N' (a map from N' is a map
-    from N composed with f, with the same image).  The pairwise route
-    still runs on every ordered pair of submodules and gives the witness;
-    the routes must agree.
+    leaves the module nonzero on the class representatives that are
+    atoms.  The reductions are exact, because a preradical t commutes with
+    isomorphisms: for an isomorphism f: N -> N', naturality along f and
+    along its inverse gives f(t(N)) = t(N').  So t kills N exactly when it
+    kills every N' isomorphic to N, and alpha_N = alpha_N' (a map from N'
+    is a map from N composed with f, with the same image).  And t kills a
+    nonzero submodule exactly when it kills an atom inside it (naturality
+    along the inclusion gives t(A) <= t(N)); the first representative of
+    an atom's class is an atom, since whatever is isomorphic to a simple
+    module is simple.  The pairwise route gives the witness; the routes
+    must agree.
     """
     _require_nonzero(module, "trace-firstness")
     verdict, witness = _rpid_pairwise(module)
@@ -250,9 +262,11 @@ def rpid_first_detail(module):
     members = [Alpha(submodule(n, n.full_mask())) for n in reps] + [SOC]
     family = members + list(islice(map(Join, combinations(members, 2)),
                                    FAMILY_JOINS))
+    simple = {a.as_module() for a in atoms(module)}
+    simple_reps = [n for n in reps if n in simple]
     via_family = not any(pr.evaluate(n).is_zero()
                          for pr in family if not pr.evaluate(module).is_zero()
-                         for n in reps)
+                         for n in simple_reps)
     if via_family != verdict:
         verdicts = {"pairwise": verdict, "family": via_family}
         raise InternalInconsistency(
@@ -265,9 +279,10 @@ def is_rpid_first(module):
 
 
 def is_retractable(module):
-    """Nonzero maps from the module onto (into) every nonzero submodule."""
-    return all(hom_nonzero_exists(module, n.as_module())
-               for n in _nonzero_submodules(module))
+    """Nonzero maps from the module into every nonzero submodule, decided
+    on the atoms: a map into an atom A <= N is a map into N."""
+    return all(hom_nonzero_exists(module, a.as_module())
+               for a in atoms(module))
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +304,11 @@ def is_A_first(module, family):
 
 
 def a_fully_first_detail(module, family):
-    """No member of the family kills a nonzero submodule."""
+    """No member of the family kills a nonzero submodule, decided on the
+    atoms: a preradical that kills N kills every atom A <= N, as
+    naturality along the inclusion gives t(A) <= t(N)."""
     for pr in family:
-        for n in _nonzero_submodules(module):
+        for n in atoms(module):
             if pr.evaluate(n.as_module()).is_zero():
                 return False, {"kind": "member_kills_submodule",
                                "member": pr.describe(),

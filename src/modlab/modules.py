@@ -374,12 +374,13 @@ class SubmoduleLattice:
 
     Canonical order is (size, carrier); index 0 is the zero submodule and
     the last index is the whole module.  Join and meet are ``sum_masks``
-    and ``&`` on the carriers, so no tables are kept.  A nonzero submodule
-    is an atom when it contains no atom listed before it, since a proper
-    nonzero submodule is smaller and contains an atom; maximals dually.
-    ``fully_invariant`` is computed lazily from generators of End(M): N is
-    fully invariant when every generator maps it into itself, since every
-    endomorphism is a sum of them.
+    and ``&`` on the carriers, so no tables are kept.  A proper submodule
+    is maximal when it lies in no maximal listed after it, since a larger
+    proper submodule comes later and lies in a maximal; the atoms are read
+    off the socle by ``atoms``, with no lattice.  ``fully_invariant`` is
+    computed lazily from generators of End(M): N is fully invariant when
+    every generator maps it into itself, since every endomorphism is a sum
+    of them.
     """
 
     def __init__(self, module, submodules):
@@ -402,13 +403,6 @@ class SubmoduleLattice:
                                  for f in endos)
                              for s in self.submodules)
         return self._fi
-
-    def atom_indices(self):
-        found = []
-        for s in self.submodules[1:]:
-            if all(a & ~s.mask for a in found):
-                found.append(s.mask)
-        return [self.index[m] for m in found]
 
     def maximal_indices(self):
         found = []
@@ -476,16 +470,34 @@ def enumerate_submodules(module):
     return lat
 
 
-def powerset_submodule_masks(module):
-    """All submodule carriers by filtering every subset (test oracle)."""
-    if module.order > 16:
-        raise SizeCapExceeded("power-set oracle limited to order <= 16")
-    zero = module.zero
-    hits = []
-    for mask in range(1 << module.order):
-        if mask >> zero & 1 and is_submodule_mask(module, mask):
-            hits.append(mask)
-    return sorted(hits)
+def atoms(module):
+    """The atoms (simple submodules) in lattice order, with no lattice built
+    (cached).
+
+    An atom lies in Soc(M) and is Rx for each of its nonzero x, and a
+    cyclic Rx is an atom exactly when Ry = Rx for every nonzero y in it;
+    so the atoms are the minimal masks among the Rx for nonzero x in
+    Soc(M), the socle read off J(R) by ``structural_summary``.
+
+    Scan order.  In lattice order (size, carrier) an atom of a submodule
+    K comes before K, being smaller.  So for a test that fails on every
+    nonzero submodule of a submodule it fails on (such as "is killed by"
+    for an ideal, a preradical or an annihilator jump), the first nonzero
+    submodule in lattice order that fails it is an atom, and scanning the
+    atoms finds the same first failure, the same witness, as scanning
+    every nonzero submodule.
+    """
+    if "atoms" in module._cache:
+        return module._cache["atoms"]
+    zero = module.zero_mask()
+    soc = structural_summary(module).socle.mask & ~zero
+    cyclic = {x: cyclic_mask(module, x) for x in _elements(soc)}
+    found = {m for m in cyclic.values()
+             if all(cyclic[y] == m for y in _elements(m & ~zero))}
+    result = tuple(sorted((submodule(module, m) for m in found),
+                          key=lambda s: (s.order, s.carrier)))
+    module._cache["atoms"] = result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -806,20 +818,6 @@ def hom_nonzero_exists(source, target):
     return found is not None
 
 
-def all_function_homs(source, target):
-    """Hom-set by filtering every function (test oracle, tiny sizes only)."""
-    if target.order ** source.order > 300_000:
-        raise SizeCapExceeded("all-functions oracle out of range")
-    out = []
-    for f in itertools.product(range(target.order), repeat=source.order):
-        try:
-            out.append(ModuleMorphism(source, target, f, validate=True))
-        except AxiomViolation:
-            continue
-    out.sort(key=lambda m: m.map)
-    return tuple(out)
-
-
 def _element_annihilators(module):
     if "anns" in module._cache:
         return module._cache["anns"]
@@ -1099,9 +1097,8 @@ def is_superfluous(sub):
 
 
 def is_atom(sub):
-    lat = enumerate_submodules(sub.module)
     _require_submodule(sub)
-    return lat.index[sub.mask] in lat.atom_indices()
+    return sub in atoms(sub.module)
 
 
 # ---------------------------------------------------------------------------

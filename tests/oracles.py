@@ -1,0 +1,144 @@
+"""Reference scans shared by the tests: slow, direct, and independent of the
+shortcuts the library takes.
+
+The power-set and all-functions oracles filter every candidate.  The
+firstness oracles are the scans the deciders ran before they were reduced
+to the atoms of ``modules.atoms``: each walks every nonzero submodule of
+the full lattice, in lattice order, and reports the first failure as its
+witness, in the decider's own witness format.
+"""
+
+import itertools
+
+from modlab.errors import AxiomViolation, SizeCapExceeded
+from modlab.modules import (ModuleMorphism, annihilator_mask, cogenerates,
+                            enumerate_submodules, hom_nonzero_exists,
+                            is_submodule_mask, isomorphism_classes,
+                            submodule, trad_mask)
+from modlab.preradicals import Alpha, Join, SOC
+from modlab.rings import enumerate_ideals
+
+
+def powerset_submodule_masks(module):
+    """All submodule carriers by filtering every subset."""
+    if module.order > 16:
+        raise SizeCapExceeded("power-set oracle limited to order <= 16")
+    zero = module.zero
+    hits = []
+    for mask in range(1 << module.order):
+        if mask >> zero & 1 and is_submodule_mask(module, mask):
+            hits.append(mask)
+    return sorted(hits)
+
+
+def all_function_homs(source, target):
+    """Hom-set by filtering every function (tiny sizes only)."""
+    if target.order ** source.order > 300_000:
+        raise SizeCapExceeded("all-functions oracle out of range")
+    out = []
+    for f in itertools.product(range(target.order), repeat=source.order):
+        try:
+            out.append(ModuleMorphism(source, target, f, validate=True))
+        except AxiomViolation:
+            continue
+    out.sort(key=lambda m: m.map)
+    return tuple(out)
+
+
+def _nonzero(module):
+    return enumerate_submodules(module).nonzero()
+
+
+def lattice_atoms(module):
+    """The nonzero submodules that contain no nonzero submodule listed
+    before them, in lattice order."""
+    found = []
+    for s in _nonzero(module):
+        if all(a.mask & ~s.mask for a in found):
+            found.append(s)
+    return found
+
+
+def all_submodules_cogenerate(module):
+    """BJKN's cogeneration route over every nonzero submodule."""
+    for n in _nonzero(module):
+        if not cogenerates(n, module):
+            return False, {"kind": "non_cogenerating_submodule",
+                           "submodule": n.labels()}
+    return True, None
+
+
+def prime_via_annihilators(module):
+    """Every nonzero submodule has the module's annihilator."""
+    ann_m = annihilator_mask(module, module.full_mask())
+    for n in _nonzero(module):
+        if annihilator_mask(module, n.mask) != ann_m:
+            return False, {"kind": "annihilator_jump", "submodule": n.labels()}
+    return True, None
+
+
+def prime_via_ideals(module):
+    """No two-sided ideal kills a nonzero submodule but not the module."""
+    zmask = module.zero_mask()
+    for ideal in enumerate_ideals(module.ring, "two-sided"):
+        if trad_mask(module, ideal) == zmask:
+            continue
+        for n in _nonzero(module):
+            if trad_mask(module, ideal, n.mask) == zmask:
+                return False, {"kind": "ideal_kills_submodule_not_module",
+                               "ideal": list(ideal.labels()),
+                               "submodule": n.labels()}
+    return True, None
+
+
+def a_fully_first(module, family):
+    """No member of the family kills a nonzero submodule."""
+    for pr in family:
+        for n in _nonzero(module):
+            if pr.evaluate(n.as_module()).is_zero():
+                return False, {"kind": "member_kills_submodule",
+                               "member": pr.describe(),
+                               "submodule": n.labels()}
+    return True, None
+
+
+def retractable(module):
+    """A nonzero map from the module into every nonzero submodule."""
+    return all(hom_nonzero_exists(module, n.as_module())
+               for n in _nonzero(module))
+
+
+def rpid_pairwise(module):
+    """Trace-firstness's pairwise route over every ordered pair of nonzero
+    submodules, with the atoms each N reaches found by
+    ``hom_nonzero_exists``: Hom(N, K) is nonzero as soon as Hom(N, A) is
+    for an atom A <= K, and a direct search runs on the other K."""
+    atoms = lattice_atoms(module)
+    atom_masks = {a.mask for a in atoms}
+    subs = _nonzero(module)
+    for n in subs:
+        nmod = n.as_module()
+        reached = [a for a in atoms if hom_nonzero_exists(nmod, a.as_module())]
+        for k in subs:
+            nonzero = (any(a.mask & ~k.mask == 0 for a in reached)
+                       or k.mask not in atom_masks
+                       and hom_nonzero_exists(nmod, k.as_module()))
+            if not nonzero:
+                return False, {"kind": "hom_vanishes",
+                               "source": n.labels(), "target": k.labels()}
+    return True, None
+
+
+def rpid_family(module, joins):
+    """Trace-firstness's family route, each member that leaves the module
+    nonzero tested on every class representative: the traces of one
+    nonzero submodule per isomorphism class, the socle, and the first
+    ``joins`` joins of pairs of those."""
+    reps = [cls[0] for cls in isomorphism_classes(
+        n.as_module() for n in _nonzero(module))]
+    members = [Alpha(submodule(n, n.full_mask())) for n in reps] + [SOC]
+    family = members + list(itertools.islice(
+        map(Join, itertools.combinations(members, 2)), joins))
+    return not any(pr.evaluate(n).is_zero()
+                   for pr in family if not pr.evaluate(module).is_zero()
+                   for n in reps)

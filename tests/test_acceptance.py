@@ -13,14 +13,15 @@ from modlab.classify import enumerate_lep, generate_universe, verify_theorem
 from modlab.errors import InternalInconsistency
 from modlab.firstness import (bjkn_prime_detail, is_bjkn_prime, is_diuniform,
                               is_retractable, is_rpid_first, rpid_first_detail)
-from modlab.modules import (all_function_homs, cogenerates,
-                            endomorphism_ring, enumerate_submodules, hom_set,
-                            powerset_submodule_masks, regular_module,
+from modlab.modules import (cogenerates, endomorphism_ring,
+                            enumerate_submodules, hom_set, regular_module,
                             simple_modules, structural_summary, submodule)
 from modlab.preradicals import (Alpha, Compose, EQ, LE, Omega, SOC,
                                 check_naturality, compare, product_in,
                                 property_flags, socle_as_join_of_simple_traces)
 from modlab.rings import cyclic_ring, is_prime_ring, matrix_ring, product_ring
+
+from oracles import all_function_homs, powerset_submodule_masks
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)

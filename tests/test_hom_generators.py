@@ -14,14 +14,15 @@ from modlab.classify import generate_universe
 from modlab.errors import SizeCapExceeded
 from modlab.firstness import _cond_pointwise_separation
 from modlab.modules import (_generator_data, _morphism_from_images,
-                            _reject_mask, _search_images,
-                            all_function_homs, cyclic_mask, direct_sum_module,
-                            enumerate_submodules, find_isomorphism,
-                            hom_generators, hom_nonzero_exists, hom_set,
-                            module_from_tables, quotient_module,
-                            regular_module, submodule)
+                            _reject_mask, _search_images, cyclic_mask,
+                            direct_sum_module, enumerate_submodules,
+                            find_isomorphism, hom_generators,
+                            hom_nonzero_exists, hom_set, module_from_tables,
+                            quotient_module, regular_module, submodule)
 from modlab.preradicals import Beta, Omega
 from modlab.rings import cyclic_ring, matrix_ring, product_ring
+
+from oracles import all_function_homs
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)

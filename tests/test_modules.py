@@ -14,16 +14,16 @@ from modlab.jobs import parse_job, run_job
 from modlab.rings import (cyclic_ring, matrix_ring, product_ring,
                           ring_from_tables)
 from modlab.modules import (ModuleMorphism, _scan_module_axioms,
-                            _scan_module_axioms_exhaustive, all_function_homs,
-                            cogenerates,
+                            _scan_module_axioms_exhaustive, cogenerates,
                             cyclic_module, direct_sum_module,
                             enumerate_submodules, hom_nonzero_exists, hom_set,
                             is_atom, is_essential, is_injective,
                             is_isomorphic, is_superfluous, module_from_tables,
-                            powerset_submodule_masks, quotient_module,
-                            regular_module, simple_modules, structural_summary,
-                            submodule, endomorphism_ring)
+                            quotient_module, regular_module, simple_modules,
+                            structural_summary, submodule, endomorphism_ring)
 from modlab.preradicals import Alpha, Beta, Omega
+
+from oracles import all_function_homs, powerset_submodule_masks
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)

@@ -1,16 +1,17 @@
 """Socle, radical and the predicates built on them, read off J(R).
 
-``structural_summary``, ``is_essential`` and ``is_superfluous`` are checked
-here against the submodule lattice: the socle as the sum of the atoms, the
-radical as the meet of the maximal submodules, simplicity as a two-element
-lattice, homogeneity as pairwise isomorphic atoms, and both predicates as
-scans over every submodule.
+``structural_summary``, ``atoms``, ``is_essential`` and ``is_superfluous``
+are checked here against the submodule lattice: the atoms as the minimal
+nonzero submodules, the socle as their sum, the radical as the meet of the
+maximal submodules, simplicity as a two-element lattice, homogeneity as
+pairwise isomorphic atoms, and both predicates as scans over every
+submodule.
 """
 
 from modlab import modules
 from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
-from modlab.modules import (cyclic_mask, direct_sum_module,
+from modlab.modules import (atoms, cyclic_mask, direct_sum_module,
                             enumerate_submodules, is_essential, is_isomorphic,
                             is_superfluous, jacobson_radical, quotient_module,
                             regular_module, simple_modules, structural_summary,
@@ -75,7 +76,8 @@ def test_summary_and_predicates_match_the_lattice_at_depth_three():
                         simple, semisimple, homogeneous), m
             assert (ss.socle.mask, ss.jacobson_radical.mask) == (soc, rad), m
             lat = enumerate_submodules(m)
-            assert lat.atom_indices() == _atoms(lat), m
+            assert list(atoms(m)) == [lat.submodules[i]
+                                      for i in _atoms(lat)], m
             assert lat.maximal_indices() == _maximals(lat), m
             for sub in lat.submodules:
                 assert is_essential(sub) == _scan_essential(lat, sub), sub

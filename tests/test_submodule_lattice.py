@@ -8,9 +8,9 @@ import pytest
 
 from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
-from modlab.modules import (cyclic_mask, enumerate_submodules,
-                            powerset_submodule_masks, sum_masks)
+from modlab.modules import cyclic_mask, enumerate_submodules, sum_masks
 
+from oracles import powerset_submodule_masks
 from test_hom_generators import _permuted
 from test_isomorphism_classes import deep_reference_modules
 
