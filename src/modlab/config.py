@@ -17,3 +17,7 @@ MAX_HOM_CANDIDATES = 4_000_000
 # the chain's width (m basis relations, k generators).  The chain stores
 # at most w |T| vectors of length w.
 MAX_HOM_CHAIN = 4_000_000
+
+# Bound of the process-wide memo of accepted ring and module tables
+# (``rings.accepted_tables``), in table cells: at most about 8 MB of row pointers.
+MAX_ACCEPTED_CELLS = 1 << 20

@@ -30,34 +30,34 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from operator import getitem
 
 from .config import DEFAULT_MODULE_CAP, MAX_HOM_CANDIDATES, MAX_HOM_CHAIN
 from .errors import (AxiomViolation, InternalInconsistency, RingMismatch,
                      SizeCapExceeded)
-from .rings import (FiniteRing, certified_scan, differ, enumerate_ideals,
-                    scan_abelian_group, scan_abelian_group_exhaustive,
-                    table_in_range)
+from .rings import (FiniteRing, accepted_tables, certified_scan, differ,
+                    enumerate_ideals, scan_abelian_group,
+                    scan_abelian_group_exhaustive, table_in_range)
 
 
 class FiniteModule:
     """A finite left module with explicit tables.
 
     ``add[a][b]`` is the index of a+b; ``act[r][m]`` is the index of r.m
-    for a ring element index r.  Every instance, raw or derived (a
-    submodule, quotient or direct sum), passes ``_scan_module_axioms``
-    before it is returned.  The scan runs once per distinct pair of
-    (``add``, ``act``) tables per ring: ``ring._cache["module tables"]``
-    maps every pair the ring has accepted to those very tables, their zero
-    and their negation, and a module built on an equal pair takes them
-    from there.  That is exact, since the scan reads nothing but the two
-    tables and the ring's tables, identity and additive generators, all
-    immutable for the ring's lifetime; a repeat would find the same zero
-    and negation.  A rejected pair is not kept, so it raises on every
-    build, and the memo dies with its ring.  ``origin`` records how the
-    module was built (enough to re-embed carriers of submodules,
-    preimages of quotients, and direct-sum components).  Instances hash
-    by identity and can be weakly referenced.
+    for a ring element index r; both are tuples of row tuples of ints.
+    Every instance, raw or derived (a submodule, quotient or direct sum),
+    passes ``_scan_module_axioms`` before it is returned.  The scan runs
+    once per process for each distinct (``ring.add``, ``ring.mul``,
+    ``add``, ``act``), through the bounded memo of accepted tables
+    (``rings.accepted_tables``, whose docstring says why that is exact):
+    a module built on tables equal to accepted ones takes those tables,
+    their zero and their negation from there, whichever ring object it
+    is built on.  A rejected pair is not kept, so it raises on every
+    build.  ``origin`` records how the module was built (enough to
+    re-embed carriers of submodules, preimages of quotients, and
+    direct-sum components).  Instances hash by identity and can be weakly
+    referenced.
     """
 
     __slots__ = ("ring", "order", "add", "act", "zero", "neg", "labels",
@@ -74,14 +74,11 @@ class FiniteModule:
             labels = tuple(str(i) for i in range(n))
         else:
             labels = tuple(labels)
-        accepted = ring._cache.setdefault("module tables", {})
-        found = accepted.get((add, act))
-        if found is None:
-            found = accepted[add, act] = (
-                add, act, *_scan_module_axioms(ring, n, add, act))
         self.ring = ring
         self.order = n
-        self.add, self.act, self.zero, self.neg = found
+        self.add, self.act, self.zero, self.neg = accepted_tables(
+            (ring.add, ring.mul), ("add", "act"), (add, act),
+            partial(_scan_module_axioms, ring, n))
         self.labels = labels
         self.provenance = provenance
         self.origin = origin
@@ -125,8 +122,9 @@ def _scan_module_axioms(ring, n, add, act):
     the violation, so a rejected table reports the same axiom and witness
     as the full O(|R|^2 n + |R| n^2 + n^3) scan would.
 
-    ``FiniteModule`` runs this once per distinct pair of tables per ring;
-    its docstring says why that is exact.
+    ``FiniteModule`` runs this once per process for each distinct pair of
+    tables over equal ring tables; ``rings.accepted_tables`` says why
+    that is exact.
     """
     return certified_scan(_module_certificate,
                           _scan_module_axioms_exhaustive, ring, n, add, act)

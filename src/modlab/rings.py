@@ -14,19 +14,24 @@ ideals are the left ideals closed under right multiplication.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from operator import getitem, itemgetter, ne
 
-from .config import DEFAULT_RING_CAP
+from .config import DEFAULT_RING_CAP, MAX_ACCEPTED_CELLS
 from .errors import AxiomViolation, InternalInconsistency, SizeCapExceeded
 
 
 class FiniteRing:
     """A finite unital ring with explicit tables.
 
-    ``add`` and ``mul`` are tuples of row tuples, ``add[a][b]`` being the
-    index of a+b.  ``zero``/``one`` are element indices and ``neg[a]`` is
-    the additive inverse.  Instances are immutable after construction and
-    hash by identity, so they can key caches directly, and can be weakly
+    ``add`` and ``mul`` are tuples of row tuples of ints, ``add[a][b]``
+    being the index of a+b.  ``zero``/``one`` are element indices and
+    ``neg[a]`` is the additive inverse.  The tables pass
+    ``_scan_ring_axioms`` once per process, through the bounded memo of
+    accepted tables (``accepted_tables``): a ring built on tables equal to
+    accepted ones takes those tables, its identities, negation and
+    additive generators from there.  Instances are immutable after construction and hash by
+    identity, so they can key caches directly, and can be weakly
     referenced.
     """
 
@@ -45,12 +50,12 @@ class FiniteRing:
         else:
             labels = tuple(labels)
         self.order = n
-        self.add = add
-        self.mul = mul
+        self.add, self.mul, self.zero, self.one, self.neg, gens = (
+            accepted_tables((), ("addition", "multiplication"), (add, mul),
+                            partial(_scan_ring_axioms, n)))
         self.labels = labels
         self.provenance = provenance
         self.projection = projection
-        self.zero, self.one, self.neg, gens = _scan_ring_axioms(n, add, mul)
         self._cache = {"addgens": gens}
 
     def __repr__(self):
@@ -139,6 +144,75 @@ def certified_scan(certificate, exhaustive, *tables):
             f"{certificate.__name__} rejects a table that "
             f"{exhaustive.__name__} accepts")
     return result
+
+
+# The process-wide memo of accepted tables: see ``accepted_tables``.
+_accepted = {}
+_accepted_cells = 0
+
+
+def accepted_tables(prefix, names, tables, scan):
+    """``tables + scan(*tables)``, scanned once per process.
+
+    ``tables`` are tuples of rows, named ``names`` in errors; the result
+    holds them as tuples of row tuples of ints (``_integer_table``).  The
+    memo maps ``prefix + tables`` to that result.  ``FiniteRing`` passes
+    no prefix and its (``add``, ``mul``), and stores ``(add, mul, zero,
+    one, neg, gens)``; ``FiniteModule`` passes the prefix (``ring.add``,
+    ``ring.mul``) and its (``add``, ``act``), and stores ``(add, act,
+    zero, neg)``.  A hit returns the stored entry without a scan or a
+    copy, so equal rings and modules share their table tuples.  That is
+    exact: the ring scan reads nothing but the ring's two tables, and the
+    module scan nothing but its two tables and the ring's ``order``,
+    ``add``, ``mul``, ``one`` and ``_cache["addgens"]``, all of which
+    follow from the ring's tables; a repeat would return the same.
+
+    A table ``scan`` rejects is not stored, so it raises on every build.
+    The memo holds tuples of ints only, never a ring or a module.  It is
+    bounded by ``MAX_ACCEPTED_CELLS`` cells of the stored tables (a
+    module's ring tables are the ring's own entry): the oldest entries go
+    first, a hit does not reorder, and an entry larger than the whole
+    bound is not stored.
+    """
+    global _accepted_cells
+    try:
+        found = _accepted.get(prefix + tables)
+    except TypeError:  # an unhashable entry, refused by _integer_table
+        found = None
+    if found is not None:
+        return found
+    tables = tuple(map(_integer_table, names, tables))
+    found = tables + scan(*tables)
+    cells = _cells(found)
+    if cells <= MAX_ACCEPTED_CELLS:
+        _accepted[prefix + tables] = found
+        _accepted_cells += cells
+        while _accepted_cells > MAX_ACCEPTED_CELLS:
+            _accepted_cells -= _cells(_accepted.pop(next(iter(_accepted))))
+    return found
+
+
+def _cells(entry):
+    return sum(map(len, entry[0])) + sum(map(len, entry[1]))
+
+
+def _integer_table(name, table):
+    """``table`` as a tuple of row tuples of ints.
+
+    An entry that is not equal to its int value (``2.5``, ``"3"``,
+    ``None``, ``[1]``) raises ``AxiomViolation("table shape", name)``,
+    so integral floats and bools are read as ints and every other entry
+    is refused, whatever was built before.
+    """
+    try:
+        ints = tuple(tuple(map(int, row)) for row in table)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != table:
+        raise AxiomViolation("table shape", name,
+                             f"{name} table has an entry that is not an "
+                             f"integer")
+    return ints
 
 
 def _scan_ring_axioms_exhaustive(n, add, mul):

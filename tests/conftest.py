@@ -1,8 +1,11 @@
-"""Helpers shared by the table-corruption tests."""
+"""Helpers shared by the table-corruption and certificate-memo tests."""
+
+import functools
 
 import pytest
 from hypothesis import strategies as st
 
+from modlab import modules, rings
 from modlab.errors import AxiomViolation
 
 
@@ -43,3 +46,38 @@ def corrupt():
 @pytest.fixture(scope="session")
 def scan_outcome():
     return _scan_outcome
+
+
+def _count_certificates(mp):
+    """The tables ``rings._ring_certificate`` and
+    ``modules._module_certificate`` are run on from now on, under the
+    monkeypatch ``mp``, as lists keyed ``"ring"`` and ``"module"``."""
+    calls = {"ring": [], "module": []}
+
+    def counted(kind, real):
+        @functools.wraps(real)
+        def wrapper(*args):
+            calls[kind].append(args)
+            return real(*args)
+        return wrapper
+
+    mp.setattr(rings, "_ring_certificate",
+               counted("ring", rings._ring_certificate))
+    mp.setattr(modules, "_module_certificate",
+               counted("module", modules._module_certificate))
+    return calls
+
+
+@pytest.fixture(scope="session")
+def count_certificates():
+    return _count_certificates
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty memo of accepted tables for one test, so that certificate
+    counts do not depend on what earlier tests built; the process memo is
+    back afterwards."""
+    monkeypatch.setattr(rings, "_accepted", {})
+    monkeypatch.setattr(rings, "_accepted_cells", 0)
+    return rings._accepted

@@ -7,7 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlab import modules
+from modlab import rings
 from modlab.classify import generate_universe
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.jobs import parse_job, run_job
@@ -434,6 +434,7 @@ def cross_check_modules():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_module_certificate_agrees_with_exhaustive_scan(corrupt, scan_outcome,
+                                                        count_certificates,
                                                         data):
     # the reduced scan must reject exactly the tables the full scan
     # rejects, and report the same axiom, witness and message
@@ -445,62 +446,82 @@ def test_module_certificate_agrees_with_exhaustive_scan(corrupt, scan_outcome,
     else:
         act = corrupt(data, act, n, square=False)
     with pytest.MonkeyPatch.context() as mp:
-        # the ring's memo of accepted tables is not consulted here, so a
-        # swap of two equal rows, which leaves the base's tables, is
-        # certified too
+        # the memo of accepted tables is not consulted here, so a swap of
+        # two equal rows, which leaves the base's tables, is certified too
         calls = count_certificates(mp)
         reduced = scan_outcome(_scan_module_axioms, ring, n, add, act)
-    assert len(calls) == 1
+    assert len(calls["module"]) == 1
     assert reduced == scan_outcome(_scan_module_axioms_exhaustive,
                                    ring, n, add, act)
 
 
-def count_certificates(mp):
-    """The tables ``modules._module_certificate`` is run on from now on,
-    under the monkeypatch ``mp``."""
-    calls = []
-    real = modules._module_certificate
-
-    @functools.wraps(real)
-    def counted(ring, n, add, act):
-        calls.append((ring, add, act))
-        return real(ring, n, add, act)
-
-    mp.setattr(modules, "_module_certificate", counted)
-    return calls
+def z4_tables(entry=int):
+    """The tables of Z4 as a ring, and as its regular module, with
+    ``entry`` applied to every entry."""
+    add = [[entry((a + b) % 4) for b in range(4)] for a in range(4)]
+    mul = [[entry(a * b % 4) for b in range(4)] for a in range(4)]
+    return add, mul
 
 
-def test_equal_tables_are_certified_once_per_ring(monkeypatch):
-    ring = cyclic_ring(4)
+def ints_only(x):
+    """Whether ``x`` is an int or a tuple, of tuples, ..., of ints."""
+    return type(x) is int or (type(x) is tuple and all(map(ints_only, x)))
+
+
+def test_equal_tables_are_certified_once_per_process(empty_memo,
+                                                     count_certificates,
+                                                     monkeypatch):
     calls = count_certificates(monkeypatch)
-    reg = regular_module(ring)
-    # the same tables again: as lists, as a sum of one summand, and with
-    # equal floats; each module takes the accepted tables themselves
-    again = module_from_tables(ring, [list(r) for r in reg.add], reg.act)
-    alone = direct_sum_module([reg])
-    floats = module_from_tables(ring, reg.add,
-                                [[float(x) for x in r] for r in reg.act])
-    assert len(calls) == 1
-    for m in (again, alone, floats):
-        assert (m.add, m.act, m.zero, m.neg) == (reg.add, reg.act, reg.zero,
-                                                 reg.neg)
-        assert m.add is reg.add and m.act is reg.act
-    assert type(floats.act[1][1]) is int
-    # a second ring object with the same tables has its own memo
+    # float tables built first on an empty memo are accepted, and stored
+    # as ints
+    ring = ring_from_tables(*z4_tables(float))
+    floats = module_from_tables(ring, *z4_tables(float))
+    assert (len(calls["ring"]), len(calls["module"])) == (1, 1)
+    assert all(map(ints_only, empty_memo))
+    assert all(map(ints_only, empty_memo.values()))
+    assert type(ring.mul[1][1]) is int and type(floats.act[1][1]) is int
+    # the same tables again: as ints, as lists, as a sum of one summand,
+    # and over a twin ring object; each ring and module takes the accepted
+    # tables themselves, and none is certified again
+    reg = regular_module(cyclic_ring(4))
     twin = ring_from_tables(ring.add, ring.mul)
-    module_from_tables(twin, reg.add, reg.act)
-    module_from_tables(twin, reg.add, reg.act)
-    assert [r for r, _, _ in calls] == [ring, twin]
-    assert list(twin._cache["module tables"]) == [(reg.add, reg.act)]
+    again = module_from_tables(twin, [list(r) for r in reg.add], reg.act)
+    alone = direct_sum_module([reg])
+    assert (len(calls["ring"]), len(calls["module"])) == (1, 1)
+    for r in (reg.ring, twin):
+        assert r.add is ring.add and r.mul is ring.mul
+    for m in (reg, again, alone):
+        assert (m.add, m.act, m.zero, m.neg) == (floats.add, floats.act,
+                                                 floats.zero, floats.neg)
+        assert m.add is floats.add and m.act is floats.act
+    assert list(empty_memo) == [(ring.add, ring.mul),
+                                (ring.add, ring.mul, reg.add, reg.act)]
+    # an entry that is not an integer is refused on every build, ring or
+    # module, with nothing certified or stored
+    for bad in (2.5, "3", None, [1]):
+        add, mul = z4_tables()
+        add[1][1] = mul[1][1] = bad
+        for _ in range(2):
+            with pytest.raises(AxiomViolation) as exc:
+                ring_from_tables(add, ring.mul)
+            assert (exc.value.axiom, exc.value.witness) == ("table shape",
+                                                            "addition")
+            with pytest.raises(AxiomViolation) as exc:
+                module_from_tables(ring, reg.add, mul)
+            assert (exc.value.axiom, exc.value.witness) == ("table shape",
+                                                            "act")
+    assert (len(calls["ring"]), len(calls["module"])) == (1, 1)
+    assert len(empty_memo) == 2
 
 
-def test_rejected_table_raises_on_every_build(monkeypatch):
+def test_rejected_table_raises_on_every_build(empty_memo, count_certificates,
+                                              monkeypatch):
     ring = cyclic_ring(4)
     reg = regular_module(ring)
     # 3.1 = 1 instead of 3: scalar distributivity fails first
     act = [list(row) for row in reg.act]
     act[3][1] = 1
-    calls = count_certificates(monkeypatch)
+    calls = count_certificates(monkeypatch)["module"]
     raised = []
     for _ in range(3):
         with pytest.raises(AxiomViolation) as exc:
@@ -509,19 +530,77 @@ def test_rejected_table_raises_on_every_build(monkeypatch):
     assert len(calls) == 3
     assert raised == [raised[0]] * 3
     assert raised[0][0] == "scalar distributivity"
-    assert list(ring._cache["module tables"]) == [(reg.add, reg.act)]
+    assert list(empty_memo) == [(ring.add, ring.mul),
+                                (ring.add, ring.mul, reg.add, reg.act)]
 
 
-def test_a_dropped_job_leaves_nothing_alive():
-    # the memo lives in the ring's own cache and holds only tables, so a
-    # job's ring and modules die with the job
+def relabelled(module, perm):
+    """The tables of ``module`` with element x renamed ``perm[x]``."""
+    n = module.order
+    add = [[None] * n for _ in range(n)]
+    act = [[None] * n for _ in range(module.ring.order)]
+    for a in range(n):
+        for b in range(n):
+            add[perm[a]][perm[b]] = perm[module.add[a][b]]
+        for r, row in enumerate(module.act):
+            act[r][perm[a]] = perm[row[a]]
+    return add, act
+
+
+def test_memo_is_bounded_by_table_cells(empty_memo, count_certificates,
+                                        monkeypatch):
+    ring = cyclic_ring(4)
+    reg = regular_module(ring)
+    tables = list(dict.fromkeys(
+        tuple(tuple(map(tuple, t)) for t in relabelled(reg, perm))
+        for perm in itertools.permutations(range(4))))
+    # Z4 and each relabelling of its regular module are 32 cells: three
+    # fit the bound, not four
+    monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 100)
+    calls = count_certificates(monkeypatch)["module"]
+    keys = [(ring.add, ring.mul), (ring.add, ring.mul, reg.add, reg.act)]
+    first = {}
+    for add, act in tables[1:5]:
+        # a hit on the oldest module neither certifies nor reorders
+        oldest = next(key for key in empty_memo if len(key) == 4)
+        module_from_tables(ring, *oldest[2:])
+        m = module_from_tables(ring, add, act)
+        first[add, act] = m.zero, m.neg
+        keys = keys[1:] if len(keys) == 3 else keys
+        keys.append((ring.add, ring.mul, m.add, m.act))
+        assert list(empty_memo) == keys
+        cells = sum(len(t) * len(t[0]) for e in empty_memo.values()
+                    for t in e[:2])
+        assert cells == rings._accepted_cells <= 100
+    assert len(calls) == 4
+    # an evicted pair is certified again, with the same zero and negation
+    add, act = tables[1]
+    m = module_from_tables(ring, add, act)
+    assert len(calls) == 5
+    assert (m.zero, m.neg) == first[add, act]
+    assert list(empty_memo)[-1] == (ring.add, ring.mul, m.add, m.act)
+    # an entry larger than the whole bound is not stored, and evicts
+    # nothing
+    before = list(empty_memo)
+    big = direct_sum_module([reg, reg])
+    module_from_tables(ring, big.add, big.act)
+    assert len(calls) == 7
+    assert list(empty_memo) == before
+
+
+def test_a_dropped_job_leaves_nothing_alive(empty_memo):
+    # the memo of accepted tables holds only tuples of ints, so a job's
+    # ring and modules die with the job
     spec = parse_job("[ring]\ncyclic(4)\n[modules]\nM = regular\n"
                      "Q = quotient(M, S1)\nD = direct_sum(M, Q)\n"
                      "[checks]\nbjkn_prime D\nclassify\n")
     report = run_job(spec)
-    assert spec.ring._cache["module tables"]
-    ring, module = weakref.ref(spec.ring), weakref.ref(spec.modules["D"])
-    del spec, report
+    ring, d = spec.ring, spec.modules["D"]
+    assert (ring.add, ring.mul, d.add, d.act) in empty_memo
+    assert all(map(ints_only, empty_memo))
+    assert all(map(ints_only, empty_memo.values()))
+    ring, module = weakref.ref(ring), weakref.ref(d)
+    del spec, report, d
     gc.collect()
     assert ring() is None
     assert module() is None
