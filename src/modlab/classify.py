@@ -17,7 +17,7 @@ import copy
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_MODULE_CAP, DEFAULT_UNIVERSE_DEPTH
-from .errors import InternalInconsistency, SizeCapExceeded
+from .errors import InternalInconsistency
 from .firstness import a_first_detail, a_fully_first_detail, decide
 from .modules import (atoms, direct_sum_module, enumerate_submodules,
                       hom_nonzero_exists, is_injective, is_superfluous,
@@ -51,8 +51,11 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     modules, so those are always present.  Each extra depth level adds the
     pairwise direct sums of everything already generated (zero summands
     are skipped; the zero module itself stays in the universe).  Modules
-    are deduplicated up to isomorphism, first occurrence kept.
+    are deduplicated up to isomorphism, first occurrence kept.  A depth
+    below 1 raises ``ValueError``.
     """
+    if depth < 1:
+        raise ValueError(f"universe depth must be at least 1, not {depth!r}")
     key = ("universe", depth, module_cap)
     if key in ring._cache:
         return ring._cache[key]
@@ -132,13 +135,12 @@ def _classify(ring, universe):
         witnesses["left_local"] = {
             "kind": "non_isomorphic_simples",
             "orders": [s.order for s in simples[:2]]}
-    semiartinian = True
+    # no finite module has a zero socle: J = J(R) is nilpotent, so for
+    # M != 0 the last nonzero J^k.M lies in Soc(M) = {x : Jx = 0}
     for m in universe.nonzero_modules():
         if structural_summary(m).socle.is_zero():
-            semiartinian = False
-            witnesses["semiartinian"] = {"kind": "socle_free_module",
-                                         "module": m.provenance}
-            break
+            raise InternalInconsistency(
+                f"nonzero module {m.provenance} has a zero socle")
     v_ring = True
     for s in simples:
         if not is_injective(s):
@@ -160,15 +162,11 @@ def _classify(ring, universe):
             break
     return RingClassification(
         ring.provenance, simple, semisimple, homogeneous, left_local,
-        semiartinian, v_ring, bkn, len(simples), witnesses)
+        True, v_ring, bkn, len(simples), witnesses)
 
 
 # ---------------------------------------------------------------------------
 # left exact preradicals through linear filters of left ideals
-
-# filters are subsets of the left ideals; more ideals than this is refused
-LEP_IDEAL_CAP = 20
-
 
 def enumerate_lep(ring):
     """All linear filters of left ideals, as evaluable operators.
@@ -178,47 +176,17 @@ def enumerate_lep(ring):
     (I : a) = {r | r.a in I}; the attached operator picks the elements
     whose annihilator lies in the filter and is left exact on every
     universe (certified by the tests and the harness).
+
+    Over a finite ring a filter F is closed under finite intersections, so
+    it is the up-set of its least member T.  The shifts then ask that
+    (T : a) contain T for every a, that is T.a <= T: T is two-sided.
+    Conversely the up-set of a two-sided T is a filter, as I >= T gives
+    (I : a) >= (T : a) >= T.  So the filters are the up-sets of the
+    two-sided ideals, one each, sorted by (size, sorted member masks).
     """
-    ideals = enumerate_ideals(ring, "left")
-    n = len(ideals)
-    if n > LEP_IDEAL_CAP:
-        raise SizeCapExceeded(
-            f"{n} left ideals; filter enumeration is out of range")
-    masks = [i.mask for i in ideals]
-    index = {m: i for i, m in enumerate(masks)}
-    supersets = [[j for j in range(n) if masks[i] & ~masks[j] == 0]
-                 for i in range(n)]
-    inters = [[index[masks[i] & masks[j]] for j in range(n)] for i in range(n)]
-    mul = ring.mul
-    shifts = []
-    for i in range(n):
-        row = []
-        for a in range(ring.order):
-            shift_mask = 0
-            for r in range(ring.order):
-                if masks[i] >> mul[r][a] & 1:
-                    shift_mask |= 1 << r
-            row.append(index[shift_mask])
-        shifts.append(row)
-    full_index = n - 1  # canonical order puts R last
-    filters = []
-    for bits in range(1 << n):
-        if not bits >> full_index & 1:
-            continue  # a filter always contains R
-        members = [i for i in range(n) if bits >> i & 1]
-        ok = True
-        for i in members:
-            if any(not bits >> j & 1 for j in supersets[i]):
-                ok = False
-                break
-            if any(not bits >> inters[i][j] & 1 for j in members):
-                ok = False
-                break
-            if any(not bits >> shifts[i][a] & 1 for a in range(ring.order)):
-                ok = False
-                break
-        if ok:
-            filters.append(frozenset(masks[i] for i in members))
+    lefts = [i.mask for i in enumerate_ideals(ring, "left")]
+    filters = [frozenset(m for m in lefts if t.mask & ~m == 0)
+               for t in enumerate_ideals(ring, "two-sided")]
     filters.sort(key=lambda f: (len(f), sorted(f)))
     return tuple(LinearFilter(ring, f) for f in filters)
 

@@ -50,18 +50,24 @@ def corpus_rings(ring_cap=DEFAULT_RING_CAP):
     ]
 
 
+def _int_at_least(least):
+    """An argparse type: an int no smaller than ``least``."""
+    def parse(text):
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type when int() refuses
+    return parse
+
+
 def _add_common_flags(sub):
     sub.add_argument("--cap-ring", type=int, default=DEFAULT_RING_CAP,
                      help="largest allowed ring order")
     # unset (None) leaves these to the job document's [universe] section
     sub.add_argument("--cap-module", type=int, default=None,
                      help="largest allowed module order")
-    sub.add_argument("--universe-depth", type=int, default=None,
+    sub.add_argument("--universe-depth", type=_int_at_least(1), default=None,
                      help="direct-sum generation depth of universes")
-    sub.add_argument("--format", choices=("text", "structured"), default=None,
-                     help="override the document's output format")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized property sweeps")
 
 
 def build_parser():
@@ -83,23 +89,27 @@ def build_parser():
     p_corpus = subs.add_parser(
         "corpus", help="generate and sweep the built-in ring/module corpus")
     _add_common_flags(p_corpus)
+    for command in ("check", "verify", "corpus"):
+        subs.choices[command].add_argument(
+            "--format", choices=("text", "structured"), default=None,
+            help="override the document's output format")
     # corpus has no job document to fall back on
     p_corpus.set_defaults(cap_module=DEFAULT_MODULE_CAP,
                           universe_depth=DEFAULT_UNIVERSE_DEPTH)
-    p_corpus.add_argument("--actions", type=int, default=0, metavar="N",
+    p_corpus.add_argument("--actions", type=_int_at_least(0), default=0,
+                          metavar="N",
                           help="also run N randomized order-action instances")
+    p_corpus.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized property sweeps")
     return parser
 
 
 def _load_spec(args):
     with open(args.job, encoding="utf-8") as fh:
         document = fh.read()
-    spec = parse_job(document, ring_cap=args.cap_ring,
+    return parse_job(document, ring_cap=args.cap_ring,
                      module_cap=args.cap_module,
                      universe_depth=args.universe_depth)
-    if args.format:
-        spec.output_format = args.format
-    return spec
 
 
 def cmd_define(args):
@@ -114,6 +124,8 @@ def cmd_define(args):
 def cmd_run(args):
     """``check`` and ``verify``: run the checks ``CHECKS`` gives the command."""
     spec = _load_spec(args)
+    if args.format:
+        spec.output_format = args.format
     start = time.perf_counter()
     report, code = run_job(spec, kinds=[kind for kind, check in CHECKS.items()
                                         if check.command == args.command])

@@ -578,18 +578,23 @@ def _parse_check(line, lineno, modules, preradicals):
 # ---------------------------------------------------------------------------
 # top-level parse
 
-def _settings(sections, section, pattern, usage):
+def _settings(sections, section, pattern, usage, least=None):
     """The ``key = value`` lines of a settings section, each key given at
-    most once; every line must match ``pattern`` (groups: key, value)."""
+    most once; every line must match ``pattern`` (groups: key, value).
+    ``least`` maps a key to the least integer value it may take."""
     values = {}
     for lineno, line in sections.get(section, []):
         cur = _Cursor(line, lineno)
         m = re.fullmatch(pattern, line[cur.pos:])
         if not m:
             cur.error(usage)
-        if m.group(1) in values:
-            cur.error(f"duplicate {section} setting {m.group(1)!r}")
-        values[m.group(1)] = m.group(2)
+        key, value = m.groups()
+        if key in values:
+            cur.error(f"duplicate {section} setting {key!r}")
+        if key in (least or {}) and int(value) < least[key]:
+            cur.pos += m.start(2)
+            cur.error(f"{section} {key} must be at least {least[key]}")
+        values[key] = value
     return values
 
 
@@ -604,7 +609,7 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
     sections = _split_sections(document)
     universe = _settings(
         sections, "universe", r"(depth|cap)\s*=\s*([0-9]+)",
-        "universe lines are `depth = n` or `cap = n`")
+        "universe lines are `depth = n` or `cap = n`", least={"depth": 1})
     depth = int(universe.get("depth", DEFAULT_UNIVERSE_DEPTH)
                 if universe_depth is None else universe_depth)
     mod_cap = int(universe.get("cap", DEFAULT_MODULE_CAP)

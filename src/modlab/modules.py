@@ -1133,17 +1133,19 @@ def cogenerates(cog, module):
 
 
 def is_injective(module):
-    """Baer criterion: every map from a left ideal of R extends to R."""
-    ring = module.ring
-    reg = regular_module(ring)
-    full_homs = hom_set(reg, module)
-    for ideal in enumerate_ideals(ring, "left"):
+    """Baer criterion: every map from a left ideal of R extends to R.
+
+    Hom(R, M) is M, through m -> (r -> r.m), so the restrictions of the
+    maps R -> M to a left ideal I are read off the action table's columns
+    at the elements of I.
+    """
+    act = module.act
+    for ideal in enumerate_ideals(module.ring, "left"):
         if ideal.is_zero():
             continue
-        imod = ideal.as_module()
-        carrier = imod.origin[2]
-        restrictions = {tuple(g.map[e] for e in carrier) for g in full_homs}
-        for f in hom_set(imod, module):
+        restrictions = {tuple(act[e][m] for e in ideal.carrier)
+                        for m in range(module.order)}
+        for f in hom_set(ideal.as_module(), module):
             if f.map not in restrictions:
                 return False
     return True
@@ -1156,18 +1158,21 @@ def simple_modules(ring):
     """One representative per isomorphism class of simple left modules.
 
     Every simple module of a finite ring is a quotient of the regular
-    module by a maximal left ideal, so scanning those quotients is
-    exhaustive.  Canonical order: by (order, first occurrence).
+    module by a maximal left ideal, and two of them are isomorphic exactly
+    when their annihilators are equal: each is the only simple module of
+    the simple ring R/P, P its annihilator.  So the first quotient, in
+    ``maximal_indices`` order, with each annihilator is kept.  Canonical
+    order: by (order, first occurrence).
     """
     if "simples" in ring._cache:
         return ring._cache["simples"]
     reg = regular_module(ring)
     lat = enumerate_submodules(reg)
-    reps = [cls[0] for cls in isomorphism_classes(
-        quotient_module(reg, lat.submodules[i])
-        for i in lat.maximal_indices())]
-    reps.sort(key=lambda m: m.order)
-    result = tuple(reps)
+    reps = {}
+    for i in lat.maximal_indices():
+        q = quotient_module(reg, lat.submodules[i])
+        reps.setdefault(annihilator_mask(q, q.full_mask()), q)
+    result = tuple(sorted(reps.values(), key=lambda m: m.order))
     ring._cache["simples"] = result
     return result
 

@@ -1,8 +1,11 @@
 """Reference scans shared by the tests: slow, direct, and independent of the
 shortcuts the library takes.
 
-The power-set and all-functions oracles filter every candidate.  The
-firstness oracles are the scans the deciders ran before they were reduced
+The power-set, all-functions and subset-of-ideals oracles filter every
+candidate.  The ring-level oracles find by search what the library reads
+off the ring: linear filters among all subsets of the left ideals, simple
+modules grouped by ``isomorphism_classes``, and Baer's criterion with the
+maps R -> M listed by ``hom_set``.  The firstness oracles are the scans the deciders ran before they were reduced
 to the atoms of ``modules.atoms``: each walks every nonzero submodule of
 the full lattice, in lattice order, and reports the first failure as its
 witness, in the decider's own witness format.
@@ -13,8 +16,9 @@ import itertools
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.modules import (ModuleMorphism, annihilator_mask, cogenerates,
                             enumerate_submodules, hom_nonzero_exists,
-                            is_submodule_mask, isomorphism_classes,
-                            submodule, trad_mask)
+                            hom_set, is_submodule_mask, isomorphism_classes,
+                            quotient_module, regular_module, submodule,
+                            trad_mask)
 from modlab.preradicals import Alpha, Join, SOC
 from modlab.rings import enumerate_ideals
 
@@ -43,6 +47,83 @@ def all_function_homs(source, target):
             continue
     out.sort(key=lambda m: m.map)
     return tuple(out)
+
+
+def subset_linear_filters(ring):
+    """The linear filters of left ideals, as frozensets of ideal masks, by
+    testing every subset of the left ideals: it contains R, is upward
+    closed, and is closed under intersections and under the shifts
+    (I : a) = {r | r.a in I}.  Sorted by (size, sorted member masks)."""
+    ideals = enumerate_ideals(ring, "left")
+    n = len(ideals)
+    if n > 16:
+        raise SizeCapExceeded("subset-of-ideals oracle limited to 16 ideals")
+    masks = [i.mask for i in ideals]
+    index = {m: i for i, m in enumerate(masks)}
+    supersets = [[j for j in range(n) if masks[i] & ~masks[j] == 0]
+                 for i in range(n)]
+    inters = [[index[masks[i] & masks[j]] for j in range(n)] for i in range(n)]
+    mul = ring.mul
+    shifts = []
+    for i in range(n):
+        row = []
+        for a in range(ring.order):
+            shift_mask = 0
+            for r in range(ring.order):
+                if masks[i] >> mul[r][a] & 1:
+                    shift_mask |= 1 << r
+            row.append(index[shift_mask])
+        shifts.append(row)
+    full_index = n - 1  # canonical order puts R last
+    filters = []
+    for bits in range(1 << n):
+        if not bits >> full_index & 1:
+            continue  # a filter always contains R
+        members = [i for i in range(n) if bits >> i & 1]
+        ok = True
+        for i in members:
+            if any(not bits >> j & 1 for j in supersets[i]):
+                ok = False
+                break
+            if any(not bits >> inters[i][j] & 1 for j in members):
+                ok = False
+                break
+            if any(not bits >> shifts[i][a] & 1 for a in range(ring.order)):
+                ok = False
+                break
+        if ok:
+            filters.append(frozenset(masks[i] for i in members))
+    filters.sort(key=lambda f: (len(f), sorted(f)))
+    return filters
+
+
+def isomorphism_class_simples(ring):
+    """One simple module per isomorphism class: the quotients by maximal
+    left ideals, in ``maximal_indices`` order, grouped by
+    ``isomorphism_classes``, first members sorted by order."""
+    reg = regular_module(ring)
+    lat = enumerate_submodules(reg)
+    reps = [cls[0] for cls in isomorphism_classes(
+        quotient_module(reg, lat.submodules[i])
+        for i in lat.maximal_indices())]
+    reps.sort(key=lambda m: m.order)
+    return reps
+
+
+def baer_via_hom_set(module):
+    """Baer's criterion with Hom(R, M) listed by ``hom_set``: every map
+    from a nonzero left ideal is the restriction of one of them."""
+    ring = module.ring
+    full_homs = hom_set(regular_module(ring), module)
+    for ideal in enumerate_ideals(ring, "left"):
+        if ideal.is_zero():
+            continue
+        imod = ideal.as_module()
+        carrier = imod.origin[2]
+        restrictions = {tuple(g.map[e] for e in carrier) for g in full_homs}
+        if any(f.map not in restrictions for f in hom_set(imod, module)):
+            return False
+    return True
 
 
 def _nonzero(module):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from modlab import classify
 from modlab.classify import (THEOREM_IDS, TheoremVerdict, Universe,
                              classify_ring, enumerate_lep, generate_universe,
                              verify_theorem)
@@ -27,6 +30,12 @@ def test_universe_is_deterministic_and_nonempty():
     assert len(u1.nonzero_modules()) >= 1
     orders = [m.order for m in u1.modules]
     assert orders == [4, 2, 1, 16, 8, 4]
+
+
+def test_universe_depth_below_one_is_refused():
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            generate_universe(Z4, depth=depth)
 
 
 def test_universe_contains_regular_and_simples():
@@ -77,6 +86,18 @@ def test_classification_cached_per_universe():
     # another universe under the same key is classified afresh
     other = Universe(R22, u.modules[:2], u.depth, u.module_cap)
     assert classify_ring(R22, other) is not cls
+
+
+def test_zero_socle_is_an_engine_fault(monkeypatch):
+    # no finite module has one, so a zero socle is a bug, not a witness
+    real = classify.structural_summary
+
+    def no_socle(m):
+        return dataclasses.replace(real(m), socle=submodule(m, m.zero_mask()))
+
+    monkeypatch.setattr(classify, "structural_summary", no_socle)
+    with pytest.raises(InternalInconsistency, match="has a zero socle"):
+        classify_ring(Z2, generate_universe(Z2, depth=1))
 
 
 def test_lep_of_z4_is_three_filters():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from modlab import classify, firstness, modules
+from modlab import classify, cli, firstness, modules
 from modlab.cli import main
 from modlab.errors import JobParseError, SizeCapExceeded
 from modlab.jobs import (parse_job, render_structured, render_text, run_job)
@@ -263,6 +263,30 @@ def test_cli_corpus_chain_cap_exit_two(monkeypatch, capsys):
 
 def test_cli_missing_file_exit_engine(tmp_path, capsys):
     assert main(["define", str(tmp_path / "absent.job")]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--universe-depth", "0"],
+    ["corpus", "--universe-depth", "-1"],
+    ["corpus", "--actions", "-3"],
+    ["check", "JOB", "--universe-depth", "0"],
+    # each command takes only the flags it reads
+    ["define", "JOB", "--format", "structured"],
+    ["define", "JOB", "--seed", "1"],
+    ["check", "JOB", "--seed", "1"],
+    ["verify", "JOB", "--seed", "1"],
+])
+def test_cli_usage_error_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "parse_job", refuse)
+    monkeypatch.setattr(cli, "generate_universe", refuse)
+    argv = [_write(tmp_path, DEMO) if a == "JOB" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_cli_corpus_smoke(capsys):

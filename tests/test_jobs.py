@@ -195,6 +195,8 @@ REFUSED = [
      "duplicate universe setting 'cap'", 6, 1),
     (R + "[output]\nformat = text\nformat = structured\n",
      "duplicate output setting 'format'", 5, 1),
+    # a depth below 1 ran depth 1 and was reported as given
+    (R + "[universe]\ndepth = 0\n", "universe depth must be at least 1", 4, 9),
 ]
 
 

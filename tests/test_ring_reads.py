@@ -1,0 +1,75 @@
+"""Linear filters, simple modules and Baer's criterion, read off the ring,
+checked against the searches they replace (``oracles``): the filters
+among all subsets of the left ideals, the simple modules grouped by
+isomorphism search, and the maps R -> M listed by ``hom_set``."""
+
+import pytest
+
+from modlab.classify import enumerate_lep, generate_universe
+from modlab.errors import SizeCapExceeded
+from modlab.modules import is_injective, simple_modules
+from modlab.rings import (cyclic_ring, enumerate_ideals, is_two_sided,
+                          matrix_ring, product_ring)
+
+from oracles import (baer_via_hom_set, isomorphism_class_simples,
+                     subset_linear_filters)
+from test_rings import upper_triangular_f2
+
+Z2 = cyclic_ring(2)
+RINGS = {
+    "Z2": lambda: Z2,
+    "Z4": lambda: cyclic_ring(4),
+    "Z6": lambda: cyclic_ring(6),
+    "Z8": lambda: cyclic_ring(8),
+    "Z2xZ2": lambda: product_ring([Z2, Z2]),
+    "M2(F2)": lambda: matrix_ring(Z2, 2),
+    "Z9": lambda: cyclic_ring(9),
+    "Z12": lambda: cyclic_ring(12),
+    "Z16": lambda: cyclic_ring(16),
+    "Z2xZ4": lambda: product_ring([Z2, cyclic_ring(4)]),
+    "Z3xZ4": lambda: product_ring([cyclic_ring(3), cyclic_ring(4)]),
+    "F2^4": lambda: product_ring([Z2] * 4),
+    "T2(F2)": upper_triangular_f2,
+}
+
+
+@pytest.fixture(params=list(RINGS), scope="module")
+def ring(request):
+    return RINGS[request.param]()
+
+
+def test_filters_are_the_subset_search_in_its_order(ring):
+    assert [f.ideal_masks for f in enumerate_lep(ring)] == (
+        subset_linear_filters(ring))
+
+
+def test_simple_modules_are_the_isomorphism_search_representatives(ring):
+    def identity(modules):
+        return [(s.origin[2], s.add, s.act, s.labels) for s in modules]
+
+    assert identity(simple_modules(ring)) == identity(
+        isomorphism_class_simples(ring))
+
+
+def _outcome(decide, module):
+    try:
+        return decide(module)
+    except SizeCapExceeded as exc:
+        return str(exc)
+
+
+def test_baer_reads_hom_r_m_as_the_hom_set_does(ring):
+    # F2^4's sums of order 64 are refused by both, at Hom(R, M) as an ideal
+    for m in generate_universe(ring, depth=2).modules:
+        assert _outcome(is_injective, m) == _outcome(baer_via_hom_set, m), m
+
+
+def test_filters_of_f2_to_the_fifth_one_per_two_sided_ideal():
+    ring = product_ring([Z2] * 5, cap=32)
+    lep = enumerate_lep(ring)
+    assert len(lep) == 32 == len(enumerate_ideals(ring, "two-sided"))
+    lefts = {i.mask: i for i in enumerate_ideals(ring, "left")}
+    for f in lep:
+        least = min(f.ideal_masks, key=lambda m: bin(m).count("1"))
+        assert all(least & ~m == 0 for m in f.ideal_masks)
+        assert is_two_sided(lefts[least])
