@@ -52,10 +52,12 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     pairwise direct sums of everything already generated (zero summands
     are skipped; the zero module itself stays in the universe).  Modules
     are deduplicated up to isomorphism, first occurrence kept.  A depth
-    below 1 raises ``ValueError``.
+    or a module cap below 1 raises ``ValueError``.
     """
     if depth < 1:
         raise ValueError(f"universe depth must be at least 1, not {depth!r}")
+    if module_cap < 1:
+        raise ValueError(f"module cap must be at least 1, not {module_cap!r}")
     key = ("universe", depth, module_cap)
     if key in ring._cache:
         return ring._cache[key]

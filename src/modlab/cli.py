@@ -64,7 +64,7 @@ def _add_common_flags(sub):
     sub.add_argument("--cap-ring", type=int, default=DEFAULT_RING_CAP,
                      help="largest allowed ring order")
     # unset (None) leaves these to the job document's [universe] section
-    sub.add_argument("--cap-module", type=int, default=None,
+    sub.add_argument("--cap-module", type=_int_at_least(1), default=None,
                      help="largest allowed module order")
     sub.add_argument("--universe-depth", type=_int_at_least(1), default=None,
                      help="direct-sum generation depth of universes")

@@ -9,11 +9,13 @@ generating sets of Hom groups, and pointwise separation over enumerated
 Hom-sets; primeness through both the annihilator and the ideal-action
 route; trace-firstness through pairwise nonzero homs, decided by the
 action of the atoms' annihilators, cross-checked against a generated
-family of idempotent operators.  ``decide`` caches each notion's verdict
-per module.  Firstness relative to a finite family is one scan,
-``a_fully_first_detail``; ``a_first_detail`` runs it over the members
-that do not kill the module.  These deciders are also the module-level
-sides of the theorems replayed by ``classify.verify_theorem``.
+family of idempotent operators, one trace per distinct pair of submodule
+tables, with no isomorphism search; diuniformity over the submodules
+inside the socle, where its first failure lies.  ``decide`` caches each
+notion's verdict per module.  Firstness relative to a finite family is
+one scan, ``a_fully_first_detail``; ``a_first_detail`` runs it over the
+members that do not kill the module.  These deciders are also the
+module-level sides of the theorems replayed by ``classify.verify_theorem``.
 
 Every "for all nonzero submodules" quantifier whose failure passes down
 to smaller submodules (an ideal, a preradical or an annihilator jump that
@@ -32,8 +34,8 @@ from itertools import combinations, islice
 from .errors import InternalInconsistency
 from .modules import (annihilator_mask, atoms, cogenerates, cyclic_mask,
                       enumerate_submodules, hom_nonzero_exists, hom_set,
-                      is_essential, isomorphism_classes, regular_module,
-                      structural_summary, submodule, trad_mask)
+                      is_fully_invariant, regular_module, structural_summary,
+                      submodule, submodules_within, trad_mask)
 from .preradicals import Alpha, Join, SOC, product_in
 from .rings import enumerate_ideals
 
@@ -236,37 +238,49 @@ def _rpid_pairwise(module):
 FAMILY_JOINS = 24
 
 
+def _one_per_table(subs):
+    """The first submodule, as a module, of each distinct pair of
+    ``(add, act)`` tables among ``subs``, in order.  Equal tables make the
+    identity of indices an isomorphism."""
+    firsts = {}
+    for n in subs:
+        m = n.as_module()
+        firsts.setdefault((m.add, m.act), m)
+    return list(firsts.values())
+
+
 def rpid_first_detail(module):
     """Pairwise nonzero-hom criterion, cross-checked against quantification
     over a generated family of idempotent operators.
 
     The family is the trace alpha_N of one nonzero submodule N per
-    isomorphism class, the socle, and the first ``FAMILY_JOINS`` joins
-    of pairs of those members.  The family route tests each member that
-    leaves the module nonzero on the class representatives that are
-    atoms.  The reductions are exact, because a preradical t commutes with
-    isomorphisms: for an isomorphism f: N -> N', naturality along f and
-    along its inverse gives f(t(N)) = t(N').  So t kills N exactly when it
-    kills every N' isomorphic to N, and alpha_N = alpha_N' (a map from N'
-    is a map from N composed with f, with the same image).  And t kills a
-    nonzero submodule exactly when it kills an atom inside it (naturality
-    along the inclusion gives t(A) <= t(N)); the first representative of
-    an atom's class is an atom, since whatever is isomorphic to a simple
-    module is simple.  The pairwise route gives the witness; the routes
-    must agree.
+    distinct pair of tables (``_one_per_table``), the socle, and the
+    first ``FAMILY_JOINS`` joins of pairs of those members; it holds one
+    member per isomorphism class of nonzero submodules, and perhaps more.
+    Every member leaves the module nonzero, so none is filtered out:
+    alpha_N(M) contains N != 0, Soc(M) != 0 for a finite M != 0, and a
+    join contains its parts.  The family route tests the members on the
+    atoms, one per distinct pair of tables.  The reductions are exact,
+    because a preradical t commutes with isomorphisms: for an isomorphism
+    f: N -> N', naturality along f and along its inverse gives
+    f(t(N)) = t(N').  So t kills N exactly when it kills every N'
+    isomorphic to N, and alpha_N = alpha_N' (a map from N' is a map from
+    N composed with f, with the same image).  And t kills a nonzero
+    submodule exactly when it kills an atom inside it (naturality along
+    the inclusion gives t(A) <= t(N)).  The family route reads no
+    annihilator and searches for no isomorphism, so it checks the
+    pairwise route independently.  The pairwise route gives the witness;
+    the routes must agree.
     """
     _require_nonzero(module, "trace-firstness")
     verdict, witness = _rpid_pairwise(module)
-    reps = [cls[0] for cls in isomorphism_classes(
-        n.as_module() for n in _nonzero_submodules(module))]
-    members = [Alpha(submodule(n, n.full_mask())) for n in reps] + [SOC]
+    members = [Alpha(submodule(n, n.full_mask()))
+               for n in _one_per_table(_nonzero_submodules(module))] + [SOC]
     family = members + list(islice(map(Join, combinations(members, 2)),
                                    FAMILY_JOINS))
-    simple = {a.as_module() for a in atoms(module)}
-    simple_reps = [n for n in reps if n in simple]
-    via_family = not any(pr.evaluate(n).is_zero()
-                         for pr in family if not pr.evaluate(module).is_zero()
-                         for n in simple_reps)
+    simple = _one_per_table(atoms(module))
+    via_family = not any(pr.evaluate(a).is_zero()
+                         for pr in family for a in simple)
     if via_family != verdict:
         verdicts = {"pairwise": verdict, "family": via_family}
         raise InternalInconsistency(
@@ -321,13 +335,23 @@ def is_A_fully_first(module, family):
 
 
 def diuniform_detail(module):
-    """Every nonzero fully invariant submodule is essential."""
+    """Every nonzero fully invariant submodule is essential, decided on the
+    submodules inside Soc(M), with no lattice of M unless Soc(M) = M.
+
+    N is essential exactly when Soc(M) <= N (``modules.is_essential``).
+    If a nonzero fully invariant N is not essential, neither is
+    N' = N & Soc(M): fully invariant submodules are closed under meets
+    and Soc(M) is one; N' is nonzero, as N contains an atom and every
+    atom lies in Soc(M); and Soc(M) does not lie in N'.  N' is no larger
+    than N, and equal to N when as large, so it comes no later in lattice
+    order (size, carrier).  So the first failure in lattice order, the
+    witness, lies inside Soc(M), where Soc(M) itself is the only
+    essential submodule.
+    """
     _require_nonzero(module, "diuniformity")
-    lat = enumerate_submodules(module)
-    for sub, fi in zip(lat.submodules, lat.fully_invariant):
-        if not fi or sub.is_zero():
-            continue
-        if not is_essential(sub):
+    inside = submodules_within(structural_summary(module).socle)
+    for sub in inside[1:-1]:
+        if is_fully_invariant(sub):
             return False, {"kind": "non_essential_fully_invariant",
                            "submodule": sub.labels()}
     return True, None

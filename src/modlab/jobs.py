@@ -609,7 +609,8 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
     sections = _split_sections(document)
     universe = _settings(
         sections, "universe", r"(depth|cap)\s*=\s*([0-9]+)",
-        "universe lines are `depth = n` or `cap = n`", least={"depth": 1})
+        "universe lines are `depth = n` or `cap = n`",
+        least={"depth": 1, "cap": 1})
     depth = int(universe.get("depth", DEFAULT_UNIVERSE_DEPTH)
                 if universe_depth is None else universe_depth)
     mod_cap = int(universe.get("cap", DEFAULT_MODULE_CAP)

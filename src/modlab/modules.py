@@ -376,9 +376,7 @@ class SubmoduleLattice:
     is maximal when it lies in no maximal listed after it, since a larger
     proper submodule comes later and lies in a maximal; the atoms are read
     off the socle by ``atoms``, with no lattice.  ``fully_invariant`` is
-    computed lazily from generators of End(M): N is fully invariant when
-    every generator maps it into itself, since every endomorphism is a sum
-    of them.
+    computed lazily by ``is_fully_invariant``.
     """
 
     def __init__(self, module, submodules):
@@ -396,10 +394,7 @@ class SubmoduleLattice:
     @property
     def fully_invariant(self):
         if self._fi is None:
-            endos = hom_generators(self.module, self.module)
-            self._fi = tuple(all(f.image_of_mask(s.mask) & ~s.mask == 0
-                                 for f in endos)
-                             for s in self.submodules)
+            self._fi = tuple(map(is_fully_invariant, self.submodules))
         return self._fi
 
     def maximal_indices(self):
@@ -414,23 +409,40 @@ class SubmoduleLattice:
 
 
 def enumerate_submodules(module):
-    """The full submodule lattice, closed from zero under adding cyclics.
-
-    Every submodule is a sum Rx_1 + ... + Rx_k, so closing {0} under
-    m -> m + Rx reaches all of them.  For a submodule m, m + Rx depends
-    only on the coset x + m: for a in m, m + R(x + a) = m + Rx, as each
-    side contains both x and x + a.  So each m is summed with one cyclic
-    per coset, not one per element.  The pass that finds one
-    representative per coset also labels every element with its coset
-    of m; m + Rx is the union of the cosets m + rx, so it is read off the
-    labels of the distinct elements rx, |Rx| lookups.
-    """
+    """The full submodule lattice: the submodules inside M (cached)."""
     if "lattice" in module._cache:
         return module._cache["lattice"]
+    lat = SubmoduleLattice(module, _close_within(module, module.full_mask()))
+    module._cache["lattice"] = lat
+    return lat
+
+
+def submodules_within(sub):
+    """The submodules of M inside the submodule ``sub``, in lattice order;
+    the lattice's own tuple when ``sub`` is M."""
+    _require_submodule(sub)
+    if sub.is_full():
+        return enumerate_submodules(sub.module).submodules
+    return _close_within(sub.module, sub.mask)
+
+
+def _close_within(module, bound):
+    """The submodules inside the submodule carrier ``bound``, closed from
+    zero under adding cyclics, in lattice order (size, carrier).
+
+    Every submodule is a sum Rx_1 + ... + Rx_k, so closing {0} under
+    m -> m + Rx for x in ``bound`` reaches all of those inside it.  For a
+    submodule m, m + Rx depends only on the coset x + m: for a in m,
+    m + R(x + a) = m + Rx, as each side contains both x and x + a.  So
+    each m is summed with one cyclic per coset, not one per element.  The
+    pass that finds one representative per coset also labels every
+    element with its coset of m; m + Rx is the union of the cosets
+    m + rx, so it is read off the labels of the distinct elements rx,
+    |Rx| lookups.
+    """
     # the distinct elements rx of each Rx
-    cyclics = [{row[x] for row in module.act} for x in range(module.order)]
+    cyclics = {x: {row[x] for row in module.act} for x in _elements(bound)}
     add = module.add
-    full = module.full_mask()
     label = [0] * module.order  # element -> index of its coset in cosets
     seen = {module.zero_mask()}
     queue = list(seen)
@@ -441,7 +453,7 @@ def enumerate_submodules(module):
             label[a] = 0
         cosets = [m]
         reps = []
-        uncovered = full & ~m
+        uncovered = bound & ~m
         while uncovered:
             x = (uncovered & -uncovered).bit_length() - 1
             row = add[x]
@@ -463,9 +475,7 @@ def enumerate_submodules(module):
                 queue.append(s)
     subs = [submodule(module, m) for m in seen]
     subs.sort(key=lambda s: (s.order, s.carrier))
-    lat = SubmoduleLattice(module, subs)
-    module._cache["lattice"] = lat
-    return lat
+    return tuple(subs)
 
 
 def atoms(module):
@@ -1080,6 +1090,15 @@ def structural_summary(module):
     return summary
 
 
+def is_fully_invariant(sub):
+    """Every endomorphism of M maps N into N: tested on the generators of
+    End(M) (``hom_generators``), since every endomorphism is a sum of
+    them."""
+    mask = sub.mask
+    return all(f.image_of_mask(mask) & ~mask == 0
+               for f in hom_generators(sub.module, sub.module))
+
+
 def is_essential(sub):
     """N meets every nonzero submodule: Soc(M) <= N, as each one contains
     a simple submodule."""
@@ -1137,11 +1156,12 @@ def is_injective(module):
 
     Hom(R, M) is M, through m -> (r -> r.m), so the restrictions of the
     maps R -> M to a left ideal I are read off the action table's columns
-    at the elements of I.
+    at the elements of I.  The ideals 0 and R are skipped: every map from
+    either extends to R (by zero, or as itself).
     """
     act = module.act
     for ideal in enumerate_ideals(module.ring, "left"):
-        if ideal.is_zero():
+        if ideal.is_zero() or ideal.is_full():
             continue
         restrictions = {tuple(act[e][m] for e in ideal.carrier)
                         for m in range(module.order)}

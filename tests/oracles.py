@@ -5,10 +5,12 @@ The power-set, all-functions and subset-of-ideals oracles filter every
 candidate.  The ring-level oracles find by search what the library reads
 off the ring: linear filters among all subsets of the left ideals, simple
 modules grouped by ``isomorphism_classes``, and Baer's criterion with the
-maps R -> M listed by ``hom_set``.  The firstness oracles are the scans the deciders ran before they were reduced
-to the atoms of ``modules.atoms``: each walks every nonzero submodule of
-the full lattice, in lattice order, and reports the first failure as its
-witness, in the decider's own witness format.
+maps R -> M listed by ``hom_set``.  The firstness oracles are the scans
+the deciders ran before they were reduced to the atoms of
+``modules.atoms``, to the submodules inside the socle, or to one member
+per pair of tables: each walks every nonzero submodule of the full
+lattice, in lattice order, and reports the first failure as its witness,
+in the decider's own witness format.
 """
 
 import itertools
@@ -16,9 +18,9 @@ import itertools
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.modules import (ModuleMorphism, annihilator_mask, cogenerates,
                             enumerate_submodules, hom_nonzero_exists,
-                            hom_set, is_submodule_mask, isomorphism_classes,
-                            quotient_module, regular_module, submodule,
-                            trad_mask)
+                            hom_set, is_essential, is_submodule_mask,
+                            isomorphism_classes, quotient_module,
+                            regular_module, submodule, trad_mask)
 from modlab.preradicals import Alpha, Join, SOC
 from modlab.rings import enumerate_ideals
 
@@ -223,3 +225,14 @@ def rpid_family(module, joins):
     return not any(pr.evaluate(n).is_zero()
                    for pr in family if not pr.evaluate(module).is_zero()
                    for n in reps)
+
+
+def diuniform(module):
+    """Every nonzero fully invariant submodule is essential, over the full
+    lattice and its fully-invariant flags."""
+    lat = enumerate_submodules(module)
+    for sub, fi in zip(lat.submodules, lat.fully_invariant):
+        if fi and not sub.is_zero() and not is_essential(sub):
+            return False, {"kind": "non_essential_fully_invariant",
+                           "submodule": sub.labels()}
+    return True, None

@@ -1,29 +1,33 @@
-"""The firstness quantifiers decided over ``modules.atoms`` against the
-full-lattice scans they replaced (``oracles``): verdicts and witnesses
-equal, the annihilator test of trace-firstness against a nonzero-map
-search, and the work the atom routes no longer do."""
+"""The firstness quantifiers decided over ``modules.atoms``, diuniformity
+decided inside the socle, and trace-firstness's family route over one
+member per pair of tables, against the full-lattice scans they replaced
+(``oracles``): verdicts and witnesses equal, the annihilator test of
+trace-firstness against a nonzero-map search, the work the reduced
+routes no longer do, and every deep-d3 reference decision."""
 
 import json
 import sys
 
-from modlab import firstness, modules
+from modlab import modules
 from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
 from modlab.firstness import (FAMILY_JOINS, _cond_homogeneous_semisimple,
                               _prime_via_annihilators, _prime_via_ideals,
                               _rpid_pairwise, a_first_detail,
                               a_fully_first_detail, bjkn_prime_detail,
-                              is_retractable, prime_module_detail,
-                              rpid_first_detail)
+                              decide, diuniform_detail, is_retractable,
+                              prime_module_detail, rpid_first_detail)
 from modlab.modules import (annihilator_mask, atoms, direct_sum_module,
                             enumerate_submodules, hom_nonzero_exists,
-                            quotient_module, regular_module, simple_modules,
-                            submodule, trad_mask)
+                            is_isomorphic, quotient_module, regular_module,
+                            simple_modules, structural_summary, submodule,
+                            trad_mask)
 from modlab.preradicals import RAD, SOC, Alpha
 from modlab.rings import cyclic_ring, matrix_ring
 
 import oracles
-from test_isomorphism_classes import REFERENCE, _build_module, _build_ring
+from test_isomorphism_classes import (REFERENCE, _build_module, _build_ring,
+                                      deep_reference_modules)
 from test_rings import upper_triangular_f2
 
 
@@ -52,7 +56,7 @@ def test_atom_routes_match_the_full_lattice_scans():
     mods = _sweep_modules()
     negatives = dict.fromkeys(
         ["bjkn", "annihilators", "ideals", "pairwise", "retractable",
-         "fully_first", "first"], 0)
+         "fully_first", "first", "diuniform"], 0)
     for m in mods:
         bjkn = oracles.all_submodules_cogenerate(m)
         assert _cond_homogeneous_semisimple(m)[0] == bjkn[0], m
@@ -80,10 +84,13 @@ def test_atom_routes_match_the_full_lattice_scans():
             want = oracles.a_fully_first(m, live)
             assert a_first_detail(m, family) == want, (m, family)
             negatives["first"] += not want[0]
+        want = oracles.diuniform(m)
+        assert diuniform_detail(m) == want, m
+        negatives["diuniform"] += not want[0]
     assert len(mods) == 75
     assert negatives == {"bjkn": 46, "annihilators": 46, "ideals": 46,
                          "pairwise": 26, "retractable": 3,
-                         "fully_first": 135, "first": 69}
+                         "fully_first": 135, "first": 69, "diuniform": 36}
 
 
 def test_a_nonzero_map_onto_an_atom_is_an_annihilator_jump():
@@ -123,25 +130,74 @@ def test_atom_quantifiers_build_no_lattice():
         bjkn_prime_detail(m)
         a_fully_first_detail(m, [SOC, RAD])
         is_retractable(m)
+        # diuniformity scans inside Soc(M), all of M when M is semisimple
+        if not structural_summary(m).is_semisimple:
+            diuniform_detail(m)
         assert "lattice" not in m._cache, m
+
+
+def _count_calls(monkeypatch, name):
+    """Route every modlab reference to ``modules.<name>`` through a
+    counter; returns the list of recorded argument tuples."""
+    calls = []
+    original = getattr(modules, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "modlab" and \
+                getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def test_pairwise_route_searches_no_maps(monkeypatch):
     mods = _fresh_modules()
-    calls = []
-    original = modules.hom_nonzero_exists
-
-    def counted(source, target):
-        calls.append((source, target))
-        return original(source, target)
-
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "modlab" and \
-                getattr(mod, "hom_nonzero_exists", None) is original:
-            monkeypatch.setattr(mod, "hom_nonzero_exists", counted)
+    calls = _count_calls(monkeypatch, "hom_nonzero_exists")
     outcomes = [_rpid_pairwise(m)[0] for m in mods]
     assert calls == [] and False in outcomes and True in outcomes
-    # the patch is live: the retractability test does search
+    # the patch is live in firstness: its retractability test does search
     is_retractable(regular_module(cyclic_ring(4)))
     assert calls
-    assert firstness.hom_nonzero_exists is counted
+
+
+def test_family_route_searches_no_isomorphisms(monkeypatch):
+    mods = _fresh_modules()
+    calls = _count_calls(monkeypatch, "find_isomorphism")
+    outcomes = [rpid_first_detail(m)[0] for m in mods]
+    assert calls == [] and False in outcomes and True in outcomes
+    # the patch is live: an isomorphism test does search
+    assert not is_isomorphic(mods[0], mods[1])
+    assert calls
+
+
+def _json(value):
+    return json.loads(json.dumps(value))
+
+
+def test_every_deep_d3_reference_decision():
+    # the reference file of the deep-d3 benchmark workload, read only;
+    # the decisions it records as refused are now decided, and are
+    # checked against the full-lattice scans
+    items = json.loads(REFERENCE.read_text(encoding="utf-8"))["items"]
+    refused = []
+    for key, m in deep_reference_modules():
+        item = items[key]
+        verdict, witness = decide(m, item["notion"])
+        got = _json({"verdict": verdict, "witness": witness})
+        if "refused" not in item["outcome"]:
+            assert got == item["outcome"], key
+            continue
+        refused.append(key)
+        if item["notion"] == "diuniform":
+            want = oracles.diuniform(m)
+        else:
+            want = oracles.rpid_pairwise(m)
+            assert oracles.rpid_family(m, FAMILY_JOINS) == want[0], key
+        assert (verdict, witness) == want, key
+    assert len(items) == 25
+    assert refused == ["cyclic(4)#10:diuniform", "cyclic(6)#13:diuniform",
+                       "product(cyclic(2),cyclic(2))#10:rpid_first",
+                       "product(cyclic(2),cyclic(2))#18:diuniform"]

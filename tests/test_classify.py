@@ -38,6 +38,13 @@ def test_universe_depth_below_one_is_refused():
             generate_universe(Z4, depth=depth)
 
 
+def test_universe_module_cap_below_one_is_refused():
+    # a cap no sum fits in ran depth 1 and was reported as given
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="module cap must be at least 1"):
+            generate_universe(Z4, depth=2, module_cap=cap)
+
+
 def test_universe_contains_regular_and_simples():
     for ring in CORPUS:
         uni = generate_universe(ring)

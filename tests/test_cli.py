@@ -275,6 +275,10 @@ def test_cli_missing_file_exit_engine(tmp_path, capsys):
     ["define", "JOB", "--seed", "1"],
     ["check", "JOB", "--seed", "1"],
     ["verify", "JOB", "--seed", "1"],
+    # a module cap below 1 fits no direct sum
+    ["corpus", "--cap-module", "0"],
+    ["corpus", "--cap-module", "-5"],
+    ["verify", "JOB", "--cap-module", "0"],
 ])
 def test_cli_usage_error_before_any_work(argv, tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):

@@ -83,9 +83,12 @@ def test_pairwise_route_does_not_use_classes(monkeypatch):
     assert _rpid_pairwise(regular_module(z6))[0] is False
     verdict, witness = _rpid_pairwise(mixed)
     assert verdict is False and witness["kind"] == "hom_vanishes"
-    # the family route does read the classes, so the patch is live
+    # neither does the family route
+    assert rpid_first_detail(regular_module(z4)) == (True, None)
+    assert rpid_first_detail(mixed) == (verdict, witness)
+    # universe generation does read the classes, so the patch is live
     with pytest.raises(AssertionError, match="isomorphism_classes called"):
-        rpid_first_detail(regular_module(z4))
+        generate_universe(cyclic_ring(3), depth=1)
 
 
 def _build_ring(spec):

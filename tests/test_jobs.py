@@ -197,6 +197,8 @@ REFUSED = [
      "duplicate output setting 'format'", 5, 1),
     # a depth below 1 ran depth 1 and was reported as given
     (R + "[universe]\ndepth = 0\n", "universe depth must be at least 1", 4, 9),
+    # a cap below 1 fits no sum, so it ran depth 1 and was reported as given
+    (R + "[universe]\ncap = 0\n", "universe cap must be at least 1", 4, 7),
 ]
 
 

@@ -59,9 +59,19 @@ def _outcome(decide, module):
 
 
 def test_baer_reads_hom_r_m_as_the_hom_set_does(ring):
-    # F2^4's sums of order 64 are refused by both, at Hom(R, M) as an ideal
+    # the oracle lists Hom(R, M) and refuses F2^4's sums of order 64; the
+    # criterion skips the ideal R, so it decides them, all injective, as
+    # every module over the semisimple F2^4 is
+    refused = []
     for m in generate_universe(ring, depth=2).modules:
-        assert _outcome(is_injective, m) == _outcome(baer_via_hom_set, m), m
+        decided = is_injective(m)
+        want = _outcome(baer_via_hom_set, m)
+        if want == "hom search over 64^4 candidates is out of range":
+            refused.append((m.order, decided))
+        else:
+            assert decided == want, m
+    f2_4 = ring.provenance == "product(cyclic(2),cyclic(2),cyclic(2),cyclic(2))"
+    assert refused == ([(64, True)] * 10 if f2_4 else [])
 
 
 def test_filters_of_f2_to_the_fifth_one_per_two_sided_ideal():
