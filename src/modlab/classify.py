@@ -51,8 +51,9 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     modules, so those are always present.  Each extra depth level adds the
     pairwise direct sums of everything already generated (zero summands
     are skipped; the zero module itself stays in the universe).  Modules
-    are deduplicated up to isomorphism, first occurrence kept.  A depth
-    or a module cap below 1 raises ``ValueError``.
+    are deduplicated up to isomorphism, first occurrence kept, so a level
+    that adds no module leaves every later one the same and ends the
+    loop.  A depth or a module cap below 1 raises ``ValueError``.
     """
     if depth < 1:
         raise ValueError(f"universe depth must be at least 1, not {depth!r}")
@@ -71,10 +72,13 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
                  for sub in enumerate_submodules(reg).submodules])
     for _ in range(depth - 1):
         current = [m for m in mods if not m.is_zero()]
-        mods = first_occurrences(
+        grown = first_occurrences(
             mods + [direct_sum_module([a, b], cap=module_cap)
                     for i, a in enumerate(current) for b in current[i:]
                     if a.order * b.order <= module_cap])
+        if len(grown) == len(mods):
+            break  # the fixpoint: every later level would add nothing too
+        mods = grown
     universe = Universe(ring, tuple(mods), depth, module_cap)
     ring._cache[key] = universe
     return universe
@@ -319,6 +323,9 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
         details["converse_fails_here"] = rhs and not lhs
 
     elif theorem_id == "P12":
+        # Both sides hold over every finite ring: a nonzero submodule of a
+        # finite module contains an atom A, and soc(A) = A, so soc kills
+        # none.  The report keeps the scans, as checks of the deciders.
         in_p, witness = _first_failure(
             universe, lambda m: a_first_detail(m, [SOC]))
         if witness:
@@ -330,6 +337,8 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
         consistent = in_p == in_sp
 
     elif theorem_id == "P8.5":
+        # Both sides hold over every finite ring: see P12, and no finite
+        # module has a zero socle (checked in ``_classify``).
         in_sp, witness = _first_failure(
             universe, lambda m: a_fully_first_detail(m, [SOC]))
         if witness:

@@ -61,7 +61,8 @@ def _int_at_least(least):
 
 
 def _add_common_flags(sub):
-    sub.add_argument("--cap-ring", type=int, default=DEFAULT_RING_CAP,
+    sub.add_argument("--cap-ring", type=_int_at_least(1),
+                     default=DEFAULT_RING_CAP,
                      help="largest allowed ring order")
     # unset (None) leaves these to the job document's [universe] section
     sub.add_argument("--cap-module", type=_int_at_least(1), default=None,

@@ -10,12 +10,13 @@ Hom-sets; primeness through both the annihilator and the ideal-action
 route; trace-firstness through pairwise nonzero homs, decided by the
 action of the atoms' annihilators, cross-checked against a generated
 family of idempotent operators, one trace per distinct pair of submodule
-tables, with no isomorphism search; diuniformity over the submodules
-inside the socle, where its first failure lies.  ``decide`` caches each
-notion's verdict per module.  Firstness relative to a finite family is
-one scan, ``a_fully_first_detail``; ``a_first_detail`` runs it over the
-members that do not kill the module.  These deciders are also the
-module-level sides of the theorems replayed by ``classify.verify_theorem``.
+tables, with no isomorphism search; diuniformity over the fully
+invariant hulls of the atoms, the least failing hull being its first
+failure.  ``decide`` caches each notion's verdict per module.  Firstness
+relative to a finite family is one scan, ``a_fully_first_detail``;
+``a_first_detail`` runs it over the members that do not kill the module.
+These deciders are also the module-level sides of the theorems replayed
+by ``classify.verify_theorem``.
 
 Every "for all nonzero submodules" quantifier whose failure passes down
 to smaller submodules (an ideal, a preradical or an annihilator jump that
@@ -34,9 +35,8 @@ from itertools import combinations, islice
 from .errors import InternalInconsistency
 from .modules import (annihilator_mask, atoms, cogenerates, cyclic_mask,
                       enumerate_submodules, hom_nonzero_exists, hom_set,
-                      is_fully_invariant, regular_module, structural_summary,
-                      submodule, submodules_within, trad_mask)
-from .preradicals import Alpha, Join, SOC, product_in
+                      regular_module, structural_summary, submodule, trad_mask)
+from .preradicals import Alpha, Beta, Join, SOC, product_in
 from .rings import enumerate_ideals
 
 
@@ -336,24 +336,25 @@ def is_A_fully_first(module, family):
 
 def diuniform_detail(module):
     """Every nonzero fully invariant submodule is essential, decided on the
-    submodules inside Soc(M), with no lattice of M unless Soc(M) = M.
+    fully invariant hulls End(M)A of the atoms A, with no lattice of M.
 
     N is essential exactly when Soc(M) <= N (``modules.is_essential``).
-    If a nonzero fully invariant N is not essential, neither is
-    N' = N & Soc(M): fully invariant submodules are closed under meets
-    and Soc(M) is one; N' is nonzero, as N contains an atom and every
-    atom lies in Soc(M); and Soc(M) does not lie in N'.  N' is no larger
-    than N, and equal to N when as large, so it comes no later in lattice
-    order (size, carrier).  So the first failure in lattice order, the
-    witness, lies inside Soc(M), where Soc(M) itself is the only
-    essential submodule.
+    The first failure N in lattice order (size, carrier) lies in Soc(M):
+    N & Soc(M) is fully invariant (a meet of two), nonzero (N contains an
+    atom) and not essential, and comes no later.  An atom A <= N has its
+    hull, the least fully invariant submodule containing A, inside N, so
+    the hull fails too and comes no later: it is N.  Every hull lies in
+    Soc(M), where only Soc(M) is essential, so the witness is the least
+    hull other than Soc(M).  The hull of A is ``Beta(A)`` on M.
     """
     _require_nonzero(module, "diuniformity")
-    inside = submodules_within(structural_summary(module).socle)
-    for sub in inside[1:-1]:
-        if is_fully_invariant(sub):
-            return False, {"kind": "non_essential_fully_invariant",
-                           "submodule": sub.labels()}
+    socle = structural_summary(module).socle
+    failing = [hull for hull in (Beta(a).evaluate(module)
+                                 for a in atoms(module)) if hull != socle]
+    if failing:
+        hull = min(failing, key=lambda s: (s.order, s.carrier))
+        return False, {"kind": "non_essential_fully_invariant",
+                       "submodule": hull.labels()}
     return True, None
 
 

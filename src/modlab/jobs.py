@@ -517,9 +517,9 @@ def _run_verify(spec, universe, kind, theorem):
 
 class Check(NamedTuple):
     """One check kind: ``signature`` names the role of each argument
-    ("module", "preradical", "theorem"; a last "preradicals" takes one or
-    more), ``usage`` is what an arity error says it takes, ``run`` is its
-    runner and ``command`` the CLI command that runs it."""
+    ("[nonzero] module", "preradical", "theorem"; a last "preradicals"
+    takes one or more), ``usage`` is what an arity error says it takes,
+    ``run`` is its runner and ``command`` the CLI command that runs it."""
     signature: tuple
     usage: str
     run: Callable
@@ -527,10 +527,10 @@ class Check(NamedTuple):
 
 
 CHECKS = {
-    **{notion: Check(("module",), "one module", _run_notion, "check")
+    **{notion: Check(("nonzero module",), "one module", _run_notion, "check")
        for notion in NOTIONS},
-    "a_first": Check(("module", "preradicals"), "a module and preradicals",
-                     _run_a_first, "check"),
+    "a_first": Check(("nonzero module", "preradicals"),
+                     "a module and preradicals", _run_a_first, "check"),
     "a_fully_first": Check(("module", "preradicals"),
                            "a module and preradicals", _run_a_fully_first,
                            "check"),
@@ -549,7 +549,8 @@ CHECKS = {
 
 
 def _parse_check(line, lineno, modules, preradicals):
-    """``kind arg ...``.  An unknown name is reported at the name, a
+    """``kind arg ...``.  An unknown name, or a zero module where the
+    notion is defined for nonzero modules only, is reported at the name, a
     surplus argument at the first one and a missing one at the line's
     end."""
     cur = _Cursor(line, lineno)
@@ -565,13 +566,15 @@ def _parse_check(line, lineno, modules, preradicals):
     if len(names) != len(roles):
         cur.pos = args[len(roles)].start() if args[len(roles):] else len(line)
         cur.error(usage)
-    scopes = {"module": modules, "preradical": preradicals,
-              "theorem": THEOREM_IDS}
+    scopes = {"module": modules, "nonzero module": modules,
+              "preradical": preradicals, "theorem": THEOREM_IDS}
     for role, m in zip(roles, args):
+        cur.pos = m.start()
         if m.group() not in scopes[role]:
-            cur.pos = m.start()
             cur.error(usage if role == "theorem"
-                      else f"unknown {role} {m.group()!r}")
+                      else f"unknown {role.split()[-1]} {m.group()!r}")
+        if role == "nonzero module" and modules[m.group()].is_zero():
+            cur.error(f"{kind} is defined for nonzero modules only")
     return kind, tuple(names), " ".join([kind] + names)
 
 

@@ -409,40 +409,23 @@ class SubmoduleLattice:
 
 
 def enumerate_submodules(module):
-    """The full submodule lattice: the submodules inside M (cached)."""
-    if "lattice" in module._cache:
-        return module._cache["lattice"]
-    lat = SubmoduleLattice(module, _close_within(module, module.full_mask()))
-    module._cache["lattice"] = lat
-    return lat
-
-
-def submodules_within(sub):
-    """The submodules of M inside the submodule ``sub``, in lattice order;
-    the lattice's own tuple when ``sub`` is M."""
-    _require_submodule(sub)
-    if sub.is_full():
-        return enumerate_submodules(sub.module).submodules
-    return _close_within(sub.module, sub.mask)
-
-
-def _close_within(module, bound):
-    """The submodules inside the submodule carrier ``bound``, closed from
-    zero under adding cyclics, in lattice order (size, carrier).
+    """The full submodule lattice, closed from zero under adding cyclics.
 
     Every submodule is a sum Rx_1 + ... + Rx_k, so closing {0} under
-    m -> m + Rx for x in ``bound`` reaches all of those inside it.  For a
-    submodule m, m + Rx depends only on the coset x + m: for a in m,
-    m + R(x + a) = m + Rx, as each side contains both x and x + a.  So
-    each m is summed with one cyclic per coset, not one per element.  The
-    pass that finds one representative per coset also labels every
-    element with its coset of m; m + Rx is the union of the cosets
-    m + rx, so it is read off the labels of the distinct elements rx,
-    |Rx| lookups.
+    m -> m + Rx reaches all of them.  For a submodule m, m + Rx depends
+    only on the coset x + m: for a in m, m + R(x + a) = m + Rx, as each
+    side contains both x and x + a.  So each m is summed with one cyclic
+    per coset, not one per element.  The pass that finds one
+    representative per coset also labels every element with its coset
+    of m; m + Rx is the union of the cosets m + rx, so it is read off the
+    labels of the distinct elements rx, |Rx| lookups.
     """
+    if "lattice" in module._cache:
+        return module._cache["lattice"]
     # the distinct elements rx of each Rx
-    cyclics = {x: {row[x] for row in module.act} for x in _elements(bound)}
+    cyclics = [{row[x] for row in module.act} for x in range(module.order)]
     add = module.add
+    full = module.full_mask()
     label = [0] * module.order  # element -> index of its coset in cosets
     seen = {module.zero_mask()}
     queue = list(seen)
@@ -453,7 +436,7 @@ def _close_within(module, bound):
             label[a] = 0
         cosets = [m]
         reps = []
-        uncovered = bound & ~m
+        uncovered = full & ~m
         while uncovered:
             x = (uncovered & -uncovered).bit_length() - 1
             row = add[x]
@@ -475,7 +458,9 @@ def _close_within(module, bound):
                 queue.append(s)
     subs = [submodule(module, m) for m in seen]
     subs.sort(key=lambda s: (s.order, s.carrier))
-    return tuple(subs)
+    lat = SubmoduleLattice(module, subs)
+    module._cache["lattice"] = lat
+    return lat
 
 
 def atoms(module):

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from .errors import NotFullyInvariant, RingMismatch
 from .modules import (_element_annihilators, _require_submodule,
                       embed_submask, enumerate_submodules, hom_generators,
-                      hom_set, quotient_module, regular_module,
-                      simple_modules, structural_summary, submodule,
-                      sum_masks, trad_mask)
+                      hom_set, is_fully_invariant, quotient_module,
+                      regular_module, simple_modules, structural_summary,
+                      submodule, sum_masks, trad_mask)
 from .rings import enumerate_ideals, is_two_sided
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
@@ -73,11 +73,8 @@ def _sub_token(sub):
 def _require_fully_invariant(sub):
     if sub.is_zero() or sub.is_full():
         return  # fully invariant in every module: no endomorphisms needed
-    lat = enumerate_submodules(sub.module)
-    i = lat.index.get(sub.mask)
-    if i is None:
-        _require_submodule(sub)  # raises: the mask is not in the lattice
-    if not lat.fully_invariant[i]:
+    _require_submodule(sub)
+    if not is_fully_invariant(sub):
         raise NotFullyInvariant(f"{sub!r} is not fully invariant")
 
 

@@ -1,9 +1,10 @@
 """The firstness quantifiers decided over ``modules.atoms``, diuniformity
-decided inside the socle, and trace-firstness's family route over one
-member per pair of tables, against the full-lattice scans they replaced
-(``oracles``): verdicts and witnesses equal, the annihilator test of
-trace-firstness against a nonzero-map search, the work the reduced
-routes no longer do, and every deep-d3 reference decision."""
+decided on the atoms' fully invariant hulls, and trace-firstness's
+family route over one member per pair of tables, against the
+full-lattice scans they replaced (``oracles``): verdicts and witnesses
+equal, the annihilator test of trace-firstness against a nonzero-map
+search, the work the reduced routes no longer do, and every deep-d3
+reference decision."""
 
 import json
 import sys
@@ -20,8 +21,7 @@ from modlab.firstness import (FAMILY_JOINS, _cond_homogeneous_semisimple,
 from modlab.modules import (annihilator_mask, atoms, direct_sum_module,
                             enumerate_submodules, hom_nonzero_exists,
                             is_isomorphic, quotient_module, regular_module,
-                            simple_modules, structural_summary, submodule,
-                            trad_mask)
+                            simple_modules, submodule, trad_mask)
 from modlab.preradicals import RAD, SOC, Alpha
 from modlab.rings import cyclic_ring, matrix_ring
 
@@ -130,9 +130,7 @@ def test_atom_quantifiers_build_no_lattice():
         bjkn_prime_detail(m)
         a_fully_first_detail(m, [SOC, RAD])
         is_retractable(m)
-        # diuniformity scans inside Soc(M), all of M when M is semisimple
-        if not structural_summary(m).is_semisimple:
-            diuniform_detail(m)
+        diuniform_detail(m)
         assert "lattice" not in m._cache, m
 
 

@@ -45,6 +45,43 @@ def test_universe_module_cap_below_one_is_refused():
             generate_universe(Z4, depth=2, module_cap=cap)
 
 
+def test_universe_stops_at_its_fixpoint(monkeypatch):
+    sums, sizes = [], []
+    direct_sum = classify.direct_sum_module
+    classes = classify.isomorphism_classes
+
+    def counted_sum(*args, **kwargs):
+        sums.append(args)
+        return direct_sum(*args, **kwargs)
+
+    def counted_classes(modules):
+        out = classes(modules)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(classify, "direct_sum_module", counted_sum)
+    monkeypatch.setattr(classify, "isomorphism_classes", counted_classes)
+
+    def build(make, depth):
+        """The modules' tables, the direct sums built and the universe's
+        size after each dedup, for a universe of a fresh ring."""
+        sums.clear()
+        sizes.clear()
+        universe = generate_universe(make(), depth=depth)
+        tables = [(m.provenance, m.add, m.act) for m in universe.modules]
+        return tables, len(sums), list(sizes)
+
+    for make in (lambda: cyclic_ring(4), lambda: cyclic_ring(6),
+                 lambda: product_ring([cyclic_ring(2), cyclic_ring(2)])):
+        deep, built, grown = build(make, 20)
+        # one dedup per depth: each level grew the universe but the last,
+        # after which no sum was built, so depth len(grown) does the same
+        # work and depth len(grown) - 1 has the same modules
+        assert grown[-1] == grown[-2] and grown[:-1] == sorted(set(grown))
+        assert build(make, len(grown))[:2] == (deep, built)
+        assert len(grown) - 1 <= 4 and build(make, 4)[0] == deep
+
+
 def test_universe_contains_regular_and_simples():
     for ring in CORPUS:
         uni = generate_universe(ring)

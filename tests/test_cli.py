@@ -279,6 +279,9 @@ def test_cli_missing_file_exit_engine(tmp_path, capsys):
     ["corpus", "--cap-module", "0"],
     ["corpus", "--cap-module", "-5"],
     ["verify", "JOB", "--cap-module", "0"],
+    # a ring cap below 1 fits no ring
+    ["corpus", "--cap-ring", "0"],
+    ["corpus", "--cap-ring", "-3"],
 ])
 def test_cli_usage_error_before_any_work(argv, tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):

@@ -12,7 +12,8 @@ import pytest
 from modlab.classify import THEOREM_IDS
 from modlab.cli import main
 from modlab.errors import JobParseError
-from modlab.jobs import CHECKS, parse_job
+from modlab.firstness import NOTIONS
+from modlab.jobs import CHECKS, parse_job, run_job
 
 from test_cli import DEMO
 
@@ -22,6 +23,7 @@ R = "[ring]\ncyclic(4)\n"
 M = R + "[modules]\nM = regular\n"
 P = M + "[preradicals]\na = alpha(S1@M)\n"
 TWO = "[ring]\ncyclic(2)\n[modules]\n"
+ZERO = M + "Z = quotient(M, S2)\n"
 RAW_RING = "[ring]\nraw\nadd = 0 1 / 1 0\n"
 
 # (document, message, line, column), one or more per error branch
@@ -199,6 +201,12 @@ REFUSED = [
     (R + "[universe]\ndepth = 0\n", "universe depth must be at least 1", 4, 9),
     # a cap below 1 fits no sum, so it ran depth 1 and was reported as given
     (R + "[universe]\ncap = 0\n", "universe cap must be at least 1", 4, 7),
+    # a notion on a zero module was reported as routes disagreeing (exit 4)
+    *[(ZERO + f"[checks]\n{kind} Z\n",
+       f"{kind} is defined for nonzero modules only", 7, len(kind) + 2)
+      for kind in NOTIONS],
+    (ZERO + "[preradicals]\na = alpha(S1@M)\n[checks]\na_first Z a\n",
+     "a_first is defined for nonzero modules only", 9, 9),
 ]
 
 
@@ -212,6 +220,15 @@ def test_malformed_line_is_refused(document, message, line, column, tmp_path,
     assert main(["define", str(path)]) == 1
     assert capsys.readouterr().err == (
         f"parse error: {message} at line {line}, column {column}\n")
+
+
+def test_zero_module_checks_defined_on_it_are_accepted():
+    spec = parse_job(ZERO + "[preradicals]\na = alpha(S1@M)\n[checks]\n"
+                     "classes Z a\na_fully_first Z a\n")
+    report, code = run_job(spec)
+    assert code == 0
+    assert [e["status"] for e in report["checks"]] == ["ok", "ok"]
+    assert report["checks"][1]["verdict"] is True
 
 
 def test_indented_document_parses_like_its_canonical_form():

@@ -3,7 +3,7 @@ import pytest
 from modlab.errors import NotFullyInvariant, RingMismatch
 from modlab.modules import (direct_sum_module, enumerate_submodules,
                             quotient_module, regular_module, simple_modules,
-                            submodule)
+                            structural_summary, submodule)
 from modlab.preradicals import (EQ, LE, Alpha, Beta, Compose,
                                 Join, Meet, Omega, ONE, RAD, SOC, Trad, ZERO,
                                 check_naturality, compare, idempotent_core_at,
@@ -55,6 +55,15 @@ def test_alpha_requires_fully_invariant():
     with pytest.raises(NotFullyInvariant):
         Alpha(line)
     Beta(line)  # beta takes any submodule
+
+
+def test_alpha_and_omega_vet_one_submodule_with_no_lattice():
+    m = direct_sum_module([regular_module(cyclic_ring(8))] * 2)
+    soc = structural_summary(m).socle
+    assert not soc.is_zero() and not soc.is_full()
+    assert Alpha(soc).evaluate(m) == soc
+    assert Omega(soc).evaluate(m) == soc
+    assert "lattice" not in m._cache
 
 
 def test_omega_of_zero_in_simple_is_the_reject():
