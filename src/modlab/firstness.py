@@ -4,15 +4,16 @@ Each notion is decided through the finite characterization that makes it
 checkable without quantifying over all preradicals: BJKN-primeness through
 four separately computed equivalent conditions (which must agree, or an
 InternalInconsistency is raised): homogeneous semisimplicity read off
-J(R), cogeneration by the cyclic submodules and products of atoms over
-generating sets of Hom groups, and pointwise separation over enumerated
-Hom-sets; primeness through both the annihilator and the ideal-action
-route; trace-firstness through pairwise nonzero homs, decided by the
-action of the atoms' annihilators, cross-checked against a generated
-family of idempotent operators, one trace per distinct pair of submodule
-tables, with no isomorphism search; diuniformity over the fully
-invariant hulls of the atoms, the least failing hull being its first
-failure.  ``decide`` caches each notion's verdict per module.  Firstness
+J(R), cogeneration by the atoms and products of atoms over generating
+sets of Hom groups, and pointwise separation into the atoms over
+enumerated Hom-sets, with the distinct cyclic submodules scanned for the
+witness only on a negative verdict; primeness through both the
+annihilator and the ideal-action route; trace-firstness through pairwise
+nonzero homs, decided by the action of the atoms' annihilators,
+cross-checked against a generated family of idempotent operators, one
+trace per distinct pair of submodule tables, with no isomorphism search;
+diuniformity over the fully invariant hulls of the atoms, the least
+failing hull being its first failure.  ``decide`` caches each notion's verdict per module.  Firstness
 relative to a finite family is one scan, ``a_fully_first_detail``;
 ``a_first_detail`` runs it over the members that do not kill the module.
 These deciders are also the module-level sides of the theorems replayed
@@ -33,9 +34,10 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from .errors import InternalInconsistency
-from .modules import (annihilator_mask, atoms, cogenerates, cyclic_mask,
-                      enumerate_submodules, hom_nonzero_exists, hom_set,
-                      regular_module, structural_summary, submodule, trad_mask)
+from .modules import (_elements, annihilator_mask, atoms, cogenerates,
+                      cyclic_mask, enumerate_submodules, hom_nonzero_exists,
+                      hom_set, regular_module, structural_summary, submodule,
+                      trad_mask)
 from .preradicals import Alpha, Beta, Join, SOC, product_in
 from .rings import enumerate_ideals
 
@@ -65,49 +67,60 @@ def _cond_homogeneous_semisimple(module):
     return structural_summary(module).is_homogeneous_semisimple, None
 
 
-def _cond_cyclic_submodules_cogenerate(module):
-    seen = set()
-    for x in range(module.order):
-        if x == module.zero:
-            continue
-        mask = cyclic_mask(module, x)
-        if mask in seen:
-            continue
-        seen.add(mask)
-        sub = submodule(module, mask)
-        if not cogenerates(sub, module):
-            return False, {"kind": "non_cogenerating_cyclic",
-                           "generator": module.labels[x],
-                           "submodule": sub.labels()}
+def _cond_atoms_cogenerate(module):
+    """Every atom cogenerates M, with Hom read off ``hom_generators``.
+
+    Every cyclic submodule, and so every nonzero submodule, cogenerates M
+    exactly when every atom does: atoms are cyclic, and an atom A <= C
+    that cogenerates M makes C cogenerate it (a map into A is a map into
+    C).  Only the verdict is read.
+    """
+    for a in atoms(module):
+        if not cogenerates(a, module):
+            return False, {"kind": "non_cogenerating_atom",
+                           "submodule": a.labels()}
     return True, None
+
+
+def _separated(module, mask):
+    """The elements x with f(x) != 0 for some f in the enumerated Hom-set
+    from the module into its submodule ``mask``."""
+    target = submodule(module, mask).as_module()
+    tzero = target.zero
+    out = 0
+    for f in hom_set(module, target):
+        for x, fx in enumerate(f.map):
+            if fx != tzero:
+                out |= 1 << x
+    return out
 
 
 def _cond_pointwise_separation(module):
     """For every x, y nonzero there is a map into Ry not killing x.
 
     Runs over the enumerated Hom-sets, not over ``hom_generators``, so it
-    checks the other three routes independently of that code.
+    checks the other three routes independently of that code.  The
+    verdict is decided on the atoms as targets: an atom is Ry for each of
+    its nonzero y, and every Ry contains an atom A, a map into A being a
+    map into Ry.  Only when an atom fails are the distinct Ry scanned in
+    order of their least generator y, for the first failing (x, y).
     """
-    zero = module.zero
+    nonzero = module.full_mask() & ~module.zero_mask()
+    if all(_separated(module, a.mask) == nonzero for a in atoms(module)):
+        return True, None
     by_mask = {}
-    for y in range(module.order):
-        if y == zero:
-            continue
+    for y in _elements(nonzero):
         by_mask.setdefault(cyclic_mask(module, y), y)
     for mask, y in sorted(by_mask.items(), key=lambda kv: kv[1]):
-        target = submodule(module, mask).as_module()
-        tzero = target.zero
-        separated = 0
-        for f in hom_set(module, target):
-            for x in range(module.order):
-                if f.map[x] != tzero:
-                    separated |= 1 << x
-        for x in range(module.order):
-            if x != zero and not separated >> x & 1:
-                return False, {"kind": "inseparable_pair",
-                               "x": module.labels[x],
-                               "y": module.labels[y]}
-    return True, None
+        missed = nonzero & ~_separated(module, mask)
+        if missed:
+            x = (missed & -missed).bit_length() - 1
+            return False, {"kind": "inseparable_pair",
+                           "x": module.labels[x],
+                           "y": module.labels[y]}
+    results = {"atoms": False, "cyclic_submodules": True}
+    raise InternalInconsistency(
+        f"pointwise separation disagrees on {module!r}: {results}")
 
 
 def _cond_products_nonzero(module):
@@ -134,7 +147,7 @@ def bjkn_prime_detail(module):
     _require_nonzero(module, "BJKN-primeness")
     routes = {
         "homogeneous_semisimple": _cond_homogeneous_semisimple(module),
-        "cyclic_submodules_cogenerate": _cond_cyclic_submodules_cogenerate(module),
+        "atoms_cogenerate": _cond_atoms_cogenerate(module),
         "pointwise_separation": _cond_pointwise_separation(module),
         "products_nonzero": _cond_products_nonzero(module),
     }

@@ -10,9 +10,13 @@ trace and reject operators sum images, or meet preimages, over a
 generating set of the Hom group (``modules.hom_generators``), which gives
 the same submodule as running over every map, and socle and radical are
 {x : Jx = 0} and JM for the ring's Jacobson radical J, with no submodule
-lattice.  Every class-level property (idempotent, radical, left exact,
+lattice.  Expressions compare by type and frozen fields, so an
+expression built again shares the values cached for an equal one.
+Every class-level property (idempotent, radical, left exact,
 t-radical, the pointwise order) is decided relative to an explicit
-finite universe of modules, never for the whole category.
+finite universe of modules, never for the whole category; left
+exactness at a module is checked on the cyclic submodules of its value,
+with no submodule lattice.
 """
 
 from __future__ import annotations
@@ -20,20 +24,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFullyInvariant, RingMismatch
-from .modules import (_element_annihilators, _require_submodule,
-                      embed_submask, enumerate_submodules, hom_generators,
-                      hom_set, is_fully_invariant, quotient_module,
-                      regular_module, simple_modules, structural_summary,
-                      submodule, sum_masks, trad_mask)
+from .modules import (_element_annihilators, _elements, _require_submodule,
+                      cyclic_mask, embed_submask, hom_generators, hom_set,
+                      is_fully_invariant, quotient_module, regular_module,
+                      simple_modules, structural_summary, submodule,
+                      sum_masks, trad_mask)
 from .rings import enumerate_ideals, is_two_sided
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
 
 
 class Preradical:
-    """Base class: an evaluable, immutable preradical expression."""
+    """Base class: an evaluable, immutable preradical expression.
 
-    __slots__ = ()
+    Two expressions are equal when they have the same type and equal
+    frozen fields (``_fields``), so an expression built again hits the
+    values cached for the first one.  Submodule and ring handles are
+    interned, so those fields compare by identity.  The hash is computed
+    once per expression, as ``evaluate`` looks the expression up on
+    every call.
+    """
+
+    __slots__ = ("_hash",)
+    _fields = ()
+
+    def _key(self):
+        return (type(self),) + tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return isinstance(other, Preradical) and self._key() == other._key()
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._key())
+            return self._hash
 
     def ring(self):
         """The ring the expression is pinned to, or None if generic."""
@@ -88,6 +114,7 @@ class Beta(Preradical):
     """
 
     __slots__ = ("sub",)
+    _fields = ("sub",)
     tag = "beta"
 
     def __init__(self, sub):
@@ -128,6 +155,7 @@ class Omega(Preradical):
     """
 
     __slots__ = ("sub",)
+    _fields = ("sub",)
 
     def __init__(self, sub):
         _require_fully_invariant(sub)
@@ -154,6 +182,7 @@ class Trad(Preradical):
     regular module."""
 
     __slots__ = ("ideal",)
+    _fields = ("ideal",)
 
     def __init__(self, ideal):
         _require_submodule(ideal)
@@ -222,6 +251,7 @@ class LinearFilter(Preradical):
     """
 
     __slots__ = ("_ring", "ideal_masks")
+    _fields = ("_ring", "ideal_masks")
 
     def __init__(self, ring, ideal_masks):
         self._ring = ring
@@ -229,14 +259,6 @@ class LinearFilter(Preradical):
 
     def ring(self):
         return self._ring
-
-    # equal filters share cached values, however often they are built
-    def __eq__(self, other):
-        return (isinstance(other, LinearFilter) and self._ring is other._ring
-                and self.ideal_masks == other.ideal_masks)
-
-    def __hash__(self):
-        return hash((id(self._ring), self.ideal_masks))
 
     def _compute(self, module):
         out = 0
@@ -268,6 +290,7 @@ class Join(Preradical):
     """Pointwise supremum: the submodule sum of the parts' values."""
 
     __slots__ = ("parts",)
+    _fields = ("parts",)
 
     def __init__(self, parts):
         self.parts = tuple(parts)
@@ -290,6 +313,7 @@ class Meet(Preradical):
     """Pointwise infimum: the intersection of the parts' values."""
 
     __slots__ = ("parts",)
+    _fields = ("parts",)
 
     def __init__(self, parts):
         self.parts = tuple(parts)
@@ -313,6 +337,7 @@ class Compose(Preradical):
     the outer preradical is evaluated there, and the carrier is re-embedded."""
 
     __slots__ = ("outer", "inner")
+    _fields = ("outer", "inner")
 
     def __init__(self, outer, inner):
         self.outer = outer
@@ -388,11 +413,23 @@ class PropertyFlags:
 
 
 def left_exact_at(pr, module):
-    """Whether s(N) = N & s(M) for every submodule N of the module M."""
-    whole = pr.evaluate(module).mask
-    for n in enumerate_submodules(module).submodules:
-        nmod = n.as_module()
-        if embed_submask(nmod, pr.evaluate(nmod).mask) != whole & n.mask:
+    """Whether s(N) = N & s(M) for every submodule N of the module M,
+    decided on the distinct cyclic submodules of s(M), with no lattice.
+
+    s(N) = N & s(M) for every N exactly when s(Rx) = Rx for every x in
+    s(M).  Naturality along the inclusion N <= M gives s(N) <= N & s(M).
+    If s(Rx) = Rx for each x in s(M), and x lies in N & s(M), then
+    Rx <= N and naturality along Rx <= N gives x in s(Rx) <= s(N).
+    Conversely, N = Rx with x in s(M) has N & s(M) = Rx, so s(Rx) = Rx.
+    When s(M) = 0 nothing is left to check.
+    """
+    seen = set()
+    for x in _elements(pr.evaluate(module).mask & ~module.zero_mask()):
+        mask = cyclic_mask(module, x)
+        if mask in seen:
+            continue
+        seen.add(mask)
+        if not pr.evaluate(submodule(module, mask).as_module()).is_full():
             return False
     return True
 

@@ -10,17 +10,21 @@ the deciders ran before they were reduced to the atoms of
 ``modules.atoms``, to the submodules inside the socle, or to one member
 per pair of tables: each walks every nonzero submodule of the full
 lattice, in lattice order, and reports the first failure as its witness,
-in the decider's own witness format.
+in the decider's own witness format.  The left-exactness oracle and the
+all-cyclic BJKN scans are the scans that ran before left exactness was
+reduced to the cyclic submodules of s(M) and BJKN's cogeneration and
+pointwise routes to the atoms.
 """
 
 import itertools
 
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.modules import (ModuleMorphism, annihilator_mask, cogenerates,
-                            enumerate_submodules, hom_nonzero_exists,
-                            hom_set, is_essential, is_submodule_mask,
-                            isomorphism_classes, quotient_module,
-                            regular_module, submodule, trad_mask)
+                            cyclic_mask, embed_submask, enumerate_submodules,
+                            hom_nonzero_exists, hom_set, is_essential,
+                            is_submodule_mask, isomorphism_classes,
+                            quotient_module, regular_module, submodule,
+                            trad_mask)
 from modlab.preradicals import Alpha, Join, SOC
 from modlab.rings import enumerate_ideals
 
@@ -149,6 +153,56 @@ def all_submodules_cogenerate(module):
             return False, {"kind": "non_cogenerating_submodule",
                            "submodule": n.labels()}
     return True, None
+
+
+def _distinct_cyclics(module):
+    """(Ry, y) for each distinct nonzero cyclic submodule, y its least
+    generator, in order of y."""
+    by_mask = {}
+    for y in range(module.order):
+        if y != module.zero:
+            by_mask.setdefault(cyclic_mask(module, y), y)
+    return sorted(by_mask.items(), key=lambda kv: kv[1])
+
+
+def all_cyclic_submodules_cogenerate(module):
+    """BJKN's cogeneration route over every distinct cyclic submodule."""
+    for mask, y in _distinct_cyclics(module):
+        sub = submodule(module, mask)
+        if not cogenerates(sub, module):
+            return False, {"kind": "non_cogenerating_cyclic",
+                           "generator": module.labels[y],
+                           "submodule": sub.labels()}
+    return True, None
+
+
+def all_cyclic_pointwise_separation(module):
+    """BJKN's pointwise route over every distinct cyclic Ry: for every
+    nonzero x some map in the enumerated Hom(M, Ry) does not kill x."""
+    zero = module.zero
+    for mask, y in _distinct_cyclics(module):
+        target = submodule(module, mask).as_module()
+        separated = 0
+        for f in hom_set(module, target):
+            for x in range(module.order):
+                if f.map[x] != target.zero:
+                    separated |= 1 << x
+        for x in range(module.order):
+            if x != zero and not separated >> x & 1:
+                return False, {"kind": "inseparable_pair",
+                               "x": module.labels[x],
+                               "y": module.labels[y]}
+    return True, None
+
+
+def left_exact_all_submodules(pr, module):
+    """s(N) = N & s(M) for every submodule N, each built as a module."""
+    whole = pr.evaluate(module).mask
+    for n in enumerate_submodules(module).submodules:
+        nmod = n.as_module()
+        if embed_submask(nmod, pr.evaluate(nmod).mask) != whole & n.mask:
+            return False
+    return True
 
 
 def prime_via_annihilators(module):

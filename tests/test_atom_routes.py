@@ -1,10 +1,11 @@
 """The firstness quantifiers decided over ``modules.atoms``, diuniformity
 decided on the atoms' fully invariant hulls, and trace-firstness's
 family route over one member per pair of tables, against the
-full-lattice scans they replaced (``oracles``): verdicts and witnesses
-equal, the annihilator test of trace-firstness against a nonzero-map
-search, the work the reduced routes no longer do, and every deep-d3
-reference decision."""
+full-lattice scans they replaced (``oracles``), and BJKN's cogeneration
+and pointwise routes over the atoms against the all-cyclic scans they
+replaced: verdicts and witnesses equal, the annihilator test of
+trace-firstness against a nonzero-map search, the work the reduced
+routes no longer do, and every deep-d3 reference decision."""
 
 import json
 import sys
@@ -12,16 +13,19 @@ import sys
 from modlab import modules
 from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
-from modlab.firstness import (FAMILY_JOINS, _cond_homogeneous_semisimple,
+from modlab.firstness import (FAMILY_JOINS, _cond_atoms_cogenerate,
+                              _cond_homogeneous_semisimple,
+                              _cond_pointwise_separation,
                               _prime_via_annihilators, _prime_via_ideals,
                               _rpid_pairwise, a_first_detail,
                               a_fully_first_detail, bjkn_prime_detail,
                               decide, diuniform_detail, is_retractable,
                               prime_module_detail, rpid_first_detail)
-from modlab.modules import (annihilator_mask, atoms, direct_sum_module,
-                            enumerate_submodules, hom_nonzero_exists,
-                            is_isomorphic, quotient_module, regular_module,
-                            simple_modules, submodule, trad_mask)
+from modlab.modules import (annihilator_mask, atoms, cyclic_mask,
+                            direct_sum_module, enumerate_submodules,
+                            hom_nonzero_exists, is_isomorphic,
+                            quotient_module, regular_module, simple_modules,
+                            submodule, trad_mask)
 from modlab.preradicals import RAD, SOC, Alpha
 from modlab.rings import cyclic_ring, matrix_ring
 
@@ -91,6 +95,24 @@ def test_atom_routes_match_the_full_lattice_scans():
     assert negatives == {"bjkn": 46, "annihilators": 46, "ideals": 46,
                          "pairwise": 26, "retractable": 3,
                          "fully_first": 135, "first": 69, "diuniform": 36}
+
+
+def test_bjkn_atom_routes_match_the_all_cyclic_scans():
+    rings = list(corpus_rings()) + [upper_triangular_f2()]
+    mods = [m for ring in rings
+            for m in generate_universe(ring, depth=3).nonzero_modules()]
+    negatives = non_atom_witnesses = 0
+    for m in mods:
+        want = oracles.all_cyclic_pointwise_separation(m)
+        assert _cond_pointwise_separation(m) == want, m
+        cyclic = oracles.all_cyclic_submodules_cogenerate(m)
+        assert _cond_atoms_cogenerate(m)[0] == cyclic[0] == want[0], m
+        if not want[0]:
+            negatives += 1
+            y = m.labels.index(want[1]["y"])
+            non_atom_witnesses += all(a.mask != cyclic_mask(m, y)
+                                      for a in atoms(m))
+    assert (len(mods), negatives, non_atom_witnesses) == (115, 77, 3)
 
 
 def test_a_nonzero_map_onto_an_atom_is_an_annihilator_jump():
@@ -169,6 +191,40 @@ def test_family_route_searches_no_isomorphisms(monkeypatch):
     # the patch is live: an isomorphism test does search
     assert not is_isomorphic(mods[0], mods[1])
     assert calls
+
+
+def _is_atom_module(module, target):
+    return any(target is a.as_module() for a in atoms(module))
+
+
+def test_bjkn_cogenerates_only_on_atoms(monkeypatch):
+    mods = _fresh_modules()
+    calls = _count_calls(monkeypatch, "cogenerates")
+    outcomes = [bjkn_prime_detail(m)[0] for m in mods]
+    assert calls and False in outcomes and True in outcomes
+    for cog, module in calls:
+        assert cog in atoms(module), (cog, module)
+
+
+def test_bjkn_positive_enumerates_homs_only_into_atoms(monkeypatch):
+    calls = _count_calls(monkeypatch, "hom_set")
+    positives_with_other_cyclics = negatives_into_others = 0
+    for m in _fresh_modules() + [regular_module(cyclic_ring(4))]:
+        del calls[:]
+        verdict = bjkn_prime_detail(m)[0]
+        others = [t for source, t in calls
+                  if source is m and not _is_atom_module(m, t)]
+        if verdict:
+            assert calls and not others, m
+            atom_masks = {a.mask for a in atoms(m)}
+            positives_with_other_cyclics += any(
+                cyclic_mask(m, x) not in atom_masks
+                for x in range(m.order) if x != m.zero)
+        else:
+            negatives_into_others += bool(others)
+    # S + S over M2(F2) is cyclic, so a scan of every Ry would reach a
+    # non-atom; on Z4 the witness scan passes R1 = Z4 before failing
+    assert positives_with_other_cyclics and negatives_into_others
 
 
 def _json(value):

@@ -185,6 +185,13 @@ def test_lep_operators_are_left_exact_everywhere():
     assert not left_exact_at(RAD, regular_module(Z4))
 
 
+def test_t14_raises_on_a_filter_operator_that_is_not_left_exact(
+        monkeypatch):
+    monkeypatch.setattr(classify, "enumerate_lep", lambda ring: [RAD])
+    with pytest.raises(InternalInconsistency, match="left exactness"):
+        verify_theorem("T14", Z4)
+
+
 def test_annihilators_and_lep_operators_match_definition():
     # read r.x = 0 straight off the action tables: annihilators of every
     # submodule carrier, and each filter operator's value (the elements

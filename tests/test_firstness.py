@@ -313,3 +313,28 @@ def test_trace_firstness_disagreement_names_each_route(monkeypatch):
                        match=re.escape(f"disagree on {regular_module(Z2)!r}"
                                        f": {verdicts}")):
         rpid_first_detail(regular_module(Z2))
+
+
+def test_bjkn_disagreement_names_the_atoms_route(monkeypatch):
+    monkeypatch.setattr(firstness, "_cond_atoms_cogenerate",
+                        lambda module: (False, None))
+    with pytest.raises(InternalInconsistency,
+                       match=re.escape("'atoms_cogenerate': False")):
+        bjkn_prime_detail(regular_module(Z2))
+
+
+def test_pointwise_disagreement_names_both_results(monkeypatch):
+    # the first atom reads as inseparable, every later target as it is
+    original = firstness._separated
+    calls = []
+
+    def first_call_empty(module, mask):
+        calls.append(mask)
+        return 0 if len(calls) == 1 else original(module, mask)
+
+    monkeypatch.setattr(firstness, "_separated", first_call_empty)
+    results = {"atoms": False, "cyclic_submodules": True}
+    with pytest.raises(InternalInconsistency,
+                       match=re.escape(f"disagrees on {regular_module(Z2)!r}"
+                                       f": {results}")):
+        firstness._cond_pointwise_separation(regular_module(Z2))

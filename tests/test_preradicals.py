@@ -1,16 +1,24 @@
+from itertools import combinations
+
 import pytest
 
+from modlab.classify import enumerate_lep, generate_universe
+from modlab.cli import corpus_rings
 from modlab.errors import NotFullyInvariant, RingMismatch
-from modlab.modules import (direct_sum_module, enumerate_submodules,
+from modlab.firstness import diuniform_detail, rpid_first_detail
+from modlab.modules import (atoms, direct_sum_module, enumerate_submodules,
                             quotient_module, regular_module, simple_modules,
                             structural_summary, submodule)
 from modlab.preradicals import (EQ, LE, Alpha, Beta, Compose,
                                 Join, Meet, Omega, ONE, RAD, SOC, Trad, ZERO,
                                 check_naturality, compare, idempotent_core_at,
-                                product_hom_AB, product_in, property_flags,
-                                radical_closure_at,
+                                left_exact_at, product_hom_AB, product_in,
+                                property_flags, radical_closure_at,
                                 socle_as_join_of_simple_traces)
 from modlab.rings import cyclic_ring, enumerate_ideals, matrix_ring
+
+import oracles
+from test_atom_routes import _count_calls
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)
@@ -207,6 +215,71 @@ def test_left_exact_pair_commutes():
         for u in uni:
             assert (Compose(s2, tau).evaluate(u)
                     == Compose(tau, s2).evaluate(u))
+
+
+def _preradical_pool(ring):
+    """SOC, RAD, ZERO, ONE, the filter operators, the t-radical of every
+    two-sided ideal, beta of every submodule of the regular module and
+    alpha and omega of its fully invariant ones, then the join, the meet
+    and the composite of every pair of those."""
+    lat = enumerate_submodules(regular_module(ring))
+    base = [SOC, RAD, ZERO, ONE] + list(enumerate_lep(ring))
+    base += [Trad(i) for i in enumerate_ideals(ring, "two-sided")]
+    base += [Beta(n) for n in lat.submodules]
+    base += [c(n) for n, fi in zip(lat.submodules, lat.fully_invariant)
+             if fi for c in (Alpha, Omega)]
+    pairs = list(combinations(base, 2))
+    return (base + [Join(p) for p in pairs] + [Meet(p) for p in pairs]
+            + [Compose(a, b) for a, b in pairs])
+
+
+def test_left_exactness_on_cyclics_matches_every_submodule():
+    checked = negatives = 0
+    for ring in corpus_rings():
+        mods = generate_universe(ring, depth=2).modules
+        for pr in _preradical_pool(ring):
+            for m in mods:
+                want = oracles.left_exact_all_submodules(pr, m)
+                assert left_exact_at(pr, m) == want, (pr, m)
+                checked += 1
+                negatives += not want
+    assert (checked, negatives) == (29609, 1741)
+
+
+def test_property_flags_build_no_lattice_but_the_regular_one(monkeypatch):
+    calls = _count_calls(monkeypatch, "enumerate_submodules")
+    for ring in (Z4, cyclic_ring(8), M22):
+        uni = generate_universe(ring, depth=2)
+        for pr in [SOC, RAD] + list(enumerate_lep(ring)):
+            property_flags(pr, uni)
+    assert calls
+    assert all(m is regular_module(m.ring) for m, in calls)
+    # the patch is live: a lattice of another module is counted
+    enumerate_submodules(direct_sum_module([regular_module(Z4)] * 2))
+    assert calls[-1][0] is not regular_module(Z4)
+
+
+def test_rebuilt_expressions_share_cached_values():
+    # deciders build fresh members on every call; equal members hit the
+    # values cached by the first call, so the caches stop growing
+    m = direct_sum_module([regular_module(cyclic_ring(8))] * 2)
+
+    def sizes():
+        return (len(m._cache["preradical_values"]),
+                sum(len(a.as_module()._cache.get("preradical_values", ()))
+                    for a in atoms(m)))
+
+    seen = []
+    for _ in range(3):
+        diuniform_detail(m)
+        rpid_first_detail(m)
+        seen.append(sizes())
+    assert seen == [(3, 47)] * 3
+    s = z4_socle()
+    assert Alpha(s) == Alpha(s) and hash(Alpha(s)) == hash(Alpha(s))
+    assert Join([SOC, Alpha(s)]) == Join([SOC, Alpha(s)])
+    assert Compose(SOC, RAD) != Compose(RAD, SOC)
+    assert Alpha(s) != Beta(s) and Alpha(s) != Omega(s)
 
 
 def test_socle_is_join_of_simple_traces():
