@@ -8,16 +8,17 @@ J(R), cogeneration by the atoms and products of atoms over generating
 sets of Hom groups, and pointwise separation into the atoms over
 enumerated Hom-sets, with the distinct cyclic submodules scanned for the
 witness only on a negative verdict; primeness through both the
-annihilator and the ideal-action route; trace-firstness through pairwise
-nonzero homs, decided by the action of the atoms' annihilators,
-cross-checked against a generated family of idempotent operators, one
-trace per distinct pair of submodule tables, with no isomorphism search;
-diuniformity over the fully invariant hulls of the atoms, the least
-failing hull being its first failure.  ``decide`` caches each notion's verdict per module.  Firstness
-relative to a finite family is one scan, ``a_fully_first_detail``;
-``a_first_detail`` runs it over the members that do not kill the module.
-These deciders are also the module-level sides of the theorems replayed
-by ``classify.verify_theorem``.
+annihilator and the ideal-action route; trace-firstness through nonzero
+homs from the distinct cyclic submodules to the atoms, decided by the
+action of the atoms' annihilators, cross-checked against the traces of
+the cyclic submodules, one per distinct pair of tables, with no
+isomorphism search; diuniformity over the fully invariant hulls of the
+atoms, the least failing hull being its first failure.  ``decide``
+caches each notion's verdict per module.  Firstness relative to a finite
+family is one scan, ``a_fully_first_detail``; ``a_first_detail`` runs it
+over the members that do not kill the module.  These deciders are also
+the module-level sides of the theorems replayed by
+``classify.verify_theorem``.
 
 Every "for all nonzero submodules" quantifier whose failure passes down
 to smaller submodules (an ideal, a preradical or an annihilator jump that
@@ -25,25 +26,25 @@ hits N also hits the atoms of N) runs over ``modules.atoms``, which builds
 no lattice; by the scan-order argument given there, the first failure,
 and so the witness, is the one a scan of every nonzero submodule in
 lattice order finds.  Negative verdicts always carry that first witness.
+Trace-firstness's quantifier does not pass down, but its least failures
+are cyclic, so it runs over ``modules.cyclic_submodules`` with the same
+first witness (the argument is in ``_rpid_pairwise``).  No decider
+builds the lattice of a module other than the regular one, whose
+lattice holds the ideals.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from itertools import combinations, islice
 
 from .errors import InternalInconsistency
 from .modules import (_elements, annihilator_mask, atoms, cogenerates,
-                      cyclic_mask, enumerate_submodules, hom_nonzero_exists,
+                      cyclic_mask, cyclic_submodules, hom_nonzero_exists,
                       hom_set, regular_module, structural_summary, submodule,
                       trad_mask)
-from .preradicals import Alpha, Beta, Join, SOC, product_in
+from .preradicals import Alpha, Beta, product_in
 from .rings import enumerate_ideals
-
-
-def _nonzero_submodules(module):
-    return enumerate_submodules(module).nonzero()
 
 
 def _require_nonzero(module, notion):
@@ -111,7 +112,7 @@ def _cond_pointwise_separation(module):
     by_mask = {}
     for y in _elements(nonzero):
         by_mask.setdefault(cyclic_mask(module, y), y)
-    for mask, y in sorted(by_mask.items(), key=lambda kv: kv[1]):
+    for mask, y in by_mask.items():  # in order of y, as inserted
         missed = nonzero & ~_separated(module, mask)
         if missed:
             x = (missed & -missed).bit_length() - 1
@@ -214,7 +215,8 @@ def is_prime_module(module):
 
 def _rpid_pairwise(module):
     """A nonzero map between every ordered pair of nonzero submodules,
-    decided on atoms by the action of their annihilators.
+    decided on the cyclic submodules and the atoms by the action of the
+    atoms' annihilators.
 
     The witness route of trace-firstness.  Hom(N, K) = 0 gives
     Hom(N, A) = 0 for every atom A <= K (a map into A is a map into K), so
@@ -226,9 +228,20 @@ def _rpid_pairwise(module):
     simple A factors through the semisimple N/JN, and P.(N/JN) is the sum
     of the homogeneous components of N/JN other than A's; since J <= P,
     P.N = N exactly when P.(N/JN) = N/JN.  One regular-module ideal
-    handle serves each distinct atom annihilator.  The route reads no
-    Hom-set and no isomorphism class, so it checks the family route
-    independently.
+    handle serves each distinct atom annihilator.
+
+    The sources N run over the distinct cyclic submodules only.  For a
+    two-sided ideal P, let N0 be a nonzero submodule of least order with
+    P.N0 = N0.  The chain P >= P^2 >= ... stops at an ideal I = P^k with
+    I^2 = I, and N0 = I.N0 is the sum of the Ix over x in N0.  Each Ix has
+    P.(Ix) = Ix, as it contains I.(Ix) = I^2 x = Ix; some Ix is nonzero,
+    so Ix = N0 by minimality.  Then x = ix for some i in I <= P, so
+    Rx = Px, P.Rx = Rx and Rx <= N0, and minimality gives N0 = Rx.  The
+    first failing N in lattice order has least order among the failures
+    of each atom it fails on, so it is cyclic; scanning the cyclic
+    submodules in lattice order finds the same first N, and then the same
+    first atom.  The route reads no Hom-set and no isomorphism class, so
+    it checks the family route independently.
     """
     reg = regular_module(module.ring)
     found = atoms(module)
@@ -236,7 +249,7 @@ def _rpid_pairwise(module):
     which = [anns.setdefault(annihilator_mask(module, a.mask), len(anns))
              for a in found]
     ideals = [submodule(reg, mask) for mask in anns]
-    for n in _nonzero_submodules(module):
+    for n in cyclic_submodules(module):
         reached = [trad_mask(module, p, n.mask) != n.mask for p in ideals]
         if all(reached):
             continue
@@ -245,10 +258,6 @@ def _rpid_pairwise(module):
                 return False, {"kind": "hom_vanishes",
                                "source": n.labels(), "target": a.labels()}
     return True, None
-
-
-# joins of pairs of members added to trace-firstness's family route
-FAMILY_JOINS = 24
 
 
 def _one_per_table(subs):
@@ -266,31 +275,29 @@ def rpid_first_detail(module):
     """Pairwise nonzero-hom criterion, cross-checked against quantification
     over a generated family of idempotent operators.
 
-    The family is the trace alpha_N of one nonzero submodule N per
-    distinct pair of tables (``_one_per_table``), the socle, and the
-    first ``FAMILY_JOINS`` joins of pairs of those members; it holds one
-    member per isomorphism class of nonzero submodules, and perhaps more.
-    Every member leaves the module nonzero, so none is filtered out:
-    alpha_N(M) contains N != 0, Soc(M) != 0 for a finite M != 0, and a
-    join contains its parts.  The family route tests the members on the
-    atoms, one per distinct pair of tables.  The reductions are exact,
-    because a preradical t commutes with isomorphisms: for an isomorphism
-    f: N -> N', naturality along f and along its inverse gives
-    f(t(N)) = t(N').  So t kills N exactly when it kills every N'
-    isomorphic to N, and alpha_N = alpha_N' (a map from N' is a map from
-    N composed with f, with the same image).  And t kills a nonzero
-    submodule exactly when it kills an atom inside it (naturality along
-    the inclusion gives t(A) <= t(N)).  The family route reads no
-    annihilator and searches for no isomorphism, so it checks the
-    pairwise route independently.  The pairwise route gives the witness;
-    the routes must agree.
+    The family is the trace alpha_C of one nonzero cyclic submodule C per
+    distinct pair of tables (``_one_per_table``).  Every member leaves
+    the module nonzero, as alpha_C(M) contains C != 0, so none is
+    filtered out.  The family route tests the members on the atoms, one
+    per distinct pair of tables; alpha_C(A) != 0 exactly when
+    Hom(C, A) != 0.  Some nonzero N has Hom(N, A) = 0 for an atom A
+    exactly when some cyclic C does (the least-order argument of
+    ``_rpid_pairwise``), so the verdict is exact.  The reductions to one
+    per table are exact, because a preradical t commutes with
+    isomorphisms: for an isomorphism f: N -> N', naturality along f and
+    along its inverse gives f(t(N)) = t(N').  So t kills N exactly when
+    it kills every N' isomorphic to N, and alpha_N = alpha_N' (a map from
+    N' is a map from N composed with f, with the same image).  Adding
+    the socle or joins of members would change nothing: Soc(A) = A != 0
+    for an atom A, and a join is zero on A only when each part is.  The
+    family route reads no annihilator and searches for no isomorphism,
+    so it checks the pairwise route independently.  The pairwise route
+    gives the witness; the routes must agree.
     """
     _require_nonzero(module, "trace-firstness")
     verdict, witness = _rpid_pairwise(module)
-    members = [Alpha(submodule(n, n.full_mask()))
-               for n in _one_per_table(_nonzero_submodules(module))] + [SOC]
-    family = members + list(islice(map(Join, combinations(members, 2)),
-                                   FAMILY_JOINS))
+    family = [Alpha(submodule(c, c.full_mask()))
+              for c in _one_per_table(cyclic_submodules(module))]
     simple = _one_per_table(atoms(module))
     via_family = not any(pr.evaluate(a).is_zero()
                          for pr in family for a in simple)

@@ -23,6 +23,12 @@ search, one backtracking search over generator images serves; its callers
 differ only in the candidate images, an optional per-image test, and what
 happens at a complete tuple.  ``hom_set`` is capped by its |T|^k
 candidate tuples (``MAX_HOM_CANDIDATES``).
+
+The full submodule lattice (``enumerate_submodules``) serves submodule
+references, actions, ideals and universes.  The deciders quantify over
+the distinct nonzero cyclic submodules instead (``cyclic_submodules``,
+cached per module) and over their minimal members, the atoms; the only
+lattice they read is the regular module's, which holds the ideals.
 """
 
 from __future__ import annotations
@@ -374,9 +380,9 @@ class SubmoduleLattice:
     the last index is the whole module.  Join and meet are ``sum_masks``
     and ``&`` on the carriers, so no tables are kept.  A proper submodule
     is maximal when it lies in no maximal listed after it, since a larger
-    proper submodule comes later and lies in a maximal; the atoms are read
-    off the socle by ``atoms``, with no lattice.  ``fully_invariant`` is
-    computed lazily by ``is_fully_invariant``.
+    proper submodule comes later and lies in a maximal; the atoms are the
+    minimal cyclic submodules (``atoms``), found with no lattice.
+    ``fully_invariant`` is computed lazily by ``is_fully_invariant``.
     """
 
     def __init__(self, module, submodules):
@@ -463,14 +469,33 @@ def enumerate_submodules(module):
     return lat
 
 
+def cyclic_submodules(module):
+    """The distinct nonzero cyclic submodules Rx, in lattice order (size,
+    carrier), with no lattice built (cached).
+
+    The deciders quantify over these, not over every nonzero submodule:
+    the atoms are the minimal ones (``atoms``), and trace-firstness and
+    left exactness are decided on them (see ``firstness._rpid_pairwise``
+    and ``preradicals.left_exact_at`` for why that is exact).
+    """
+    if "cyclics" in module._cache:
+        return module._cache["cyclics"]
+    masks = {cyclic_mask(module, x)
+             for x in range(module.order) if x != module.zero}
+    result = tuple(sorted((submodule(module, m) for m in masks),
+                          key=lambda s: (s.order, s.carrier)))
+    module._cache["cyclics"] = result
+    return result
+
+
 def atoms(module):
     """The atoms (simple submodules) in lattice order, with no lattice built
     (cached).
 
-    An atom lies in Soc(M) and is Rx for each of its nonzero x, and a
-    cyclic Rx is an atom exactly when Ry = Rx for every nonzero y in it;
-    so the atoms are the minimal masks among the Rx for nonzero x in
-    Soc(M), the socle read off J(R) by ``structural_summary``.
+    An atom is Rx for each of its nonzero x, so the atoms are the minimal
+    members of ``cyclic_submodules``.  Every nonzero submodule contains
+    an atom, which is smaller and so listed before it: a member is an
+    atom exactly when it contains no atom found before it.
 
     Scan order.  In lattice order (size, carrier) an atom of a submodule
     K comes before K, being smaller.  So for a test that fails on every
@@ -482,13 +507,11 @@ def atoms(module):
     """
     if "atoms" in module._cache:
         return module._cache["atoms"]
-    zero = module.zero_mask()
-    soc = structural_summary(module).socle.mask & ~zero
-    cyclic = {x: cyclic_mask(module, x) for x in _elements(soc)}
-    found = {m for m in cyclic.values()
-             if all(cyclic[y] == m for y in _elements(m & ~zero))}
-    result = tuple(sorted((submodule(module, m) for m in found),
-                          key=lambda s: (s.order, s.carrier)))
+    found = []
+    for c in cyclic_submodules(module):
+        if all(a.mask & ~c.mask for a in found):
+            found.append(c)
+    result = tuple(found)
     module._cache["atoms"] = result
     return result
 
@@ -1054,7 +1077,8 @@ def structural_summary(module):
     Soc(M) = {x : Jx = 0} and Rad(M) = JM.  A simple module is the only one
     of the simple ring R/P, P its maximal two-sided annihilator; so a
     semisimple M != 0 is homogeneous exactly when ann(M), the meet of its
-    simple summands' annihilators, is maximal (M = 0 is so vacuously)."""
+    simple summands' annihilators, is maximal (M = 0 is so vacuously).
+    M is simple when M is its only nonzero cyclic submodule."""
     if "structure" in module._cache:
         return module._cache["structure"]
     ring, full = module.ring, module.full_mask()
@@ -1065,9 +1089,7 @@ def structural_summary(module):
     ideals = enumerate_ideals(ring, "two-sided")
     homogeneous = soc_mask == full and (
         module.is_zero() or sum(ann_m & ~i.mask == 0 for i in ideals) == 2)
-    is_simple = not module.is_zero() and all(
-        cyclic_mask(module, x) == full
-        for x in range(module.order) if x != module.zero)
+    is_simple = cyclic_submodules(module) == (submodule(module, full),)
     summary = StructuralSummary(is_simple, soc_mask == full, homogeneous,
                                 submodule(module, soc_mask),
                                 submodule(module, trad_mask(module, jac)))

@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFullyInvariant, RingMismatch
-from .modules import (_element_annihilators, _elements, _require_submodule,
-                      cyclic_mask, embed_submask, hom_generators, hom_set,
-                      is_fully_invariant, quotient_module, regular_module,
-                      simple_modules, structural_summary, submodule,
-                      sum_masks, trad_mask)
+from .modules import (_element_annihilators, _require_submodule,
+                      cyclic_submodules, embed_submask, hom_generators,
+                      hom_set, is_fully_invariant, quotient_module,
+                      regular_module, simple_modules, structural_summary,
+                      submodule, sum_masks, trad_mask)
 from .rings import enumerate_ideals, is_two_sided
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
@@ -42,11 +42,14 @@ class Preradical:
     values cached for the first one.  Submodule and ring handles are
     interned, so those fields compare by identity.  The hash is computed
     once per expression, as ``evaluate`` looks the expression up on
-    every call.
+    every call; the ring is pinned once, at construction.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_ring")
     _fields = ()
+
+    def __init__(self):
+        self._ring = None  # generic; the subclasses that pin a ring set it
 
     def _key(self):
         return (type(self),) + tuple(getattr(self, f) for f in self._fields)
@@ -63,14 +66,14 @@ class Preradical:
 
     def ring(self):
         """The ring the expression is pinned to, or None if generic."""
-        return None
+        return self._ring
 
     def evaluate(self, module):
         """Value on a module, as a submodule of it.
 
         Cached in the module, so a value lives exactly as long as its module.
         """
-        r = self.ring()
+        r = self._ring
         if r is not None and r is not module.ring:
             raise RingMismatch(
                 f"preradical over {r.provenance} applied to a module over "
@@ -120,9 +123,7 @@ class Beta(Preradical):
     def __init__(self, sub):
         _require_submodule(sub)
         self.sub = sub
-
-    def ring(self):
-        return self.sub.module.ring
+        self._ring = sub.module.ring
 
     def _compute(self, module):
         out = module.zero_mask()
@@ -143,6 +144,7 @@ class Alpha(Beta):
     def __init__(self, sub):
         _require_fully_invariant(sub)
         self.sub = sub
+        self._ring = sub.module.ring
 
 
 class Omega(Preradical):
@@ -160,9 +162,7 @@ class Omega(Preradical):
     def __init__(self, sub):
         _require_fully_invariant(sub)
         self.sub = sub
-
-    def ring(self):
-        return self.sub.module.ring
+        self._ring = sub.module.ring
 
     def _compute(self, module):
         out = module.full_mask()
@@ -189,9 +189,7 @@ class Trad(Preradical):
         if not is_two_sided(ideal):
             raise NotFullyInvariant("t-radicals need a two-sided ideal")
         self.ideal = ideal
-
-    def ring(self):
-        return self.ideal.module.ring
+        self._ring = ideal.module.ring
 
     def _compute(self, module):
         return trad_mask(module, self.ideal)
@@ -250,15 +248,12 @@ class LinearFilter(Preradical):
     Value on U: the elements whose annihilator belongs to the filter.
     """
 
-    __slots__ = ("_ring", "ideal_masks")
+    __slots__ = ("ideal_masks",)
     _fields = ("_ring", "ideal_masks")
 
     def __init__(self, ring, ideal_masks):
         self._ring = ring
         self.ideal_masks = frozenset(ideal_masks)
-
-    def ring(self):
-        return self._ring
 
     def _compute(self, module):
         out = 0
@@ -294,10 +289,7 @@ class Join(Preradical):
 
     def __init__(self, parts):
         self.parts = tuple(parts)
-        _combine_rings(self.parts)
-
-    def ring(self):
-        return _combine_rings(self.parts)
+        self._ring = _combine_rings(self.parts)
 
     def _compute(self, module):
         out = module.zero_mask()
@@ -317,10 +309,7 @@ class Meet(Preradical):
 
     def __init__(self, parts):
         self.parts = tuple(parts)
-        _combine_rings(self.parts)
-
-    def ring(self):
-        return _combine_rings(self.parts)
+        self._ring = _combine_rings(self.parts)
 
     def _compute(self, module):
         out = module.full_mask()
@@ -342,10 +331,7 @@ class Compose(Preradical):
     def __init__(self, outer, inner):
         self.outer = outer
         self.inner = inner
-        _combine_rings((outer, inner))
-
-    def ring(self):
-        return _combine_rings((self.outer, self.inner))
+        self._ring = _combine_rings((outer, inner))
 
     def _compute(self, module):
         k = self.inner.evaluate(module)
@@ -414,24 +400,20 @@ class PropertyFlags:
 
 def left_exact_at(pr, module):
     """Whether s(N) = N & s(M) for every submodule N of the module M,
-    decided on the distinct cyclic submodules of s(M), with no lattice.
+    decided on the cyclic submodules of M that lie in s(M)
+    (``modules.cyclic_submodules``), with no lattice.
 
     s(N) = N & s(M) for every N exactly when s(Rx) = Rx for every x in
     s(M).  Naturality along the inclusion N <= M gives s(N) <= N & s(M).
     If s(Rx) = Rx for each x in s(M), and x lies in N & s(M), then
     Rx <= N and naturality along Rx <= N gives x in s(Rx) <= s(N).
     Conversely, N = Rx with x in s(M) has N & s(M) = Rx, so s(Rx) = Rx.
-    When s(M) = 0 nothing is left to check.
+    As s(M) is a submodule, Rx <= s(M) exactly when x lies in s(M).  When
+    s(M) = 0 nothing is left to check.
     """
-    seen = set()
-    for x in _elements(pr.evaluate(module).mask & ~module.zero_mask()):
-        mask = cyclic_mask(module, x)
-        if mask in seen:
-            continue
-        seen.add(mask)
-        if not pr.evaluate(submodule(module, mask).as_module()).is_full():
-            return False
-    return True
+    value = pr.evaluate(module).mask
+    return all(pr.evaluate(c.as_module()).is_full()
+               for c in cyclic_submodules(module) if c.mask & ~value == 0)
 
 
 def property_flags(pr, universe):

@@ -1,11 +1,12 @@
 """The firstness quantifiers decided over ``modules.atoms``, diuniformity
-decided on the atoms' fully invariant hulls, and trace-firstness's
-family route over one member per pair of tables, against the
-full-lattice scans they replaced (``oracles``), and BJKN's cogeneration
-and pointwise routes over the atoms against the all-cyclic scans they
-replaced: verdicts and witnesses equal, the annihilator test of
-trace-firstness against a nonzero-map search, the work the reduced
-routes no longer do, and every deep-d3 reference decision."""
+decided on the atoms' fully invariant hulls, and both routes of
+trace-firstness over the cyclic submodules, against the full-lattice
+scans they replaced (``oracles``), and BJKN's cogeneration and pointwise
+routes over the atoms against the all-cyclic scans they replaced:
+verdicts and witnesses equal, the annihilator test of trace-firstness
+against a nonzero-map search, the fact that makes the cyclic
+submodules enough, the work the reduced routes no longer do, and every
+deep-d3 reference decision."""
 
 import json
 import sys
@@ -13,7 +14,7 @@ import sys
 from modlab import modules
 from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
-from modlab.firstness import (FAMILY_JOINS, _cond_atoms_cogenerate,
+from modlab.firstness import (_cond_atoms_cogenerate,
                               _cond_homogeneous_semisimple,
                               _cond_pointwise_separation,
                               _prime_via_annihilators, _prime_via_ideals,
@@ -22,12 +23,12 @@ from modlab.firstness import (FAMILY_JOINS, _cond_atoms_cogenerate,
                               decide, diuniform_detail, is_retractable,
                               prime_module_detail, rpid_first_detail)
 from modlab.modules import (annihilator_mask, atoms, cyclic_mask,
-                            direct_sum_module, enumerate_submodules,
-                            hom_nonzero_exists, is_isomorphic,
-                            quotient_module, regular_module, simple_modules,
-                            submodule, trad_mask)
-from modlab.preradicals import RAD, SOC, Alpha
-from modlab.rings import cyclic_ring, matrix_ring
+                            cyclic_submodules, direct_sum_module,
+                            enumerate_submodules, hom_nonzero_exists,
+                            is_isomorphic, quotient_module, regular_module,
+                            simple_modules, submodule, trad_mask)
+from modlab.preradicals import RAD, SOC, Alpha, left_exact_at
+from modlab.rings import cyclic_ring, matrix_ring, product_ring
 
 import oracles
 from test_isomorphism_classes import (REFERENCE, _build_module, _build_ring,
@@ -75,7 +76,7 @@ def test_atom_routes_match_the_full_lattice_scans():
         want = oracles.rpid_pairwise(m)
         assert _rpid_pairwise(m) == want, m
         assert rpid_first_detail(m) == want, m
-        assert oracles.rpid_family(m, FAMILY_JOINS) == want[0], m
+        assert oracles.rpid_family(m, 24) == want[0], m
         negatives["pairwise"] += not want[0]
         retractable = oracles.retractable(m)
         assert is_retractable(m) == retractable, m
@@ -131,6 +132,35 @@ def test_a_nonzero_map_onto_an_atom_is_an_annihilator_jump():
     assert pairs == 19636
 
 
+def test_least_modules_fixed_by_an_atom_annihilator_are_cyclic():
+    # for a two-sided ideal P, every nonzero N with P.N = N contains a
+    # cyclic Rz with P.Rz = Rz, and the least such N are cyclic: so the
+    # pairwise route scans the cyclic submodules only
+    fixed_pairs = 0
+    sources = {"atom": 0, "other": 0}
+    for m in _sweep_modules():
+        reg = regular_module(m.ring)
+        cyclic = {c.mask for c in cyclic_submodules(m)}
+        for mask in {annihilator_mask(m, a.mask) for a in atoms(m)}:
+            p = submodule(reg, mask)
+            fixed = [n for n in enumerate_submodules(m).nonzero()
+                     if trad_mask(m, p, n.mask) == n.mask]
+            if not fixed:
+                continue
+            fixed_pairs += len(fixed)
+            fixed_cyclic = [n.mask for n in fixed if n.mask in cyclic]
+            for n in fixed:
+                assert any(c & ~n.mask == 0 for c in fixed_cyclic), (m, n)
+            least = min(n.order for n in fixed)
+            assert all(n.mask in cyclic for n in fixed if n.order == least)
+        verdict, witness = _rpid_pairwise(m)
+        if not verdict:
+            atom = witness["source"] in {a.labels() for a in atoms(m)}
+            sources["atom" if atom else "other"] += 1
+    assert fixed_pairs == 294
+    assert sources == {"atom": 20, "other": 6}
+
+
 def _fresh_modules():
     """Modules no decider has seen, none of them a regular module (whose
     lattice the ring's ideals are read from)."""
@@ -153,7 +183,28 @@ def test_atom_quantifiers_build_no_lattice():
         a_fully_first_detail(m, [SOC, RAD])
         is_retractable(m)
         diuniform_detail(m)
+        rpid_first_detail(m)
+        left_exact_at(SOC, m)
+        left_exact_at(RAD, m)
         assert "lattice" not in m._cache, m
+
+
+def test_trace_firstness_at_order_128():
+    # F2^7 has 29,212 submodules and only 127 cyclic ones; S1^6 + S2 over
+    # F2xF2 has no nonzero map from a copy of S2 to a copy of S1.  The
+    # full-lattice oracle is checked on the second only: on F2^7 it
+    # would visit every pair of submodules.
+    z2 = cyclic_ring(2)
+    f2 = direct_sum_module([regular_module(z2)] * 7, cap=128)
+    assert rpid_first_detail(f2) == (True, None)
+    s1, s2 = simple_modules(product_ring([z2, z2]))
+    mixed = direct_sum_module([s1] * 6 + [s2], cap=128)
+    verdict, witness = rpid_first_detail(mixed)
+    assert not verdict and witness["kind"] == "hom_vanishes"
+    for m in (f2, mixed):
+        assert m.order == 128 and "lattice" not in m._cache, m
+    twin = direct_sum_module([s1] * 6 + [s2], cap=128)
+    assert oracles.rpid_pairwise(twin) == (verdict, witness)
 
 
 def _count_calls(monkeypatch, name):
@@ -249,7 +300,7 @@ def test_every_deep_d3_reference_decision():
             want = oracles.diuniform(m)
         else:
             want = oracles.rpid_pairwise(m)
-            assert oracles.rpid_family(m, FAMILY_JOINS) == want[0], key
+            assert oracles.rpid_family(m, 24) == want[0], key
         assert (verdict, witness) == want, key
     assert len(items) == 25
     assert refused == ["cyclic(4)#10:diuniform", "cyclic(6)#13:diuniform",

@@ -93,9 +93,17 @@ def test_trad_rejects_left_only_ideal():
 
 
 def test_ring_mismatch_is_caught():
+    # every node takes its ring from its parts when it is built
     a = Alpha(z4_socle())
+    for expr in (a, Join([SOC, a]), Meet([a, ONE]), Compose(SOC, a),
+                 Compose(a, RAD)):
+        assert expr.ring() is Z4
+        with pytest.raises(RingMismatch):
+            expr.evaluate(regular_module(Z6))
+    assert Join([SOC, RAD]).ring() is None
+    six = Alpha(submodule(regular_module(Z6), 0b001001))
     with pytest.raises(RingMismatch):
-        a.evaluate(regular_module(Z6))
+        Join([a, six])
 
 
 def test_soc_rad_zero_one_values():
@@ -274,7 +282,7 @@ def test_rebuilt_expressions_share_cached_values():
         diuniform_detail(m)
         rpid_first_detail(m)
         seen.append(sizes())
-    assert seen == [(3, 47)] * 3
+    assert seen == [(3, 7)] * 3
     s = z4_socle()
     assert Alpha(s) == Alpha(s) and hash(Alpha(s)) == hash(Alpha(s))
     assert Join([SOC, Alpha(s)]) == Join([SOC, Alpha(s)])
