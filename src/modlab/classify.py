@@ -3,12 +3,15 @@
 A ``Universe`` is a deterministic finite family of modules standing in for
 the whole module category in class-level statements: the regular module,
 its quotients by all submodules (this includes every simple module), and
-iterated pairwise direct sums up to the order cap, deduplicated up to
-isomorphism.  Every verdict produced here is explicitly "at universe
-scale": the harness checks the finite instances of each equivalence, never
-the statement about all modules.  A module-level side of a theorem ("every
-universe module is prime", "... is lep-first", ...) is asked of the
-deciders in ``firstness`` one module at a time, through ``_first_failure``.
+iterated pairwise direct sums up to the order cap, one module per
+isomorphism class.  The classes are told apart by keys read off the
+regular module's lattice, with no isomorphism search (the proof is in
+``generate_universe``).  Every verdict produced here is explicitly "at
+universe scale": the harness checks the finite instances of each
+equivalence, never the statement about all modules.  A module-level side
+of a theorem ("every universe module is prime", "... is lep-first", ...)
+is asked of the deciders in ``firstness`` one module at a time, through
+``_first_failure``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .errors import InternalInconsistency
 from .firstness import a_first_detail, a_fully_first_detail, decide
 from .modules import (atoms, direct_sum_module, enumerate_submodules,
                       hom_nonzero_exists, is_injective, is_superfluous,
-                      is_essential, isomorphism_classes, quotient_module,
-                      regular_module, simple_modules, structural_summary)
+                      is_essential, quotient_module, regular_module,
+                      simple_modules, structural_summary)
 from .preradicals import SOC, LinearFilter, left_exact_at
 from .rings import enumerate_ideals, is_simple_ring
 
@@ -49,11 +52,33 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
 
     Quotients of the regular module by maximal submodules are the simple
     modules, so those are always present.  Each extra depth level adds the
-    pairwise direct sums of everything already generated (zero summands
-    are skipped; the zero module itself stays in the universe).  Modules
-    are deduplicated up to isomorphism, first occurrence kept, so a level
-    that adds no module leaves every later one the same and ends the
-    loop.  A depth or a module cap below 1 raises ``ValueError``.
+    pairwise direct sums of everything present at the level's start (zero
+    summands are skipped; the zero module itself stays in the universe).
+    Candidates are visited in that order, the regular module first, and
+    the first module of each isomorphism class is kept, so a level that
+    adds no class leaves every later one the same and ends the loop.  A
+    depth or a module cap below 1 raises ``ValueError``.
+
+    Classes are told apart by a key, with no isomorphism search, and a
+    direct sum is built only when its key is new:
+
+    - A cyclic module Ry is R/ann(y), and an isomorphism maps generators
+      to generators and keeps annihilators.  So G(M), the sorted set of
+      the annihilators of the generators of a cyclic M, is a complete
+      invariant of cyclic modules: two of them are isomorphic exactly
+      when their G are equal.
+    - Finite modules have finite length, so by Krull-Schmidt (Anderson
+      and Fuller, *Rings and Categories of Modules*, section 12) the
+      multiset of the classes of the indecomposable summands is a
+      complete invariant.  Every universe module is a sum of quotients
+      R/I, and every indecomposable summand of R/I is itself some R/K
+      (see ``_quotient_keys``).  So the key of a module, the sorted
+      tuple of the G of its indecomposable summands, is complete, and
+      key(A + B) = sorted(key(A) + key(B)).
+
+    The key is exact only for sums of cyclic modules, as every universe
+    module is; it does not replace ``is_isomorphic`` for arbitrary
+    modules.
     """
     if depth < 1:
         raise ValueError(f"universe depth must be at least 1, not {depth!r}")
@@ -63,25 +88,57 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     if key in ring._cache:
         return ring._cache[key]
     reg = regular_module(ring)
-
-    def first_occurrences(candidates):
-        return [cls[0] for cls in isomorphism_classes(candidates)]
-
-    mods = first_occurrences(
-        [reg] + [quotient_module(reg, sub)
-                 for sub in enumerate_submodules(reg).submodules])
+    ideals = enumerate_submodules(reg).submodules
+    keys = _quotient_keys(reg, ideals)
+    kept = {keys[reg.zero_mask()]: reg}  # key -> first module, in order
+    for ideal in ideals:
+        if keys[ideal.mask] not in kept:
+            kept[keys[ideal.mask]] = quotient_module(reg, ideal)
     for _ in range(depth - 1):
-        current = [m for m in mods if not m.is_zero()]
-        grown = first_occurrences(
-            mods + [direct_sum_module([a, b], cap=module_cap)
-                    for i, a in enumerate(current) for b in current[i:]
-                    if a.order * b.order <= module_cap])
-        if len(grown) == len(mods):
+        current = [(k, m) for k, m in kept.items() if not m.is_zero()]
+        size = len(kept)
+        for i, (ka, a) in enumerate(current):
+            for kb, b in current[i:]:
+                k = tuple(sorted(ka + kb))
+                if k not in kept and a.order * b.order <= module_cap:
+                    kept[k] = direct_sum_module([a, b], cap=module_cap)
+        if len(kept) == size:
             break  # the fixpoint: every later level would add nothing too
-        mods = grown
-    universe = Universe(ring, tuple(mods), depth, module_cap)
+    universe = Universe(ring, tuple(kept.values()), depth, module_cap)
     ring._cache[key] = universe
     return universe
+
+
+def _quotient_keys(reg, ideals):
+    """The key of R/I (see ``generate_universe``) for each left ideal I,
+    by mask, read off the lattice ``ideals`` from larger ideals to smaller.
+
+    R/R has key ().  If ideals J, K above I have J & K = I and J + K = R,
+    then R/I = J/I + K/I with J/I = J/(J & K) isomorphic to R/K and K/I to
+    R/J, and the key of R/I merges theirs.  Any splitting of R/I is of
+    this form, so otherwise R/I is indecomposable, and its key holds one
+    G: the annihilators {r : rx in I} of the generators x + I.  The ideal
+    {r : rx in I} is the kernel of r -> rx + I onto (Rx + I)/I, so x + I
+    generates R/I exactly when that ideal has the order of I.  The size
+    test |J|.|K| = |I|.|R| stands for J + K = R, since |J + K| =
+    |J|.|K| / |J & K|.
+    """
+    n = reg.order
+    keys = {ideals[-1].mask: ()}  # R/R
+    for ideal in reversed(ideals[:-1]):
+        mask, size = ideal.mask, ideal.order
+        above = [j for j in keys if j & mask == mask]
+        split = next(((j, k) for j in above for k in above
+                      if j & k == mask
+                      and j.bit_count() * k.bit_count() == size * n), None)
+        if split is not None:
+            keys[mask] = tuple(sorted(keys[split[0]] + keys[split[1]]))
+        else:
+            anns = {sum(1 << r for r, row in enumerate(reg.act)
+                        if mask >> row[x] & 1) for x in range(n)}
+            keys[mask] = (tuple(sorted(a for a in anns
+                                       if a.bit_count() == size)),)
+    return keys
 
 
 # ---------------------------------------------------------------------------

@@ -133,9 +133,17 @@ def _cond_products_nonzero(module):
     submodules is nonzero exactly when every product of two atoms is.
     Only the verdict is read: ``bjkn_prime_detail`` reports the pointwise
     route's witness.
+
+    The right atom is taken one per isomorphism class.  An isomorphism
+    phi: A -> A' sends the maps M -> A to the maps M -> A' by f -> phi.f,
+    and phi.f(N) = 0 exactly when f(N) = 0, so the product of N and A is
+    zero exactly when that of N and A' is.  Atoms are simple, and simple
+    modules are isomorphic exactly when their annihilators are equal (see
+    ``modules.simple_modules``).
     """
+    rights = {annihilator_mask(module, a.mask): a for a in atoms(module)}
     for left in atoms(module):
-        for right in atoms(module):
+        for right in rights.values():
             if product_in(module, left, right).is_zero():
                 return False, {"kind": "zero_product",
                                "left": left.labels(),

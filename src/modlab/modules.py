@@ -34,7 +34,6 @@ lattice they read is the regular module's, which holds the ideals.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from operator import getitem
@@ -823,8 +822,6 @@ def hom_generators(source, target):
 
 def hom_nonzero_exists(source, target):
     """Whether a nonzero map source -> target exists (early exit)."""
-    if target in source._cache.get("homs", {}):
-        return any(not f.is_zero() for f in source._cache["homs"][target])
     gens, _, rel_levels = _generator_data(source)
     tzero = target.zero
     # try nonzero images first so a hit surfaces early
@@ -902,36 +899,6 @@ def is_isomorphic(a, b):
     if a is b:
         return True
     return find_isomorphism(a, b) is not None
-
-
-def isomorphism_classes(modules):
-    """Partition ``modules`` into isomorphism classes.
-
-    Classes come in order of first occurrence and keep their members in
-    input order, so the first member of each class is its first-occurrence
-    representative.  Modules are bucketed by invariants an isomorphism
-    preserves, the order and, where orders are shared, the sorted multiset
-    of element annihilators; a module is compared, by ``find_isomorphism``,
-    only with the first member of each class in its bucket.  Nothing is
-    kept between calls.
-    """
-    modules = list(modules)
-    orders = Counter(m.order for m in modules)
-    buckets = {}
-    classes = []
-    for m in modules:
-        key = m.order
-        if orders[key] > 1:
-            key = (key, tuple(sorted(_element_annihilators(m))))
-        bucket = buckets.setdefault(key, [])
-        for cls in bucket:
-            if is_isomorphic(cls[0], m):
-                cls.append(m)
-                break
-        else:
-            bucket.append([m])
-            classes.append(bucket[-1])
-    return classes
 
 
 # ---------------------------------------------------------------------------

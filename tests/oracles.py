@@ -4,9 +4,10 @@ shortcuts the library takes.
 The power-set, all-functions and subset-of-ideals oracles filter every
 candidate.  The ring-level oracles find by search what the library reads
 off the ring: linear filters among all subsets of the left ideals, simple
-modules grouped by ``isomorphism_classes``, and Baer's criterion with the
-maps R -> M listed by ``hom_set``.  The firstness oracles are the scans
-the deciders ran before they were reduced to the atoms of
+modules and universe modules grouped into isomorphism classes by
+``find_isomorphism`` on pairs, and Baer's criterion with the maps R -> M
+listed by ``hom_set``.  The firstness oracles are the scans the deciders
+ran before they were reduced to the atoms of
 ``modules.atoms``, to the submodules inside the socle, or to one member
 per pair of tables: each walks every nonzero submodule of the full
 lattice, in lattice order, and reports the first failure as its witness,
@@ -20,11 +21,11 @@ import itertools
 
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.modules import (ModuleMorphism, annihilator_mask, cogenerates,
-                            cyclic_mask, embed_submask, enumerate_submodules,
+                            cyclic_mask, direct_sum_module, embed_submask,
+                            enumerate_submodules, find_isomorphism,
                             hom_nonzero_exists, hom_set, is_essential,
-                            is_submodule_mask, isomorphism_classes,
-                            quotient_module, regular_module, submodule,
-                            trad_mask)
+                            is_submodule_mask, quotient_module,
+                            regular_module, submodule, trad_mask)
 from modlab.preradicals import Alpha, Join, SOC
 from modlab.rings import enumerate_ideals
 
@@ -103,17 +104,62 @@ def subset_linear_filters(ring):
     return filters
 
 
+def _pairwise_partition(mods):
+    """Classes by pairwise ``find_isomorphism`` on every ordered pair, in
+    order of first occurrence, members in input order."""
+    mods = list(mods)
+    n = len(mods)
+    iso = [[find_isomorphism(a, b) is not None for b in mods] for a in mods]
+    assert all(iso[i][j] == iso[j][i] for i in range(n) for j in range(n))
+    classes = []
+    placed = [False] * n
+    for i in range(n):
+        if not placed[i]:
+            members = [j for j in range(i, n) if iso[i][j]]
+            for j in members:
+                placed[j] = True
+            classes.append([mods[j] for j in members])
+    return classes
+
+
 def isomorphism_class_simples(ring):
     """One simple module per isomorphism class: the quotients by maximal
     left ideals, in ``maximal_indices`` order, grouped by
-    ``isomorphism_classes``, first members sorted by order."""
+    ``_pairwise_partition``, first members sorted by order."""
     reg = regular_module(ring)
     lat = enumerate_submodules(reg)
-    reps = [cls[0] for cls in isomorphism_classes(
+    reps = [cls[0] for cls in _pairwise_partition(
         quotient_module(reg, lat.submodules[i])
         for i in lat.maximal_indices())]
     reps.sort(key=lambda m: m.order)
     return reps
+
+
+def searched_universe(ring, depth, module_cap):
+    """``classify.generate_universe`` by isomorphism search: every
+    candidate is built, and a candidate is kept when ``find_isomorphism``
+    maps no module kept before it onto it."""
+    def first_occurrences(candidates):
+        kept = []
+        for m in candidates:
+            if all(find_isomorphism(k, m) is None for k in kept):
+                kept.append(m)
+        return kept
+
+    reg = regular_module(ring)
+    mods = first_occurrences(
+        [reg] + [quotient_module(reg, sub)
+                 for sub in enumerate_submodules(reg).submodules])
+    for _ in range(depth - 1):
+        current = [m for m in mods if not m.is_zero()]
+        grown = first_occurrences(
+            mods + [direct_sum_module([a, b], cap=module_cap)
+                    for i, a in enumerate(current) for b in current[i:]
+                    if a.order * b.order <= module_cap])
+        if len(grown) == len(mods):
+            break
+        mods = grown
+    return mods
 
 
 def baer_via_hom_set(module):
@@ -271,7 +317,7 @@ def rpid_family(module, joins):
     nonzero tested on every class representative: the traces of one
     nonzero submodule per isomorphism class, the socle, and the first
     ``joins`` joins of pairs of those."""
-    reps = [cls[0] for cls in isomorphism_classes(
+    reps = [cls[0] for cls in _pairwise_partition(
         n.as_module() for n in _nonzero(module))]
     members = [Alpha(submodule(n, n.full_mask())) for n in reps] + [SOC]
     family = members + list(itertools.islice(

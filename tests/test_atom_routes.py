@@ -2,7 +2,8 @@
 decided on the atoms' fully invariant hulls, and both routes of
 trace-firstness over the cyclic submodules, against the full-lattice
 scans they replaced (``oracles``), and BJKN's cogeneration and pointwise
-routes over the atoms against the all-cyclic scans they replaced:
+routes over the atoms against the all-cyclic scans they replaced, and
+its products route over one right atom per class against every pair:
 verdicts and witnesses equal, the annihilator test of trace-firstness
 against a nonzero-map search, the fact that makes the cyclic
 submodules enough, the work the reduced routes no longer do, and every
@@ -11,7 +12,7 @@ deep-d3 reference decision."""
 import json
 import sys
 
-from modlab import modules
+from modlab import firstness, modules
 from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
 from modlab.firstness import (_cond_atoms_cogenerate,
@@ -276,6 +277,31 @@ def test_bjkn_positive_enumerates_homs_only_into_atoms(monkeypatch):
     # S + S over M2(F2) is cyclic, so a scan of every Ry would reach a
     # non-atom; on Z4 the witness scan passes R1 = Z4 before failing
     assert positives_with_other_cyclics and negatives_into_others
+
+
+def test_bjkn_products_take_one_right_atom_per_class(monkeypatch):
+    calls = []
+    product_in = firstness.product_in
+
+    def counted(module, left, right):
+        calls.append((left, right))
+        return product_in(module, left, right)
+
+    monkeypatch.setattr(firstness, "product_in", counted)
+    # F2^7 over Z2: 127 atoms, all isomorphic, so 127 products, not 127^2
+    z2 = regular_module(cyclic_ring(2))
+    f2_7 = direct_sum_module([z2] * 7, cap=128)
+    assert firstness._cond_products_nonzero(f2_7) == (True, None)
+    assert len(atoms(f2_7)) == len(calls) == 127
+    # the verdict is that of every ordered pair of atoms
+    for m in _fresh_modules():
+        del calls[:]
+        verdict = firstness._cond_products_nonzero(m)[0]
+        assert len(calls) <= len(atoms(m)) * len(
+            {annihilator_mask(m, a.mask) for a in atoms(m)})
+        assert verdict == all(
+            not product_in(m, a, b).is_zero()
+            for a in atoms(m) for b in atoms(m)), m
 
 
 def _json(value):

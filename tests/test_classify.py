@@ -46,40 +46,36 @@ def test_universe_module_cap_below_one_is_refused():
 
 
 def test_universe_stops_at_its_fixpoint(monkeypatch):
-    sums, sizes = [], []
+    sums = []
     direct_sum = classify.direct_sum_module
-    classes = classify.isomorphism_classes
 
     def counted_sum(*args, **kwargs):
         sums.append(args)
         return direct_sum(*args, **kwargs)
 
-    def counted_classes(modules):
-        out = classes(modules)
-        sizes.append(len(out))
-        return out
-
     monkeypatch.setattr(classify, "direct_sum_module", counted_sum)
-    monkeypatch.setattr(classify, "isomorphism_classes", counted_classes)
 
     def build(make, depth):
-        """The modules' tables, the direct sums built and the universe's
-        size after each dedup, for a universe of a fresh ring."""
+        """The modules' tables and the number of direct sums built, for a
+        universe of a fresh ring."""
         sums.clear()
-        sizes.clear()
         universe = generate_universe(make(), depth=depth)
         tables = [(m.provenance, m.add, m.act) for m in universe.modules]
-        return tables, len(sums), list(sizes)
+        return tables, len(sums)
 
     for make in (lambda: cyclic_ring(4), lambda: cyclic_ring(6),
                  lambda: product_ring([cyclic_ring(2), cyclic_ring(2)])):
-        deep, built, grown = build(make, 20)
-        # one dedup per depth: each level grew the universe but the last,
-        # after which no sum was built, so depth len(grown) does the same
-        # work and depth len(grown) - 1 has the same modules
-        assert grown[-1] == grown[-2] and grown[:-1] == sorted(set(grown))
-        assert build(make, len(grown))[:2] == (deep, built)
-        assert len(grown) - 1 <= 4 and build(make, 4)[0] == deep
+        deep, built = build(make, 20)
+        # a sum is built only when it is kept
+        assert built == sum(p.startswith("sum(") for p, _, _ in deep)
+        # the universe's size per level grows until a level adds nothing,
+        # and no later level changes it or builds a sum
+        sizes = [len(build(make, depth)[0]) for depth in range(1, 21)]
+        fixpoint = sizes.index(sizes[-1]) + 1
+        assert sizes[:fixpoint] == sorted(set(sizes[:fixpoint]))
+        assert set(sizes[fixpoint:]) <= {sizes[-1]}
+        assert build(make, fixpoint) == (deep, built)
+        assert fixpoint <= 4 and build(make, 4) == (deep, built)
 
 
 def test_universe_contains_regular_and_simples():

@@ -1,11 +1,12 @@
 """Structured reports compared byte for byte with recorded ones.
 
 The files under ``tests/golden/`` were recorded with the commands below,
-``corpus-d4.json`` at commit 04e7d27, ``corpus-d3.json`` at commit
-829d310 and the others at commit e961f8e.  A change that means to alter
-a report re-records them and says why; any other difference is a
-regression.  Each command is run twice in one process, from an empty
-memo of accepted tables, and both runs must match.
+``corpus-d4-cap128.json`` at commit e656da1, ``corpus-d4.json`` at
+commit 04e7d27, ``corpus-d3.json`` at commit 829d310 and the others at
+commit e961f8e.  A change that means to alter a report re-records them
+and says why; any other difference is a regression.  Each command is run
+twice in one process, from an empty memo of accepted tables, and both
+runs must match.
 """
 
 import pathlib
@@ -28,6 +29,9 @@ DEMO = str(ROOT / "demo.job")
      ["corpus", "--format", "structured", "--universe-depth", "3"]),
     ("corpus-d4.json",
      ["corpus", "--format", "structured", "--universe-depth", "4"]),
+    ("corpus-d4-cap128.json",
+     ["corpus", "--format", "structured", "--universe-depth", "4",
+      "--cap-module", "128"]),
 ])
 def test_structured_report_is_unchanged(name, argv, capsys, empty_memo):
     # cold, then warm: the second run takes every table from the memo of

@@ -1,4 +1,5 @@
-"""Isomorphism classes: the partition helper and trace-firstness's use of it."""
+"""Isomorphism classes: the universe's keys against isomorphism search,
+and trace-firstness's pairwise route against its full scan."""
 
 import json
 import pathlib
@@ -6,89 +7,87 @@ import sys
 
 import pytest
 
-from modlab import modules
+from modlab import classify
 from modlab.classify import generate_universe
-from modlab.cli import corpus_rings
+from modlab.cli import corpus_rings, main
 from modlab.firstness import _rpid_pairwise, rpid_first_detail
-from modlab.modules import (direct_sum_module, enumerate_submodules,
-                            find_isomorphism, hom_nonzero_exists,
-                            isomorphism_classes, quotient_module,
-                            regular_module, submodule)
+from modlab.modules import (annihilator_mask, cyclic_mask, direct_sum_module,
+                            enumerate_submodules, find_isomorphism,
+                            hom_nonzero_exists, is_isomorphic,
+                            quotient_module, regular_module, submodule)
 from modlab.rings import cyclic_ring, matrix_ring, product_ring
+
+from oracles import searched_universe
+from test_rings import f2_xy_square_zero, upper_triangular_f2
 
 REFERENCE = (pathlib.Path(__file__).resolve().parent.parent
              / "perfbench" / "reference" / "deep-d3.json")
 
 
-def _pairwise_partition(mods):
-    """Classes by pairwise ``find_isomorphism`` on every ordered pair, in
-    order of first occurrence, members in input order."""
-    n = len(mods)
-    iso = [[find_isomorphism(a, b) is not None for b in mods] for a in mods]
-    assert all(iso[i][j] == iso[j][i] for i in range(n) for j in range(n))
-    classes = []
-    placed = [False] * n
-    for i in range(n):
-        if not placed[i]:
-            members = [j for j in range(i, n) if iso[i][j]]
-            for j in members:
-                placed[j] = True
-            classes.append([mods[j] for j in members])
-    return classes
+def key_rings():
+    """The corpus rings, T2(F2), F2[x,y]/(x,y)^2 and Z9, built fresh."""
+    return corpus_rings() + [upper_triangular_f2(), f2_xy_square_zero(),
+                             cyclic_ring(9)]
 
 
-def test_classes_match_pairwise_isomorphism_on_corpus():
-    checked = 0
-    for ring in corpus_rings():
-        for m in generate_universe(ring, depth=2).nonzero_modules():
-            subs = [n.as_module()
-                    for n in enumerate_submodules(m).nonzero()]
-            got = isomorphism_classes(subs)
-            want = _pairwise_partition(subs)
-            assert [[id(x) for x in c] for c in got] == \
-                [[id(x) for x in c] for c in want], m
-            checked += 1
-    assert checked == 35
+def _tables(mods):
+    return [(m.provenance, m.labels, m.add, m.act) for m in mods]
 
 
-def test_classes_keep_first_occurrences_and_input_order():
-    z4 = cyclic_ring(4)
-    reg = regular_module(z4)
-    half = quotient_module(reg, enumerate_submodules(reg).submodules[1])
-    twin = quotient_module(reg, enumerate_submodules(reg).submodules[1])
-    other = direct_sum_module([half, half])
-    assert isomorphism_classes([]) == []
-    assert isomorphism_classes([half, reg, twin, other, half]) == [
-        [half, twin, half], [reg], [other]]
-    # equal orders, different annihilator multisets: two buckets
-    assert isomorphism_classes([reg, other]) == [[reg], [other]]
+@pytest.mark.parametrize("depth", [2, 3])
+def test_keyed_universe_matches_isomorphism_search(depth):
+    for keyed, searched in zip(key_rings(), key_rings()):
+        universe = generate_universe(keyed, depth=depth, module_cap=64)
+        want = searched_universe(searched, depth, 64)
+        assert _tables(universe.modules) == _tables(want), keyed
 
 
-def test_pairwise_route_does_not_use_classes(monkeypatch):
-    original = modules.isomorphism_classes
+def _generator_annihilators(module):
+    """G(M): the sorted set of the annihilators of M's generators."""
+    return tuple(sorted({annihilator_mask(module, 1 << x)
+                         for x in range(module.order)
+                         if cyclic_mask(module, x) == module.full_mask()}))
 
-    def refuse(mods):
-        raise AssertionError("isomorphism_classes called")
+
+def test_quotient_keys_are_complete_invariants():
+    pairs = twins = split = 0
+    for ring in key_rings():
+        reg = regular_module(ring)
+        ideals = enumerate_submodules(reg).submodules
+        keys = classify._quotient_keys(reg, ideals)
+        quotients = [quotient_module(reg, i) for i in ideals]
+        gs = [_generator_annihilators(q) for q in quotients]
+        for i, q in zip(ideals, quotients):
+            # an indecomposable quotient is keyed by its own G
+            split += len(keys[i.mask]) > 1
+            assert len(keys[i.mask]) > 1 or keys[i.mask] == (
+                () if q.is_zero() else (_generator_annihilators(q),))
+        for a, qa in enumerate(quotients):
+            for b, qb in enumerate(quotients):
+                iso = find_isomorphism(qa, qb) is not None
+                assert (gs[a] == gs[b]) == iso, (ring, a, b)
+                assert (keys[ideals[a].mask] == keys[ideals[b].mask]) == iso
+                pairs += 1
+                twins += iso and a != b
+    assert (pairs, twins, split) == (180, 8, 5)
+
+
+def test_universes_and_corpus_search_no_isomorphism(monkeypatch, capsys):
+    def refuse(a, b):
+        raise AssertionError("isomorphism search reached")
 
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "modlab" and \
-                getattr(mod, "isomorphism_classes", None) is original:
-            monkeypatch.setattr(mod, "isomorphism_classes", refuse)
-    z4, z6 = cyclic_ring(4), cyclic_ring(6)
-    f2xf2 = product_ring([cyclic_ring(2), cyclic_ring(2)])
-    z2_sum = direct_sum_module([regular_module(cyclic_ring(2))] * 2)
-    mixed = regular_module(f2xf2)
-    assert _rpid_pairwise(regular_module(z4)) == (True, None)
-    assert _rpid_pairwise(z2_sum) == (True, None)
-    assert _rpid_pairwise(regular_module(z6))[0] is False
-    verdict, witness = _rpid_pairwise(mixed)
-    assert verdict is False and witness["kind"] == "hom_vanishes"
-    # neither does the family route
-    assert rpid_first_detail(regular_module(z4)) == (True, None)
-    assert rpid_first_detail(mixed) == (verdict, witness)
-    # universe generation does read the classes, so the patch is live
-    with pytest.raises(AssertionError, match="isomorphism_classes called"):
-        generate_universe(cyclic_ring(3), depth=1)
+                getattr(mod, "find_isomorphism", None) is find_isomorphism:
+            monkeypatch.setattr(mod, "find_isomorphism", refuse)
+    for ring in key_rings():
+        generate_universe(ring, depth=3)
+    assert main(["corpus", "--format", "structured"]) == 0
+    capsys.readouterr()
+    # the patch is live: an isomorphism test does search
+    z2 = regular_module(cyclic_ring(2))
+    with pytest.raises(AssertionError, match="isomorphism search reached"):
+        is_isomorphic(z2, direct_sum_module([z2]))
 
 
 def _build_ring(spec):

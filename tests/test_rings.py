@@ -28,6 +28,21 @@ def upper_triangular_f2():
     return ring_from_tables(add, mul)
 
 
+def f2_xy_square_zero():
+    """F2[x,y]/(x,y)^2: commutative local, order 8, not a chain ring.
+
+    Element a*4 + b*2 + c stands for a + b*x + c*y.
+    """
+    els = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    index = {e: i for i, e in enumerate(els)}
+    add = [[index[tuple(u ^ v for u, v in zip(x, y))] for y in els]
+           for x in els]
+    mul = [[index[(x[0] & y[0], (x[0] & y[1]) ^ (x[1] & y[0]),
+                   (x[0] & y[2]) ^ (x[2] & y[0]))]
+            for y in els] for x in els]
+    return ring_from_tables(add, mul)
+
+
 def is_commutative(ring):
     return ring.mul == tuple(zip(*ring.mul))
 
