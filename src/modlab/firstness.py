@@ -1,24 +1,23 @@
 """Deciders for firstness and primeness notions of finite modules.
 
 Each notion is decided through the finite characterization that makes it
-checkable without quantifying over all preradicals: BJKN-primeness through
-four separately computed equivalent conditions (which must agree, or an
-InternalInconsistency is raised): homogeneous semisimplicity read off
-J(R), cogeneration by the atoms and products of atoms over generating
-sets of Hom groups, and pointwise separation into the atoms over
-enumerated Hom-sets, with the distinct cyclic submodules scanned for the
-witness only on a negative verdict; primeness through both the
-annihilator and the ideal-action route; trace-firstness through nonzero
-homs from the distinct cyclic submodules to the atoms, decided by the
-action of the atoms' annihilators, cross-checked against the traces of
-the cyclic submodules, one per distinct pair of tables, with no
-isomorphism search; diuniformity over the fully invariant hulls of the
-atoms, the least failing hull being its first failure.  ``decide``
-caches each notion's verdict per module.  Firstness relative to a finite
-family is one scan, ``a_fully_first_detail``; ``a_first_detail`` runs it
-over the members that do not kill the module.  These deciders are also
-the module-level sides of the theorems replayed by
-``classify.verify_theorem``.
+checkable without quantifying over all preradicals: BJKN-primeness
+through two separately computed equivalent conditions (which must agree,
+or an InternalInconsistency is raised), homogeneous semisimplicity read
+off J(R) and cogeneration by the atoms over generating sets of Hom
+groups, with the witness of a negative verdict read off the rejects of
+the distinct cyclic submodules and no Hom-set enumerated; primeness
+through both the annihilator and the ideal-action route; trace-firstness
+through nonzero homs from the distinct cyclic submodules to the atoms,
+decided by the action of the atoms' annihilators, cross-checked against
+the traces of the cyclic submodules, one per distinct pair of tables,
+with no isomorphism search; diuniformity over the fully invariant hulls
+of the atoms, the least failing hull being its first failure.
+``decide`` caches each notion's verdict per module.  Firstness relative
+to a finite family is one scan, ``a_fully_first_detail``;
+``a_first_detail`` runs it over the members that do not kill the module.
+These deciders are also the module-level sides of the theorems replayed
+by ``classify.verify_theorem``.
 
 Every "for all nonzero submodules" quantifier whose failure passes down
 to smaller submodules (an ideal, a preradical or an annihilator jump that
@@ -39,11 +38,11 @@ import copy
 from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency
-from .modules import (_elements, annihilator_mask, atoms, cogenerates,
-                      cyclic_mask, cyclic_submodules, hom_nonzero_exists,
-                      hom_set, regular_module, structural_summary, submodule,
-                      trad_mask)
-from .preradicals import Alpha, Beta, product_in
+from .modules import (_elements, _reject_mask, annihilator_mask, atoms,
+                      cogenerates, cyclic_mask, cyclic_submodules,
+                      hom_nonzero_exists, regular_module, structural_summary,
+                      submodule, trad_mask)
+from .preradicals import Alpha, Beta
 from .rings import enumerate_ideals
 
 
@@ -54,7 +53,7 @@ def _require_nonzero(module, notion):
 
 
 # ---------------------------------------------------------------------------
-# BJKN-primeness: four equivalent conditions computed independently
+# BJKN-primeness: two equivalent conditions computed independently
 
 def _cond_homogeneous_semisimple(module):
     """M is a direct sum of copies of one simple module.
@@ -83,90 +82,62 @@ def _cond_atoms_cogenerate(module):
     return True, None
 
 
-def _separated(module, mask):
-    """The elements x with f(x) != 0 for some f in the enumerated Hom-set
-    from the module into its submodule ``mask``."""
-    target = submodule(module, mask).as_module()
-    tzero = target.zero
-    out = 0
-    for f in hom_set(module, target):
-        for x, fx in enumerate(f.map):
-            if fx != tzero:
-                out |= 1 << x
-    return out
-
-
-def _cond_pointwise_separation(module):
-    """For every x, y nonzero there is a map into Ry not killing x.
-
-    Runs over the enumerated Hom-sets, not over ``hom_generators``, so it
-    checks the other three routes independently of that code.  The
-    verdict is decided on the atoms as targets: an atom is Ry for each of
-    its nonzero y, and every Ry contains an atom A, a map into A being a
-    map into Ry.  Only when an atom fails are the distinct Ry scanned in
-    order of their least generator y, for the first failing (x, y).
-    """
-    nonzero = module.full_mask() & ~module.zero_mask()
-    if all(_separated(module, a.mask) == nonzero for a in atoms(module)):
-        return True, None
-    by_mask = {}
-    for y in _elements(nonzero):
-        by_mask.setdefault(cyclic_mask(module, y), y)
-    for mask, y in by_mask.items():  # in order of y, as inserted
-        missed = nonzero & ~_separated(module, mask)
+def _inseparable_pair(module):
+    """The first (x, y) such that every map M -> Ry kills x: y the least
+    element whose Ry has a nonzero reject, x the least nonzero element of
+    that reject; None when every reject is zero."""
+    zmask = module.zero_mask()
+    seen = set()
+    for y in _elements(module.full_mask() & ~zmask):
+        mask = cyclic_mask(module, y)
+        if mask in seen:
+            continue
+        seen.add(mask)
+        missed = _reject_mask(module, submodule(module, mask).as_module())
+        missed &= ~zmask
         if missed:
             x = (missed & -missed).bit_length() - 1
-            return False, {"kind": "inseparable_pair",
-                           "x": module.labels[x],
-                           "y": module.labels[y]}
-    results = {"atoms": False, "cyclic_submodules": True}
-    raise InternalInconsistency(
-        f"pointwise separation disagrees on {module!r}: {results}")
-
-
-def _cond_products_nonzero(module):
-    """Products of nonzero submodule pairs are nonzero, decided on atoms.
-
-    The product of N and K, the sum of f(N) over maps f: M -> K, grows
-    with N, and it grows with K (a map into K' <= K is a map into K).
-    Every nonzero submodule contains an atom, so every product of nonzero
-    submodules is nonzero exactly when every product of two atoms is.
-    Only the verdict is read: ``bjkn_prime_detail`` reports the pointwise
-    route's witness.
-
-    The right atom is taken one per isomorphism class.  An isomorphism
-    phi: A -> A' sends the maps M -> A to the maps M -> A' by f -> phi.f,
-    and phi.f(N) = 0 exactly when f(N) = 0, so the product of N and A is
-    zero exactly when that of N and A' is.  Atoms are simple, and simple
-    modules are isomorphic exactly when their annihilators are equal (see
-    ``modules.simple_modules``).
-    """
-    rights = {annihilator_mask(module, a.mask): a for a in atoms(module)}
-    for left in atoms(module):
-        for right in rights.values():
-            if product_in(module, left, right).is_zero():
-                return False, {"kind": "zero_product",
-                               "left": left.labels(),
-                               "right": right.labels()}
-    return True, None
+            return {"kind": "inseparable_pair",
+                    "x": module.labels[x], "y": module.labels[y]}
+    return None
 
 
 def bjkn_prime_detail(module):
-    """Verdict plus witness, with the four routes asserted to agree."""
+    """Verdict plus witness, with the two routes asserted to agree.
+
+    Every nonzero submodule cogenerates M, decided from J(R) and from the
+    rejects of the atoms.  Two equivalent conditions need no route of
+    their own.  Products: the product of A and A', Beta(A) evaluated at
+    A', is the sum of g(A) over the generators g of Hom(M, A'), zero
+    exactly when A <= Rej(A'); a nonzero reject contains an atom, so some
+    product of nonzero submodules is zero exactly when some reject is
+    nonzero, the cogeneration route rearranged.  Pointwise separation:
+    the x that every map M -> Ry kills form the meet of the kernels over
+    Hom(M, Ry), which is the meet over ``hom_generators(M, Ry)``, the
+    reject of Ry.
+
+    So the witness of a negative verdict, the first pair (x, y) in index
+    order with x killed by every map into Ry, is read off the rejects of
+    the distinct Ry in order of their least generator y
+    (``_inseparable_pair``).  A negative verdict without one raises.
+    """
     _require_nonzero(module, "BJKN-primeness")
-    routes = {
-        "homogeneous_semisimple": _cond_homogeneous_semisimple(module),
-        "atoms_cogenerate": _cond_atoms_cogenerate(module),
-        "pointwise_separation": _cond_pointwise_separation(module),
-        "products_nonzero": _cond_products_nonzero(module),
+    verdicts = {
+        "homogeneous_semisimple": _cond_homogeneous_semisimple(module)[0],
+        "atoms_cogenerate": _cond_atoms_cogenerate(module)[0],
     }
-    verdicts = {name: v for name, (v, _) in routes.items()}
-    if len(set(verdicts.values())) != 1:
+    verdict = verdicts["homogeneous_semisimple"]
+    if verdicts["atoms_cogenerate"] != verdict:
         raise InternalInconsistency(
             f"BJKN-prime routes disagree on {module!r}: {verdicts}")
-    verdict = verdicts["homogeneous_semisimple"]
-    witness = None if verdict else routes["pointwise_separation"][1]
-    return verdict, witness
+    if verdict:
+        return True, None
+    witness = _inseparable_pair(module)
+    if witness is None:
+        raise InternalInconsistency(
+            f"BJKN-prime routes find no inseparable pair on {module!r}: "
+            f"{verdicts}")
+    return False, witness
 
 
 def is_bjkn_prime(module):

@@ -14,15 +14,16 @@ oracle on small instances).
 
 Hom(M, T) is an abelian group under pointwise addition, and trace sums,
 rejects, preimage meets and fully-invariant flags need only a generating
-set of it: ``hom_generators`` computes one, of at most log2|Hom| maps, as
-the kernel of the relation map without listing Hom, and is capped by the
-size of the chain it builds (``MAX_HOM_CHAIN``).  Where every map is
-needed (``hom_set``: oracles, End(M) as a ring, Baer's criterion, the
-pointwise BJKN route), and for the nonzero-map test and isomorphism
-search, one backtracking search over generator images serves; its callers
-differ only in the candidate images, an optional per-image test, and what
-happens at a complete tuple.  ``hom_set`` is capped by its |T|^k
-candidate tuples (``MAX_HOM_CANDIDATES``).
+set of it: ``hom_generators`` computes one, of at most log2|Hom| maps,
+as the kernel of the relation map without listing Hom, and is capped by
+the size of the chain it builds (``MAX_HOM_CHAIN``).  Where every map is
+needed (``hom_set``: oracles, End(M) as a ring, Baer's criterion,
+naturality checks, the Hom(A, B) product variant; no firstness decider),
+and for the nonzero-map test and isomorphism search, one backtracking
+search over generator images serves; its callers differ only in the
+candidate images, an optional per-image test, and what happens at a
+complete tuple.  ``hom_set`` is capped by its |T|^k candidate tuples
+(``MAX_HOM_CANDIDATES``).
 
 The full submodule lattice (``enumerate_submodules``) serves submodule
 references, actions, ideals and universes.  The deciders quantify over
@@ -42,7 +43,7 @@ from .config import DEFAULT_MODULE_CAP, MAX_HOM_CANDIDATES, MAX_HOM_CHAIN
 from .errors import (AxiomViolation, InternalInconsistency, RingMismatch,
                      SizeCapExceeded)
 from .rings import (FiniteRing, accepted_tables, certified_scan, differ,
-                    enumerate_ideals, scan_abelian_group,
+                    element_labels, enumerate_ideals, scan_abelian_group,
                     scan_abelian_group_exhaustive, table_in_range)
 
 
@@ -75,10 +76,7 @@ class FiniteModule:
         n = len(add)
         if cap is not None and n > cap:
             raise SizeCapExceeded(f"module order {n} exceeds cap {cap}")
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = tuple(labels)
+        labels = element_labels(labels, n)
         self.ring = ring
         self.order = n
         self.add, self.act, self.zero, self.neg = accepted_tables(
@@ -707,9 +705,10 @@ def hom_set(source, target):
     A generator-image tuple extends to a well-defined map exactly when it
     kills every relation among the generators, and the extension along the
     recorded expressions is automatically additive and linear.  Used where
-    every map is needed (oracles, End(M) as a ring, Baer's criterion, the
-    pointwise BJKN route); sums, kernels and preimages over all maps are
-    read off ``hom_generators`` instead.
+    every map is needed (oracles, End(M) as a ring, Baer's criterion,
+    naturality checks, the Hom(A, B) product variant); sums, kernels and
+    preimages over all maps are read off ``hom_generators`` instead, and
+    no firstness decider enumerates a Hom-set.
     """
     if source.ring is not target.ring:
         raise RingMismatch("hom-set endpoints over different rings")
@@ -1114,9 +1113,9 @@ def cogenerates(cog, module):
     """Whether ``cog`` cogenerates ``module``: the reject of cog in module
     is zero.
 
-    The reject is read off a generating set of Hom(module, cog); the BJKN
-    decider's pointwise-separation route, on the enumerated Hom-set, is the
-    check independent of it.
+    The reject is read off a generating set of Hom(module, cog).  The BJKN
+    decider checks it against homogeneous semisimplicity read off J(R),
+    with no Hom group, and the tests against the enumerated Hom-sets.
     """
     if isinstance(cog, Submodule):
         cog = cog.as_module()

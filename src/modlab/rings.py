@@ -21,6 +21,19 @@ from .config import DEFAULT_RING_CAP, MAX_ACCEPTED_CELLS
 from .errors import AxiomViolation, InternalInconsistency, SizeCapExceeded
 
 
+def element_labels(labels, n):
+    """``labels`` as a tuple naming each of n elements once in order,
+    ``"0"`` to ``"n-1"`` when None; another count raises
+    ``AxiomViolation``."""
+    if labels is None:
+        return tuple(str(i) for i in range(n))
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise AxiomViolation("one label per element", (len(labels), n),
+                             f"{len(labels)} labels for {n} elements")
+    return labels
+
+
 class FiniteRing:
     """A finite unital ring with explicit tables.
 
@@ -45,10 +58,7 @@ class FiniteRing:
         n = len(add)
         if cap is not None and n > cap:
             raise SizeCapExceeded(f"ring order {n} exceeds cap {cap}")
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = tuple(labels)
+        labels = element_labels(labels, n)
         self.order = n
         self.add, self.mul, self.zero, self.one, self.neg, gens = (
             accepted_tables((), ("addition", "multiplication"), (add, mul),

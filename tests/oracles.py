@@ -11,10 +11,13 @@ ran before they were reduced to the atoms of
 ``modules.atoms``, to the submodules inside the socle, or to one member
 per pair of tables: each walks every nonzero submodule of the full
 lattice, in lattice order, and reports the first failure as its witness,
-in the decider's own witness format.  The left-exactness oracle and the
-all-cyclic BJKN scans are the scans that ran before left exactness was
-reduced to the cyclic submodules of s(M) and BJKN's cogeneration and
-pointwise routes to the atoms.
+in the decider's own witness format.  The left-exactness oracle is the
+scan that ran before left exactness was reduced to the cyclic submodules
+of s(M).  The all-cyclic BJKN scans are the cogeneration route before it
+was reduced to the atoms, and the pointwise-separation route over
+enumerated Hom-sets, which the decider no longer runs: its witness is
+the reference for the one the decider reads off rejects, with no
+``hom_generators``.
 """
 
 import itertools

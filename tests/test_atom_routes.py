@@ -1,9 +1,9 @@
 """The firstness quantifiers decided over ``modules.atoms``, diuniformity
 decided on the atoms' fully invariant hulls, and both routes of
 trace-firstness over the cyclic submodules, against the full-lattice
-scans they replaced (``oracles``), and BJKN's cogeneration and pointwise
-routes over the atoms against the all-cyclic scans they replaced, and
-its products route over one right atom per class against every pair:
+scans they replaced (``oracles``), and BJKN's two routes and the
+witness it reads off rejects against the all-cyclic scans over
+enumerated Hom-sets and against the products of every pair of atoms:
 verdicts and witnesses equal, the annihilator test of trace-firstness
 against a nonzero-map search, the fact that makes the cyclic
 submodules enough, the work the reduced routes no longer do, and every
@@ -12,12 +12,11 @@ deep-d3 reference decision."""
 import json
 import sys
 
-from modlab import firstness, modules
+from modlab import modules
 from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
 from modlab.firstness import (_cond_atoms_cogenerate,
                               _cond_homogeneous_semisimple,
-                              _cond_pointwise_separation,
                               _prime_via_annihilators, _prime_via_ideals,
                               _rpid_pairwise, a_first_detail,
                               a_fully_first_detail, bjkn_prime_detail,
@@ -28,7 +27,7 @@ from modlab.modules import (annihilator_mask, atoms, cyclic_mask,
                             enumerate_submodules, hom_nonzero_exists,
                             is_isomorphic, quotient_module, regular_module,
                             simple_modules, submodule, trad_mask)
-from modlab.preradicals import RAD, SOC, Alpha, left_exact_at
+from modlab.preradicals import RAD, SOC, Alpha, left_exact_at, product_in
 from modlab.rings import cyclic_ring, matrix_ring, product_ring
 
 import oracles
@@ -106,7 +105,7 @@ def test_bjkn_atom_routes_match_the_all_cyclic_scans():
     negatives = non_atom_witnesses = 0
     for m in mods:
         want = oracles.all_cyclic_pointwise_separation(m)
-        assert _cond_pointwise_separation(m) == want, m
+        assert bjkn_prime_detail(m) == want, m
         cyclic = oracles.all_cyclic_submodules_cogenerate(m)
         assert _cond_atoms_cogenerate(m)[0] == cyclic[0] == want[0], m
         if not want[0]:
@@ -258,48 +257,30 @@ def test_bjkn_cogenerates_only_on_atoms(monkeypatch):
         assert cog in atoms(module), (cog, module)
 
 
-def test_bjkn_positive_enumerates_homs_only_into_atoms(monkeypatch):
-    calls = _count_calls(monkeypatch, "hom_set")
-    positives_with_other_cyclics = negatives_into_others = 0
-    for m in _fresh_modules() + [regular_module(cyclic_ring(4))]:
-        del calls[:]
-        verdict = bjkn_prime_detail(m)[0]
-        others = [t for source, t in calls
-                  if source is m and not _is_atom_module(m, t)]
-        if verdict:
-            assert calls and not others, m
-            atom_masks = {a.mask for a in atoms(m)}
-            positives_with_other_cyclics += any(
-                cyclic_mask(m, x) not in atom_masks
-                for x in range(m.order) if x != m.zero)
-        else:
-            negatives_into_others += bool(others)
-    # S + S over M2(F2) is cyclic, so a scan of every Ry would reach a
-    # non-atom; on Z4 the witness scan passes R1 = Z4 before failing
-    assert positives_with_other_cyclics and negatives_into_others
-
-
-def test_bjkn_products_take_one_right_atom_per_class(monkeypatch):
-    calls = []
-    product_in = firstness.product_in
-
-    def counted(module, left, right):
-        calls.append((left, right))
-        return product_in(module, left, right)
-
-    monkeypatch.setattr(firstness, "product_in", counted)
-    # F2^7 over Z2: 127 atoms, all isomorphic, so 127 products, not 127^2
+def _f2_7():
+    """F2^7 over Z2: order 128, 127 atoms, all isomorphic."""
     z2 = regular_module(cyclic_ring(2))
-    f2_7 = direct_sum_module([z2] * 7, cap=128)
-    assert firstness._cond_products_nonzero(f2_7) == (True, None)
-    assert len(atoms(f2_7)) == len(calls) == 127
-    # the verdict is that of every ordered pair of atoms
+    return direct_sum_module([z2] * 7, cap=128)
+
+
+def test_bjkn_enumerates_no_hom_set(monkeypatch):
+    calls = _count_calls(monkeypatch, "hom_set")
+    rings = list(corpus_rings()) + [upper_triangular_f2()]
+    mods = [_f2_7()] + [m for ring in rings for m in
+                        generate_universe(ring, depth=3).nonzero_modules()]
+    outcomes = [bjkn_prime_detail(m)[0] for m in mods]
+    assert calls == [] and False in outcomes and True in outcomes
+    # the patch is live in modules: Baer's criterion does enumerate
+    modules.is_injective(regular_module(cyclic_ring(4)))
+    assert calls
+
+
+def test_bjkn_products_take_one_right_atom_per_class():
+    # the products route is the cogeneration route rearranged: its
+    # verdict over every ordered pair of atoms is the decider's
+    assert bjkn_prime_detail(_f2_7()) == (True, None)
     for m in _fresh_modules():
-        del calls[:]
-        verdict = firstness._cond_products_nonzero(m)[0]
-        assert len(calls) <= len(atoms(m)) * len(
-            {annihilator_mask(m, a.mask) for a in atoms(m)})
-        assert verdict == all(
+        assert bjkn_prime_detail(m)[0] == all(
             not product_in(m, a, b).is_zero()
             for a in atoms(m) for b in atoms(m)), m
 

@@ -6,8 +6,7 @@ from modlab import firstness
 from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
 from modlab.errors import InternalInconsistency
-from modlab.firstness import (NOTIONS, ClassMembership,
-                              _cond_products_nonzero, a_first_detail,
+from modlab.firstness import (NOTIONS, ClassMembership, a_first_detail,
                               a_fully_first_detail, bjkn_prime_detail,
                               class_membership, decide, diuniform_detail,
                               firstness_report, is_A_first, is_A_fully_first,
@@ -287,11 +286,12 @@ def _products_full_scan(module):
 
 
 def test_products_route_matches_the_full_scan():
+    # the products route is the cogeneration route rearranged
     mods = [m for ring in corpus_rings()
             for m in generate_universe(ring, depth=2).nonzero_modules()]
     mods += [m for _, m in deep_reference_modules("bjkn_prime")]
     verdicts = [_products_full_scan(m) for m in mods]
-    assert [_cond_products_nonzero(m)[0] for m in mods] == verdicts
+    assert [bjkn_prime_detail(m)[0] for m in mods] == verdicts
     assert (len(mods), verdicts.count(False)) == (40, 21)
 
 
@@ -323,18 +323,11 @@ def test_bjkn_disagreement_names_the_atoms_route(monkeypatch):
         bjkn_prime_detail(regular_module(Z2))
 
 
-def test_pointwise_disagreement_names_both_results(monkeypatch):
-    # the first atom reads as inseparable, every later target as it is
-    original = firstness._separated
-    calls = []
-
-    def first_call_empty(module, mask):
-        calls.append(mask)
-        return 0 if len(calls) == 1 else original(module, mask)
-
-    monkeypatch.setattr(firstness, "_separated", first_call_empty)
-    results = {"atoms": False, "cyclic_submodules": True}
+def test_bjkn_negative_without_a_witness_raises(monkeypatch):
+    # every reject read as zero: the atoms route still says no
+    monkeypatch.setattr(firstness, "_reject_mask", lambda module, cog: 0)
+    verdicts = {"homogeneous_semisimple": False, "atoms_cogenerate": False}
     with pytest.raises(InternalInconsistency,
-                       match=re.escape(f"disagrees on {regular_module(Z2)!r}"
-                                       f": {results}")):
-        firstness._cond_pointwise_separation(regular_module(Z2))
+                       match=re.escape(f"no inseparable pair on "
+                                       f"{regular_module(Z4)!r}: {verdicts}")):
+        bjkn_prime_detail(regular_module(Z4))

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from modlab import modules
 from modlab.classify import generate_universe
 from modlab.errors import SizeCapExceeded
-from modlab.firstness import _cond_pointwise_separation
 from modlab.modules import (_generator_data, _morphism_from_images,
                             _reject_mask, _search_images, cyclic_mask,
                             direct_sum_module, enumerate_submodules,
@@ -22,7 +21,7 @@ from modlab.modules import (_generator_data, _morphism_from_images,
 from modlab.preradicals import Beta, Omega
 from modlab.rings import cyclic_ring, matrix_ring, product_ring
 
-from oracles import all_function_homs
+from oracles import all_cyclic_pointwise_separation, all_function_homs
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)
@@ -307,7 +306,7 @@ def test_cross_checks_do_not_use_generators(monkeypatch):
         a = module_from_tables(ring, reg.add, reg.act)
         b = module_from_tables(ring, reg.add, reg.act)
         # neither regular module is BJKN-prime
-        assert _cond_pointwise_separation(a)[0] is False
+        assert all_cyclic_pointwise_separation(a)[0] is False
         assert hom_nonzero_exists(a, b)
         assert find_isomorphism(a, b) is not None
 

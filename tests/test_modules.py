@@ -257,6 +257,20 @@ def test_morphism_validation_rejects_nonlinear():
         ModuleMorphism(m, m, (0, 2, 1, 3), validate=True)
 
 
+def test_labels_name_each_element_once():
+    reg = regular_module(Z4)
+    builds = [lambda labels: ring_from_tables(Z4.add, Z4.mul, labels=labels),
+              lambda labels: module_from_tables(Z4, reg.add, reg.act,
+                                                labels=labels)]
+    for build in builds:
+        assert build("abcd").labels == ("a", "b", "c", "d")
+        for labels in (("a", "b"), "abcde", ()):
+            with pytest.raises(AxiomViolation) as exc:
+                build(labels)
+            assert exc.value.axiom == "one label per element"
+            assert exc.value.witness == (len(labels), 4)
+
+
 # --- fully-invariant transitivity ------------------------------------------
 
 @pytest.mark.parametrize("module_fn", [
