@@ -19,5 +19,9 @@ MAX_HOM_CANDIDATES = 4_000_000
 MAX_HOM_CHAIN = 4_000_000
 
 # Bound of the process-wide memo of accepted ring and module tables
-# (``rings.accepted_tables``), in table cells: at most about 8 MB of row pointers.
+# (``rings.accepted_tables``), in table cells.  It holds scanned raw tables
+# and the unscanned tables of derived modules alike.  A cell is an 8-byte
+# row pointer while entries stay below 257 (CPython shares those int
+# objects), so the bound is about 8 MB; above that the table builders make
+# a 28-byte int per entry, about 36 MB.
 MAX_ACCEPTED_CELLS = 1 << 20

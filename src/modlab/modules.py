@@ -30,21 +30,27 @@ references, actions, ideals and universes.  The deciders quantify over
 the distinct nonzero cyclic submodules instead (``cyclic_submodules``,
 cached per module) and over their minimal members, the atoms; the only
 lattice they read is the regular module's, which holds the ideals.
+
+Module tables from outside the engine enter through ``module_from_tables``,
+the one place that checks the module axioms (``_scan_module_axioms``).
+Regular and zero modules, submodules, quotients and direct sums are
+modules by construction and carry the zero and negation that construction
+gives, unscanned (``FiniteModule``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from operator import getitem
 
 from .config import DEFAULT_MODULE_CAP, MAX_HOM_CANDIDATES, MAX_HOM_CHAIN
 from .errors import (AxiomViolation, InternalInconsistency, RingMismatch,
                      SizeCapExceeded)
-from .rings import (FiniteRing, accepted_tables, certified_scan, differ,
-                    element_labels, enumerate_ideals, scan_abelian_group,
-                    scan_abelian_group_exhaustive, table_in_range)
+from .rings import (FiniteRing, _integer_table, accepted_tables,
+                    certified_scan, differ, element_labels, enumerate_ideals,
+                    scan_abelian_group, scan_abelian_group_exhaustive,
+                    table_in_range)
 
 
 class FiniteModule:
@@ -52,15 +58,25 @@ class FiniteModule:
 
     ``add[a][b]`` is the index of a+b; ``act[r][m]`` is the index of r.m
     for a ring element index r; both are tuples of row tuples of ints.
-    Every instance, raw or derived (a submodule, quotient or direct sum),
-    passes ``_scan_module_axioms`` before it is returned.  The scan runs
-    once per process for each distinct (``ring.add``, ``ring.mul``,
-    ``add``, ``act``), through the bounded memo of accepted tables
+    ``zero`` is the index of 0 and ``neg[a]`` that of -a.  The constructor
+    checks nothing: tables from outside the engine enter through
+    ``module_from_tables``, the one place that scans them
+    (``_scan_module_axioms``).  Every other instance is built by the
+    engine from modules it already holds, and its construction proves the
+    axioms and gives its zero and negation: the regular module has the
+    ring's own tables; the zero module is trivial; a submodule is closed
+    under + and the action (``_require_submodule``), so every law holds
+    on it; a quotient by a submodule adds and acts on cosets through any
+    representatives; a direct sum adds and acts componentwise.  The test
+    suite still runs the exhaustive scan on such modules as an oracle.
+
+    Equal tables are stored once per process for each distinct
+    (``ring.add``, ``ring.mul``, ``add``, ``act``), scanned or not,
+    through the bounded memo of accepted tables
     (``rings.accepted_tables``, whose docstring says why that is exact):
-    a module built on tables equal to accepted ones takes those tables,
+    a module built on tables equal to stored ones takes those tables,
     their zero and their negation from there, whichever ring object it
-    is built on.  A rejected pair is not kept, so it raises on every
-    build.  ``origin`` records how the module was built (enough to
+    is built on.  ``origin`` records how the module was built (enough to
     re-embed carriers of submodules, preimages of quotients, and
     direct-sum components).  Instances hash by identity and can be weakly
     referenced.
@@ -69,19 +85,13 @@ class FiniteModule:
     __slots__ = ("ring", "order", "add", "act", "zero", "neg", "labels",
                  "provenance", "origin", "_cache", "__weakref__")
 
-    def __init__(self, ring, add, act, labels=None, provenance="raw",
-                 origin=("raw",), cap=DEFAULT_MODULE_CAP):
-        add = tuple(tuple(row) for row in add)
-        act = tuple(tuple(row) for row in act)
-        n = len(add)
-        if cap is not None and n > cap:
-            raise SizeCapExceeded(f"module order {n} exceeds cap {cap}")
-        labels = element_labels(labels, n)
+    def __init__(self, ring, add, act, zero, neg, labels, provenance,
+                 origin):
         self.ring = ring
-        self.order = n
+        self.order = len(add)
         self.add, self.act, self.zero, self.neg = accepted_tables(
-            (ring.add, ring.mul), ("add", "act"), (add, act),
-            partial(_scan_module_axioms, ring, n))
+            (ring.add, ring.mul), (add, act),
+            lambda add, act: (add, act, zero, neg))
         self.labels = labels
         self.provenance = provenance
         self.origin = origin
@@ -125,9 +135,11 @@ def _scan_module_axioms(ring, n, add, act):
     the violation, so a rejected table reports the same axiom and witness
     as the full O(|R|^2 n + |R| n^2 + n^3) scan would.
 
-    ``FiniteModule`` runs this once per process for each distinct pair of
-    tables over equal ring tables; ``rings.accepted_tables`` says why
-    that is exact.
+    Only ``module_from_tables`` runs this, once per process for each
+    distinct pair of tables over equal ring tables
+    (``rings.accepted_tables`` says why that is exact); the modules the
+    engine derives from others are modules by construction
+    (``FiniteModule``).
     """
     return certified_scan(_module_certificate,
                           _scan_module_axioms_exhaustive, ring, n, add, act)
@@ -230,7 +242,12 @@ class Submodule:
         """
         if self._mod is None:
             _require_submodule(self)
-            self._mod = _sub_as_module(self.module, self.carrier)
+            parent, carrier = self.module, self.carrier
+            pos = {e: i for i, e in enumerate(carrier)}
+            self._mod = FiniteModule(
+                parent.ring, *_induced_tables(parent, carrier, pos),
+                self.labels(), f"sub(of {parent.provenance})",
+                ("sub", parent, carrier))
         return self._mod
 
     def labels(self):
@@ -907,21 +924,20 @@ def regular_module(ring):
     """The ring as a left module over itself (one shared instance per ring)."""
     if "regular" not in ring._cache:
         ring._cache["regular"] = FiniteModule(
-            ring, ring.add, ring.mul, labels=ring.labels,
-            provenance=f"regular({ring.provenance})", origin=("regular", ring),
-            cap=None)
+            ring, ring.add, ring.mul, ring.zero, ring.neg, ring.labels,
+            f"regular({ring.provenance})", ("regular", ring))
     return ring._cache["regular"]
 
 
-def _sub_as_module(parent, carrier):
-    pos = {e: i for i, e in enumerate(carrier)}
-    add = [[pos[parent.add[a][b]] for b in carrier] for a in carrier]
-    act = [[pos[parent.act[r][a]] for a in carrier]
-           for r in range(parent.ring.order)]
-    labels = tuple(parent.labels[e] for e in carrier)
-    return FiniteModule(parent.ring, add, act, labels=labels,
-                        provenance=f"sub(of {parent.provenance})",
-                        origin=("sub", parent, tuple(carrier)), cap=None)
+def _induced_tables(parent, elements, index):
+    """The tables, zero and negation ``parent`` induces on ``elements``
+    (a carrier, or one representative per coset), element x of
+    ``parent`` going to ``index[x]``."""
+    def image(row):
+        return tuple([index[row[x]] for x in elements])
+    return (tuple([image(parent.add[x]) for x in elements]),
+            tuple(map(image, parent.act)), index[parent.zero],
+            image(parent.neg))
 
 
 def quotient_module(parent, kernel):
@@ -939,16 +955,10 @@ def quotient_module(parent, kernel):
         reps.append(x)
         for e in kernel.carrier:
             proj[parent.add[x][e]] = idx
-    m = len(reps)
-    add = [[proj[parent.add[reps[a]][reps[b]]] for b in range(m)]
-           for a in range(m)]
-    act = [[proj[parent.act[r][reps[a]]] for a in range(m)]
-           for r in range(parent.ring.order)]
     labels = tuple("[" + parent.labels[r] + "]" for r in reps)
-    return FiniteModule(parent.ring, add, act, labels=labels,
-                        provenance=f"quotient(of {parent.provenance})",
-                        origin=("quotient", parent, kernel, tuple(proj)),
-                        cap=None)
+    return FiniteModule(parent.ring, *_induced_tables(parent, reps, proj),
+                        labels, f"quotient(of {parent.provenance})",
+                        ("quotient", parent, kernel, tuple(proj)))
 
 
 def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
@@ -956,9 +966,9 @@ def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
     ``itertools.product`` order.
 
     A tuple's index is a mixed-radix number whose last digit varies
-    fastest, so the tables are built by index arithmetic, one summand at
-    a time from the last: prepending a summand S to a sum T of order t
-    sends (a, u) to a*t + u.
+    fastest, so the tables and the negation are built by index
+    arithmetic, one summand at a time from the last: prepending a summand
+    S to a sum T of order t sends (a, u) to a*t + u.
     """
     summands = list(summands)
     if not summands:
@@ -972,17 +982,22 @@ def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
         order *= s.order
     if cap is not None and order > cap:
         raise SizeCapExceeded(f"direct sum order {order} exceeds cap {cap}")
-    add, act = summands[-1].add, summands[-1].act
+    add, act, neg = summands[-1].add, summands[-1].act, summands[-1].neg
     strides = [1]
+
+    def pairs(s_row, t_row):
+        """The row of (a, u) over a in ``s_row``, u in ``t_row``; t is the
+        order of the sum built so far."""
+        # rows from lists: a tuple built from a generator can keep the
+        # slack of its growth, and these tables live as long as the module
+        return tuple([t * h + w for h in s_row for w in t_row])
+
     for s in reversed(summands[:-1]):
         t = len(add)
         strides.insert(0, t)
-        # rows from lists: a tuple built from a generator can keep the
-        # slack of its growth, and these tables live as long as the module
-        add = tuple([tuple([t * h + w for h in s_row for w in t_row])
-                     for s_row in s.add for t_row in add])
-        act = tuple([tuple([t * h + w for h in s_row for w in t_row])
-                     for s_row, t_row in zip(s.act, act)])
+        add = tuple([pairs(s_row, t_row) for s_row in s.add for t_row in add])
+        act = tuple(map(pairs, s.act, act))
+        neg = pairs(s.neg, neg)
     labels = tuple("(" + ",".join(x) + ")" for x in
                    itertools.product(*[s.labels for s in summands]))
     zero = sum(t * s.zero for t, s in zip(strides, summands))
@@ -990,9 +1005,8 @@ def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
         tuple(zero + t * (a - s.zero) for a in range(s.order))
         for t, s in zip(strides, summands))
     prov = "sum(" + "+".join(s.provenance for s in summands) + ")"
-    return FiniteModule(ring, add, act, labels=labels, provenance=prov,
-                        origin=("direct_sum", tuple(summands), embeddings),
-                        cap=cap)
+    return FiniteModule(ring, add, act, zero, neg, labels, prov,
+                        ("direct_sum", tuple(summands), embeddings))
 
 
 def cyclic_module(parent, x):
@@ -1001,14 +1015,30 @@ def cyclic_module(parent, x):
 
 
 def module_from_tables(ring, add, act, labels=None, cap=DEFAULT_MODULE_CAP):
-    return FiniteModule(ring, add, act, labels=labels, cap=cap)
+    """A module on tables from outside the engine, the only ones it scans.
+
+    The entries are read as ints (``rings._integer_table``), the order is
+    capped, and the tables pass ``_scan_module_axioms`` unless equal
+    tables over equal ring tables were accepted before in this process.
+    A rejected pair is not stored, so it raises on every build.
+    """
+    add = _integer_table("add", add)
+    act = _integer_table("act", act)
+    n = len(add)
+    if cap is not None and n > cap:
+        raise SizeCapExceeded(f"module order {n} exceeds cap {cap}")
+    labels = element_labels(labels, n)
+    return FiniteModule(ring, *accepted_tables(
+        (ring.add, ring.mul), (add, act),
+        lambda add, act: (add, act) + _scan_module_axioms(ring, n, add, act)),
+        labels, "raw", ("raw",))
 
 
 def zero_module(ring):
     if "zeromod" not in ring._cache:
         ring._cache["zeromod"] = FiniteModule(
-            ring, ((0,),), tuple((0,) for _ in range(ring.order)),
-            labels=("0",), provenance="zero", origin=("zero",), cap=None)
+            ring, ((0,),), ((0,),) * ring.order, 0, (0,), ("0",), "zero",
+            ("zero",))
     return ring._cache["zeromod"]
 
 

@@ -61,8 +61,7 @@ class FiniteRing:
         labels = element_labels(labels, n)
         self.order = n
         self.add, self.mul, self.zero, self.one, self.neg, gens = (
-            accepted_tables((), ("addition", "multiplication"), (add, mul),
-                            partial(_scan_ring_axioms, n)))
+            accepted_tables((), (add, mul), partial(_accept_ring_tables, n)))
         self.labels = labels
         self.provenance = provenance
         self.projection = projection
@@ -70,6 +69,13 @@ class FiniteRing:
 
     def __repr__(self):
         return f"FiniteRing({self.provenance}, order={self.order})"
+
+
+def _accept_ring_tables(n, *tables):
+    """The memo entry of ring tables not seen before: the tables as ints,
+    then what ``_scan_ring_axioms`` returns."""
+    tables = tuple(map(_integer_table, ("addition", "multiplication"), tables))
+    return tables + _scan_ring_axioms(n, *tables)
 
 
 def _scan_ring_axioms(n, add, mul):
@@ -161,14 +167,15 @@ _accepted = {}
 _accepted_cells = 0
 
 
-def accepted_tables(prefix, names, tables, scan):
-    """``tables + scan(*tables)``, scanned once per process.
+def accepted_tables(prefix, tables, accept):
+    """The memo's entry for ``prefix + tables``, made by
+    ``accept(*tables)`` the first time in this process.
 
-    ``tables`` are tuples of rows, named ``names`` in errors; the result
-    holds them as tuples of row tuples of ints (``_integer_table``).  The
-    memo maps ``prefix + tables`` to that result.  ``FiniteRing`` passes
-    no prefix and its (``add``, ``mul``), and stores ``(add, mul, zero,
-    one, neg, gens)``; ``FiniteModule`` passes the prefix (``ring.add``,
+    An entry starts with the tables themselves as tuples of row tuples of
+    ints (``_integer_table``), and the memo keys it by ``prefix`` and
+    those.  ``FiniteRing`` passes no prefix and its (``add``, ``mul``),
+    and on a miss stores ``(add, mul, zero, one, neg, gens)`` after
+    ``_scan_ring_axioms``.  A module passes the prefix (``ring.add``,
     ``ring.mul``) and its (``add``, ``act``), and stores ``(add, act,
     zero, neg)``.  A hit returns the stored entry without a scan or a
     copy, so equal rings and modules share their table tuples.  That is
@@ -177,9 +184,17 @@ def accepted_tables(prefix, names, tables, scan):
     ``add``, ``mul``, ``one`` and ``_cache["addgens"]``, all of which
     follow from the ring's tables; a repeat would return the same.
 
-    A table ``scan`` rejects is not stored, so it raises on every build.
-    The memo holds tuples of ints only, never a ring or a module.  It is
-    bounded by ``MAX_ACCEPTED_CELLS`` cells of the stored tables (a
+    Only raw module tables are scanned (``modules.module_from_tables``).
+    A module the engine derives from others is a module by construction,
+    and stores the zero and negation that construction gives, unscanned.
+    That is exact too: a group has one identity and one inverse of each
+    element, so equal tables have equal ``(zero, neg)``, whichever
+    construction stored them.  Interning derived tables lets equal
+    submodules, atoms and quotients share one copy.
+
+    A table ``accept`` rejects is not stored, so it raises on every
+    build.  The memo holds tuples of ints only, never a ring or a module.
+    It is bounded by ``MAX_ACCEPTED_CELLS`` cells of the stored tables (a
     module's ring tables are the ring's own entry): the oldest entries go
     first, a hit does not reorder, and an entry larger than the whole
     bound is not stored.
@@ -191,11 +206,10 @@ def accepted_tables(prefix, names, tables, scan):
         found = None
     if found is not None:
         return found
-    tables = tuple(map(_integer_table, names, tables))
-    found = tables + scan(*tables)
+    found = accept(*tables)
     cells = _cells(found)
     if cells <= MAX_ACCEPTED_CELLS:
-        _accepted[prefix + tables] = found
+        _accepted[prefix + found[:2]] = found
         _accepted_cells += cells
         while _accepted_cells > MAX_ACCEPTED_CELLS:
             _accepted_cells -= _cells(_accepted.pop(next(iter(_accepted))))
@@ -207,7 +221,7 @@ def _cells(entry):
 
 
 def _integer_table(name, table):
-    """``table`` as a tuple of row tuples of ints.
+    """``table``, a sequence of rows, as a tuple of row tuples of ints.
 
     An entry that is not equal to its int value (``2.5``, ``"3"``,
     ``None``, ``[1]``) raises ``AxiomViolation("table shape", name)``,
@@ -215,6 +229,7 @@ def _integer_table(name, table):
     is refused, whatever was built before.
     """
     try:
+        table = tuple(map(tuple, table))
         ints = tuple(tuple(map(int, row)) for row in table)
     except (TypeError, ValueError, OverflowError):
         ints = None

@@ -73,11 +73,22 @@ def count_certificates():
     return _count_certificates
 
 
+def _empty_memo_under(mp):
+    """An empty memo of accepted tables under the monkeypatch ``mp``; the
+    process memo is back when ``mp`` is undone."""
+    mp.setattr(rings, "_accepted", {})
+    mp.setattr(rings, "_accepted_cells", 0)
+    return rings._accepted
+
+
+@pytest.fixture(scope="session")
+def empty_memo_under():
+    return _empty_memo_under
+
+
 @pytest.fixture
 def empty_memo(monkeypatch):
     """An empty memo of accepted tables for one test, so that certificate
     counts do not depend on what earlier tests built; the process memo is
     back afterwards."""
-    monkeypatch.setattr(rings, "_accepted", {})
-    monkeypatch.setattr(rings, "_accepted_cells", 0)
-    return rings._accepted
+    return _empty_memo_under(monkeypatch)

@@ -261,6 +261,20 @@ def test_cli_corpus_chain_cap_exit_two(monkeypatch, capsys):
     assert "over a target of order " in err
 
 
+@pytest.mark.parametrize("job, axiom", [
+    ("[ring]\ncyclic(2)\n\n[modules]\n"
+     "X = raw(add = 0 1 / 1 0 ; act = 0 0 / 1 1)\n\n[checks]\nbjkn_prime X\n",
+     "unit action"),
+    ("[ring]\nraw\nadd = 0 1 / 1 0\nmul = 0 0 / 0 0\n\n"
+     "[modules]\nM = regular\n", "multiplicative identity"),
+])
+def test_cli_raw_tables_breaking_an_axiom_exit_engine(job, axiom, tmp_path,
+                                                      capsys):
+    # raw tables are the only module and ring tables the engine scans
+    assert main(["check", _write(tmp_path, job)]) == 3
+    assert axiom in capsys.readouterr().err
+
+
 def test_cli_missing_file_exit_engine(tmp_path, capsys):
     assert main(["define", str(tmp_path / "absent.job")]) == 3
 

@@ -9,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from modlab import rings
 from modlab.classify import generate_universe
+from modlab.cli import corpus_rings
 from modlab.errors import AxiomViolation, SizeCapExceeded
+from modlab.firstness import firstness_report
 from modlab.jobs import parse_job, run_job
 from modlab.rings import (cyclic_ring, matrix_ring, product_ring,
                           ring_from_tables)
 from modlab.modules import (ModuleMorphism, _scan_module_axioms,
                             _scan_module_axioms_exhaustive, cogenerates,
-                            cyclic_module, direct_sum_module,
+                            cyclic_module, cyclic_submodules,
+                            direct_sum_module,
                             enumerate_submodules, hom_nonzero_exists, hom_set,
                             is_atom, is_essential, is_injective,
                             is_isomorphic, is_superfluous, module_from_tables,
@@ -24,6 +27,8 @@ from modlab.modules import (ModuleMorphism, _scan_module_axioms,
 from modlab.preradicals import Alpha, Beta, Omega
 
 from oracles import all_function_homs, powerset_submodule_masks
+from test_hom_generators import SMALL_RINGS, small_module
+from test_rings import f2_xy_square_zero, upper_triangular_f2
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)
@@ -594,11 +599,13 @@ def test_memo_is_bounded_by_table_cells(empty_memo, count_certificates,
     assert (m.zero, m.neg) == first[add, act]
     assert list(empty_memo)[-1] == (ring.add, ring.mul, m.add, m.act)
     # an entry larger than the whole bound is not stored, and evicts
-    # nothing
+    # nothing; the direct sum is a module by construction and is not
+    # certified, its raw rebuild is
     before = list(empty_memo)
     big = direct_sum_module([reg, reg])
+    assert len(calls) == 5
     module_from_tables(ring, big.add, big.act)
-    assert len(calls) == 7
+    assert len(calls) == 6
     assert list(empty_memo) == before
 
 
@@ -618,6 +625,67 @@ def test_a_dropped_job_leaves_nothing_alive(empty_memo):
     gc.collect()
     assert ring() is None
     assert module() is None
+
+
+# --- derived modules: the construction is the certificate --------------------
+
+def assert_scan_agrees(module):
+    """The exhaustive scan finds the zero and negation ``module`` carries."""
+    scanned = _scan_module_axioms_exhaustive(module.ring, module.order,
+                                             module.add, module.act)
+    assert scanned == (module.zero, module.neg), module
+
+
+def test_derived_modules_pass_the_exhaustive_scan(empty_memo):
+    # each construction stores the zero and negation it proves, unscanned;
+    # on an empty memo no scanned raw table stands in for them.  The
+    # modules: the depth-3 universe modules of the corpus rings, T2(F2)
+    # and F2[x,y]/(x,y)^2, their distinct nonzero cyclic submodules (the
+    # atoms among them) as modules, and their quotients of order at most
+    # 16 by those.  The scan reads only the ring's tables and the
+    # module's, so it runs once per distinct tables, each module before
+    # anything is derived from it
+    seen = set()
+
+    def check(m):
+        key = (m.ring.add, m.ring.mul, m.add, m.act, m.zero, m.neg)
+        if key not in seen:
+            seen.add(key)
+            assert_scan_agrees(m)
+
+    for ring in corpus_rings() + [upper_triangular_f2(), f2_xy_square_zero()]:
+        for m in generate_universe(ring, depth=3).modules:
+            check(m)
+            for s in cyclic_submodules(m):
+                check(s.as_module())
+                if m.order // s.order <= 16:
+                    check(quotient_module(m, s))
+    assert len(seen) > 300
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_drawn_modules_pass_the_exhaustive_scan(empty_memo_under, data):
+    # sums of cyclic quotients, and their quotients by any submodule
+    with pytest.MonkeyPatch.context() as mp:
+        empty_memo_under(mp)
+        m = data.draw(small_module(data.draw(st.sampled_from(SMALL_RINGS))))
+        assert_scan_agrees(m)
+        for s in cyclic_submodules(m):
+            assert_scan_agrees(s.as_module())
+
+
+def test_only_raw_tables_are_certified(empty_memo, count_certificates,
+                                       monkeypatch):
+    calls = count_certificates(monkeypatch)["module"]
+    for ring in corpus_rings():
+        for m in generate_universe(ring, depth=3).nonzero_modules():
+            firstness_report(m)
+    assert calls == []
+    # Z4 renumbered so that its zero is 1: tables no construction stored
+    reg = regular_module(cyclic_ring(4))
+    m = module_from_tables(reg.ring, *relabelled(reg, (1, 0, 2, 3)))
+    assert (len(calls), m.zero) == (1, 1)
 
 
 def test_module_distributivity_alone_is_rejected():

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name resolves, once; no
-module of the package imports a name it does not use; and no
-process-wide store but the memo of accepted tables grows with jobs."""
+module of the package imports a name it does not use; module tables from
+outside are scanned in one place; and no process-wide store but the memo
+of accepted tables grows with jobs."""
 
 import ast
 import pathlib
@@ -49,6 +50,49 @@ def test_no_unused_module_level_imports():
              for path in sorted((ROOT / "src" / "modlab").glob("*.py"))}
     assert len(found) > 10
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def name_uses(source, name):
+    """(function, called) for each read of ``name`` in ``source``, as a
+    name or an attribute: the outermost function around it (``""`` at
+    module level), and whether it is the callee of a call."""
+    tree = ast.parse(source)
+    callees = {id(node.func) for node in ast.walk(tree)
+               if isinstance(node, ast.Call)}
+    found = set()
+
+    def walk(node, function):
+        if not function and isinstance(node, (ast.FunctionDef,
+                                              ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(getattr(node, "ctx", None), ast.Load)
+                and name in (getattr(node, "id", None),
+                             getattr(node, "attr", None))):
+            found.add((function, id(node) in callees))
+        for child in ast.iter_child_nodes(node):
+            walk(child, function)
+
+    walk(tree, "")
+    return found
+
+
+def test_module_tables_are_scanned_only_where_they_enter():
+    source = ("def f():\n    def g():\n        x.FiniteModule(1)\n"
+              "isinstance(m, FiniteModule)\n")
+    assert name_uses(source, "FiniteModule") == {("f", True), ("", False)}
+    # a raw table reaches the scan only through module_from_tables, and no
+    # other constructor can skip it by building FiniteModule directly
+    paths = [path for part in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / part).rglob("*.py"))]
+    builders = {path.relative_to(ROOT).as_posix() for path in paths
+                if any(called for _, called in name_uses(
+                    path.read_text(encoding="utf-8"), "FiniteModule"))}
+    assert builders == {"src/modlab/modules.py"}
+    scanners = {(path.name, function)
+                for path in (ROOT / "src" / "modlab").glob("*.py")
+                for function, _ in name_uses(path.read_text(encoding="utf-8"),
+                                             "_scan_module_axioms")}
+    assert scanners == {("modules.py", "module_from_tables")}
 
 
 def module_level_sizes():
