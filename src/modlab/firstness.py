@@ -68,14 +68,29 @@ def _cond_homogeneous_semisimple(module):
 
 
 def _cond_atoms_cogenerate(module):
-    """Every atom cogenerates M, with Hom read off ``hom_generators``.
+    """Every atom cogenerates M, with Hom read off ``hom_generators``, one
+    atom per annihilator.
 
     Every cyclic submodule, and so every nonzero submodule, cogenerates M
     exactly when every atom does: atoms are cyclic, and an atom A <= C
     that cogenerates M makes C cogenerate it (a map into A is a map into
-    C).  Only the verdict is read.
+    C).  Atoms with one annihilator P are isomorphic: an atom is a simple
+    module, so P is a primitive ideal, and R/P, a finite primitive ring,
+    is simple Artinian with a unique simple module up to isomorphism
+    (Anderson and Fuller, *Rings and Categories of Modules*, sections 13
+    and 14); both atoms are simple R/P-modules.  Cogeneration is
+    invariant under isomorphism: an isomorphism A -> A' composed with the
+    maps M -> A gives the maps M -> A', with the same kernels, so the two
+    rejects agree.  So an atom fails exactly when the first atom with its
+    annihilator fails, and the first failing atom in atom order is the
+    first failing one of those.  Only the verdict is read.
     """
+    seen = set()
     for a in atoms(module):
+        ann = annihilator_mask(module, a.mask)
+        if ann in seen:
+            continue
+        seen.add(ann)
         if not cogenerates(a, module):
             return False, {"kind": "non_cogenerating_atom",
                            "submodule": a.labels()}

@@ -35,7 +35,9 @@ Module tables from outside the engine enter through ``module_from_tables``,
 the one place that checks the module axioms (``_scan_module_axioms``).
 Regular and zero modules, submodules, quotients and direct sums are
 modules by construction and carry the zero and negation that construction
-gives, unscanned (``FiniteModule``).
+gives, unscanned (``FiniteModule``); the last three build their tables
+once per process for each construction on the same operand tables
+(``rings.derived_tables``).
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ from operator import getitem
 from .config import DEFAULT_MODULE_CAP, MAX_HOM_CANDIDATES, MAX_HOM_CHAIN
 from .errors import (AxiomViolation, InternalInconsistency, RingMismatch,
                      SizeCapExceeded)
-from .rings import (FiniteRing, _integer_table, accepted_tables,
-                    certified_scan, differ, element_labels, enumerate_ideals,
+from .rings import (DIRECT_SUM, QUOTIENT_MODULE, SUBMODULE, FiniteRing,
+                    _integer_table, accepted_tables, certified_scan,
+                    derived_tables, differ, element_labels, enumerate_ideals,
                     scan_abelian_group, scan_abelian_group_exhaustive,
                     table_in_range)
 
@@ -59,27 +62,31 @@ class FiniteModule:
     ``add[a][b]`` is the index of a+b; ``act[r][m]`` is the index of r.m
     for a ring element index r; both are tuples of row tuples of ints.
     ``zero`` is the index of 0 and ``neg[a]`` that of -a.  The constructor
-    checks nothing: tables from outside the engine enter through
-    ``module_from_tables``, the one place that scans them
-    (``_scan_module_axioms``).  Every other instance is built by the
-    engine from modules it already holds, and its construction proves the
-    axioms and gives its zero and negation: the regular module has the
-    ring's own tables; the zero module is trivial; a submodule is closed
-    under + and the action (``_require_submodule``), so every law holds
-    on it; a quotient by a submodule adds and acts on cosets through any
-    representatives; a direct sum adds and acts componentwise.  The test
-    suite still runs the exhaustive scan on such modules as an oracle.
+    checks and looks up nothing: it takes an entry of the memo of accepted
+    tables (``rings.accepted_tables``), which its caller has looked up.
+    Tables from outside the engine enter through ``module_from_tables``,
+    the one place that scans them (``_scan_module_axioms``).  Every other
+    instance is built by the engine from modules it already holds, and
+    its construction proves the axioms and gives its zero and negation:
+    the regular module has the ring's own tables; the zero module is
+    trivial; a submodule is closed under + and the action
+    (``_require_submodule``), so every law holds on it; a quotient by a
+    submodule adds and acts on cosets through any representatives; a
+    direct sum adds and acts componentwise.  The test suite still runs
+    the exhaustive scan on such modules as an oracle.
 
     Equal tables are stored once per process for each distinct
-    (``ring.add``, ``ring.mul``, ``add``, ``act``), scanned or not,
-    through the bounded memo of accepted tables
-    (``rings.accepted_tables``, whose docstring says why that is exact):
-    a module built on tables equal to stored ones takes those tables,
-    their zero and their negation from there, whichever ring object it
-    is built on.  ``origin`` records how the module was built (enough to
-    re-embed carriers of submodules, preimages of quotients, and
-    direct-sum components).  Instances hash by identity and can be weakly
-    referenced.
+    (``ring.add``, ``ring.mul``, ``add``, ``act``), scanned or not: a
+    module built on tables equal to stored ones takes those tables, their
+    zero and their negation, whichever ring object it is built on.  A
+    submodule, quotient or direct sum is also remembered by its
+    construction, keyed by the identity of its operand tables
+    (``rings.derived_tables``), so building it again from the same
+    tables builds nothing and hashes no table.  Labels, provenance and
+    ``origin`` are made per instance.  ``origin`` records how the module
+    was built (enough to re-embed carriers of submodules, preimages of
+    quotients, and direct-sum components).  Instances hash by identity
+    and can be weakly referenced.
     """
 
     __slots__ = ("ring", "order", "add", "act", "zero", "neg", "labels",
@@ -89,9 +96,7 @@ class FiniteModule:
                  origin):
         self.ring = ring
         self.order = len(add)
-        self.add, self.act, self.zero, self.neg = accepted_tables(
-            (ring.add, ring.mul), (add, act),
-            lambda add, act: (add, act, zero, neg))
+        self.add, self.act, self.zero, self.neg = add, act, zero, neg
         self.labels = labels
         self.provenance = provenance
         self.origin = origin
@@ -243,9 +248,13 @@ class Submodule:
         if self._mod is None:
             _require_submodule(self)
             parent, carrier = self.module, self.carrier
-            pos = {e: i for i, e in enumerate(carrier)}
             self._mod = FiniteModule(
-                parent.ring, *_induced_tables(parent, carrier, pos),
+                parent.ring,
+                *derived_tables(SUBMODULE, (parent.add, parent.act),
+                                (self.mask,),
+                                lambda: _induced_tables(
+                                    parent, carrier,
+                                    {e: i for i, e in enumerate(carrier)})),
                 self.labels(), f"sub(of {parent.provenance})",
                 ("sub", parent, carrier))
         return self._mod
@@ -924,20 +933,28 @@ def regular_module(ring):
     """The ring as a left module over itself (one shared instance per ring)."""
     if "regular" not in ring._cache:
         ring._cache["regular"] = FiniteModule(
-            ring, ring.add, ring.mul, ring.zero, ring.neg, ring.labels,
-            f"regular({ring.provenance})", ("regular", ring))
+            ring, *_interned(ring, ring.add, ring.mul, ring.zero, ring.neg),
+            ring.labels, f"regular({ring.provenance})", ("regular", ring))
     return ring._cache["regular"]
 
 
+def _interned(ring, add, act, zero, neg):
+    """The memo's entry for the tables of a module by construction, with
+    the zero and negation the construction gives (``FiniteModule``)."""
+    return accepted_tables((ring.add, ring.mul), (add, act),
+                           lambda add, act: (add, act, zero, neg))
+
+
 def _induced_tables(parent, elements, index):
-    """The tables, zero and negation ``parent`` induces on ``elements``
-    (a carrier, or one representative per coset), element x of
-    ``parent`` going to ``index[x]``."""
+    """The memo's entry for the tables, zero and negation ``parent``
+    induces on ``elements`` (a carrier, or one representative per coset),
+    element x of ``parent`` going to ``index[x]``."""
     def image(row):
         return tuple([index[row[x]] for x in elements])
-    return (tuple([image(parent.add[x]) for x in elements]),
-            tuple(map(image, parent.act)), index[parent.zero],
-            image(parent.neg))
+    return _interned(parent.ring,
+                     tuple([image(parent.add[x]) for x in elements]),
+                     tuple(map(image, parent.act)), index[parent.zero],
+                     image(parent.neg))
 
 
 def quotient_module(parent, kernel):
@@ -945,6 +962,18 @@ def quotient_module(parent, kernel):
     if kernel.module is not parent:
         raise RingMismatch("kernel is not a submodule of this module")
     _require_submodule(kernel)
+    add, act, zero, neg, proj, reps = derived_tables(
+        QUOTIENT_MODULE, (parent.add, parent.act), (kernel.mask,),
+        lambda: _quotient_tables(parent, kernel))
+    labels = tuple("[" + parent.labels[r] + "]" for r in reps)
+    return FiniteModule(parent.ring, add, act, zero, neg, labels,
+                        f"quotient(of {parent.provenance})",
+                        ("quotient", parent, kernel, proj))
+
+
+def _quotient_tables(parent, kernel):
+    """The memo's entry for M/N, then the projection and the coset
+    representatives."""
     n = parent.order
     proj = [None] * n
     reps = []
@@ -955,10 +984,7 @@ def quotient_module(parent, kernel):
         reps.append(x)
         for e in kernel.carrier:
             proj[parent.add[x][e]] = idx
-    labels = tuple("[" + parent.labels[r] + "]" for r in reps)
-    return FiniteModule(parent.ring, *_induced_tables(parent, reps, proj),
-                        labels, f"quotient(of {parent.provenance})",
-                        ("quotient", parent, kernel, tuple(proj)))
+    return _induced_tables(parent, reps, proj) + (tuple(proj), tuple(reps))
 
 
 def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
@@ -966,9 +992,11 @@ def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
     ``itertools.product`` order.
 
     A tuple's index is a mixed-radix number whose last digit varies
-    fastest, so the tables and the negation are built by index
-    arithmetic, one summand at a time from the last: prepending a summand
-    S to a sum T of order t sends (a, u) to a*t + u.
+    fastest: with t_i the product of the orders after summand i, the
+    tuple (a_0, ..., a_k) has index sum(t_i * a_i).  The tables are built
+    once per process for each sequence of summand tables
+    (``_sum_tables``); the labels, zero and embeddings are read off the
+    orders and zeros of the summands.
     """
     summands = list(summands)
     if not summands:
@@ -982,8 +1010,29 @@ def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
         order *= s.order
     if cap is not None and order > cap:
         raise SizeCapExceeded(f"direct sum order {order} exceeds cap {cap}")
-    add, act, neg = summands[-1].add, summands[-1].act, summands[-1].neg
+    add, act, zero, neg = derived_tables(
+        DIRECT_SUM, [t for s in summands for t in (s.add, s.act)], (),
+        lambda: _sum_tables(summands))
     strides = [1]
+    for s in reversed(summands[1:]):
+        strides.insert(0, strides[0] * s.order)
+    labels = tuple("(" + ",".join(x) + ")" for x in
+                   itertools.product(*[s.labels for s in summands]))
+    embeddings = tuple(
+        tuple(zero + t * (a - s.zero) for a in range(s.order))
+        for t, s in zip(strides, summands))
+    prov = "sum(" + "+".join(s.provenance for s in summands) + ")"
+    return FiniteModule(ring, add, act, zero, neg, labels, prov,
+                        ("direct_sum", tuple(summands), embeddings))
+
+
+def _sum_tables(summands):
+    """The memo's entry for the tables, zero and negation of the direct
+    sum, by index arithmetic one summand at a time from the last:
+    prepending a summand S to a sum T of order t sends (a, u) to
+    a*t + u."""
+    add, act, neg = summands[-1].add, summands[-1].act, summands[-1].neg
+    zero = summands[-1].zero
 
     def pairs(s_row, t_row):
         """The row of (a, u) over a in ``s_row``, u in ``t_row``; t is the
@@ -994,19 +1043,11 @@ def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
 
     for s in reversed(summands[:-1]):
         t = len(add)
-        strides.insert(0, t)
+        zero += t * s.zero
         add = tuple([pairs(s_row, t_row) for s_row in s.add for t_row in add])
         act = tuple(map(pairs, s.act, act))
         neg = pairs(s.neg, neg)
-    labels = tuple("(" + ",".join(x) + ")" for x in
-                   itertools.product(*[s.labels for s in summands]))
-    zero = sum(t * s.zero for t, s in zip(strides, summands))
-    embeddings = tuple(
-        tuple(zero + t * (a - s.zero) for a in range(s.order))
-        for t, s in zip(strides, summands))
-    prov = "sum(" + "+".join(s.provenance for s in summands) + ")"
-    return FiniteModule(ring, add, act, zero, neg, labels, prov,
-                        ("direct_sum", tuple(summands), embeddings))
+    return _interned(summands[0].ring, add, act, zero, neg)
 
 
 def cyclic_module(parent, x):
@@ -1037,8 +1078,8 @@ def module_from_tables(ring, add, act, labels=None, cap=DEFAULT_MODULE_CAP):
 def zero_module(ring):
     if "zeromod" not in ring._cache:
         ring._cache["zeromod"] = FiniteModule(
-            ring, ((0,),), ((0,),) * ring.order, 0, (0,), ("0",), "zero",
-            ("zero",))
+            ring, *_interned(ring, ((0,),), ((0,),) * ring.order, 0, (0,)),
+            ("0",), "zero", ("zero",))
     return ring._cache["zeromod"]
 
 

@@ -3,8 +3,10 @@
 A ring here is the index set ``0..order-1`` with full Cayley tables for
 addition and multiplication.  Constructors build cyclic rings, matrix
 rings, direct products, quotients, and rings from raw tables; every
-construction checks every ring axiom before the object is returned (see
+table pair passes every ring axiom before a ring is returned on it (see
 ``scan_abelian_group`` for how the checks stay complete in O(n^2 log n)).
+Cyclic, matrix and product rings build their tables once per process
+for each construction on the same operand tables (``derived_tables``).
 An ideal is a ``Submodule`` handle of the regular module: the left ideals
 are its lattice, read off ``modlab.modules`` (imported inside the functions
 that need it, since that module builds on this one), and the two-sided
@@ -43,9 +45,9 @@ class FiniteRing:
     ``_scan_ring_axioms`` once per process, through the bounded memo of
     accepted tables (``accepted_tables``): a ring built on tables equal to
     accepted ones takes those tables, its identities, negation and
-    additive generators from there.  Instances are immutable after construction and hash by
-    identity, so they can key caches directly, and can be weakly
-    referenced.
+    additive generators from there.  Instances are immutable after
+    construction and hash by identity, so they can key caches directly,
+    and can be weakly referenced.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "neg", "labels",
@@ -61,7 +63,7 @@ class FiniteRing:
         labels = element_labels(labels, n)
         self.order = n
         self.add, self.mul, self.zero, self.one, self.neg, gens = (
-            accepted_tables((), (add, mul), partial(_accept_ring_tables, n)))
+            _interned_ring(add, mul))
         self.labels = labels
         self.provenance = provenance
         self.projection = projection
@@ -76,6 +78,15 @@ def _accept_ring_tables(n, *tables):
     then what ``_scan_ring_axioms`` returns."""
     tables = tuple(map(_integer_table, ("addition", "multiplication"), tables))
     return tables + _scan_ring_axioms(n, *tables)
+
+
+def _interned_ring(add, mul):
+    """The memo's entry for ring tables, scanned if new.  The table
+    builders of the ring constructors return it, so a constructor stores
+    its derivation (``derived_tables``) only after the scan has accepted
+    the tables."""
+    return accepted_tables((), (add, mul),
+                           partial(_accept_ring_tables, len(add)))
 
 
 def _scan_ring_axioms(n, add, mul):
@@ -166,23 +177,29 @@ def certified_scan(certificate, exhaustive, *tables):
 _accepted = {}
 _accepted_cells = 0
 
+# The int tags that start derivation keys (``derived_tables``).  A table
+# entry's key starts with a table, so the two kinds never share a key.
+(SUBMODULE, QUOTIENT_MODULE, DIRECT_SUM, CYCLIC_RING, MATRIX_RING,
+ PRODUCT_RING) = range(6)
+
 
 def accepted_tables(prefix, tables, accept):
     """The memo's entry for ``prefix + tables``, made by
     ``accept(*tables)`` the first time in this process.
 
-    An entry starts with the tables themselves as tuples of row tuples of
-    ints (``_integer_table``), and the memo keys it by ``prefix`` and
-    those.  ``FiniteRing`` passes no prefix and its (``add``, ``mul``),
-    and on a miss stores ``(add, mul, zero, one, neg, gens)`` after
-    ``_scan_ring_axioms``.  A module passes the prefix (``ring.add``,
-    ``ring.mul``) and its (``add``, ``act``), and stores ``(add, act,
-    zero, neg)``.  A hit returns the stored entry without a scan or a
-    copy, so equal rings and modules share their table tuples.  That is
-    exact: the ring scan reads nothing but the ring's two tables, and the
-    module scan nothing but its two tables and the ring's ``order``,
-    ``add``, ``mul``, ``one`` and ``_cache["addgens"]``, all of which
-    follow from the ring's tables; a repeat would return the same.
+    The memo holds two kinds of entry.  A **table entry** starts with the
+    tables themselves as tuples of row tuples of ints (``_integer_table``),
+    and the memo keys it by ``prefix`` and those.  ``FiniteRing`` passes
+    no prefix and its (``add``, ``mul``), and on a miss stores ``(add,
+    mul, zero, one, neg, gens)`` after ``_scan_ring_axioms``.  A module
+    passes the prefix (``ring.add``, ``ring.mul``) and its (``add``,
+    ``act``), and stores ``(add, act, zero, neg)``.  A hit returns the
+    stored entry without a scan or a copy, so equal rings and modules
+    share their table tuples.  That is exact: the ring scan reads nothing
+    but the ring's two tables, and the module scan nothing but its two
+    tables and the ring's ``order``, ``add``, ``mul``, ``one`` and
+    ``_cache["addgens"]``, all of which follow from the ring's tables; a
+    repeat would return the same.
 
     Only raw module tables are scanned (``modules.module_from_tables``).
     A module the engine derives from others is a module by construction,
@@ -192,32 +209,74 @@ def accepted_tables(prefix, tables, accept):
     construction stored them.  Interning derived tables lets equal
     submodules, atoms and quotients share one copy.
 
+    A **derivation entry** (``derived_tables``) maps a construction on
+    given operand tables to the table entry it produced, so that a
+    repeat builds nothing.  Its key is an int tag naming the
+    construction, the ``id`` of each operand table and the construction's
+    int parameters; its value holds the operand tables themselves, then
+    the table entry.  The identity key is exact because the entry keeps
+    its operands alive: while the key is in the memo no other object can
+    take those ids, so a key that matches names the very same tables, and
+    the construction reads nothing else.  A lookup hashes a few ints,
+    never a table.
+
     A table ``accept`` rejects is not stored, so it raises on every
     build.  The memo holds tuples of ints only, never a ring or a module.
-    It is bounded by ``MAX_ACCEPTED_CELLS`` cells of the stored tables (a
-    module's ring tables are the ring's own entry): the oldest entries go
-    first, a hit does not reorder, and an entry larger than the whole
-    bound is not stored.
+    It is bounded by ``MAX_ACCEPTED_CELLS`` cells of the tables its
+    entries hold (``_cells``; a module's ring tables are the ring's own
+    entry): the oldest entries go first, a hit does not reorder, and an
+    entry larger than the whole bound is not stored.
     """
-    global _accepted_cells
     try:
         found = _accepted.get(prefix + tables)
     except TypeError:  # an unhashable entry, refused by _integer_table
         found = None
-    if found is not None:
-        return found
-    found = accept(*tables)
-    cells = _cells(found)
-    if cells <= MAX_ACCEPTED_CELLS:
-        _accepted[prefix + found[:2]] = found
-        _accepted_cells += cells
-        while _accepted_cells > MAX_ACCEPTED_CELLS:
-            _accepted_cells -= _cells(_accepted.pop(next(iter(_accepted))))
+    if found is None:
+        found = accept(*tables)
+        _store(prefix + found[:2], found)
     return found
 
 
-def _cells(entry):
-    return sum(map(len, entry[0])) + sum(map(len, entry[1]))
+def derived_tables(tag, operands, params, build):
+    """The table entry construction ``tag`` makes from the tables
+    ``operands`` and the ints ``params``, from ``build()`` the first
+    time in this process (see ``accepted_tables``).
+
+    ``build`` returns a table entry that ``accepted_tables`` has
+    interned, with the construction's own tuples of ints appended where
+    it has any (a quotient's projection, say).  A ``build`` that raises
+    stores nothing, so a ring constructor that interns through the ring
+    scan stores its derivation only once the scan has accepted the
+    tables.
+    """
+    key = (tag, *map(id, operands), *params)
+    found = _accepted.get(key)
+    if found is None:
+        found = (tuple(operands), build())
+        _store(key, found)
+    return found[1]
+
+
+def _store(key, entry):
+    """Store ``entry`` under ``key``, evicting the oldest entries beyond
+    the bound."""
+    global _accepted_cells
+    cells = _cells(key, entry)
+    if cells <= MAX_ACCEPTED_CELLS:
+        _accepted[key] = entry
+        _accepted_cells += cells
+        while _accepted_cells > MAX_ACCEPTED_CELLS:
+            oldest = next(iter(_accepted))
+            _accepted_cells -= _cells(oldest, _accepted.pop(oldest))
+
+
+def _cells(key, entry):
+    """The table cells an entry holds: a table entry's two tables, or a
+    derivation's operand tables and its table entry's two tables."""
+    operands = ()
+    if type(key[0]) is int:
+        operands, entry = entry
+    return sum(sum(map(len, table)) for table in operands + entry[:2])
 
 
 def _integer_table(name, table):
@@ -387,9 +446,19 @@ def cyclic_ring(n, cap=DEFAULT_RING_CAP):
     """The ring of integers mod n (n >= 2; n = 1 fails the one != zero scan)."""
     if n < 1:
         raise AxiomViolation("nonempty carrier", None, f"cyclic({n}) is empty")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+    if cap is not None and n > cap:
+        raise SizeCapExceeded(f"ring order {n} exceeds cap {cap}")
+    add, mul = derived_tables(CYCLIC_RING, (), (n,),
+                              lambda: _cyclic_tables(n))[:2]
     return FiniteRing(add, mul, provenance=f"cyclic({n})", cap=cap)
+
+
+def _cyclic_tables(n):
+    rng = range(n)
+    return _interned_ring(tuple([tuple([(a + b) % n for b in rng])
+                                 for a in rng]),
+                          tuple([tuple([a * b % n for b in rng])
+                                 for a in rng]))
 
 
 def matrix_ring(base, k, cap=DEFAULT_RING_CAP):
@@ -401,6 +470,18 @@ def matrix_ring(base, k, cap=DEFAULT_RING_CAP):
         raise SizeCapExceeded(
             f"matrix ring order {base.order}^{k * k} = {order} exceeds cap {cap}")
     elements = list(itertools.product(range(base.order), repeat=k * k))
+    add, mul = derived_tables(
+        MATRIX_RING, (base.add, base.mul), (k,),
+        lambda: _matrix_tables(base, k, elements))[:2]
+    labels = tuple(
+        "[" + ";".join(",".join(base.labels[x[i * k + j]] for j in range(k))
+                       for i in range(k)) + "]"
+        for x in elements)
+    return FiniteRing(add, mul, labels=labels,
+                      provenance=f"matrix({base.provenance},{k})", cap=cap)
+
+
+def _matrix_tables(base, k, elements):
     index = {el: i for i, el in enumerate(elements)}
     badd, bmul = base.add, base.mul
     bzero = base.zero
@@ -418,14 +499,11 @@ def matrix_ring(base, k, cap=DEFAULT_RING_CAP):
                 out.append(s)
         return tuple(out)
 
-    add = [[index[mat_add(x, y)] for y in elements] for x in elements]
-    mul = [[index[mat_mul(x, y)] for y in elements] for x in elements]
-    labels = tuple(
-        "[" + ";".join(",".join(base.labels[x[i * k + j]] for j in range(k))
-                       for i in range(k)) + "]"
-        for x in elements)
-    return FiniteRing(add, mul, labels=labels,
-                      provenance=f"matrix({base.provenance},{k})", cap=cap)
+    def table(op):
+        return tuple([tuple([index[op(x, y)] for y in elements])
+                      for x in elements])
+
+    return _interned_ring(table(mat_add), table(mat_mul))
 
 
 def product_ring(factors, cap=DEFAULT_RING_CAP):
@@ -440,15 +518,25 @@ def product_ring(factors, cap=DEFAULT_RING_CAP):
     if cap is not None and order > cap:
         raise SizeCapExceeded(f"product ring order {order} exceeds cap {cap}")
     elements = list(itertools.product(*[range(f.order) for f in factors]))
-    index = {el: i for i, el in enumerate(elements)}
-    add = [[index[tuple(f.add[a][b] for f, a, b in zip(factors, x, y))]
-            for y in elements] for x in elements]
-    mul = [[index[tuple(f.mul[a][b] for f, a, b in zip(factors, x, y))]
-            for y in elements] for x in elements]
+    add, mul = derived_tables(
+        PRODUCT_RING, [t for f in factors for t in (f.add, f.mul)], (),
+        lambda: _product_tables(factors, elements))[:2]
     labels = tuple("(" + ",".join(f.labels[c] for f, c in zip(factors, x)) + ")"
                    for x in elements)
     prov = "product(" + ",".join(f.provenance for f in factors) + ")"
     return FiniteRing(add, mul, labels=labels, provenance=prov, cap=cap)
+
+
+def _product_tables(factors, elements):
+    index = {el: i for i, el in enumerate(elements)}
+
+    def table(ops):
+        return tuple([tuple([index[tuple(op[a][b] for op, a, b
+                                         in zip(ops, x, y))]
+                             for y in elements]) for x in elements])
+
+    return _interned_ring(table([f.add for f in factors]),
+                          table([f.mul for f in factors]))
 
 
 def quotient_ring(ring, ideal, cap=DEFAULT_RING_CAP):

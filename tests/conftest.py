@@ -73,6 +73,35 @@ def count_certificates():
     return _count_certificates
 
 
+# the functions that compute derived tables, which a remembered
+# construction does not call
+TABLE_BUILDERS = ((modules, "_induced_tables"), (modules, "_sum_tables"),
+                  (rings, "_cyclic_tables"), (rings, "_matrix_tables"),
+                  (rings, "_product_tables"))
+
+
+def _count_builds(mp):
+    """The names of the table builders called from now on, under the
+    monkeypatch ``mp``, one entry per call."""
+    calls = []
+
+    def counted(real):
+        @functools.wraps(real)
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return wrapper
+
+    for module, name in TABLE_BUILDERS:
+        mp.setattr(module, name, counted(getattr(module, name)))
+    return calls
+
+
+@pytest.fixture(scope="session")
+def count_builds():
+    return _count_builds
+
+
 def _empty_memo_under(mp):
     """An empty memo of accepted tables under the monkeypatch ``mp``; the
     process memo is back when ``mp`` is undone."""

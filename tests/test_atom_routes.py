@@ -12,7 +12,7 @@ deep-d3 reference decision."""
 import json
 import sys
 
-from modlab import modules
+from modlab import firstness, modules
 from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
 from modlab.firstness import (_cond_atoms_cogenerate,
@@ -114,6 +114,23 @@ def test_bjkn_atom_routes_match_the_all_cyclic_scans():
             non_atom_witnesses += all(a.mask != cyclic_mask(m, y)
                                       for a in atoms(m))
     assert (len(mods), negatives, non_atom_witnesses) == (115, 77, 3)
+
+
+def test_one_atom_per_annihilator_is_asked_to_cogenerate(monkeypatch):
+    # the 127 atoms of F2^7 are the lines, all with annihilator 0: one
+    # cogeneration test decides them all
+    f2 = regular_module(cyclic_ring(2))
+    m = direct_sum_module([f2] * 7, cap=128)
+    asked = []
+
+    def counted(cog, module):
+        asked.append(cog)
+        return modules.cogenerates(cog, module)
+
+    monkeypatch.setattr(firstness, "cogenerates", counted)
+    assert len(atoms(m)) == 127
+    assert _cond_atoms_cogenerate(m) == (True, None)
+    assert asked == [atoms(m)[0]]
 
 
 def test_a_nonzero_map_onto_an_atom_is_an_annihilator_jump():

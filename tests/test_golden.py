@@ -6,7 +6,8 @@ commit 04e7d27, ``corpus-d3.json`` at commit 829d310 and the others at
 commit e961f8e.  A change that means to alter a report re-records them
 and says why; any other difference is a regression.  Each command is run
 twice in one process, from an empty memo of accepted tables, and both
-runs must match.
+runs must match: the second reads the tables and the constructions the
+first left in the memo.
 """
 
 import pathlib
@@ -33,19 +34,34 @@ DEMO = str(ROOT / "demo.job")
      ["corpus", "--format", "structured", "--universe-depth", "4",
       "--cap-module", "128"]),
 ])
-def test_structured_report_is_unchanged(name, argv, capsys, empty_memo):
-    # cold, then warm: the second run takes every table from the memo of
-    # accepted tables and must print the same report
+def test_structured_report_is_unchanged(name, argv, capsys, empty_memo,
+                                        count_builds, monkeypatch):
+    # cold, then warm: the second run takes the tables and constructions
+    # still in the memo of accepted tables and must print the same report.
+    # Where the first run stays under the memo's bound, the second builds
+    # no table; the depth-3 and depth-4 runs reach it, and their oldest
+    # entries go first
     golden = (GOLDEN / name).read_text(encoding="utf-8")
+    builds = count_builds(monkeypatch)
+    counts = []
     for _ in range(2):
         assert main(argv) == 0
         assert capsys.readouterr().out == golden
+        counts.append(len(builds))
+        builds.clear()
+    assert counts[0] > 0
+    assert counts[1] == 0 or "--universe-depth" in argv
+    assert counts[1] <= counts[0]
 
 
 def test_a_repeated_check_certifies_nothing(empty_memo, count_certificates,
-                                            monkeypatch):
+                                            count_builds, monkeypatch):
+    # nor does it build a table: every derived ring and module of the
+    # second run is a remembered construction
     argv = ["check", DEMO, "--format", "structured"]
     assert main(argv) == 0
     calls = count_certificates(monkeypatch)
+    builds = count_builds(monkeypatch)
     assert main(argv) == 0
     assert calls == {"ring": [], "module": []}
+    assert builds == []

@@ -12,10 +12,10 @@ from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.firstness import firstness_report
-from modlab.jobs import parse_job, run_job
+from modlab.jobs import parse_job, render_structured, run_job
 from modlab.rings import (cyclic_ring, matrix_ring, product_ring,
                           ring_from_tables)
-from modlab.modules import (ModuleMorphism, _scan_module_axioms,
+from modlab.modules import (ModuleMorphism, Submodule, _scan_module_axioms,
                             _scan_module_axioms_exhaustive, cogenerates,
                             cyclic_module, cyclic_submodules,
                             direct_sum_module,
@@ -26,6 +26,7 @@ from modlab.modules import (ModuleMorphism, _scan_module_axioms,
                             structural_summary, submodule, endomorphism_ring)
 from modlab.preradicals import Alpha, Beta, Omega
 
+from conftest import TABLE_BUILDERS
 from oracles import all_function_homs, powerset_submodule_masks
 from test_hom_generators import SMALL_RINGS, small_module
 from test_rings import f2_xy_square_zero, upper_triangular_f2
@@ -487,6 +488,19 @@ def ints_only(x):
     return type(x) is int or (type(x) is tuple and all(map(ints_only, x)))
 
 
+def memo_cells(memo):
+    """The table cells the memo's entries hold, counted afresh: a table
+    entry's two tables; a derivation's operand tables and its table
+    entry's two tables."""
+    cells = 0
+    for key, value in memo.items():
+        if type(key[0]) is int:
+            operands, value = value
+            cells += sum(len(t) * len(t[0]) for t in operands)
+        cells += sum(len(t) * len(t[0]) for t in value[:2])
+    return cells
+
+
 def test_equal_tables_are_certified_once_per_process(empty_memo,
                                                      count_certificates,
                                                      monkeypatch):
@@ -513,8 +527,17 @@ def test_equal_tables_are_certified_once_per_process(empty_memo,
         assert (m.add, m.act, m.zero, m.neg) == (floats.add, floats.act,
                                                  floats.zero, floats.neg)
         assert m.add is floats.add and m.act is floats.act
-    assert list(empty_memo) == [(ring.add, ring.mul),
-                                (ring.add, ring.mul, reg.add, reg.act)]
+    # the constructions cyclic(4) and the one-summand sum are remembered
+    # by operands, each holding its operand tables and the table entry
+    ring_key = (ring.add, ring.mul)
+    module_key = (ring.add, ring.mul, reg.add, reg.act)
+    sum_key = (rings.DIRECT_SUM, id(reg.add), id(reg.act))
+    assert list(empty_memo) == [ring_key, module_key,
+                                (rings.CYCLIC_RING, 4), sum_key]
+    assert empty_memo[rings.CYCLIC_RING, 4] == ((), empty_memo[ring_key])
+    assert empty_memo[rings.CYCLIC_RING, 4][1] is empty_memo[ring_key]
+    assert empty_memo[sum_key][0] == (reg.add, reg.act)
+    assert empty_memo[sum_key][1] is empty_memo[module_key]
     # an entry that is not an integer is refused on every build, ring or
     # module, with nothing certified or stored
     for bad in (2.5, "3", None, [1]):
@@ -530,7 +553,7 @@ def test_equal_tables_are_certified_once_per_process(empty_memo,
             assert (exc.value.axiom, exc.value.witness) == ("table shape",
                                                             "act")
     assert (len(calls["ring"]), len(calls["module"])) == (1, 1)
-    assert len(empty_memo) == 2
+    assert len(empty_memo) == 4
 
 
 def test_rejected_table_raises_on_every_build(empty_memo, count_certificates,
@@ -549,7 +572,7 @@ def test_rejected_table_raises_on_every_build(empty_memo, count_certificates,
     assert len(calls) == 3
     assert raised == [raised[0]] * 3
     assert raised[0][0] == "scalar distributivity"
-    assert list(empty_memo) == [(ring.add, ring.mul),
+    assert list(empty_memo) == [(ring.add, ring.mul), (rings.CYCLIC_RING, 4),
                                 (ring.add, ring.mul, reg.add, reg.act)]
 
 
@@ -573,11 +596,14 @@ def test_memo_is_bounded_by_table_cells(empty_memo, count_certificates,
     tables = list(dict.fromkeys(
         tuple(tuple(map(tuple, t)) for t in relabelled(reg, perm))
         for perm in itertools.permutations(range(4))))
-    # Z4 and each relabelling of its regular module are 32 cells: three
-    # fit the bound, not four
+    # Z4, the construction cyclic(4), which holds Z4's tables, and each
+    # relabelling of its regular module are 32 cells: three fit the
+    # bound, not four
     monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 100)
     calls = count_certificates(monkeypatch)["module"]
-    keys = [(ring.add, ring.mul), (ring.add, ring.mul, reg.add, reg.act)]
+    keys = [(ring.add, ring.mul), (rings.CYCLIC_RING, 4),
+            (ring.add, ring.mul, reg.add, reg.act)]
+    assert list(empty_memo) == keys
     first = {}
     for add, act in tables[1:5]:
         # a hit on the oldest module neither certifies nor reorders
@@ -585,12 +611,9 @@ def test_memo_is_bounded_by_table_cells(empty_memo, count_certificates,
         module_from_tables(ring, *oldest[2:])
         m = module_from_tables(ring, add, act)
         first[add, act] = m.zero, m.neg
-        keys = keys[1:] if len(keys) == 3 else keys
-        keys.append((ring.add, ring.mul, m.add, m.act))
+        keys = keys[1:] + [(ring.add, ring.mul, m.add, m.act)]
         assert list(empty_memo) == keys
-        cells = sum(len(t) * len(t[0]) for e in empty_memo.values()
-                    for t in e[:2])
-        assert cells == rings._accepted_cells <= 100
+        assert memo_cells(empty_memo) == rings._accepted_cells <= 100
     assert len(calls) == 4
     # an evicted pair is certified again, with the same zero and negation
     add, act = tables[1]
@@ -636,31 +659,116 @@ def assert_scan_agrees(module):
     assert scanned == (module.zero, module.neg), module
 
 
+def derived_sweep():
+    """On fresh rings: the depth-3 universe modules of the corpus rings,
+    T2(F2) and F2[x,y]/(x,y)^2, their distinct nonzero cyclic submodules
+    (the atoms among them) as modules, and their quotients of order at
+    most 16 by those, each module before anything derived from it."""
+    for ring in corpus_rings() + [upper_triangular_f2(), f2_xy_square_zero()]:
+        for m in generate_universe(ring, depth=3).modules:
+            yield m
+            for s in cyclic_submodules(m):
+                yield s.as_module()
+                if m.order // s.order <= 16:
+                    yield quotient_module(m, s)
+
+
 def test_derived_modules_pass_the_exhaustive_scan(empty_memo):
     # each construction stores the zero and negation it proves, unscanned;
-    # on an empty memo no scanned raw table stands in for them.  The
-    # modules: the depth-3 universe modules of the corpus rings, T2(F2)
-    # and F2[x,y]/(x,y)^2, their distinct nonzero cyclic submodules (the
-    # atoms among them) as modules, and their quotients of order at most
-    # 16 by those.  The scan reads only the ring's tables and the
-    # module's, so it runs once per distinct tables, each module before
-    # anything is derived from it
+    # on an empty memo no scanned raw table stands in for them.  The scan
+    # reads only the ring's tables and the module's, so it runs once per
+    # distinct tables
     seen = set()
-
-    def check(m):
+    for m in derived_sweep():
         key = (m.ring.add, m.ring.mul, m.add, m.act, m.zero, m.neg)
         if key not in seen:
             seen.add(key)
             assert_scan_agrees(m)
-
-    for ring in corpus_rings() + [upper_triangular_f2(), f2_xy_square_zero()]:
-        for m in generate_universe(ring, depth=3).modules:
-            check(m)
-            for s in cyclic_submodules(m):
-                check(s.as_module())
-                if m.order // s.order <= 16:
-                    check(quotient_module(m, s))
     assert len(seen) > 300
+
+
+def carried(module):
+    """What a module carries that is not an object of its run: tables,
+    zero, negation, labels, provenance, and its origin's kind and ints (a
+    submodule's carrier, a quotient's kernel and projection, a direct
+    sum's embeddings)."""
+    origin = module.origin
+    if origin[0] == "quotient":
+        ints = origin[2].mask, origin[3]
+    elif origin[0] in ("sub", "direct_sum"):
+        ints = origin[2]
+    else:
+        ints = None
+    return (module.add, module.act, module.zero, module.neg, module.labels,
+            module.provenance, origin[0], ints)
+
+
+def test_derived_modules_are_the_same_cold_and_warm(empty_memo,
+                                                    count_builds,
+                                                    monkeypatch):
+    # the sweep on an empty memo, then again on fresh rings over the memo
+    # it left, under a bound that holds every construction of the sweep
+    # (each counts its operand tables, so at the default bound the oldest
+    # would go before the warm pass reads them): every warm module is a
+    # remembered construction, and carries the same as its cold build
+    monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 1 << 25)
+    cold = list(map(carried, derived_sweep()))
+    builds = count_builds(monkeypatch)
+    warm = list(map(carried, derived_sweep()))
+    assert len(warm) == len(cold) > 5000
+    assert warm == cold
+    assert builds == []
+
+
+def test_a_repeated_job_builds_no_table(empty_memo, count_builds,
+                                        monkeypatch):
+    # every derived ring and module of a second run of a document is a
+    # remembered construction: no table is built again
+    docs = [
+        "[ring]\nmatrix(cyclic(2),2)\n[modules]\nM = regular\n"
+        "S = sub(M, S1)\nQ = quotient(M, S1)\nD = direct_sum(S, Q)\n"
+        "[checks]\nbjkn_prime D\nrpid_first D\nclassify\n",
+        "[ring]\nproduct(cyclic(2),cyclic(3))\n[modules]\nM = regular\n"
+        "C = cyclic(M, 3)\nQ = quotient(M, S1)\nD = direct_sum(M, C, Q)\n"
+        "[checks]\nprime D\ndiuniform D\nclassify\nlep\n",
+        "[ring]\nquotient(cyclic(8),I1)\n[modules]\nM = regular\n"
+        "D = direct_sum(M, M)\n[checks]\nbjkn_prime D\nverify T15\n",
+    ]
+
+    def run_all():
+        return [render_structured(run_job(parse_job(doc))) for doc in docs]
+
+    builds = count_builds(monkeypatch)
+    first = run_all()
+    assert set(builds) == {name for _, name in TABLE_BUILDERS}
+    builds.clear()
+    assert run_all() == first
+    assert builds == []
+
+
+def test_an_evicted_derivation_is_built_again(empty_memo, count_builds,
+                                              monkeypatch):
+    # Z8's regular module is 128 cells, and a construction on it holds
+    # those: under a bound of 300 cells, remembering the submodule 4Z8
+    # evicts the remembered 2Z8, which is then built again, with the
+    # tables of its first build.  Fresh handles stand for later documents
+    # on the same tables
+    monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 300)
+    reg = regular_module(cyclic_ring(8))
+    wide, narrow = 0b01010101, 0b00010001
+    builds = count_builds(monkeypatch)
+    steps, first = [], {}
+    for mask in (wide, wide, narrow, wide):
+        key = (rings.SUBMODULE, id(reg.add), id(reg.act), mask)
+        stored, before = key in empty_memo, len(builds)
+        sub = Submodule(reg, mask).as_module()
+        steps.append((mask, stored, len(builds) - before))
+        assert carried(sub) == first.setdefault(mask, carried(sub))
+        assert_scan_agrees(sub)
+        assert key in empty_memo
+        assert memo_cells(empty_memo) == rings._accepted_cells <= 300
+    assert steps == [(wide, False, 1), (wide, True, 0), (narrow, False, 1),
+                     (wide, False, 1)]
 
 
 @settings(max_examples=60, deadline=None)
