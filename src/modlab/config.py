@@ -21,10 +21,11 @@ MAX_HOM_CHAIN = 4_000_000
 # Bound of the process-wide memo of accepted ring and module tables
 # (``rings.accepted_tables``), in table cells.  It holds scanned raw tables,
 # the unscanned tables of derived modules, and remembered constructions
-# (``rings.derived_tables``); a construction counts its operand tables as
-# well as its result's, since it keeps them alive.  A cell is an 8-byte
-# row pointer while entries stay below 257 (CPython shares those int
-# objects), so the bound is about 8 MB; above that the table builders make
-# a 28-byte int per entry, about 36 MB.  Operand tables are mostly those of
-# another entry, so the tables held are often far fewer than the count.
+# (``rings.derived_tables``); every entry counts the cells of its own two
+# tables, and a construction's are those of the table entry it returned.
+# A cell is an 8-byte row pointer while entries stay below 257 (CPython
+# shares those int objects), so the bound is about 8 MB; above that the
+# table builders make a 28-byte int per entry, about 36 MB.  Constructions
+# return tables that other entries hold as well, so the tables held are
+# often fewer than the count.
 MAX_ACCEPTED_CELLS = 1 << 20

@@ -36,8 +36,8 @@ the one place that checks the module axioms (``_scan_module_axioms``).
 Regular and zero modules, submodules, quotients and direct sums are
 modules by construction and carry the zero and negation that construction
 gives, unscanned (``FiniteModule``); the last three build their tables
-once per process for each construction on the same operand tables
-(``rings.derived_tables``).
+once per process for each construction on the same operands, named by
+serial number (``rings.derived_tables``).
 """
 
 from __future__ import annotations
@@ -76,11 +76,12 @@ class FiniteModule:
     the exhaustive scan on such modules as an oracle.
 
     Equal tables are stored once per process for each distinct
-    (``ring.add``, ``ring.mul``, ``add``, ``act``), scanned or not: a
-    module built on tables equal to stored ones takes those tables, their
-    zero and their negation, whichever ring object it is built on.  A
+    (``ring.serial``, ``add``, ``act``), scanned or not: a module built on
+    tables equal to stored ones, over any ring object of that serial,
+    takes those tables, their zero, their negation and their ``serial``,
+    the number that names those tables in construction keys.  A
     submodule, quotient or direct sum is also remembered by its
-    construction, keyed by the identity of its operand tables
+    construction, keyed by the serials of its operands
     (``rings.derived_tables``), so building it again from the same
     tables builds nothing and hashes no table.  Labels, provenance and
     ``origin`` are made per instance.  ``origin`` records how the module
@@ -89,14 +90,15 @@ class FiniteModule:
     and can be weakly referenced.
     """
 
-    __slots__ = ("ring", "order", "add", "act", "zero", "neg", "labels",
-                 "provenance", "origin", "_cache", "__weakref__")
+    __slots__ = ("ring", "order", "add", "act", "zero", "neg", "serial",
+                 "labels", "provenance", "origin", "_cache", "__weakref__")
 
-    def __init__(self, ring, add, act, zero, neg, labels, provenance,
-                 origin):
+    def __init__(self, ring, add, act, zero, neg, serial, labels,
+                 provenance, origin):
         self.ring = ring
         self.order = len(add)
         self.add, self.act, self.zero, self.neg = add, act, zero, neg
+        self.serial = serial
         self.labels = labels
         self.provenance = provenance
         self.origin = origin
@@ -141,7 +143,7 @@ def _scan_module_axioms(ring, n, add, act):
     as the full O(|R|^2 n + |R| n^2 + n^3) scan would.
 
     Only ``module_from_tables`` runs this, once per process for each
-    distinct pair of tables over equal ring tables
+    distinct pair of tables over rings of one serial
     (``rings.accepted_tables`` says why that is exact); the modules the
     engine derives from others are modules by construction
     (``FiniteModule``).
@@ -250,8 +252,7 @@ class Submodule:
             parent, carrier = self.module, self.carrier
             self._mod = FiniteModule(
                 parent.ring,
-                *derived_tables(SUBMODULE, (parent.add, parent.act),
-                                (self.mask,),
+                *derived_tables((SUBMODULE, parent.serial, self.mask),
                                 lambda: _induced_tables(
                                     parent, carrier,
                                     {e: i for i, e in enumerate(carrier)})),
@@ -941,7 +942,7 @@ def regular_module(ring):
 def _interned(ring, add, act, zero, neg):
     """The memo's entry for the tables of a module by construction, with
     the zero and negation the construction gives (``FiniteModule``)."""
-    return accepted_tables((ring.add, ring.mul), (add, act),
+    return accepted_tables((ring.serial,), (add, act),
                            lambda add, act: (add, act, zero, neg))
 
 
@@ -962,13 +963,13 @@ def quotient_module(parent, kernel):
     if kernel.module is not parent:
         raise RingMismatch("kernel is not a submodule of this module")
     _require_submodule(kernel)
-    add, act, zero, neg, proj, reps = derived_tables(
-        QUOTIENT_MODULE, (parent.add, parent.act), (kernel.mask,),
+    *entry, proj, reps = derived_tables(
+        (QUOTIENT_MODULE, parent.serial, kernel.mask),
         lambda: _quotient_tables(parent, kernel))
     labels = tuple("[" + parent.labels[r] + "]" for r in reps)
-    return FiniteModule(parent.ring, add, act, zero, neg, labels,
+    return FiniteModule(parent.ring, *entry, labels,
                         f"quotient(of {parent.provenance})",
-                        ("quotient", parent, kernel, proj))
+                        ("quotient", parent, kernel, proj, reps))
 
 
 def _quotient_tables(parent, kernel):
@@ -1010,8 +1011,8 @@ def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
         order *= s.order
     if cap is not None and order > cap:
         raise SizeCapExceeded(f"direct sum order {order} exceeds cap {cap}")
-    add, act, zero, neg = derived_tables(
-        DIRECT_SUM, [t for s in summands for t in (s.add, s.act)], (),
+    add, act, zero, neg, serial = derived_tables(
+        (DIRECT_SUM, *(s.serial for s in summands)),
         lambda: _sum_tables(summands))
     strides = [1]
     for s in reversed(summands[1:]):
@@ -1022,7 +1023,7 @@ def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
         tuple(zero + t * (a - s.zero) for a in range(s.order))
         for t, s in zip(strides, summands))
     prov = "sum(" + "+".join(s.provenance for s in summands) + ")"
-    return FiniteModule(ring, add, act, zero, neg, labels, prov,
+    return FiniteModule(ring, add, act, zero, neg, serial, labels, prov,
                         ("direct_sum", tuple(summands), embeddings))
 
 
@@ -1060,7 +1061,7 @@ def module_from_tables(ring, add, act, labels=None, cap=DEFAULT_MODULE_CAP):
 
     The entries are read as ints (``rings._integer_table``), the order is
     capped, and the tables pass ``_scan_module_axioms`` unless equal
-    tables over equal ring tables were accepted before in this process.
+    tables over the ring's serial were accepted before in this process.
     A rejected pair is not stored, so it raises on every build.
     """
     add = _integer_table("add", add)
@@ -1070,7 +1071,7 @@ def module_from_tables(ring, add, act, labels=None, cap=DEFAULT_MODULE_CAP):
         raise SizeCapExceeded(f"module order {n} exceeds cap {cap}")
     labels = element_labels(labels, n)
     return FiniteModule(ring, *accepted_tables(
-        (ring.add, ring.mul), (add, act),
+        (ring.serial,), (add, act),
         lambda add, act: (add, act) + _scan_module_axioms(ring, n, add, act)),
         labels, "raw", ("raw",))
 

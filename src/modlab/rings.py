@@ -6,7 +6,8 @@ rings, direct products, quotients, and rings from raw tables; every
 table pair passes every ring axiom before a ring is returned on it (see
 ``scan_abelian_group`` for how the checks stay complete in O(n^2 log n)).
 Cyclic, matrix and product rings build their tables once per process
-for each construction on the same operand tables (``derived_tables``).
+for each construction on the same operands, named by serial number
+(``derived_tables``).
 An ideal is a ``Submodule`` handle of the regular module: the left ideals
 are its lattice, read off ``modlab.modules`` (imported inside the functions
 that need it, since that module builds on this one), and the two-sided
@@ -44,14 +45,16 @@ class FiniteRing:
     ``neg[a]`` is the additive inverse.  The tables pass
     ``_scan_ring_axioms`` once per process, through the bounded memo of
     accepted tables (``accepted_tables``): a ring built on tables equal to
-    accepted ones takes those tables, its identities, negation and
-    additive generators from there.  Instances are immutable after
+    accepted ones takes those tables, its identities, negation, additive
+    generators and ``serial``, the number that names those tables in
+    construction keys, from there.  Instances are immutable after
     construction and hash by identity, so they can key caches directly,
     and can be weakly referenced.
     """
 
-    __slots__ = ("order", "add", "mul", "zero", "one", "neg", "labels",
-                 "provenance", "projection", "_cache", "__weakref__")
+    __slots__ = ("order", "add", "mul", "zero", "one", "neg", "serial",
+                 "labels", "provenance", "projection", "_cache",
+                 "__weakref__")
 
     def __init__(self, add, mul, labels=None, provenance="raw",
                  projection=None, cap=DEFAULT_RING_CAP):
@@ -62,8 +65,8 @@ class FiniteRing:
             raise SizeCapExceeded(f"ring order {n} exceeds cap {cap}")
         labels = element_labels(labels, n)
         self.order = n
-        self.add, self.mul, self.zero, self.one, self.neg, gens = (
-            _interned_ring(add, mul))
+        (self.add, self.mul, self.zero, self.one, self.neg, gens,
+         self.serial) = _interned_ring(add, mul)
         self.labels = labels
         self.provenance = provenance
         self.projection = projection
@@ -83,7 +86,7 @@ def _accept_ring_tables(n, *tables):
 def _interned_ring(add, mul):
     """The memo's entry for ring tables, scanned if new.  The table
     builders of the ring constructors return it, so a constructor stores
-    its derivation (``derived_tables``) only after the scan has accepted
+    its construction (``derived_tables``) only after the scan has accepted
     the tables."""
     return accepted_tables((), (add, mul),
                            partial(_accept_ring_tables, len(add)))
@@ -176,9 +179,11 @@ def certified_scan(certificate, exhaustive, *tables):
 # The process-wide memo of accepted tables: see ``accepted_tables``.
 _accepted = {}
 _accepted_cells = 0
+_serials = itertools.count()
 
-# The int tags that start derivation keys (``derived_tables``).  A table
-# entry's key starts with a table, so the two kinds never share a key.
+# The int tags that start construction keys (``derived_tables``).  Those
+# keys hold ints only and a table entry's key holds tables, so the two
+# kinds never share a key.
 (SUBMODULE, QUOTIENT_MODULE, DIRECT_SUM, CYCLIC_RING, MATRIX_RING,
  PRODUCT_RING) = range(6)
 
@@ -189,16 +194,17 @@ def accepted_tables(prefix, tables, accept):
 
     The memo holds two kinds of entry.  A **table entry** starts with the
     tables themselves as tuples of row tuples of ints (``_integer_table``),
-    and the memo keys it by ``prefix`` and those.  ``FiniteRing`` passes
-    no prefix and its (``add``, ``mul``), and on a miss stores ``(add,
-    mul, zero, one, neg, gens)`` after ``_scan_ring_axioms``.  A module
-    passes the prefix (``ring.add``, ``ring.mul``) and its (``add``,
-    ``act``), and stores ``(add, act, zero, neg)``.  A hit returns the
-    stored entry without a scan or a copy, so equal rings and modules
-    share their table tuples.  That is exact: the ring scan reads nothing
-    but the ring's two tables, and the module scan nothing but its two
-    tables and the ring's ``order``, ``add``, ``mul``, ``one`` and
-    ``_cache["addgens"]``, all of which follow from the ring's tables; a
+    ends with a serial number, and the memo keys it by ``prefix`` and its
+    tables.  ``FiniteRing`` passes no prefix and its (``add``, ``mul``),
+    and on a miss stores ``(add, mul, zero, one, neg, gens, serial)``
+    after ``_scan_ring_axioms``.  A module passes the prefix
+    ``(ring.serial,)`` and its (``add``, ``act``), and stores ``(add, act,
+    zero, neg, serial)``.  A hit returns the stored entry without a scan or
+    a copy, so equal rings and modules share their table tuples.  That is
+    exact: the ring scan reads nothing but the ring's two tables, and the
+    module scan nothing but its two tables and the ring's ``order``,
+    ``add``, ``mul``, ``one`` and ``_cache["addgens"]``, all of which
+    follow from the ring's tables, which its serial names (below); a
     repeat would return the same.
 
     Only raw module tables are scanned (``modules.module_from_tables``).
@@ -209,74 +215,70 @@ def accepted_tables(prefix, tables, accept):
     construction stored them.  Interning derived tables lets equal
     submodules, atoms and quotients share one copy.
 
-    A **derivation entry** (``derived_tables``) maps a construction on
-    given operand tables to the table entry it produced, so that a
-    repeat builds nothing.  Its key is an int tag naming the
-    construction, the ``id`` of each operand table and the construction's
-    int parameters; its value holds the operand tables themselves, then
-    the table entry.  The identity key is exact because the entry keeps
-    its operands alive: while the key is in the memo no other object can
-    take those ids, so a key that matches names the very same tables, and
-    the construction reads nothing else.  A lookup hashes a few ints,
-    never a table.
+    A **construction entry** (``derived_tables``) maps a construction on
+    given operands to the table entry it produced, so that a repeat
+    builds nothing.  Its key is an int tag naming the construction, the
+    serial of each operand and the construction's int parameters; it
+    holds no operand table.  The serial key is exact.  Each miss takes the
+    next number of one process-wide count, so a serial names one entry's
+    tables for the life of the process, whether or not that entry is still
+    in the memo: tables accepted again after an eviction get a new one.
+    So a key that matches names the very operand tables the stored
+    construction read, and the construction reads nothing else.  A
+    module's key holds its ring's serial, so a module's serial fixes its
+    ring's tables as well.  A lookup hashes a few ints, never a table.
 
     A table ``accept`` rejects is not stored, so it raises on every
     build.  The memo holds tuples of ints only, never a ring or a module.
-    It is bounded by ``MAX_ACCEPTED_CELLS`` cells of the tables its
-    entries hold (``_cells``; a module's ring tables are the ring's own
-    entry): the oldest entries go first, a hit does not reorder, and an
-    entry larger than the whole bound is not stored.
+    It is bounded by ``MAX_ACCEPTED_CELLS`` cells, each entry counting the
+    cells of its own two tables (``_cells``): the oldest entries go first,
+    a hit does not reorder, and an entry larger than the whole bound is
+    not stored.
     """
     try:
         found = _accepted.get(prefix + tables)
     except TypeError:  # an unhashable entry, refused by _integer_table
         found = None
     if found is None:
-        found = accept(*tables)
+        found = accept(*tables) + (next(_serials),)
         _store(prefix + found[:2], found)
     return found
 
 
-def derived_tables(tag, operands, params, build):
-    """The table entry construction ``tag`` makes from the tables
-    ``operands`` and the ints ``params``, from ``build()`` the first
-    time in this process (see ``accepted_tables``).
+def derived_tables(key, build):
+    """The table entry of the construction ``key``, an int tag, the
+    serials of its operands and its int parameters, from ``build()`` the
+    first time in this process (see ``accepted_tables``).
 
     ``build`` returns a table entry that ``accepted_tables`` has
     interned, with the construction's own tuples of ints appended where
     it has any (a quotient's projection, say).  A ``build`` that raises
     stores nothing, so a ring constructor that interns through the ring
-    scan stores its derivation only once the scan has accepted the
+    scan stores its construction only once the scan has accepted the
     tables.
     """
-    key = (tag, *map(id, operands), *params)
     found = _accepted.get(key)
     if found is None:
-        found = (tuple(operands), build())
+        found = build()
         _store(key, found)
-    return found[1]
+    return found
 
 
 def _store(key, entry):
     """Store ``entry`` under ``key``, evicting the oldest entries beyond
     the bound."""
     global _accepted_cells
-    cells = _cells(key, entry)
+    cells = _cells(entry)
     if cells <= MAX_ACCEPTED_CELLS:
         _accepted[key] = entry
         _accepted_cells += cells
         while _accepted_cells > MAX_ACCEPTED_CELLS:
-            oldest = next(iter(_accepted))
-            _accepted_cells -= _cells(oldest, _accepted.pop(oldest))
+            _accepted_cells -= _cells(_accepted.pop(next(iter(_accepted))))
 
 
-def _cells(key, entry):
-    """The table cells an entry holds: a table entry's two tables, or a
-    derivation's operand tables and its table entry's two tables."""
-    operands = ()
-    if type(key[0]) is int:
-        operands, entry = entry
-    return sum(sum(map(len, table)) for table in operands + entry[:2])
+def _cells(entry):
+    """The table cells an entry holds: those of its two tables."""
+    return sum(sum(map(len, table)) for table in entry[:2])
 
 
 def _integer_table(name, table):
@@ -448,7 +450,7 @@ def cyclic_ring(n, cap=DEFAULT_RING_CAP):
         raise AxiomViolation("nonempty carrier", None, f"cyclic({n}) is empty")
     if cap is not None and n > cap:
         raise SizeCapExceeded(f"ring order {n} exceeds cap {cap}")
-    add, mul = derived_tables(CYCLIC_RING, (), (n,),
+    add, mul = derived_tables((CYCLIC_RING, n),
                               lambda: _cyclic_tables(n))[:2]
     return FiniteRing(add, mul, provenance=f"cyclic({n})", cap=cap)
 
@@ -470,9 +472,8 @@ def matrix_ring(base, k, cap=DEFAULT_RING_CAP):
         raise SizeCapExceeded(
             f"matrix ring order {base.order}^{k * k} = {order} exceeds cap {cap}")
     elements = list(itertools.product(range(base.order), repeat=k * k))
-    add, mul = derived_tables(
-        MATRIX_RING, (base.add, base.mul), (k,),
-        lambda: _matrix_tables(base, k, elements))[:2]
+    add, mul = derived_tables((MATRIX_RING, base.serial, k),
+                              lambda: _matrix_tables(base, k, elements))[:2]
     labels = tuple(
         "[" + ";".join(",".join(base.labels[x[i * k + j]] for j in range(k))
                        for i in range(k)) + "]"
@@ -519,7 +520,7 @@ def product_ring(factors, cap=DEFAULT_RING_CAP):
         raise SizeCapExceeded(f"product ring order {order} exceeds cap {cap}")
     elements = list(itertools.product(*[range(f.order) for f in factors]))
     add, mul = derived_tables(
-        PRODUCT_RING, [t for f in factors for t in (f.add, f.mul)], (),
+        (PRODUCT_RING, *(f.serial for f in factors)),
         lambda: _product_tables(factors, elements))[:2]
     labels = tuple("(" + ",".join(f.labels[c] for f, c in zip(factors, x)) + ")"
                    for x in elements)
@@ -556,11 +557,7 @@ def quotient_ring(ring, ideal, cap=DEFAULT_RING_CAP):
     if ideal.is_full():
         raise AxiomViolation("proper ideal", ideal.carrier,
                              "cannot quotient by the whole ring")
-    proj = quo.origin[3]
-    reps = []
-    for x, coset in enumerate(proj):
-        if coset == len(reps):
-            reps.append(x)
+    proj, reps = quo.origin[3:]
     return FiniteRing(quo.add, [quo.act[r] for r in reps], labels=quo.labels,
                       provenance=f"quotient({ring.provenance})",
                       projection=proj, cap=cap)

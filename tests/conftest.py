@@ -102,6 +102,13 @@ def count_builds():
     return _count_builds
 
 
+def memo_cells(memo):
+    """The table cells the memo's entries hold, counted afresh: each
+    entry's two tables."""
+    return sum(len(t) * len(t[0]) for entry in memo.values()
+               for t in entry[:2])
+
+
 def _empty_memo_under(mp):
     """An empty memo of accepted tables under the monkeypatch ``mp``; the
     process memo is back when ``mp`` is undone."""

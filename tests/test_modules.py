@@ -26,7 +26,7 @@ from modlab.modules import (ModuleMorphism, Submodule, _scan_module_axioms,
                             structural_summary, submodule, endomorphism_ring)
 from modlab.preradicals import Alpha, Beta, Omega
 
-from conftest import TABLE_BUILDERS
+from conftest import TABLE_BUILDERS, memo_cells
 from oracles import all_function_homs, powerset_submodule_masks
 from test_hom_generators import SMALL_RINGS, small_module
 from test_rings import f2_xy_square_zero, upper_triangular_f2
@@ -488,19 +488,6 @@ def ints_only(x):
     return type(x) is int or (type(x) is tuple and all(map(ints_only, x)))
 
 
-def memo_cells(memo):
-    """The table cells the memo's entries hold, counted afresh: a table
-    entry's two tables; a derivation's operand tables and its table
-    entry's two tables."""
-    cells = 0
-    for key, value in memo.items():
-        if type(key[0]) is int:
-            operands, value = value
-            cells += sum(len(t) * len(t[0]) for t in operands)
-        cells += sum(len(t) * len(t[0]) for t in value[:2])
-    return cells
-
-
 def test_equal_tables_are_certified_once_per_process(empty_memo,
                                                      count_certificates,
                                                      monkeypatch):
@@ -527,17 +514,22 @@ def test_equal_tables_are_certified_once_per_process(empty_memo,
         assert (m.add, m.act, m.zero, m.neg) == (floats.add, floats.act,
                                                  floats.zero, floats.neg)
         assert m.add is floats.add and m.act is floats.act
-    # the constructions cyclic(4) and the one-summand sum are remembered
-    # by operands, each holding its operand tables and the table entry
+    # one serial per table entry, shared by every ring and module on its
+    # tables; a module's key holds its ring's serial
     ring_key = (ring.add, ring.mul)
-    module_key = (ring.add, ring.mul, reg.add, reg.act)
-    sum_key = (rings.DIRECT_SUM, id(reg.add), id(reg.act))
+    module_key = (ring.serial, reg.add, reg.act)
+    assert (ring.serial == reg.ring.serial == twin.serial
+            == empty_memo[ring_key][-1])
+    assert (floats.serial == reg.serial == again.serial == alone.serial
+            == empty_memo[module_key][-1] != ring.serial)
+    # the constructions cyclic(4) and the one-summand sum are remembered
+    # by their operands' serials, each holding the very table entry it
+    # produced and nothing else
+    sum_key = (rings.DIRECT_SUM, reg.serial)
     assert list(empty_memo) == [ring_key, module_key,
                                 (rings.CYCLIC_RING, 4), sum_key]
-    assert empty_memo[rings.CYCLIC_RING, 4] == ((), empty_memo[ring_key])
-    assert empty_memo[rings.CYCLIC_RING, 4][1] is empty_memo[ring_key]
-    assert empty_memo[sum_key][0] == (reg.add, reg.act)
-    assert empty_memo[sum_key][1] is empty_memo[module_key]
+    assert empty_memo[rings.CYCLIC_RING, 4] is empty_memo[ring_key]
+    assert empty_memo[sum_key] is empty_memo[module_key]
     # an entry that is not an integer is refused on every build, ring or
     # module, with nothing certified or stored
     for bad in (2.5, "3", None, [1]):
@@ -573,7 +565,7 @@ def test_rejected_table_raises_on_every_build(empty_memo, count_certificates,
     assert raised == [raised[0]] * 3
     assert raised[0][0] == "scalar distributivity"
     assert list(empty_memo) == [(ring.add, ring.mul), (rings.CYCLIC_RING, 4),
-                                (ring.add, ring.mul, reg.add, reg.act)]
+                                (ring.serial, reg.add, reg.act)]
 
 
 def relabelled(module, perm):
@@ -602,16 +594,16 @@ def test_memo_is_bounded_by_table_cells(empty_memo, count_certificates,
     monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 100)
     calls = count_certificates(monkeypatch)["module"]
     keys = [(ring.add, ring.mul), (rings.CYCLIC_RING, 4),
-            (ring.add, ring.mul, reg.add, reg.act)]
+            (ring.serial, reg.add, reg.act)]
     assert list(empty_memo) == keys
     first = {}
     for add, act in tables[1:5]:
         # a hit on the oldest module neither certifies nor reorders
-        oldest = next(key for key in empty_memo if len(key) == 4)
-        module_from_tables(ring, *oldest[2:])
+        oldest = next(key for key in empty_memo if len(key) == 3)
+        module_from_tables(ring, *oldest[1:])
         m = module_from_tables(ring, add, act)
         first[add, act] = m.zero, m.neg
-        keys = keys[1:] + [(ring.add, ring.mul, m.add, m.act)]
+        keys = keys[1:] + [(ring.serial, m.add, m.act)]
         assert list(empty_memo) == keys
         assert memo_cells(empty_memo) == rings._accepted_cells <= 100
     assert len(calls) == 4
@@ -620,7 +612,7 @@ def test_memo_is_bounded_by_table_cells(empty_memo, count_certificates,
     m = module_from_tables(ring, add, act)
     assert len(calls) == 5
     assert (m.zero, m.neg) == first[add, act]
-    assert list(empty_memo)[-1] == (ring.add, ring.mul, m.add, m.act)
+    assert list(empty_memo)[-1] == (ring.serial, m.add, m.act)
     # an entry larger than the whole bound is not stored, and evicts
     # nothing; the direct sum is a module by construction and is not
     # certified, its raw rebuild is
@@ -640,7 +632,7 @@ def test_a_dropped_job_leaves_nothing_alive(empty_memo):
                      "[checks]\nbjkn_prime D\nclassify\n")
     report = run_job(spec)
     ring, d = spec.ring, spec.modules["D"]
-    assert (ring.add, ring.mul, d.add, d.act) in empty_memo
+    assert (ring.serial, d.add, d.act) in empty_memo
     assert all(map(ints_only, empty_memo))
     assert all(map(ints_only, empty_memo.values()))
     ring, module = weakref.ref(ring), weakref.ref(d)
@@ -708,9 +700,11 @@ def test_derived_modules_are_the_same_cold_and_warm(empty_memo,
                                                     monkeypatch):
     # the sweep on an empty memo, then again on fresh rings over the memo
     # it left, under a bound that holds every construction of the sweep
-    # (each counts its operand tables, so at the default bound the oldest
-    # would go before the warm pass reads them): every warm module is a
-    # remembered construction, and carries the same as its cold build
+    # (each counts the tables it returns, though many return one table:
+    # the sweep's 6,203 entries count 1.3 million cells over 0.33 million
+    # of distinct tables, so at the default 2^20 the oldest would go
+    # before the warm pass reads them): every warm module is a remembered
+    # construction, and carries the same as its cold build
     monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 1 << 25)
     cold = list(map(carried, derived_sweep()))
     builds = count_builds(monkeypatch)
@@ -748,27 +742,72 @@ def test_a_repeated_job_builds_no_table(empty_memo, count_builds,
 
 def test_an_evicted_derivation_is_built_again(empty_memo, count_builds,
                                               monkeypatch):
-    # Z8's regular module is 128 cells, and a construction on it holds
-    # those: under a bound of 300 cells, remembering the submodule 4Z8
-    # evicts the remembered 2Z8, which is then built again, with the
-    # tables of its first build.  Fresh handles stand for later documents
-    # on the same tables
-    monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 300)
+    # the submodule 2Z8 is 48 cells (16 of add, 32 of act) and 4Z8 is 20;
+    # each one's table entry and its construction count them once each.
+    # Under a bound of 80 cells Z8's own entries (128 cells) are not
+    # stored, 2Z8's construction outlives its table entry, and remembering
+    # 4Z8 evicts it, so 2Z8 is then built again, with the tables of its
+    # first build.  Fresh handles stand for later documents on the same
+    # tables
+    monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 80)
     reg = regular_module(cyclic_ring(8))
     wide, narrow = 0b01010101, 0b00010001
     builds = count_builds(monkeypatch)
     steps, first = [], {}
     for mask in (wide, wide, narrow, wide):
-        key = (rings.SUBMODULE, id(reg.add), id(reg.act), mask)
+        key = (rings.SUBMODULE, reg.serial, mask)
         stored, before = key in empty_memo, len(builds)
         sub = Submodule(reg, mask).as_module()
         steps.append((mask, stored, len(builds) - before))
         assert carried(sub) == first.setdefault(mask, carried(sub))
         assert_scan_agrees(sub)
         assert key in empty_memo
-        assert memo_cells(empty_memo) == rings._accepted_cells <= 300
+        assert memo_cells(empty_memo) == rings._accepted_cells <= 80
     assert steps == [(wide, False, 1), (wide, True, 0), (narrow, False, 1),
                      (wide, False, 1)]
+
+
+def test_a_construction_outlives_its_operand_entries(empty_memo,
+                                                     monkeypatch):
+    # Z8's ring entry, the construction cyclic(8) and the regular
+    # module's entry are 128 cells each: under a bound of 200 cells each
+    # evicts the one before, and the submodule 2Z8's entries (48 cells
+    # each) evict the regular module's.  A serial still names the tables
+    # it was given, so constructions on the older module object read and
+    # store the right tables, and hold none of the module's
+    monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 200)
+    reg = regular_module(cyclic_ring(8))
+    assert list(empty_memo) == [(reg.ring.serial, reg.add, reg.act)]
+    serials = {reg.ring.serial, reg.serial}
+    wide, narrow = 0b01010101, 0b00010001
+    subs = {}
+    for mask in (wide, narrow):
+        sub = subs[mask] = Submodule(reg, mask).as_module()
+        serials.add(sub.serial)
+        n = sub.order
+        assert (sub.add, sub.act, sub.zero, sub.neg) == (
+            tuple(tuple((a + b) % n for b in range(n)) for a in range(n)),
+            tuple(tuple(r * a % n for a in range(n)) for r in range(8)),
+            0, tuple(-a % n for a in range(n)))
+        # the construction entry is its result's table entry itself
+        entry = empty_memo[rings.SUBMODULE, reg.serial, mask]
+        assert entry == (sub.add, sub.act, sub.zero, sub.neg, sub.serial)
+        assert entry is empty_memo[reg.ring.serial, sub.add, sub.act]
+    assert (reg.ring.serial, reg.add, reg.act) not in empty_memo
+    # Z8/4Z8 has 2Z8's tables, and takes their entry and serial; its
+    # construction adds only the projection and the coset representatives
+    q = quotient_module(reg, Submodule(reg, narrow))
+    assert q.serial == subs[wide].serial and q.origin[3:] == (
+        (0, 1, 2, 3, 0, 1, 2, 3), (0, 1, 2, 3))
+    assert empty_memo[rings.QUOTIENT_MODULE, reg.serial, narrow] == (
+        q.add, q.act, q.zero, q.neg, q.serial, *q.origin[3:])
+    assert not any(t is reg.add or t is reg.act
+                   for entry in empty_memo.values() for t in entry)
+    assert memo_cells(empty_memo) == rings._accepted_cells <= 200
+    # the same tables accepted again take a serial no earlier entry had
+    again = regular_module(cyclic_ring(8))
+    assert (again.add, again.act) == (reg.add, reg.act)
+    assert min(again.serial, again.ring.serial) > max(serials)
 
 
 @settings(max_examples=60, deadline=None)
