@@ -1,11 +1,12 @@
 """Poset actions on finite bounded lattices.
 
 A poset P acts on a bounded lattice L through a map (s, x) -> s.x that is
-monotone in both arguments and deflationary (s.x <= x).  First and prime
-elements are decided relative to such an action by exhaustive scans.  The
-module instances plug a family of preradicals (as the poset, ordered by
-universe-relative comparison with ties collapsed) into the submodule
-lattice of a module.
+monotone in both arguments and deflationary (s.x <= x).  A lattice is
+given by its order alone; join, meet, bottom and top are read off it.
+First and prime elements are decided relative to such an action by
+exhaustive scans.  The module instances plug a family of preradicals (as
+the poset, ordered by universe-relative comparison with ties collapsed)
+into the submodule lattice of a module.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import AxiomViolation
-from .modules import embed_submask, enumerate_submodules, sum_masks
+from .modules import embed_submask, enumerate_submodules
 
 
 class FinitePoset:
@@ -40,74 +41,66 @@ class FinitePoset:
         self.leq = leq
 
     def linear_extension(self):
-        order = sorted(range(self.size),
-                       key=lambda i: (sum(self.leq[j][i] for j in range(self.size)), i))
-        return order
+        return _linear_extension(self.leq)
 
     def __repr__(self):
         return f"FinitePoset(size={self.size})"
 
 
+def _linear_extension(leq):
+    """The elements of the order ``leq`` sorted by how many lie below
+    each, then by index: a linear extension."""
+    n = len(leq)
+    return sorted(range(n), key=lambda i: (sum(leq[j][i] for j in range(n)), i))
+
+
 class FiniteBoundedLattice:
-    """A finite bounded lattice with join/meet certified as lub/glb."""
+    """A finite bounded lattice, given by its order alone.
+
+    Join and meet are read off up-sets and down-sets, held as int
+    bitmasks.  Every z >= x, y has up(z) inside up(x) & up(y), and z lies
+    below every common upper bound exactly when up(x) & up(y) lies inside
+    up(z).  So z is the join of x and y exactly when up(z) = up(x) &
+    up(y).  Antisymmetry makes up-sets distinct, so at most one z
+    matches, and one dict lookup finds it or shows there is none.  Meet
+    is the dual, with down-sets.  The bottom is the element whose up-set
+    is everything and the top the one whose down-set is (Davey and
+    Priestley, *Introduction to Lattices and Order*, 2nd ed., 2002,
+    ch. 2).  An order with a pair that has no join or meet raises
+    ``AxiomViolation("lattice", (x, y))`` at the first such pair in
+    row-major order; the empty order raises ``"boundedness"``.
+    """
 
     __slots__ = ("size", "leq", "join", "meet", "bottom", "top")
 
-    def __init__(self, leq, join, meet):
+    def __init__(self, leq):
         poset = FinitePoset(leq)  # order axioms
         n = poset.size
         leq = poset.leq
-        join = tuple(tuple(row) for row in join)
-        meet = tuple(tuple(row) for row in meet)
-        bottom = top = None
+        up = [sum(1 << y for y, v in enumerate(row) if v) for row in leq]
+        down = [sum(1 << y for y, v in enumerate(col) if v)
+                for col in zip(*leq)]
+        by_up = {u: x for x, u in enumerate(up)}
+        by_down = {d: x for x, d in enumerate(down)}
+        join = tuple(tuple(by_up.get(u & v) for v in up) for u in up)
+        meet = tuple(tuple(by_down.get(d & e) for e in down) for d in down)
         for x in range(n):
-            if all(leq[x][y] for y in range(n)):
-                bottom = x
-            if all(leq[y][x] for y in range(n)):
-                top = x
+            if None in join[x] or None in meet[x]:
+                y = next(y for y in range(n)
+                         if join[x][y] is None or meet[x][y] is None)
+                raise AxiomViolation("lattice", (x, y),
+                                     "pair without lub or glb")
+        everything = (1 << n) - 1
+        bottom = by_up.get(everything)
+        top = by_down.get(everything)
         if bottom is None or top is None:
             raise AxiomViolation("boundedness", None, "no bottom or top")
-        for x in range(n):
-            for y in range(n):
-                j = join[x][y]
-                if not (leq[x][j] and leq[y][j]):
-                    raise AxiomViolation("join upper bound", (x, y))
-                for z in range(n):
-                    if leq[x][z] and leq[y][z] and not leq[j][z]:
-                        raise AxiomViolation("join leastness", (x, y, z))
-                m = meet[x][y]
-                if not (leq[m][x] and leq[m][y]):
-                    raise AxiomViolation("meet lower bound", (x, y))
-                for z in range(n):
-                    if leq[z][x] and leq[z][y] and not leq[z][m]:
-                        raise AxiomViolation("meet greatestness", (x, y, z))
         self.size = n
         self.leq = leq
         self.join = join
         self.meet = meet
         self.bottom = bottom
         self.top = top
-
-    @classmethod
-    def from_leq(cls, leq):
-        """Derive join/meet tables from an order, failing if none exist."""
-        poset = FinitePoset(leq)
-        n = poset.size
-        leq = poset.leq
-        join = [[None] * n for _ in range(n)]
-        meet = [[None] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                ubs = [z for z in range(n) if leq[x][z] and leq[y][z]]
-                least = [z for z in ubs if all(leq[z][w] for w in ubs)]
-                lbs = [z for z in range(n) if leq[z][x] and leq[z][y]]
-                greatest = [z for z in lbs if all(leq[w][z] for w in lbs)]
-                if len(least) != 1 or len(greatest) != 1:
-                    raise AxiomViolation("lattice", (x, y),
-                                         "pair without lub or glb")
-                join[x][y] = least[0]
-                meet[x][y] = greatest[0]
-        return cls(leq, join, meet)
 
     def atoms(self):
         out = []
@@ -212,11 +205,8 @@ def interval(lattice, lo, hi):
         raise AxiomViolation("interval bounds", (lo, hi), "lo must be <= hi")
     keep = [z for z in range(lattice.size)
             if lattice.leq[lo][z] and lattice.leq[z][hi]]
-    pos = {z: i for i, z in enumerate(keep)}
     leq = [[lattice.leq[a][b] for b in keep] for a in keep]
-    join = [[pos[lattice.join[a][b]] for b in keep] for a in keep]
-    meet = [[pos[lattice.meet[a][b]] for b in keep] for a in keep]
-    return FiniteBoundedLattice(leq, join, meet), tuple(keep)
+    return FiniteBoundedLattice(leq), tuple(keep)
 
 
 def restrict_action(action, x):
@@ -250,17 +240,14 @@ class ModuleActionInstance:
 def submodule_bounded_lattice(module):
     """The submodule lattice of a module as a plain bounded lattice.
 
-    Join is the sum and meet the intersection of carriers; the bounded
-    lattice certifies both tables as lub/glb of inclusion.
+    The bounded lattice is built from inclusion of carriers alone; its
+    join, the least submodule above both, is their sum, and its meet is
+    their intersection.
     """
     lat = enumerate_submodules(module)
-    subs, index = lat.submodules, lat.index
     n = len(lat)
     leq = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
-    join = [[index[sum_masks(module, a.mask, b.mask)] for b in subs]
-            for a in subs]
-    meet = [[index[a.mask & b.mask] for b in subs] for a in subs]
-    return FiniteBoundedLattice(leq, join, meet), lat
+    return FiniteBoundedLattice(leq), lat
 
 
 def module_action_instance(module, family):
@@ -329,12 +316,12 @@ def _downset_lattice(rng, base_size, max_size):
     if len(downs) > max_size:
         return None
     leq = [[a & ~b == 0 for b in downs] for a in downs]
-    return FiniteBoundedLattice.from_leq(leq)
+    return FiniteBoundedLattice(leq)
 
 
 def _chain(n):
     leq = [[i <= j for j in range(n)] for i in range(n)]
-    return FiniteBoundedLattice.from_leq(leq)
+    return FiniteBoundedLattice(leq)
 
 
 def _diamond_m3():
@@ -344,7 +331,7 @@ def _diamond_m3():
            [False, False, True, False, True],
            [False, False, False, True, True],
            [False, False, False, False, True]]
-    return FiniteBoundedLattice.from_leq(leq)
+    return FiniteBoundedLattice(leq)
 
 
 def _pentagon_n5():
@@ -354,7 +341,7 @@ def _pentagon_n5():
            [False, False, True, False, True],
            [False, False, False, True, True],
            [False, False, False, False, True]]
-    return FiniteBoundedLattice.from_leq(leq)
+    return FiniteBoundedLattice(leq)
 
 
 def random_lattice(rng, max_size=8):
@@ -372,7 +359,7 @@ def random_lattice(rng, max_size=8):
                 leq = [[ca.leq[x1][y1] and cb.leq[x2][y2]
                         for y1 in range(a) for y2 in range(b)]
                        for x1 in range(a) for x2 in range(b)]
-                return FiniteBoundedLattice.from_leq(leq)
+                return FiniteBoundedLattice(leq)
         else:
             lat = _downset_lattice(rng, rng.randrange(1, 4), max_size)
             if lat is not None:
@@ -387,8 +374,7 @@ def random_action(rng, poset, lattice):
     sampling always succeeds.
     """
     psort = poset.linear_extension()
-    lsort = sorted(range(lattice.size),
-                   key=lambda x: (sum(lattice.leq[y][x] for y in range(lattice.size)), x))
+    lsort = _linear_extension(lattice.leq)
     act = [[None] * lattice.size for _ in range(poset.size)]
     for s in psort:
         for x in lsort:

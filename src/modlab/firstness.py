@@ -255,13 +255,21 @@ def _rpid_pairwise(module):
 
 
 def _one_per_table(subs):
-    """The first submodule, as a module, of each distinct pair of
-    ``(add, act)`` tables among ``subs``, in order.  Equal tables make the
-    identity of indices an isomorphism."""
+    """The first submodule, as a module, of each ``serial`` among
+    ``subs``, in order: one per distinct pair of ``(add, act)`` tables.
+
+    Equal tables make the identity of indices an isomorphism.  The
+    serial names one table entry of the memo (``rings.accepted_tables``),
+    so different tables never share it, and equal tables over one ring,
+    as all of ``subs`` are, share it while their entry is alive.  After
+    an eviction equal tables may carry two serials.  That only repeats a
+    member whose values equal another's, so an ``any`` over the members,
+    as in ``rpid_first_detail``, is unchanged and the verdict stays
+    exact."""
     firsts = {}
     for n in subs:
         m = n.as_module()
-        firsts.setdefault((m.add, m.act), m)
+        firsts.setdefault(m.serial, m)
     return list(firsts.values())
 
 

@@ -17,7 +17,9 @@ of s(M).  The all-cyclic BJKN scans are the cogeneration route before it
 was reduced to the atoms, and the pointwise-separation route over
 enumerated Hom-sets, which the decider no longer runs: its witness is
 the reference for the one the decider reads off rejects, with no
-``hom_generators``.
+``hom_generators``.  The lub/glb oracle derives a bounded lattice's
+tables by comparing every bound, as the lattice did before it read them
+off up-sets.
 """
 
 import itertools
@@ -43,6 +45,34 @@ def powerset_submodule_masks(module):
         if mask >> zero & 1 and is_submodule_mask(module, mask):
             hits.append(mask)
     return sorted(hits)
+
+
+def lub_glb_lattice(leq):
+    """``(join, meet, bottom, top)`` of the order ``leq`` by comparing every
+    common bound of each pair.  A pair without a unique least upper or
+    greatest lower bound raises ``AxiomViolation("lattice", (x, y))`` at
+    the first such pair in row-major order; an order without bottom or top
+    raises ``"boundedness"``."""
+    n = len(leq)
+    join = [[None] * n for _ in range(n)]
+    meet = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            ubs = [z for z in range(n) if leq[x][z] and leq[y][z]]
+            least = [z for z in ubs if all(leq[z][w] for w in ubs)]
+            lbs = [z for z in range(n) if leq[z][x] and leq[z][y]]
+            greatest = [z for z in lbs if all(leq[w][z] for w in lbs)]
+            if len(least) != 1 or len(greatest) != 1:
+                raise AxiomViolation("lattice", (x, y),
+                                     "pair without lub or glb")
+            join[x][y] = least[0]
+            meet[x][y] = greatest[0]
+    bottoms = [x for x in range(n) if all(leq[x])]
+    tops = [x for x in range(n) if all(leq[y][x] for y in range(n))]
+    if not bottoms or not tops:
+        raise AxiomViolation("boundedness", None, "no bottom or top")
+    return (tuple(map(tuple, join)), tuple(map(tuple, meet)), bottoms[0],
+            tops[0])
 
 
 def all_function_homs(source, target):

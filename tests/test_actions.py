@@ -1,23 +1,33 @@
+import hashlib
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modlab import actions
 from modlab.actions import (FiniteBoundedLattice, FinitePoset, PosetAction,
                             first_witness, interval, is_first, is_prime,
                             module_action_instance, pullback, random_action,
                             random_instance_holds, random_lattice,
                             random_monotone_map, random_poset,
-                            restrict_action)
+                            restrict_action, submodule_bounded_lattice)
 from modlab.errors import AxiomViolation
-from modlab.modules import direct_sum_module, regular_module
+from modlab.modules import (direct_sum_module, regular_module,
+                            simple_modules, sum_masks)
 from modlab.preradicals import SOC, Trad, ZERO
-from modlab.rings import cyclic_ring, enumerate_ideals
+from modlab.rings import cyclic_ring, enumerate_ideals, matrix_ring, product_ring
+
+from oracles import lub_glb_lattice
+
+# sha256 of what random_instance_holds draws for seeds 0..499, recorded at
+# commit e39c583 (test_random_instance_draws_are_pinned)
+DRAWS = pathlib.Path(__file__).resolve().parent / "golden" / "action-draws.sha256"
 
 
 def chain(n):
-    return FiniteBoundedLattice.from_leq([[i <= j for j in range(n)]
-                                          for i in range(n)])
+    return FiniteBoundedLattice([[i <= j for j in range(n)]
+                                 for i in range(n)])
 
 
 def antichain_poset(n):
@@ -35,7 +45,76 @@ def test_lattice_from_leq_rejects_non_lattice():
     # two incomparable elements with no top
     leq = [[True, False], [False, True]]
     with pytest.raises(AxiomViolation):
-        FiniteBoundedLattice.from_leq(leq)
+        FiniteBoundedLattice(leq)
+
+
+def _tables(lattice):
+    return lattice.join, lattice.meet, lattice.bottom, lattice.top
+
+
+def test_lattice_tables_match_the_lub_glb_oracle():
+    # on every lattice random_lattice draws and on every interval of it;
+    # an interval is a sublattice, so its tables are also the lattice's
+    for seed in range(200):
+        lat = random_lattice(random.Random(seed), 8)
+        assert _tables(lat) == lub_glb_lattice(lat.leq), seed
+        for lo in range(lat.size):
+            for hi in range(lat.size):
+                if not lat.leq[lo][hi]:
+                    continue
+                sub, keep = interval(lat, lo, hi)
+                assert _tables(sub) == lub_glb_lattice(sub.leq), (seed, lo, hi)
+                assert (keep[sub.bottom], keep[sub.top]) == (lo, hi)
+                for i in range(sub.size):
+                    for j in range(sub.size):
+                        assert keep[sub.join[i][j]] == lat.join[keep[i]][keep[j]]
+                        assert keep[sub.meet[i][j]] == lat.meet[keep[i]][keep[j]]
+
+
+def _outcome(build, leq):
+    try:
+        return build(leq)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness
+
+
+def test_non_lattices_are_refused_at_the_oracles_pair():
+    refused = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        leq = random_poset(rng, rng.randrange(1, 6)).leq
+        expected = _outcome(lub_glb_lattice, leq)
+        got = _outcome(lambda leq: _tables(FiniteBoundedLattice(leq)), leq)
+        assert got == expected, seed
+        refused += expected[0] == "lattice"
+    assert refused > 50
+
+
+def test_the_empty_order_is_not_bounded():
+    with pytest.raises(AxiomViolation) as exc:
+        FiniteBoundedLattice([])
+    assert exc.value.axiom == "boundedness"
+
+
+def test_submodule_lattice_tables_are_sum_and_intersection():
+    z2, z4 = cyclic_ring(2), cyclic_ring(4)
+    modules = [regular_module(cyclic_ring(8)),
+               regular_module(product_ring([z2, z2])),
+               regular_module(matrix_ring(z2, 2)),
+               direct_sum_module([regular_module(z4), simple_modules(z4)[0]]),
+               direct_sum_module([regular_module(z2)] * 3)]
+    sizes = []
+    for m in modules:
+        lattice, lat = submodule_bounded_lattice(m)
+        sizes.append(lattice.size)
+        assert _tables(lattice) == lub_glb_lattice(lattice.leq), m
+        subs, index = lat.submodules, lat.index
+        assert lattice.join == tuple(
+            tuple(index[sum_masks(m, a.mask, b.mask)] for b in subs)
+            for a in subs)
+        assert lattice.meet == tuple(
+            tuple(index[a.mask & b.mask] for b in subs) for a in subs)
+    assert sizes == [4, 4, 5, 8, 16]
 
 
 def test_action_axioms_enforced():
@@ -249,3 +328,35 @@ def test_ideal_action_firstness_is_module_primeness():
 @given(st.integers(0, 10 ** 6))
 def test_randomized_generic_facts(seed):
     assert random_instance_holds(seed) == []
+
+
+def _ints(table):
+    return tuple(tuple(int(v) for v in row) for row in table)
+
+
+def test_random_instance_draws_are_pinned(monkeypatch):
+    # the corpus reports pin only how many instances ran and failed, so a
+    # wrong join table could change every draw unseen: hash the lattice
+    # with its join, meet, bottom and top, the acting poset, the action
+    # table, the domain poset and the monotone map of each seed
+    draws = []
+
+    def record_action(rng, poset, lattice):
+        action = random_action(rng, poset, lattice)
+        draws.append((_ints(lattice.leq), _ints(lattice.join),
+                      _ints(lattice.meet), lattice.bottom, lattice.top,
+                      _ints(poset.leq), _ints(action.act)))
+        return action
+
+    def record_map(rng, domain, codomain):
+        f = random_monotone_map(rng, domain, codomain)
+        draws.append((_ints(domain.leq), f))
+        return f
+
+    monkeypatch.setattr(actions, "random_action", record_action)
+    monkeypatch.setattr(actions, "random_monotone_map", record_map)
+    for seed in range(500):
+        random_instance_holds(seed)
+    assert len(draws) == 1000
+    digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+    assert digest == DRAWS.read_text(encoding="ascii").strip()

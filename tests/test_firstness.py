@@ -13,7 +13,7 @@ from modlab.firstness import (NOTIONS, ClassMembership, a_first_detail,
                               is_bjkn_prime, is_diuniform, is_prime_module,
                               is_retractable, is_rpid_first,
                               prime_module_detail, rpid_first_detail)
-from modlab.modules import (direct_sum_module, endomorphism_ring,
+from modlab.modules import (atoms, direct_sum_module, endomorphism_ring,
                             enumerate_submodules, regular_module,
                             simple_modules, submodule)
 from modlab.preradicals import Alpha, SOC, ZERO, product_in
@@ -313,6 +313,20 @@ def test_trace_firstness_disagreement_names_each_route(monkeypatch):
                        match=re.escape(f"disagree on {regular_module(Z2)!r}"
                                        f": {verdicts}")):
         rpid_first_detail(regular_module(Z2))
+
+
+def test_one_member_per_table_of_the_atoms():
+    # the three lines of F2+F2 share one pair of tables; the atoms of Z6
+    # have orders 2 and 3
+    for module, n_atoms, count in (
+            (direct_sum_module([regular_module(Z2)] * 2), 3, 1),
+            (regular_module(Z6), 2, 2)):
+        subs = atoms(module)
+        members = firstness._one_per_table(subs)
+        assert len(subs) == n_atoms
+        assert len(members) == count
+        assert members[0] is subs[0].as_module()
+        assert len({(m.add, m.act) for m in members}) == count
 
 
 def test_bjkn_disagreement_names_the_atoms_route(monkeypatch):
