@@ -15,46 +15,49 @@ import random
 from dataclasses import dataclass
 
 from .errors import AxiomViolation
-from .modules import embed_submask, enumerate_submodules
+from .modules import _elements, embed_submask, enumerate_submodules
 
 
 class FinitePoset:
-    """A finite poset on 0..size-1 with an explicit relation matrix."""
+    """A finite poset on 0..size-1 with an explicit relation matrix;
+    ``up[a]`` and ``down[a]`` are bitmasks of the elements above and below
+    a.  A transitivity violation (a, b, c) is a bit c of up(b) & ~up(a),
+    checked in a triple scan's order, so a refusal names its witness."""
 
-    __slots__ = ("size", "leq")
+    __slots__ = ("size", "leq", "up", "down")
 
     def __init__(self, leq):
         leq = tuple(tuple(bool(v) for v in row) for row in leq)
         n = len(leq)
         if any(len(row) != n for row in leq):
             raise AxiomViolation("relation shape", None)
-        for a in range(n):
-            if not leq[a][a]:
+        up = tuple(sum(1 << b for b, v in enumerate(row) if v) for row in leq)
+        for a, up_a in enumerate(up):
+            if not up_a >> a & 1:
                 raise AxiomViolation("reflexivity", (a,))
-            for b in range(n):
-                if leq[a][b] and leq[b][a] and a != b:
+            for b in _elements(up_a):
+                if b != a and up[b] >> a & 1:
                     raise AxiomViolation("antisymmetry", (a, b))
-                for c in range(n):
-                    if leq[a][b] and leq[b][c] and not leq[a][c]:
-                        raise AxiomViolation("transitivity", (a, b, c))
+                bad = up[b] & ~up_a
+                if bad:
+                    raise AxiomViolation("transitivity",
+                                         (a, b, _elements(bad)[0]))
         self.size = n
         self.leq = leq
+        self.up = up
+        self.down = tuple(sum(1 << a for a, v in enumerate(col) if v)
+                          for col in zip(*leq))
 
     def linear_extension(self):
-        return _linear_extension(self.leq)
+        """The elements sorted by how many lie below each, then by index."""
+        return sorted(range(self.size),
+                      key=lambda i: (self.down[i].bit_count(), i))
 
     def __repr__(self):
         return f"FinitePoset(size={self.size})"
 
 
-def _linear_extension(leq):
-    """The elements of the order ``leq`` sorted by how many lie below
-    each, then by index: a linear extension."""
-    n = len(leq)
-    return sorted(range(n), key=lambda i: (sum(leq[j][i] for j in range(n)), i))
-
-
-class FiniteBoundedLattice:
+class FiniteBoundedLattice(FinitePoset):
     """A finite bounded lattice, given by its order alone.
 
     Join and meet are read off up-sets and down-sets, held as int
@@ -71,15 +74,11 @@ class FiniteBoundedLattice:
     row-major order; the empty order raises ``"boundedness"``.
     """
 
-    __slots__ = ("size", "leq", "join", "meet", "bottom", "top")
+    __slots__ = ("join", "meet", "bottom", "top")
 
     def __init__(self, leq):
-        poset = FinitePoset(leq)  # order axioms
-        n = poset.size
-        leq = poset.leq
-        up = [sum(1 << y for y, v in enumerate(row) if v) for row in leq]
-        down = [sum(1 << y for y, v in enumerate(col) if v)
-                for col in zip(*leq)]
+        super().__init__(leq)  # order axioms, up-sets and down-sets
+        n, up, down = self.size, self.up, self.down
         by_up = {u: x for x, u in enumerate(up)}
         by_down = {d: x for x, d in enumerate(down)}
         join = tuple(tuple(by_up.get(u & v) for v in up) for u in up)
@@ -91,26 +90,18 @@ class FiniteBoundedLattice:
                 raise AxiomViolation("lattice", (x, y),
                                      "pair without lub or glb")
         everything = (1 << n) - 1
-        bottom = by_up.get(everything)
-        top = by_down.get(everything)
-        if bottom is None or top is None:
+        self.bottom = by_up.get(everything)
+        self.top = by_down.get(everything)
+        if self.bottom is None or self.top is None:
             raise AxiomViolation("boundedness", None, "no bottom or top")
-        self.size = n
-        self.leq = leq
         self.join = join
         self.meet = meet
-        self.bottom = bottom
-        self.top = top
 
     def atoms(self):
-        out = []
-        for x in range(self.size):
-            if x == self.bottom:
-                continue
-            if all(y in (self.bottom, x) or not self.leq[y][x]
-                   for y in range(self.size)):
-                out.append(x)
-        return out
+        """The elements whose down-set holds only them and the bottom."""
+        bottom = 1 << self.bottom
+        return [x for x, d in enumerate(self.down)
+                if x != self.bottom and d == bottom | 1 << x]
 
     def __repr__(self):
         return f"FiniteBoundedLattice(size={self.size})"
@@ -125,6 +116,11 @@ class PosetAction:
         act = tuple(tuple(row) for row in act)
         if len(act) != poset.size or any(len(row) != lattice.size for row in act):
             raise AxiomViolation("action shape", None)
+        for s, row in enumerate(act):
+            for x, v in enumerate(row):
+                if not 0 <= v < lattice.size:
+                    raise AxiomViolation("action range", (s, x),
+                                         "s.x is not an element of L")
         pleq = poset.leq
         lleq = lattice.leq
         for s in range(poset.size):
@@ -146,6 +142,12 @@ class PosetAction:
         return f"PosetAction(|P|={self.poset.size}, |L|={self.lattice.size})"
 
 
+def _require_element(lattice, x):
+    if not 0 <= x < lattice.size:
+        raise AxiomViolation("lattice element", (x,),
+                             "no such element of the lattice")
+
+
 def is_first(action, x):
     """No poset element kills a nonzero piece of x without killing x."""
     if x == action.lattice.bottom:
@@ -157,11 +159,10 @@ def is_first(action, x):
 def first_witness(action, x):
     """The first (z, s) violating firstness of x, or None."""
     lat = action.lattice
+    _require_element(lat, x)
     act = action.act
     bot = lat.bottom
-    for z in range(lat.size):
-        if z == bot or not lat.leq[z][x]:
-            continue
+    for z in _elements(lat.down[x] & ~(1 << bot)):
         for s in range(action.poset.size):
             if act[s][z] == bot and act[s][x] != bot:
                 return (z, s)
@@ -171,6 +172,7 @@ def first_witness(action, x):
 def is_prime(action, x):
     """s.z below x forces s.top below x or z below x, for all s, z."""
     lat = action.lattice
+    _require_element(lat, x)
     act = action.act
     top = lat.top
     for z in range(lat.size):
@@ -201,10 +203,11 @@ def pullback(action, f, domain_poset):
 
 def interval(lattice, lo, hi):
     """The sublattice [lo, hi], plus the map new index -> old index."""
+    _require_element(lattice, lo)
+    _require_element(lattice, hi)
     if not lattice.leq[lo][hi]:
         raise AxiomViolation("interval bounds", (lo, hi), "lo must be <= hi")
-    keep = [z for z in range(lattice.size)
-            if lattice.leq[lo][z] and lattice.leq[z][hi]]
+    keep = _elements(lattice.up[lo] & lattice.down[hi])
     leq = [[lattice.leq[a][b] for b in keep] for a in keep]
     return FiniteBoundedLattice(leq), tuple(keep)
 
@@ -300,19 +303,8 @@ def random_poset(rng, size):
 
 def _downset_lattice(rng, base_size, max_size):
     base = random_poset(rng, base_size)
-    downs = []
-    for mask in range(1 << base.size):
-        ok = True
-        for i in range(base.size):
-            if mask >> i & 1:
-                for j in range(base.size):
-                    if base.leq[j][i] and not mask >> j & 1:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            downs.append(mask)
+    downs = [mask for mask in range(1 << base.size)
+             if all(base.down[i] & ~mask == 0 for i in _elements(mask))]
     if len(downs) > max_size:
         return None
     leq = [[a & ~b == 0 for b in downs] for a in downs]
@@ -374,7 +366,7 @@ def random_action(rng, poset, lattice):
     sampling always succeeds.
     """
     psort = poset.linear_extension()
-    lsort = _linear_extension(lattice.leq)
+    lsort = lattice.linear_extension()
     act = [[None] * lattice.size for _ in range(poset.size)]
     for s in psort:
         for x in lsort:
@@ -389,9 +381,8 @@ def random_action(rng, poset, lattice):
                     break
                 if lattice.leq[y][x]:
                     lb = lattice.join[lb][act[s][y]]
-            candidates = [v for v in range(lattice.size)
-                          if lattice.leq[lb][v] and lattice.leq[v][x]]
-            act[s][x] = rng.choice(candidates)
+            act[s][x] = rng.choice(
+                _elements(lattice.up[lb] & lattice.down[x]))
     return PosetAction(poset, lattice, act)
 
 

@@ -38,10 +38,10 @@ import copy
 from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency
-from .modules import (_elements, _reject_mask, annihilator_mask, atoms,
-                      cogenerates, cyclic_mask, cyclic_submodules,
-                      hom_nonzero_exists, regular_module, structural_summary,
-                      submodule, trad_mask)
+from .modules import (_elements, _intern_submodule, _reject_mask,
+                      annihilator_mask, atoms, cogenerates, cyclic_mask,
+                      cyclic_submodules, hom_nonzero_exists, regular_module,
+                      structural_summary, trad_mask)
 from .preradicals import Alpha, Beta
 from .rings import enumerate_ideals
 
@@ -108,7 +108,8 @@ def _inseparable_pair(module):
         if mask in seen:
             continue
         seen.add(mask)
-        missed = _reject_mask(module, submodule(module, mask).as_module())
+        missed = _reject_mask(module,
+                              _intern_submodule(module, mask).as_module())
         missed &= ~zmask
         if missed:
             x = (missed & -missed).bit_length() - 1
@@ -242,7 +243,7 @@ def _rpid_pairwise(module):
     anns = {}  # annihilator mask -> its index in ideals
     which = [anns.setdefault(annihilator_mask(module, a.mask), len(anns))
              for a in found]
-    ideals = [submodule(reg, mask) for mask in anns]
+    ideals = [_intern_submodule(reg, mask) for mask in anns]
     for n in cyclic_submodules(module):
         reached = [trad_mask(module, p, n.mask) != n.mask for p in ideals]
         if all(reached):
@@ -298,7 +299,7 @@ def rpid_first_detail(module):
     """
     _require_nonzero(module, "trace-firstness")
     verdict, witness = _rpid_pairwise(module)
-    family = [Alpha(submodule(c, c.full_mask()))
+    family = [Alpha(_intern_submodule(c, c.full_mask()))
               for c in _one_per_table(cyclic_submodules(module))]
     simple = _one_per_table(atoms(module))
     via_family = not any(pr.evaluate(a).is_zero()

@@ -37,7 +37,8 @@ Regular and zero modules, submodules, quotients and direct sums are
 modules by construction and carry the zero and negation that construction
 gives, unscanned (``FiniteModule``); the last three build their tables
 once per process for each construction on the same operands, named by
-serial number (``rings.derived_tables``).
+serial number (``rings.derived_tables``).  Carrier masks are checked
+where they enter, in ``submodule``, as tables are (``Submodule``).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class FiniteModule:
     its construction proves the axioms and gives its zero and negation:
     the regular module has the ring's own tables; the zero module is
     trivial; a submodule is closed under + and the action
-    (``_require_submodule``), so every law holds on it; a quotient by a
+    (``Submodule``), so every law holds on it; a quotient by a
     submodule adds and acts on cosets through any representatives; a
     direct sum adds and acts componentwise.  The test suite still runs
     the exhaustive scan on such modules as an oracle.
@@ -221,11 +222,16 @@ def _scan_module_axioms_exhaustive(ring, n, add, act):
 # submodules as bitmasks
 
 class Submodule:
-    """A submodule of a fixed parent, as an interned bitmask."""
+    """A submodule of a fixed parent, as an interned bitmask: closed and
+    within the parent, as only ``submodule`` (which checks a mask from
+    outside) and ``_intern_submodule`` (masks the engine proves closed)
+    make one, so no use of a handle checks closure again."""
 
     __slots__ = ("module", "mask", "carrier", "_mod")
 
-    def __init__(self, module, mask):
+    def __init__(self, module, mask, key=None):
+        if key is not _intern_submodule:  # the one maker of handles
+            raise TypeError("submodule handles come from submodule()")
         self.module = module
         self.mask = mask
         self.carrier = tuple(i for i in range(module.order) if mask >> i & 1)
@@ -248,7 +254,6 @@ class Submodule:
         what re-embedding of its submodules back into the parent uses.
         """
         if self._mod is None:
-            _require_submodule(self)
             parent, carrier = self.module, self.carrier
             self._mod = FiniteModule(
                 parent.ring,
@@ -276,11 +281,22 @@ class Submodule:
 
 
 def submodule(module, mask):
-    """Intern a submodule handle for a carrier bitmask."""
+    """The interned handle of a mask from outside: refused as a
+    ``"submodule"`` violation unless within the module and closed."""
+    if mask < 0 or mask >> module.order:
+        raise AxiomViolation("submodule", mask, "bits outside the module")
+    if not is_submodule_mask(module, mask):
+        raise AxiomViolation("submodule", tuple(_elements(mask)),
+                             "carrier is not a submodule")
+    return _intern_submodule(module, mask)
+
+
+def _intern_submodule(module, mask):
+    """``submodule`` for a mask the engine proves closed: no check."""
     subs = module._cache.setdefault("subs", {})
     s = subs.get(mask)
     if s is None:
-        s = Submodule(module, mask)
+        s = Submodule(module, mask, _intern_submodule)
         subs[mask] = s
     return s
 
@@ -298,17 +314,6 @@ def is_submodule_mask(module, mask):
             if not mask >> act[r][a] & 1:
                 return False
     return True
-
-
-def _require_submodule(sub):
-    """Raise ``AxiomViolation("submodule", carrier)`` unless the interned
-    mask is closed; a lattice already built answers by lookup."""
-    lat = sub.module._cache.get("lattice")
-    closed = (sub.mask in lat.index if lat is not None
-              else is_submodule_mask(sub.module, sub.mask))
-    if not closed:
-        raise AxiomViolation("submodule", sub.carrier,
-                             "carrier is not a submodule")
 
 
 def cyclic_mask(module, x):
@@ -486,7 +491,7 @@ def enumerate_submodules(module):
             if s not in seen:
                 seen.add(s)
                 queue.append(s)
-    subs = [submodule(module, m) for m in seen]
+    subs = [_intern_submodule(module, m) for m in seen]
     subs.sort(key=lambda s: (s.order, s.carrier))
     lat = SubmoduleLattice(module, subs)
     module._cache["lattice"] = lat
@@ -506,7 +511,7 @@ def cyclic_submodules(module):
         return module._cache["cyclics"]
     masks = {cyclic_mask(module, x)
              for x in range(module.order) if x != module.zero}
-    result = tuple(sorted((submodule(module, m) for m in masks),
+    result = tuple(sorted((_intern_submodule(module, m) for m in masks),
                           key=lambda s: (s.order, s.carrier)))
     module._cache["cyclics"] = result
     return result
@@ -962,7 +967,6 @@ def quotient_module(parent, kernel):
     """M/N with cosets labelled by their least member."""
     if kernel.module is not parent:
         raise RingMismatch("kernel is not a submodule of this module")
-    _require_submodule(kernel)
     *entry, proj, reps = derived_tables(
         (QUOTIENT_MODULE, parent.serial, kernel.mask),
         lambda: _quotient_tables(parent, kernel))
@@ -1053,7 +1057,9 @@ def _sum_tables(summands):
 
 def cyclic_module(parent, x):
     """Rx as a module in its own right."""
-    return submodule(parent, cyclic_mask(parent, x)).as_module()
+    if not 0 <= x < parent.order:
+        raise AxiomViolation("module element", (x,), "no such element")
+    return _intern_submodule(parent, cyclic_mask(parent, x)).as_module()
 
 
 def module_from_tables(ring, add, act, labels=None, cap=DEFAULT_MODULE_CAP):
@@ -1127,10 +1133,11 @@ def structural_summary(module):
     ideals = enumerate_ideals(ring, "two-sided")
     homogeneous = soc_mask == full and (
         module.is_zero() or sum(ann_m & ~i.mask == 0 for i in ideals) == 2)
-    is_simple = cyclic_submodules(module) == (submodule(module, full),)
+    is_simple = cyclic_submodules(module) == (_intern_submodule(module, full),)
     summary = StructuralSummary(is_simple, soc_mask == full, homogeneous,
-                                submodule(module, soc_mask),
-                                submodule(module, trad_mask(module, jac)))
+                                _intern_submodule(module, soc_mask),
+                                _intern_submodule(module,
+                                                  trad_mask(module, jac)))
     module._cache["structure"] = summary
     return summary
 
@@ -1147,19 +1154,16 @@ def is_fully_invariant(sub):
 def is_essential(sub):
     """N meets every nonzero submodule: Soc(M) <= N, as each one contains
     a simple submodule."""
-    _require_submodule(sub)
     return structural_summary(sub.module).socle.mask & ~sub.mask == 0
 
 
 def is_superfluous(sub):
     """N + K = M only for K = M: N <= Rad(M), as M is finitely generated."""
-    _require_submodule(sub)
     rad = structural_summary(sub.module).jacobson_radical
     return sub.mask & ~rad.mask == 0
 
 
 def is_atom(sub):
-    _require_submodule(sub)
     return sub in atoms(sub.module)
 
 
@@ -1250,7 +1254,7 @@ def jacobson_radical(ring):
         mask = reg.full_mask()
         for i in lat.maximal_indices():
             mask &= lat.submodules[i].mask
-        ring._cache["jacobson"] = submodule(reg, mask)
+        ring._cache["jacobson"] = _intern_submodule(reg, mask)
     return ring._cache["jacobson"]
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFullyInvariant, RingMismatch
-from .modules import (_element_annihilators, _require_submodule,
+from .modules import (_element_annihilators, _intern_submodule,
                       cyclic_submodules, embed_submask, hom_generators,
                       hom_set, is_fully_invariant, quotient_module,
                       regular_module, simple_modules, structural_summary,
-                      submodule, sum_masks, trad_mask)
+                      sum_masks, trad_mask)
 from .rings import enumerate_ideals, is_two_sided
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
@@ -40,9 +40,10 @@ class Preradical:
     Two expressions are equal when they have the same type and equal
     frozen fields (``_fields``), so an expression built again hits the
     values cached for the first one.  Submodule and ring handles are
-    interned, so those fields compare by identity.  The hash is computed
-    once per expression, as ``evaluate`` looks the expression up on
-    every call; the ring is pinned once, at construction.
+    interned, so those fields compare by identity, and closed by
+    construction (``modules.Submodule``), so none is checked again.  The
+    hash is computed once per expression, as ``evaluate`` looks the
+    expression up on every call; the ring is pinned once, at construction.
     """
 
     __slots__ = ("_hash", "_ring")
@@ -81,7 +82,8 @@ class Preradical:
         values = module._cache.setdefault("preradical_values", {})
         hit = values.get(self)
         if hit is None:
-            values[self] = hit = submodule(module, self._compute(module))
+            values[self] = hit = _intern_submodule(module,
+                                                   self._compute(module))
         return hit
 
     def _compute(self, module):
@@ -102,7 +104,6 @@ def _sub_token(sub):
 def _require_fully_invariant(sub):
     if sub.is_zero() or sub.is_full():
         return  # fully invariant in every module: no endomorphisms needed
-    _require_submodule(sub)
     if not is_fully_invariant(sub):
         raise NotFullyInvariant(f"{sub!r} is not fully invariant")
 
@@ -121,7 +122,6 @@ class Beta(Preradical):
     tag = "beta"
 
     def __init__(self, sub):
-        _require_submodule(sub)
         self.sub = sub
         self._ring = sub.module.ring
 
@@ -185,7 +185,6 @@ class Trad(Preradical):
     _fields = ("ideal",)
 
     def __init__(self, ideal):
-        _require_submodule(ideal)
         if not is_two_sided(ideal):
             raise NotFullyInvariant("t-radicals need a two-sided ideal")
         self.ideal = ideal
@@ -361,9 +360,11 @@ def product_in(module, left, right):
     BJKN-prime exactly when all products of nonzero submodules are
     nonzero.
     """
+    if right.module is not module:
+        raise RingMismatch("right is not a submodule of this module")
     rmod = right.as_module()
     val = Beta(left).evaluate(rmod)
-    return submodule(module, embed_submask(rmod, val.mask))
+    return _intern_submodule(module, embed_submask(rmod, val.mask))
 
 
 def product_hom_AB(module, left, right):
@@ -373,12 +374,14 @@ def product_hom_AB(module, left, right):
     for BJKN-primeness (witness: both products of the socle of Z4 with
     itself).  No correctness claim is attached to this form.
     """
+    if right.module is not module:
+        raise RingMismatch("right is not a submodule of this module")
     lmod = left.as_module()
     rmod = right.as_module()
     out = rmod.zero_mask()
     for f in hom_set(lmod, rmod):
         out = sum_masks(rmod, out, f.image_of_mask(lmod.full_mask()))
-    return submodule(module, embed_submask(rmod, out))
+    return _intern_submodule(module, embed_submask(rmod, out))
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +469,13 @@ def idempotent_core_at(pr, module):
     Iterates U >= s(U) >= s(s(U)) >= ... to its fixpoint; finiteness
     guarantees termination.
     """
-    current = submodule(module, module.full_mask())
+    current = _intern_submodule(module, module.full_mask())
     while True:
         cmod = current.as_module()
         nxt = embed_submask(cmod, pr.evaluate(cmod).mask)
         if nxt == current.mask:
             return current
-        current = submodule(module, nxt)
+        current = _intern_submodule(module, nxt)
 
 
 def radical_closure_at(pr, module):
@@ -491,14 +494,14 @@ def radical_closure_at(pr, module):
                 nxt |= 1 << x
         if nxt == current.mask:
             return current
-        current = submodule(module, nxt)
+        current = _intern_submodule(module, nxt)
 
 
 def socle_as_join_of_simple_traces(ring):
     """soc as the join of the trace operators of the simple modules."""
     parts = []
     for s in simple_modules(ring):
-        full = submodule(s, s.full_mask())
+        full = _intern_submodule(s, s.full_mask())
         parts.append(Alpha(full))
     return Join(parts)
 

@@ -19,7 +19,8 @@ enumerated Hom-sets, which the decider no longer runs: its witness is
 the reference for the one the decider reads off rejects, with no
 ``hom_generators``.  The lub/glb oracle derives a bounded lattice's
 tables by comparing every bound, as the lattice did before it read them
-off up-sets.
+off up-sets, and the poset oracle checks an order over every triple, as
+``FinitePoset`` did before it checked transitivity on up-set bitmasks.
 """
 
 import itertools
@@ -45,6 +46,22 @@ def powerset_submodule_masks(module):
         if mask >> zero & 1 and is_submodule_mask(module, mask):
             hits.append(mask)
     return sorted(hits)
+
+
+def poset_violation(leq):
+    """``(axiom, witness)`` of the first order axiom ``leq`` breaks in a
+    scan over every triple (a, b, c), or None."""
+    n = len(leq)
+    for a in range(n):
+        if not leq[a][a]:
+            return "reflexivity", (a,)
+        for b in range(n):
+            if leq[a][b] and leq[b][a] and a != b:
+                return "antisymmetry", (a, b)
+            for c in range(n):
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    return "transitivity", (a, b, c)
+    return None
 
 
 def lub_glb_lattice(leq):

@@ -18,7 +18,7 @@ from modlab.modules import (direct_sum_module, regular_module,
 from modlab.preradicals import SOC, Trad, ZERO
 from modlab.rings import cyclic_ring, enumerate_ideals, matrix_ring, product_ring
 
-from oracles import lub_glb_lattice
+from oracles import lub_glb_lattice, poset_violation
 
 # sha256 of what random_instance_holds draws for seeds 0..499, recorded at
 # commit e39c583 (test_random_instance_draws_are_pinned)
@@ -39,6 +39,41 @@ def test_poset_axioms_enforced():
         FinitePoset([[False]])  # not reflexive
     with pytest.raises(AxiomViolation):
         FinitePoset([[True, True], [True, True]])  # not antisymmetric
+
+
+def random_relation(rng, n):
+    """A relation on n elements near an order: a random poset with a few
+    pairs flipped, or, one time in eight, any relation."""
+    if rng.random() < 0.125:
+        return [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+    leq = [list(row) for row in random_poset(rng, n).leq]
+    for _ in range(rng.randrange(3)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        leq[a][b] = not leq[a][b]
+    return leq
+
+
+def test_poset_refusals_match_the_triple_scan():
+    # the up-set check names the axiom and the witness of the scan over
+    # every triple, and keeps the scan's order of the three axioms
+    rng = random.Random(2024)
+    seen = {}
+    for _ in range(600):
+        leq = random_relation(rng, rng.randrange(1, 8))
+        expected = poset_violation(leq)
+        try:
+            poset = FinitePoset(leq)
+        except AxiomViolation as exc:
+            got = exc.axiom, exc.witness
+        else:
+            got = None
+            n = len(leq)
+            assert all(poset.up[a] >> b & 1 == poset.down[b] >> a & 1
+                       == leq[a][b] for a in range(n) for b in range(n))
+        assert got == expected, leq
+        kind = expected and expected[0]
+        seen[kind] = seen.get(kind, 0) + 1
+    assert min(seen.values()) > 50 and len(seen) == 4, seen
 
 
 def test_lattice_from_leq_rejects_non_lattice():
@@ -123,6 +158,32 @@ def test_action_axioms_enforced():
     with pytest.raises(AxiomViolation):
         PosetAction(poset, lat, [[0, 2, 2]])  # s.1 = 2 not below 1
     PosetAction(poset, lat, [[0, 1, 1]])
+
+
+def test_action_entries_outside_the_lattice_are_refused():
+    # unchecked, -1 would read the top's row as s.1 and 2 would raise a
+    # bare IndexError
+    lat, poset = chain(2), antichain_poset(1)
+    for row, x in (([0, -1], 1), ([0, 2], 1), ([-2, 1], 0)):
+        with pytest.raises(AxiomViolation) as exc:
+            PosetAction(poset, lat, [row])
+        assert (exc.value.axiom, exc.value.witness) == ("action range", (0, x))
+
+
+def test_element_indices_outside_the_lattice_are_refused():
+    # unchecked, a negative index would answer for an element counted
+    # from the top
+    lat = chain(3)
+    action = PosetAction(antichain_poset(1), lat, [[0, 0, 2]])
+    for x in (-1, -3, 3):
+        for ask in (lambda: interval(lat, 0, x), lambda: interval(lat, x, 2),
+                    lambda: restrict_action(action, x),
+                    lambda: is_first(action, x), lambda: is_prime(action, x),
+                    lambda: first_witness(action, x)):
+            with pytest.raises(AxiomViolation) as exc:
+                ask()
+            assert (exc.value.axiom, exc.value.witness) == (
+                "lattice element", (x,))
 
 
 def test_identity_action_everything_first():

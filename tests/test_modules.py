@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlab import rings
-from modlab.classify import generate_universe
+from modlab.classify import (THEOREM_IDS, classify_ring, generate_universe,
+                             verify_theorem)
 from modlab.cli import corpus_rings
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.firstness import firstness_report
@@ -21,10 +22,10 @@ from modlab.modules import (ModuleMorphism, Submodule, _scan_module_axioms,
                             direct_sum_module,
                             enumerate_submodules, hom_nonzero_exists, hom_set,
                             is_atom, is_essential, is_injective,
-                            is_isomorphic, is_superfluous, module_from_tables,
+                            is_isomorphic, is_submodule_mask, is_superfluous,
+                            module_from_tables,
                             quotient_module, regular_module, simple_modules,
                             structural_summary, submodule, endomorphism_ring)
-from modlab.preradicals import Alpha, Beta, Omega
 
 from conftest import TABLE_BUILDERS, memo_cells
 from oracles import all_function_homs, powerset_submodule_masks
@@ -651,13 +652,20 @@ def assert_scan_agrees(module):
     assert scanned == (module.zero, module.neg), module
 
 
-def derived_sweep():
-    """On fresh rings: the depth-3 universe modules of the corpus rings,
-    T2(F2) and F2[x,y]/(x,y)^2, their distinct nonzero cyclic submodules
-    (the atoms among them) as modules, and their quotients of order at
-    most 16 by those, each module before anything derived from it."""
+def sweep_universes():
+    """(ring, its depth-3 universe) for fresh copies of the corpus rings,
+    T2(F2) and F2[x,y]/(x,y)^2."""
     for ring in corpus_rings() + [upper_triangular_f2(), f2_xy_square_zero()]:
-        for m in generate_universe(ring, depth=3).modules:
+        yield ring, generate_universe(ring, depth=3)
+
+
+def derived_sweep():
+    """The modules of ``sweep_universes``, their distinct nonzero cyclic
+    submodules (the atoms among them) as modules, and their quotients of
+    order at most 16 by those, each module before anything derived from
+    it."""
+    for _, universe in sweep_universes():
+        for m in universe.modules:
             yield m
             for s in cyclic_submodules(m):
                 yield s.as_module()
@@ -748,7 +756,7 @@ def test_an_evicted_derivation_is_built_again(empty_memo, count_builds,
     # stored, 2Z8's construction outlives its table entry, and remembering
     # 4Z8 evicts it, so 2Z8 is then built again, with the tables of its
     # first build.  Fresh handles stand for later documents on the same
-    # tables
+    # tables, each from a module cache without its earlier handles
     monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 80)
     reg = regular_module(cyclic_ring(8))
     wide, narrow = 0b01010101, 0b00010001
@@ -757,7 +765,8 @@ def test_an_evicted_derivation_is_built_again(empty_memo, count_builds,
     for mask in (wide, wide, narrow, wide):
         key = (rings.SUBMODULE, reg.serial, mask)
         stored, before = key in empty_memo, len(builds)
-        sub = Submodule(reg, mask).as_module()
+        reg._cache.pop("subs", None)
+        sub = submodule(reg, mask).as_module()
         steps.append((mask, stored, len(builds) - before))
         assert carried(sub) == first.setdefault(mask, carried(sub))
         assert_scan_agrees(sub)
@@ -782,7 +791,7 @@ def test_a_construction_outlives_its_operand_entries(empty_memo,
     wide, narrow = 0b01010101, 0b00010001
     subs = {}
     for mask in (wide, narrow):
-        sub = subs[mask] = Submodule(reg, mask).as_module()
+        sub = subs[mask] = submodule(reg, mask).as_module()
         serials.add(sub.serial)
         n = sub.order
         assert (sub.add, sub.act, sub.zero, sub.neg) == (
@@ -796,7 +805,7 @@ def test_a_construction_outlives_its_operand_entries(empty_memo,
     assert (reg.ring.serial, reg.add, reg.act) not in empty_memo
     # Z8/4Z8 has 2Z8's tables, and takes their entry and serial; its
     # construction adds only the projection and the coset representatives
-    q = quotient_module(reg, Submodule(reg, narrow))
+    q = quotient_module(reg, submodule(reg, narrow))
     assert q.serial == subs[wide].serial and q.origin[3:] == (
         (0, 1, 2, 3, 0, 1, 2, 3), (0, 1, 2, 3))
     assert empty_memo[rings.QUOTIENT_MODULE, reg.serial, narrow] == (
@@ -820,6 +829,64 @@ def test_drawn_modules_pass_the_exhaustive_scan(empty_memo_under, data):
         assert_scan_agrees(m)
         for s in cyclic_submodules(m):
             assert_scan_agrees(s.as_module())
+
+
+# --- submodule handles: closed by construction ------------------------------
+
+def record_handles(mp):
+    """The list every ``Submodule`` handle made from now on goes into."""
+    made = []
+    init = Submodule.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    mp.setattr(Submodule, "__init__", record)
+    return made
+
+
+def assert_handles_closed(handles):
+    """Each handle lies within its module, is closed, and is the one its
+    module interned for its mask."""
+    for s in handles:
+        m = s.module
+        assert 0 < s.mask <= m.full_mask(), s
+        assert is_submodule_mask(m, s.mask), s
+        assert m._cache["subs"][s.mask] is s
+
+
+def test_every_engine_submodule_is_closed(monkeypatch):
+    # the engine interns the masks it computes unchecked, so each must be
+    # closed by its construction: run every decider, the classification
+    # and every theorem on fresh rings of the derived sweep.  The handles
+    # are checked also when the run fails, as an unclosed one is the
+    # likelier cause than whatever it broke downstream
+    handles = record_handles(monkeypatch)
+    try:
+        for ring, universe in sweep_universes():
+            for m in universe.nonzero_modules():
+                firstness_report(m)
+            classify_ring(ring, universe)
+            for theorem in THEOREM_IDS:
+                verify_theorem(theorem, ring, universe)
+    finally:
+        assert_handles_closed(handles)
+    assert len(handles) > 5000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_drawn_modules_intern_closed_submodules(data):
+    with pytest.MonkeyPatch.context() as mp:
+        handles = record_handles(mp)
+        try:
+            m = data.draw(small_module(data.draw(
+                st.sampled_from(SMALL_RINGS))))
+            if not m.is_zero():
+                firstness_report(m)
+        finally:
+            assert_handles_closed(handles)
 
 
 def test_only_raw_tables_are_certified(empty_memo, count_certificates,
@@ -861,24 +928,49 @@ def test_module_distributivity_alone_is_rejected():
     assert exc.value.axiom == "module distributivity"
 
 
-def test_non_submodule_masks_are_rejected():
+def test_cyclic_modules_of_elements_outside_the_module_are_refused():
+    # unchecked, -1 would build R.3 and 4 would raise a bare IndexError
     m = regular_module(Z4)
-    for mask in (0b0011, 0b0110):  # {0,1} misses 1+1; {1,2} misses 0
+    for x in (-1, 4):
         with pytest.raises(AxiomViolation) as exc:
-            quotient_module(m, submodule(m, mask))
-        assert exc.value.axiom == "submodule"
+            cyclic_module(m, x)
+        assert (exc.value.axiom, exc.value.witness) == ("module element", (x,))
+
+
+def test_non_submodule_masks_are_rejected():
+    # submodule() itself refuses an unclosed carrier, so no handle exists
+    # for quotient_module, as_module, the predicates or the frozen
+    # trace/reject operators to refuse again (test_package keeps every
+    # other handle closed by construction)
+    m = regular_module(Z4)
+    # {0,1} misses 1+1; {1,2} misses 0
+    for mask, carrier in ((0b0011, (0, 1)), (0b0110, (1, 2))):
         with pytest.raises(AxiomViolation) as exc:
-            submodule(m, mask).as_module()
-        assert exc.value.axiom == "submodule"
-        # the predicates and the frozen trace/reject operators refuse too
-        # (at the parent: KeyError from is_atom and Alpha, False from
-        # is_essential and is_superfluous, a non-submodule from Beta)
-        sub = submodule(m, mask)
-        for refuse in (is_atom, is_essential, is_superfluous,
-                       lambda s: Alpha(s).evaluate(m),
-                       lambda s: Omega(s).evaluate(m),
-                       lambda s: Beta(s).evaluate(m)):
-            with pytest.raises(AxiomViolation) as exc:
-                refuse(sub)
-            assert (exc.value.axiom, exc.value.witness) == (
-                "submodule", sub.carrier)
+            submodule(m, mask)
+        assert (exc.value.axiom, exc.value.witness) == ("submodule", carrier)
+        assert mask not in m._cache["subs"]
+
+
+def test_masks_outside_the_module_are_rejected():
+    # unchecked, 0b10001 would give a handle on the carrier (0,) that is
+    # not is_zero(), and -1 one on the full carrier that is not is_full()
+    m = regular_module(Z4)
+    for mask in (0b10001, 0b110000, 1 << 4, -1, -2):
+        with pytest.raises(AxiomViolation) as exc:
+            submodule(m, mask)
+        assert (exc.value.axiom, exc.value.witness) == ("submodule", mask)
+    assert submodule(m, 0b0001).is_zero() and submodule(m, 0b1111).is_full()
+    assert all(0 < mask < 16 for mask in m._cache["subs"])
+
+
+def test_handles_are_made_only_by_interning():
+    # a handle built directly would skip the check in submodule(): on
+    # {0,1} of Z4, quotient_module would return two "cosets" {0,1} and
+    # {2,3} and remember them.  So the constructor refuses every caller
+    # but the interning, closed mask or not
+    m = regular_module(Z4)
+    for mask in (0b0011, 0b10001, 0b0101):
+        with pytest.raises(TypeError):
+            Submodule(m, mask)
+    assert not {0b0011, 0b10001} & set(m._cache.get("subs", {}))
+    assert quotient_module(m, submodule(m, 0b0101)).order == 2

@@ -1,7 +1,7 @@
 """The package's public surface: every exported name resolves, once; no
-module of the package imports a name it does not use; module tables from
-outside are scanned in one place; and no process-wide store but the memo
-of accepted tables grows with jobs."""
+module of the package imports a name it does not use; module tables and
+submodule carriers from outside are checked in one place each; and no
+process-wide store but the memo of accepted tables grows with jobs."""
 
 import ast
 import pathlib
@@ -93,6 +93,24 @@ def test_module_tables_are_scanned_only_where_they_enter():
                 for function, _ in name_uses(path.read_text(encoding="utf-8"),
                                              "_scan_module_axioms")}
     assert scanners == {("modules.py", "module_from_tables")}
+
+
+def callers(name):
+    """(file, function) for each call of ``name`` in ``src/modlab``."""
+    return {(path.name, function)
+            for path in (ROOT / "src" / "modlab").glob("*.py")
+            for function, called in name_uses(
+                path.read_text(encoding="utf-8"), name) if called}
+
+
+def test_submodule_carriers_are_checked_only_where_they_enter():
+    # a mask from outside is checked for closure only by submodule(),
+    # which the engine never calls on the masks its constructions prove,
+    # and every handle is interned by the one function those go through,
+    # so no use of a handle needs to check it again
+    assert callers("is_submodule_mask") == {("modules.py", "submodule")}
+    assert callers("Submodule") == {("modules.py", "_intern_submodule")}
+    assert callers("submodule") == set()
 
 
 def module_level_sizes():

@@ -133,6 +133,17 @@ def test_product_beta_form_z4_witness():
     assert product_hom_AB(m, s, s).carrier == (0, 2)
 
 
+def test_products_refuse_a_right_factor_of_another_module():
+    # the product is a submodule of right's module: interned in Z4, the
+    # product with the simple Z4-module on the right would be the
+    # unclosed carrier {0,1}
+    m, simple = z4_regular(), simple_modules(Z4)[0]
+    other = submodule(simple, simple.full_mask())
+    for product in (product_in, product_hom_AB):
+        with pytest.raises(RingMismatch):
+            product(m, submodule(m, m.full_mask()), other)
+
+
 def test_product_nonzero_on_homogeneous():
     v = direct_sum_module([regular_module(Z2), regular_module(Z2)])
     lat = enumerate_submodules(v)
