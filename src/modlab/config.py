@@ -9,9 +9,9 @@ DEFAULT_RING_CAP = 16
 DEFAULT_MODULE_CAP = 64
 DEFAULT_UNIVERSE_DEPTH = 2
 
-# Guard for the generator-image search in hom-set enumeration: |T|^k
-# candidate image tuples for k generators into a target T.
-MAX_HOM_CANDIDATES = 4_000_000
+# Guard for listing a whole Hom-set (``modules.hom_set``): the number of
+# maps, |Hom|, known from the generator chain before any map is listed.
+MAX_HOM_MAPS = 4_000_000
 
 # Guard for the chain behind Hom generators: w^2 |T|, where w = m + k is
 # the chain's width (m basis relations, k generators).  The chain stores

@@ -13,17 +13,17 @@ scan is needed (the test suite still compares against an all-functions
 oracle on small instances).
 
 Hom(M, T) is an abelian group under pointwise addition, and trace sums,
-rejects, preimage meets and fully-invariant flags need only a generating
-set of it: ``hom_generators`` computes one, of at most log2|Hom| maps,
-as the kernel of the relation map without listing Hom, and is capped by
-the size of the chain it builds (``MAX_HOM_CHAIN``).  Where every map is
-needed (``hom_set``: oracles, End(M) as a ring, Baer's criterion,
-naturality checks, the Hom(A, B) product variant; no firstness decider),
-and for the nonzero-map test and isomorphism search, one backtracking
-search over generator images serves; its callers differ only in the
-candidate images, an optional per-image test, and what happens at a
-complete tuple.  ``hom_set`` is capped by its |T|^k candidate tuples
-(``MAX_HOM_CANDIDATES``).
+rejects, preimage meets, fully-invariant flags, Baer's criterion,
+naturality checks and the Hom(A, B) product variant need only a
+generating set of it: ``hom_generators`` computes one, of at most
+log2|Hom| maps, as the kernel of the relation map without listing Hom,
+and is capped by the size of the chain it builds (``MAX_HOM_CHAIN``).
+The same chain gives |Hom|.  Only End(M) as a ring needs every map:
+``hom_set`` lists the span of the generators, and refuses before listing
+when |Hom| exceeds ``MAX_HOM_MAPS``.  The nonzero-map test and
+isomorphism search exit early, so they search generator images
+directly; they differ only in the candidate images, an optional
+per-image test, and what happens at a complete tuple.
 
 The full submodule lattice (``enumerate_submodules``) serves submodule
 references, actions, ideals and universes.  The deciders quantify over
@@ -44,10 +44,11 @@ where they enter, in ``submodule``, as tables are (``Submodule``).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import getitem
 
-from .config import DEFAULT_MODULE_CAP, MAX_HOM_CANDIDATES, MAX_HOM_CHAIN
+from .config import DEFAULT_MODULE_CAP, MAX_HOM_CHAIN, MAX_HOM_MAPS
 from .errors import (AxiomViolation, InternalInconsistency, RingMismatch,
                      SizeCapExceeded)
 from .rings import (DIRECT_SUM, QUOTIENT_MODULE, SUBMODULE, FiniteRing,
@@ -725,39 +726,33 @@ def _morphism_from_images(source, target, images):
     return ModuleMorphism(source, target, fmap, validate=False)
 
 
-def _check_hom_cap(target, k):
-    if target.order ** k > MAX_HOM_CANDIDATES:
-        raise SizeCapExceeded(
-            f"hom search over {target.order}^{k} candidates is out of range")
-
-
 def hom_set(source, target):
-    """All R-linear maps source -> target, canonically ordered (cached).
+    """All R-linear maps source -> target, ordered by ``map``.
 
-    A generator-image tuple extends to a well-defined map exactly when it
-    kills every relation among the generators, and the extension along the
-    recorded expressions is automatically additive and linear.  Used where
-    every map is needed (oracles, End(M) as a ring, Baer's criterion,
-    naturality checks, the Hom(A, B) product variant); sums, kernels and
-    preimages over all maps are read off ``hom_generators`` instead, and
-    no firstness decider enumerates a Hom-set.
+    The span of ``hom_generators`` under pointwise addition, listed on the
+    generator images of ``source`` and filled once per map.  The chain
+    behind the generators gives |Hom|, so a Hom of more than
+    ``MAX_HOM_MAPS`` maps is refused before any is listed.  Only
+    ``endomorphism_ring`` needs every map; every other question about
+    Hom is answered from the generators.  The tests check this list
+    against a search over all |T|^k generator-image tuples.
     """
-    if source.ring is not target.ring:
-        raise RingMismatch("hom-set endpoints over different rings")
-    cache = source._cache.setdefault("homs", {})
-    if target in cache:
-        return cache[target]
-    gens, _, rel_levels = _generator_data(source)
-    k = len(gens)
-    _check_hom_cap(target, k)
-    images = []
-    _search_images(target, rel_levels, [range(target.order)] * k,
-                   images.append)
-    homs = [_morphism_from_images(source, target, hv) for hv in images]
-    homs.sort(key=lambda f: f.map)
-    result = tuple(homs)
-    cache[target] = result
-    return result
+    generators, order = _hom_chain(source, target)
+    if order > MAX_HOM_MAPS:
+        raise SizeCapExceeded(f"hom set of {order} maps is out of range")
+    gens = _generator_data(source)[0]
+    rows = target.add.__getitem__
+    summands = [tuple(f.map[g] for g in gens) for f in generators]
+    images = [(target.zero,) * len(gens)]
+    seen = set(images)
+    for x in images:
+        for v in summands:
+            y = tuple(map(getitem, map(rows, x), v))
+            if y not in seen:
+                seen.add(y)
+                images.append(y)
+    return tuple(sorted((_morphism_from_images(source, target, hv)
+                         for hv in images), key=lambda f: f.map))
 
 
 def _extend_additive_span(add, span, c):
@@ -788,9 +783,15 @@ def hom_generators(source, target):
 
     Each level's orbit is a subset of T, so the chain of width w = m + k
     stores at most w.|T| vectors of length w; it is refused when w^2.|T|
-    exceeds ``MAX_HOM_CHAIN``.  The |T|^k cap of ``hom_set`` does not
-    apply: nothing here runs over image tuples.
+    exceeds ``MAX_HOM_CHAIN``.  The bound on |Hom| of ``hom_set`` does
+    not apply: nothing here lists Hom.
     """
+    return _hom_chain(source, target)[0]
+
+
+def _hom_chain(source, target):
+    """``(hom_generators(source, target), |Hom|)``, read off one chain
+    (cached): |Hom| is the product of the orbit sizes at levels >= m."""
     if source.ring is not target.ring:
         raise RingMismatch("hom-set endpoints over different rings")
     cache = source._cache.setdefault("homgens", {})
@@ -846,7 +847,8 @@ def hom_generators(source, target):
         for j in range(k):
             sift(tuple(tact[r[j]][t] for r in rels)
                  + tuple(t if i == j else tzero for i in range(k)), 0)
-    result = tuple(_morphism_from_images(source, target, hv) for hv in images)
+    maps = tuple(_morphism_from_images(source, target, hv) for hv in images)
+    result = maps, math.prod(map(len, orbits[m:]))
     cache[target] = result
     return result
 
@@ -1191,7 +1193,7 @@ def cogenerates(cog, module):
 
     The reject is read off a generating set of Hom(module, cog).  The BJKN
     decider checks it against homogeneous semisimplicity read off J(R),
-    with no Hom group, and the tests against the enumerated Hom-sets.
+    with no Hom group, and the tests against the searched Hom-sets.
     """
     if isinstance(cog, Submodule):
         cog = cog.as_module()
@@ -1204,8 +1206,12 @@ def is_injective(module):
     """Baer criterion: every map from a left ideal of R extends to R.
 
     Hom(R, M) is M, through m -> (r -> r.m), so the restrictions of the
-    maps R -> M to a left ideal I are read off the action table's columns
-    at the elements of I.  The ideals 0 and R are skipped: every map from
+    maps R -> M to a left ideal I are the maps rho_m: i -> i.m, read off
+    the action table's columns at the elements of I.  As rho_{m+m'} =
+    rho_m + rho_{m'}, they form a subgroup of Hom(I, M), the image of the
+    additive map m -> rho_m; so they are all of Hom(I, M) exactly when
+    they contain every map of ``hom_generators(I, M)``, and no map is
+    listed or counted.  The ideals 0 and R are skipped: every map from
     either extends to R (by zero, or as itself).
     """
     act = module.act
@@ -1214,7 +1220,7 @@ def is_injective(module):
             continue
         restrictions = {tuple(act[e][m] for e in ideal.carrier)
                         for m in range(module.order)}
-        for f in hom_set(ideal.as_module(), module):
+        for f in hom_generators(ideal.as_module(), module):
             if f.map not in restrictions:
                 return False
     return True
@@ -1261,13 +1267,14 @@ def jacobson_radical(ring):
 def endomorphism_ring(module, cap=None):
     """End(M) as an explicit finite ring; product is composition f.g = f o g.
 
-    Returns None when the endomorphism monoid is larger than ``cap`` (the
-    full ring tables would be pointlessly huge for desk-scale checks).
+    Returns None when End(M) has more than ``cap`` elements (the full ring
+    tables would be pointlessly huge for desk-scale checks), before any
+    map is listed: |End(M)| comes with ``hom_generators``' chain.
     """
+    if cap is not None and _hom_chain(module, module)[1] > cap:
+        return None
     endos = hom_set(module, module)
     n = len(endos)
-    if cap is not None and n > cap:
-        return None
     index = {f.map: i for i, f in enumerate(endos)}
     madd = module.add
     add = [[index[tuple(madd[f.map[x]][g.map[x]] for x in range(module.order))]

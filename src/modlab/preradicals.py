@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from .errors import NotFullyInvariant, RingMismatch
 from .modules import (_element_annihilators, _intern_submodule,
                       cyclic_submodules, embed_submask, hom_generators,
-                      hom_set, is_fully_invariant, quotient_module,
-                      regular_module, simple_modules, structural_summary,
-                      sum_masks, trad_mask)
+                      is_fully_invariant, quotient_module, regular_module,
+                      simple_modules, structural_summary, sum_masks,
+                      trad_mask)
 from .rings import enumerate_ideals, is_two_sided
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
@@ -372,14 +372,16 @@ def product_hom_AB(module, left, right):
 
     Exposed for comparison only; it does not satisfy the product criterion
     for BJKN-primeness (witness: both products of the socle of Z4 with
-    itself).  No correctness claim is attached to this form.
+    itself).  No correctness claim is attached to this form.  The sum of
+    f(left) over all maps is the sum over a generating set of the Hom
+    group, as in ``Beta``.
     """
     if right.module is not module:
         raise RingMismatch("right is not a submodule of this module")
     lmod = left.as_module()
     rmod = right.as_module()
     out = rmod.zero_mask()
-    for f in hom_set(lmod, rmod):
+    for f in hom_generators(lmod, rmod):
         out = sum_masks(rmod, out, f.image_of_mask(lmod.full_mask()))
     return _intern_submodule(module, embed_submask(rmod, out))
 
@@ -509,14 +511,18 @@ def socle_as_join_of_simple_traces(ring):
 def check_naturality(pr, modules):
     """f(s(A)) <= s(B) for every map between the given modules.
 
-    Returns a witness triple (A, B, map) on failure, else None.
+    Checked on a generating set of each Hom(A, B) (``hom_generators``):
+    every map is an integer combination of the generators and s(B) is a
+    subgroup, so f(s(A)) <= s(B) for every map exactly when it holds for
+    each generator.  Returns a witness triple (A, B, generator) on
+    failure, else None.
     """
     mods = _universe_modules(modules)
     for a in mods:
         va = pr.evaluate(a)
         for b in mods:
             vb = pr.evaluate(b)
-            for f in hom_set(a, b):
+            for f in hom_generators(a, b):
                 if f.image_of_mask(va.mask) & ~vb.mask:
                     return (a, b, f)
     return None

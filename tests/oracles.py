@@ -6,7 +6,11 @@ candidate.  The ring-level oracles find by search what the library reads
 off the ring: linear filters among all subsets of the left ideals, simple
 modules and universe modules grouped into isomorphism classes by
 ``find_isomorphism`` on pairs, and Baer's criterion with the maps R -> M
-listed by ``hom_set``.  The firstness oracles are the scans the deciders
+and I -> M listed by ``searched_hom_set``.  ``searched_hom_set`` is the
+reference Hom-set: a search over all |T|^k generator-image tuples, which
+reads the relation basis of the source but not the chain of
+``hom_generators``, whose span ``hom_set`` lists.
+The firstness oracles are the scans the deciders
 ran before they were reduced to the atoms of
 ``modules.atoms``, to the submodules inside the socle, or to one member
 per pair of tables: each walks every nonzero submodule of the full
@@ -15,8 +19,8 @@ in the decider's own witness format.  The left-exactness oracle is the
 scan that ran before left exactness was reduced to the cyclic submodules
 of s(M).  The all-cyclic BJKN scans are the cogeneration route before it
 was reduced to the atoms, and the pointwise-separation route over
-enumerated Hom-sets, which the decider no longer runs: its witness is
-the reference for the one the decider reads off rejects, with no
+searched Hom-sets, which the decider no longer runs: its witness is the
+reference for the one the decider reads off rejects, with no
 ``hom_generators``.  The lub/glb oracle derives a bounded lattice's
 tables by comparing every bound, as the lattice did before it read them
 off up-sets, and the poset oracle checks an order over every triple, as
@@ -25,11 +29,13 @@ off up-sets, and the poset oracle checks an order over every triple, as
 
 import itertools
 
-from modlab.errors import AxiomViolation, SizeCapExceeded
-from modlab.modules import (ModuleMorphism, annihilator_mask, cogenerates,
-                            cyclic_mask, direct_sum_module, embed_submask,
+from modlab.errors import AxiomViolation, RingMismatch, SizeCapExceeded
+from modlab.modules import (ModuleMorphism, _generator_data,
+                            _morphism_from_images, _search_images,
+                            annihilator_mask, cogenerates, cyclic_mask,
+                            direct_sum_module, embed_submask,
                             enumerate_submodules, find_isomorphism,
-                            hom_nonzero_exists, hom_set, is_essential,
+                            hom_nonzero_exists, is_essential,
                             is_submodule_mask, quotient_module,
                             regular_module, submodule, trad_mask)
 from modlab.preradicals import Alpha, Join, SOC
@@ -104,6 +110,30 @@ def all_function_homs(source, target):
             continue
     out.sort(key=lambda m: m.map)
     return tuple(out)
+
+
+# bound of ``searched_hom_set``: |T|^k candidate image tuples for k
+# generators into a target T
+MAX_SEARCHED_TUPLES = 4_000_000
+
+
+def searched_hom_set(source, target):
+    """Hom(source, target) by a depth-first search over all |T|^k images of
+    the k generators, keeping each tuple that kills every basis relation,
+    ordered by ``map``.  Refused when |T|^k exceeds
+    ``MAX_SEARCHED_TUPLES``."""
+    if source.ring is not target.ring:
+        raise RingMismatch("hom-set endpoints over different rings")
+    gens, _, rel_levels = _generator_data(source)
+    k = len(gens)
+    if target.order ** k > MAX_SEARCHED_TUPLES:
+        raise SizeCapExceeded(
+            f"hom search over {target.order}^{k} candidates is out of range")
+    images = []
+    _search_images(target, rel_levels, [range(target.order)] * k,
+                   images.append)
+    return tuple(sorted((_morphism_from_images(source, target, hv)
+                         for hv in images), key=lambda f: f.map))
 
 
 def subset_linear_filters(ring):
@@ -213,17 +243,19 @@ def searched_universe(ring, depth, module_cap):
 
 
 def baer_via_hom_set(module):
-    """Baer's criterion with Hom(R, M) listed by ``hom_set``: every map
-    from a nonzero left ideal is the restriction of one of them."""
+    """Baer's criterion with Hom(R, M) and every Hom(I, M) listed by
+    ``searched_hom_set``: every map from a nonzero left ideal is the
+    restriction of one of them."""
     ring = module.ring
-    full_homs = hom_set(regular_module(ring), module)
+    full_homs = searched_hom_set(regular_module(ring), module)
     for ideal in enumerate_ideals(ring, "left"):
         if ideal.is_zero():
             continue
         imod = ideal.as_module()
         carrier = imod.origin[2]
         restrictions = {tuple(g.map[e] for e in carrier) for g in full_homs}
-        if any(f.map not in restrictions for f in hom_set(imod, module)):
+        if any(f.map not in restrictions
+               for f in searched_hom_set(imod, module)):
             return False
     return True
 
@@ -274,12 +306,12 @@ def all_cyclic_submodules_cogenerate(module):
 
 def all_cyclic_pointwise_separation(module):
     """BJKN's pointwise route over every distinct cyclic Ry: for every
-    nonzero x some map in the enumerated Hom(M, Ry) does not kill x."""
+    nonzero x some map in the searched Hom(M, Ry) does not kill x."""
     zero = module.zero
     for mask, y in _distinct_cyclics(module):
         target = submodule(module, mask).as_module()
         separated = 0
-        for f in hom_set(module, target):
+        for f in searched_hom_set(module, target):
             for x in range(module.order):
                 if f.map[x] != target.zero:
                     separated |= 1 << x

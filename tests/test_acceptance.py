@@ -21,7 +21,8 @@ from modlab.preradicals import (Alpha, Compose, EQ, LE, Omega, SOC,
                                 property_flags, socle_as_join_of_simple_traces)
 from modlab.rings import cyclic_ring, is_prime_ring, matrix_ring, product_ring
 
-from oracles import all_function_homs, powerset_submodule_masks
+from oracles import (all_function_homs, powerset_submodule_masks,
+                     searched_hom_set)
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)
@@ -206,12 +207,12 @@ def test_criterion_10_randomized_action_instances():
 
 
 def _separating_family(mod, cog):
-    """Greedy maps from the enumerated Hom-set whose kernels meet
+    """Greedy maps from the searched Hom-set whose kernels meet
     trivially, or None: a monomorphism mod -> cog^k written in coordinates.
     """
     remaining = mod.full_mask() & ~mod.zero_mask()
     family = []
-    for f in hom_set(mod, cog):
+    for f in searched_hom_set(mod, cog):
         killed = f.kernel_mask()
         if remaining & ~killed:
             family.append(f)

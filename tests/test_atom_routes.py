@@ -3,7 +3,7 @@ decided on the atoms' fully invariant hulls, and both routes of
 trace-firstness over the cyclic submodules, against the full-lattice
 scans they replaced (``oracles``), and BJKN's two routes and the
 witness it reads off rejects against the all-cyclic scans over
-enumerated Hom-sets and against the products of every pair of atoms:
+searched Hom-sets and against the products of every pair of atoms:
 verdicts and witnesses equal, the annihilator test of trace-firstness
 against a nonzero-map search, the fact that makes the cyclic
 submodules enough, the work the reduced routes no longer do, and every
@@ -287,8 +287,11 @@ def test_bjkn_enumerates_no_hom_set(monkeypatch):
                         generate_universe(ring, depth=3).nonzero_modules()]
     outcomes = [bjkn_prime_detail(m)[0] for m in mods]
     assert calls == [] and False in outcomes and True in outcomes
-    # the patch is live in modules: Baer's criterion does enumerate
-    modules.is_injective(regular_module(cyclic_ring(4)))
+    # nor does Baer's criterion, either way it decides
+    injective = [modules.is_injective(m) for m in mods]
+    assert calls == [] and False in injective and True in injective
+    # the patch is live in modules: End(M) as a ring does enumerate
+    modules.endomorphism_ring(regular_module(cyclic_ring(4)))
     assert calls
 
 

@@ -1,5 +1,6 @@
-"""Generators of Hom(M, T) against the enumerated Hom-set and the
-all-functions oracle, and the consumers that read them."""
+"""Generators of Hom(M, T) against the searched Hom-set and the
+all-functions oracle, the consumers that read them, and ``hom_set``, the
+span of the generators, against the search and its bound on |Hom|."""
 
 import itertools
 import math
@@ -21,7 +22,9 @@ from modlab.modules import (_generator_data, _morphism_from_images,
 from modlab.preradicals import Beta, Omega
 from modlab.rings import cyclic_ring, matrix_ring, product_ring
 
-from oracles import all_cyclic_pointwise_separation, all_function_homs
+import oracles
+from oracles import (all_cyclic_pointwise_separation, all_function_homs,
+                     searched_hom_set)
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)
@@ -59,7 +62,9 @@ def test_generators_span_hom_on_corpus_universes():
         for a in mods:
             for b in mods:
                 gens = hom_generators(a, b)
-                full = {f.map for f in hom_set(a, b)}
+                searched = [f.map for f in searched_hom_set(a, b)]
+                assert [f.map for f in hom_set(a, b)] == searched
+                full = set(searched)
                 assert _span(gens, b, a.order) == full
                 assert len(gens) <= int(math.log2(len(full)))
                 for g in gens:
@@ -100,9 +105,10 @@ def test_relation_basis_spans_every_relation():
 
 
 def test_hom_of_sixfold_sum_over_z16():
-    # |R|^k = 16^6 is far past MAX_HOM_CANDIDATES while |S|^k = 64 is not:
-    # the relation basis comes from the greedy loop, not from a scan over
-    # all coefficient tuples, so neither Hom route is refused here.
+    # |R|^k = 16^6 is far past the search's MAX_SEARCHED_TUPLES while
+    # |S|^k = 64 is not: the relation basis comes from the greedy loop, not
+    # from a scan over all coefficient tuples, so no Hom route is refused
+    # here.
     z16 = cyclic_ring(16)
     reg = regular_module(z16)
     two = z16.add[z16.one][z16.one]
@@ -110,8 +116,8 @@ def test_hom_of_sixfold_sum_over_z16():
     v = direct_sum_module([s] * 6)
     assert s.order == 2 and v.order == 64
     assert len(_generator_data(v)[0]) == 6
-    homs = hom_set(v, s)
-    assert len(homs) == 64
+    homs = searched_hom_set(v, s)
+    assert len(homs) == 64 == len(hom_set(v, s))
     assert _span(hom_generators(v, s), s, v.order) == {f.map for f in homs}
     assert find_isomorphism(v, v) is not None
 
@@ -125,25 +131,26 @@ def test_generator_consumers_match_hom_set():
     mods = _small_modules()
     for m in mods:
         lat = enumerate_submodules(m)
-        endos = hom_set(m, m)
+        endos = searched_hom_set(m, m)
         fi = tuple(all(f.image_of_mask(s.mask) & ~s.mask == 0 for f in endos)
                    for s in lat.submodules)
         assert lat.fully_invariant == fi
         for u in mods:
             if u.ring is not m.ring:
                 continue
+            into_m, from_m = searched_hom_set(u, m), searched_hom_set(m, u)
             kernels = u.full_mask()
-            for f in hom_set(u, m):
+            for f in into_m:
                 kernels &= f.kernel_mask()
             assert _reject_mask(u, m) == kernels
             for n, n_fi in zip(lat.submodules, fi):
                 trace = u.zero_mask()
-                for f in hom_set(m, u):
+                for f in from_m:
                     trace = modules.sum_masks(u, trace, f.image_of_mask(n.mask))
                 assert Beta(n).evaluate(u).mask == trace
                 if n_fi:
                     pre = u.full_mask()
-                    for f in hom_set(u, m):
+                    for f in into_m:
                         pre &= f.preimage_of_mask(n.mask)
                     assert Omega(n).evaluate(u).mask == pre
 
@@ -165,7 +172,7 @@ def test_chain_cap_refuses_just_above_its_bound(monkeypatch):
         hom_generators(m, t)
     monkeypatch.setattr(modules, "MAX_HOM_CHAIN", bound)
     assert _span(hom_generators(m, t), t, m.order) == \
-        {f.map for f in hom_set(m, t)}
+        {f.map for f in searched_hom_set(m, t)}
 
 
 def _fresh(m):
@@ -178,6 +185,8 @@ ORACLE_REACH = 2 ** 12
 
 
 def test_generators_answer_where_hom_set_is_refused(monkeypatch):
+    # the search refuses every pair one tuple short of |T|^k, and the
+    # generators still answer
     mods = [_fresh(m) for m in _small_modules()]
     pairs = oracle_pairs = 0
     for a in mods:
@@ -185,20 +194,48 @@ def test_generators_answer_where_hom_set_is_refused(monkeypatch):
         for b in mods:
             if b.ring is not a.ring:
                 continue
-            monkeypatch.setattr(modules, "MAX_HOM_CANDIDATES",
+            monkeypatch.setattr(oracles, "MAX_SEARCHED_TUPLES",
                                 b.order ** k - 1)
             with pytest.raises(SizeCapExceeded, match="hom search over"):
-                hom_set(a, b)
+                searched_hom_set(a, b)
             span = _span(hom_generators(a, b), b, a.order)
             if b.order ** a.order <= ORACLE_REACH:
                 oracle = all_function_homs(a, b)
                 oracle_pairs += 1
             else:
                 monkeypatch.undo()
-                oracle = hom_set(a, b)
+                oracle = searched_hom_set(a, b)
             assert span == {f.map for f in oracle}
             pairs += 1
     assert (pairs, oracle_pairs) == (175, 123)
+
+
+def test_hom_set_bound_counts_maps_before_listing(monkeypatch):
+    # |Hom| comes with the generators: one under it refuses, before any
+    # map is built; at it every map is listed, as the search lists them
+    built = []
+    original = modules._morphism_from_images
+
+    def counted(source, target, images):
+        built.append(images)
+        return original(source, target, images)
+
+    monkeypatch.setattr(modules, "_morphism_from_images", counted)
+    m = direct_sum_module([regular_module(Z4)] * 2)
+    t = regular_module(Z4)
+    n = len(searched_hom_set(m, t))
+    assert n == 16
+    hom_generators(m, t)
+    built.clear()
+    monkeypatch.setattr(modules, "MAX_HOM_MAPS", n - 1)
+    with pytest.raises(SizeCapExceeded,
+                       match=f"hom set of {n} maps is out of range"):
+        hom_set(m, t)
+    assert built == []
+    monkeypatch.setattr(modules, "MAX_HOM_MAPS", n)
+    assert [f.map for f in hom_set(m, t)] == \
+        [f.map for f in searched_hom_set(m, t)]
+    assert len(built) == n
 
 
 def _coefficients(module):
@@ -230,10 +267,11 @@ def _by_coefficients(coefs, target, images):
 
 
 def _assert_maps_by_coefficients(source, target):
-    """Every map of ``hom_set`` and ``hom_generators`` equals the
-    coefficient formula on its generator images.  The ``hom_set`` images
-    come from the search, not from the built maps, so a builder that
-    misplaces an image cannot agree with itself here."""
+    """Every map of the image-tuple search, which ``hom_set`` must list,
+    and of ``hom_generators`` equals the coefficient formula on its
+    generator images.  The searched images come from the search, not from
+    the built maps, so a builder that misplaces an image cannot agree with
+    itself here."""
     gens, _, rel_levels = _generator_data(source)
     coefs = _coefficients(source)
     found = []
@@ -280,7 +318,7 @@ def test_maps_from_a_permuted_module():
     reached = [e for e, *_ in _generator_data(p)[1]]
     assert sorted(reached) != reached
     for b in mods:
-        homs = hom_set(p, b)
+        homs = searched_hom_set(p, b)
         assert {tuple(f.map[perm[x]] for x in range(m.order))
                 for f in homs} == {f.map for f in hom_set(m, b)}
         gens = hom_generators(p, b)
@@ -344,7 +382,7 @@ def test_generators_span_oracle_hom(data):
     try:
         oracle = all_function_homs(a, b)
     except SizeCapExceeded:
-        oracle = hom_set(a, b)
+        oracle = searched_hom_set(a, b)
     gens = hom_generators(a, b)
     assert _span(gens, b, a.order) == {f.map for f in oracle}
     assert len(gens) <= int(math.log2(len(oracle)))

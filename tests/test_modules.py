@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import random
+import time
 import weakref
 
 import pytest
@@ -28,7 +29,8 @@ from modlab.modules import (ModuleMorphism, Submodule, _scan_module_axioms,
                             structural_summary, submodule, endomorphism_ring)
 
 from conftest import TABLE_BUILDERS, memo_cells
-from oracles import all_function_homs, powerset_submodule_masks
+from oracles import (all_function_homs, powerset_submodule_masks,
+                     searched_hom_set)
 from test_hom_generators import SMALL_RINGS, small_module
 from test_rings import f2_xy_square_zero, upper_triangular_f2
 
@@ -245,6 +247,43 @@ def test_endomorphism_ring_cap_returns_none():
     z8 = cyclic_ring(8)
     d = direct_sum_module([regular_module(z8), regular_module(z8)])
     assert endomorphism_ring(d, cap=64) is None
+    # End(F2^7) = M7(F2) has 2^49 elements: the cap refuses it from the
+    # order the generators give, before any map is listed
+    f2_7 = direct_sum_module([regular_module(Z2)] * 7, cap=128)
+    start = time.perf_counter()
+    assert endomorphism_ring(f2_7, cap=64) is None
+    assert time.perf_counter() - start < 1
+
+
+def _searched_endomorphism_tables(module):
+    """(add, mul) of End(M) built from ``searched_hom_set``, or None past
+    64 maps."""
+    endos = searched_hom_set(module, module)
+    if len(endos) > 64:
+        return None
+    index = {f.map: i for i, f in enumerate(endos)}
+    els = range(module.order)
+    add = tuple(tuple(index[tuple(module.add[f.map[x]][g.map[x]]
+                                  for x in els)] for g in endos)
+                for f in endos)
+    mul = tuple(tuple(index[tuple(f.map[g.map[x]] for x in els)]
+                      for g in endos) for f in endos)
+    return add, mul
+
+
+def test_endomorphism_rings_match_the_searched_hom_sets():
+    built = refused = 0
+    for ring in corpus_rings():
+        for m in generate_universe(ring).nonzero_modules():
+            end = endomorphism_ring(m, cap=64)
+            want = _searched_endomorphism_tables(m)
+            if end is None:
+                assert want is None, m
+                refused += 1
+            else:
+                assert (end.add, end.mul) == want, m
+                built += 1
+    assert (built, refused) == (26, 9)
 
 
 def test_quotient_module_tables():
@@ -419,7 +458,7 @@ def test_cogeneration_embedding_witness_is_injective(module_fn, cog_fn):
     # when cog cogenerates the module
     m = module_fn()
     cog = cog_fn(m).as_module()
-    homs = hom_set(m, cog)
+    homs = searched_hom_set(m, cog)
     injective = all(any(f.map[x] != f.map[y] for f in homs)
                     for x in range(m.order) for y in range(x))
     assert cogenerates(cog, m) == injective

@@ -1,7 +1,8 @@
 """The package's public surface: every exported name resolves, once; no
 module of the package imports a name it does not use; module tables and
-submodule carriers from outside are checked in one place each; and no
-process-wide store but the memo of accepted tables grows with jobs."""
+submodule carriers from outside are checked in one place each; a whole
+Hom-set is listed, and generator images searched, only where needed; and
+no process-wide store but the memo of accepted tables grows with jobs."""
 
 import ast
 import pathlib
@@ -111,6 +112,15 @@ def test_submodule_carriers_are_checked_only_where_they_enter():
     assert callers("is_submodule_mask") == {("modules.py", "submodule")}
     assert callers("Submodule") == {("modules.py", "_intern_submodule")}
     assert callers("submodule") == set()
+
+
+def test_hom_is_listed_only_for_the_endomorphism_ring():
+    # every other Hom question reads hom_generators, and only the two
+    # early-exit questions search generator images
+    assert callers("hom_set") == {("modules.py", "endomorphism_ring")}
+    assert callers("_search_images") == {
+        ("modules.py", "hom_nonzero_exists"),
+        ("modules.py", "find_isomorphism")}
 
 
 def module_level_sizes():

@@ -6,9 +6,10 @@ from modlab.classify import enumerate_lep, generate_universe
 from modlab.cli import corpus_rings
 from modlab.errors import NotFullyInvariant, RingMismatch
 from modlab.firstness import diuniform_detail, rpid_first_detail
-from modlab.modules import (atoms, direct_sum_module, enumerate_submodules,
-                            quotient_module, regular_module, simple_modules,
-                            structural_summary, submodule)
+from modlab.modules import (atoms, direct_sum_module, embed_submask,
+                            enumerate_submodules, quotient_module,
+                            regular_module, simple_modules,
+                            structural_summary, submodule, sum_masks)
 from modlab.preradicals import (EQ, LE, Alpha, Beta, Compose,
                                 Join, Meet, Omega, ONE, RAD, SOC, Trad, ZERO,
                                 check_naturality, compare, idempotent_core_at,
@@ -204,6 +205,65 @@ def test_naturality_over_universe():
              Join([SOC, RAD]), Meet([SOC, ONE]), Compose(SOC, RAD)]
     for pr in exprs:
         assert check_naturality(pr, uni) is None
+
+
+class _FirstAtom:
+    """A stand-in for a preradical: the first atom of each module, zero on
+    the zero module.  Not fully invariant where two atoms are isomorphic,
+    so not natural."""
+
+    def evaluate(self, module):
+        first = atoms(module)[:1]
+        return first[0] if first else submodule(module, module.zero_mask())
+
+
+def test_naturality_fails_exactly_where_a_searched_map_does():
+    # the generators of each Hom(A, B) find a failure exactly when some
+    # map of the searched Hom-set does; the witness is then a failing
+    # generator, and on these universes always the first failing map in
+    # map order, the witness of a scan over every map
+    pr = _FirstAtom()
+    failing = natural = first_differs = 0
+    for ring in corpus_rings():
+        mods = generate_universe(ring).modules
+        fails = {(a, b): [f for f in oracles.searched_hom_set(a, b)
+                          if f.image_of_mask(pr.evaluate(a).mask)
+                          & ~pr.evaluate(b).mask]
+                 for a in mods for b in mods}
+        for a in mods:
+            for b in mods:
+                want = [(s, t, f) for s, t in ((a, a), (a, b), (b, a), (b, b))
+                        for f in fails[s, t]]
+                got = check_naturality(pr, [a, b])
+                if got is None:
+                    assert want == [], (a, b)
+                    natural += 1
+                    continue
+                src, tgt, f = got
+                assert (src, tgt) == want[0][:2], (a, b)
+                assert f.map in {w.map for w in fails[src, tgt]}
+                first_differs += f.map != want[0][2].map
+                failing += 1
+    assert (failing, natural, first_differs) == (255, 68, 0)
+
+
+def test_hom_ab_product_sums_images_of_every_searched_map():
+    pairs = 0
+    for ring in corpus_rings():
+        for m in generate_universe(ring).modules:
+            subs = enumerate_submodules(m).submodules
+            for left in subs:
+                lmod = left.as_module()
+                for right in subs:
+                    rmod = right.as_module()
+                    out = rmod.zero_mask()
+                    for f in oracles.searched_hom_set(lmod, rmod):
+                        out = sum_masks(rmod, out,
+                                        f.image_of_mask(lmod.full_mask()))
+                    assert product_hom_AB(m, left, right).mask == \
+                        embed_submask(rmod, out), (m, left, right)
+                    pairs += 1
+    assert pairs == 5092
 
 
 def test_direct_sum_preservation():
