@@ -7,6 +7,17 @@ First and prime elements are decided relative to such an action by
 exhaustive scans.  The module instances plug a family of preradicals (as
 the poset, ordered by universe-relative comparison with ties collapsed)
 into the submodule lattice of a module.
+
+Input is checked where it enters: ``FinitePoset(leq)`` scans the order
+axioms, ``FiniteBoundedLattice(leq)`` also refuses a pair with no join or
+meet, and ``PosetAction(poset, lattice, act)`` reads its table as integers
+and scans range, deflation and both monotonicities.  What the module
+derives from checked objects (intervals, restrictions, pullbacks,
+submodule lattices, a module instance's poset and the random samplers'
+draws) is built by ``_proven``, which reads the same tables with no scan;
+each such function's docstring gives the proof that its result satisfies
+the axioms.  The one derived object checked again is a module instance's
+action, whose axioms are facts about the evaluated preradicals.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import AxiomViolation
 from .modules import _elements, embed_submask, enumerate_submodules
+from .rings import _integer_table
 
 
 class FinitePoset:
@@ -27,11 +39,10 @@ class FinitePoset:
     __slots__ = ("size", "leq", "up", "down")
 
     def __init__(self, leq):
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        n = len(leq)
-        if any(len(row) != n for row in leq):
+        self._derive(leq)
+        up = self.up
+        if any(len(row) != self.size for row in self.leq):
             raise AxiomViolation("relation shape", None)
-        up = tuple(sum(1 << b for b, v in enumerate(row) if v) for row in leq)
         for a, up_a in enumerate(up):
             if not up_a >> a & 1:
                 raise AxiomViolation("reflexivity", (a,))
@@ -42,9 +53,13 @@ class FinitePoset:
                 if bad:
                     raise AxiomViolation("transitivity",
                                          (a, b, _elements(bad)[0]))
-        self.size = n
-        self.leq = leq
-        self.up = up
+
+    def _derive(self, leq):
+        """Read the up-sets and down-sets off ``leq``, checking nothing."""
+        self.leq = leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        self.size = len(leq)
+        self.up = tuple(sum(1 << b for b, v in enumerate(row) if v)
+                        for row in leq)
         self.down = tuple(sum(1 << a for a, v in enumerate(col) if v)
                           for col in zip(*leq))
 
@@ -77,25 +92,29 @@ class FiniteBoundedLattice(FinitePoset):
     __slots__ = ("join", "meet", "bottom", "top")
 
     def __init__(self, leq):
-        super().__init__(leq)  # order axioms, up-sets and down-sets
-        n, up, down = self.size, self.up, self.down
-        by_up = {u: x for x, u in enumerate(up)}
-        by_down = {d: x for x, d in enumerate(down)}
-        join = tuple(tuple(by_up.get(u & v) for v in up) for u in up)
-        meet = tuple(tuple(by_down.get(d & e) for e in down) for d in down)
-        for x in range(n):
-            if None in join[x] or None in meet[x]:
-                y = next(y for y in range(n)
-                         if join[x][y] is None or meet[x][y] is None)
+        super().__init__(leq)  # order axioms; _derive reads the tables
+        for x, row in enumerate(self.join):
+            if None in row or None in self.meet[x]:
+                y = next(y for y in range(self.size)
+                         if row[y] is None or self.meet[x][y] is None)
                 raise AxiomViolation("lattice", (x, y),
                                      "pair without lub or glb")
-        everything = (1 << n) - 1
-        self.bottom = by_up.get(everything)
-        self.top = by_down.get(everything)
         if self.bottom is None or self.top is None:
             raise AxiomViolation("boundedness", None, "no bottom or top")
-        self.join = join
-        self.meet = meet
+
+    def _derive(self, leq):
+        """Read join, meet, bottom and top off the up-sets and down-sets,
+        checking nothing: a missing one is None."""
+        super()._derive(leq)
+        up, down = self.up, self.down
+        by_up = {u: x for x, u in enumerate(up)}
+        by_down = {d: x for x, d in enumerate(down)}
+        self.join = tuple(tuple(by_up.get(u & v) for v in up) for u in up)
+        self.meet = tuple(tuple(by_down.get(d & e) for e in down)
+                          for d in down)
+        everything = (1 << self.size) - 1
+        self.bottom = by_up.get(everything)
+        self.top = by_down.get(everything)
 
     def atoms(self):
         """The elements whose down-set holds only them and the bottom."""
@@ -108,12 +127,16 @@ class FiniteBoundedLattice(FinitePoset):
 
 
 class PosetAction:
-    """An action table, with the three axioms verified at construction."""
+    """An action table, with the three axioms verified at construction.
+
+    Entries are read as module tables are (``rings._integer_table``):
+    an entry not equal to its int value is a ``"table shape"`` violation.
+    """
 
     __slots__ = ("poset", "lattice", "act")
 
     def __init__(self, poset, lattice, act):
-        act = tuple(tuple(row) for row in act)
+        act = _integer_table("action", act)
         if len(act) != poset.size or any(len(row) != lattice.size for row in act):
             raise AxiomViolation("action shape", None)
         for s, row in enumerate(act):
@@ -134,16 +157,29 @@ class PosetAction:
                 for y in range(lattice.size):
                     if lleq[x][y] and not lleq[act[s][x]][act[s][y]]:
                         raise AxiomViolation("lattice monotonicity", (s, x, y))
+        self._derive(poset, lattice, act)
+
+    def _derive(self, poset, lattice, act):
+        """Hold the table as row tuples, checking nothing."""
         self.poset = poset
         self.lattice = lattice
-        self.act = act
+        self.act = tuple(map(tuple, act))
 
     def __repr__(self):
         return f"PosetAction(|P|={self.poset.size}, |L|={self.lattice.size})"
 
 
+def _proven(cls, *args):
+    """A ``cls`` whose axioms the calling construction proves: its tables
+    are read off ``args`` as the public constructor reads them, with no
+    scan.  Each caller's docstring gives the proof."""
+    made = cls.__new__(cls)
+    made._derive(*args)
+    return made
+
+
 def _require_element(lattice, x):
-    if not 0 <= x < lattice.size:
+    if not isinstance(x, int) or not 0 <= x < lattice.size:
         raise AxiomViolation("lattice element", (x,),
                              "no such element of the lattice")
 
@@ -187,9 +223,13 @@ def pullback(action, f, domain_poset):
     """Precompose the action with a monotone map of posets.
 
     ``f`` sends domain_poset into action.poset; every element first for
-    the original action stays first for the pulled-back one.
+    the original action stays first for the pulled-back one.  ``f`` is
+    read as an action table is and checked to be monotone; then the rows
+    inherit every axiom: row a is row f(a) of the action, so it is
+    deflationary and monotone in x, and a <= b gives f(a) <= f(b), so
+    f(a).x <= f(b).x.
     """
-    f = tuple(f)
+    f = _integer_table("map", [f])[0]
     if len(f) != domain_poset.size or any(
             not 0 <= v < action.poset.size for v in f):
         raise AxiomViolation("map shape", None)
@@ -198,29 +238,39 @@ def pullback(action, f, domain_poset):
             if domain_poset.leq[a][b] and not action.poset.leq[f[a]][f[b]]:
                 raise AxiomViolation("monotone map", (a, b))
     act = [action.act[f[a]] for a in range(domain_poset.size)]
-    return PosetAction(domain_poset, action.lattice, act)
+    return _proven(PosetAction, domain_poset, action.lattice, act)
 
 
 def interval(lattice, lo, hi):
-    """The sublattice [lo, hi], plus the map new index -> old index."""
+    """The sublattice [lo, hi], plus the map new index -> old index.
+
+    [lo, hi] is a sublattice: lo <= x, y <= hi puts x v y and x ^ y in
+    it, and a least upper bound in L that lies in [lo, hi] is least
+    there too.  So the restricted order is a lattice with bottom lo and
+    top hi.
+    """
     _require_element(lattice, lo)
     _require_element(lattice, hi)
     if not lattice.leq[lo][hi]:
         raise AxiomViolation("interval bounds", (lo, hi), "lo must be <= hi")
     keep = _elements(lattice.up[lo] & lattice.down[hi])
     leq = [[lattice.leq[a][b] for b in keep] for a in keep]
-    return FiniteBoundedLattice(leq), tuple(keep)
+    return _proven(FiniteBoundedLattice, leq), tuple(keep)
 
 
 def restrict_action(action, x):
-    """The same action on the interval [bottom, x] (well defined by
-    deflation).  Returns the new action and the index map into the old
-    lattice."""
+    """The same action on the interval [bottom, x].  Returns the new
+    action and the index map into the old lattice.
+
+    It is well defined and an action: s.z <= z <= x puts s.z in the
+    interval, and deflation and both monotonicities are the original
+    action's, on fewer elements.
+    """
     sub, keep = interval(action.lattice, action.lattice.bottom, x)
     pos = {z: i for i, z in enumerate(keep)}
     act = [[pos[action.act[s][z]] for z in keep]
            for s in range(action.poset.size)]
-    return PosetAction(action.poset, sub, act), keep
+    return _proven(PosetAction, action.poset, sub, act), keep
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +293,28 @@ class ModuleActionInstance:
 def submodule_bounded_lattice(module):
     """The submodule lattice of a module as a plain bounded lattice.
 
-    The bounded lattice is built from inclusion of carriers alone; its
-    join, the least submodule above both, is their sum, and its meet is
-    their intersection.
+    The bounded lattice is built from inclusion of carriers alone, and
+    is one since submodules are closed under sum and intersection: the
+    join, the least submodule above both, is their sum, the meet is their
+    intersection, the bottom is 0 and the top the module.
     """
     lat = enumerate_submodules(module)
     n = len(lat)
     leq = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
-    return FiniteBoundedLattice(leq), lat
+    return _proven(FiniteBoundedLattice, leq), lat
 
 
 def module_action_instance(module, family):
     """Evaluate each family member on every submodule-as-module.
 
     The family is ordered by pointwise comparison over exactly those
-    modules; ties collapse to one poset element.
+    modules; ties collapse to one poset element.  A pointwise order on
+    distinct value rows is an order: reflexive and transitive as the
+    lattice order is, and antisymmetric since rows below each other are
+    equal.  The action's deflation and monotonicity are properties of the
+    evaluated preradicals, which no construction proves, so
+    ``PosetAction`` checks them: a second route over
+    ``Preradical.evaluate``.
     """
     lattice, lat = submodule_bounded_lattice(module)
     value_rows = []
@@ -278,7 +335,7 @@ def module_action_instance(module, family):
     k = len(order)
     leq = [[all(lat.leq(order[a][i], order[b][i]) for i in range(len(lat)))
             for b in range(k)] for a in range(k)]
-    poset = FinitePoset(leq)
+    poset = _proven(FinitePoset, leq)
     action = PosetAction(poset, lattice, [order[a] for a in range(k)])
     classes = tuple(tuple(groups[row]) for row in order)
     return ModuleActionInstance(action, module, lat, classes)
@@ -288,6 +345,8 @@ def module_action_instance(module, family):
 # randomized instances for property sweeps
 
 def random_poset(rng, size):
+    """A random order: reflexive, upper-triangular (so antisymmetric) and
+    transitively closed."""
     leq = [[i == j for j in range(size)] for i in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
@@ -298,45 +357,54 @@ def random_poset(rng, size):
             for j in range(size):
                 if leq[i][k] and leq[k][j]:
                     leq[i][j] = True
-    return FinitePoset(leq)
+    return _proven(FinitePoset, leq)
 
 
 def _downset_lattice(rng, base_size, max_size):
+    """The down-sets of a random poset under inclusion, or None past
+    ``max_size``: a lattice, since down-sets are closed under union and
+    intersection, with the empty set and the whole base as bounds."""
     base = random_poset(rng, base_size)
     downs = [mask for mask in range(1 << base.size)
              if all(base.down[i] & ~mask == 0 for i in _elements(mask))]
     if len(downs) > max_size:
         return None
     leq = [[a & ~b == 0 for b in downs] for a in downs]
-    return FiniteBoundedLattice(leq)
+    return _proven(FiniteBoundedLattice, leq)
 
 
 def _chain(n):
+    """0 < 1 < ... < n-1: a lattice with max as join and min as meet."""
     leq = [[i <= j for j in range(n)] for i in range(n)]
-    return FiniteBoundedLattice(leq)
+    return _proven(FiniteBoundedLattice, leq)
 
 
 def _diamond_m3():
+    """The lattice M3: two distinct middles join to 1 and meet to 0."""
     # 0 < a,b,c < 1 with three incomparable middles
     leq = [[True, True, True, True, True],
            [False, True, False, False, True],
            [False, False, True, False, True],
            [False, False, False, True, True],
            [False, False, False, False, True]]
-    return FiniteBoundedLattice(leq)
+    return _proven(FiniteBoundedLattice, leq)
 
 
 def _pentagon_n5():
+    """The lattice N5: c joins a and b to 1 and meets them to 0."""
     # 0 < a < b < 1 and 0 < c < 1 with c incomparable to a, b
     leq = [[True, True, True, True, True],
            [False, True, True, False, True],
            [False, False, True, False, True],
            [False, False, False, True, True],
            [False, False, False, False, True]]
-    return FiniteBoundedLattice(leq)
+    return _proven(FiniteBoundedLattice, leq)
 
 
 def random_lattice(rng, max_size=8):
+    """A chain, M3, N5, a product of two chains (componentwise order,
+    whose join and meet are componentwise) or a down-set lattice, each a
+    lattice by construction."""
     while True:
         kind = rng.randrange(4)
         if kind == 0:
@@ -351,7 +419,7 @@ def random_lattice(rng, max_size=8):
                 leq = [[ca.leq[x1][y1] and cb.leq[x2][y2]
                         for y1 in range(a) for y2 in range(b)]
                        for x1 in range(a) for x2 in range(b)]
-                return FiniteBoundedLattice(leq)
+                return _proven(FiniteBoundedLattice, leq)
         else:
             lat = _downset_lattice(rng, rng.randrange(1, 4), max_size)
             if lat is not None:
@@ -363,7 +431,10 @@ def random_action(rng, poset, lattice):
 
     For each (s, x) the admissible values form the interval from the join
     of the already-forced lower bounds up to x, which is never empty, so
-    sampling always succeeds.
+    sampling always succeeds.  The forced lower bounds are t.x for t < s
+    and s.y for y < x, all filled before (s, x), so every value in that
+    interval keeps deflation and both monotonicities: the table is an
+    action by construction.
     """
     psort = poset.linear_extension()
     lsort = lattice.linear_extension()
@@ -383,7 +454,7 @@ def random_action(rng, poset, lattice):
                     lb = lattice.join[lb][act[s][y]]
             act[s][x] = rng.choice(
                 _elements(lattice.up[lb] & lattice.down[x]))
-    return PosetAction(poset, lattice, act)
+    return _proven(PosetAction, poset, lattice, act)
 
 
 # random draws before a monotone map is given up on

@@ -1269,8 +1269,13 @@ def endomorphism_ring(module, cap=None):
 
     Returns None when End(M) has more than ``cap`` elements (the full ring
     tables would be pointlessly huge for desk-scale checks), before any
-    map is listed: |End(M)| comes with ``hom_generators``' chain.
+    map is listed: |End(M)| comes with ``hom_generators``' chain.  End(0)
+    is the zero ring, which ``FiniteRing`` does not model, so the zero
+    module is refused as a ``"nonzero module"`` violation.
     """
+    if module.is_zero():
+        raise AxiomViolation("nonzero module", module.provenance,
+                             "End(M) is a ring only for nonzero M")
     if cap is not None and _hom_chain(module, module)[1] > cap:
         return None
     endos = hom_set(module, module)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import pathlib
 import random
@@ -13,12 +14,13 @@ from modlab.actions import (FiniteBoundedLattice, FinitePoset, PosetAction,
                             random_monotone_map, random_poset,
                             restrict_action, submodule_bounded_lattice)
 from modlab.errors import AxiomViolation
-from modlab.modules import (direct_sum_module, regular_module,
+from modlab.modules import (_elements, direct_sum_module, regular_module,
                             simple_modules, sum_masks)
 from modlab.preradicals import SOC, Trad, ZERO
 from modlab.rings import cyclic_ring, enumerate_ideals, matrix_ring, product_ring
 
 from oracles import lub_glb_lattice, poset_violation
+from test_preradicals import _FirstAtom
 
 # sha256 of what random_instance_holds draws for seeds 0..499, recorded at
 # commit e39c583 (test_random_instance_draws_are_pinned)
@@ -32,6 +34,32 @@ def chain(n):
 
 def antichain_poset(n):
     return FinitePoset([[i == j for j in range(n)] for i in range(n)])
+
+
+def _fields(obj):
+    """Every slot of ``obj``, by name."""
+    return {name: getattr(obj, name) for cls in type(obj).__mro__
+            for name in getattr(cls, "__slots__", ())}
+
+
+@pytest.fixture
+def public_checks(monkeypatch):
+    """Keep the scans ``_proven`` skips as oracles: each order, lattice and
+    action it makes is rebuilt at once by its public constructor, which
+    must accept it with equal tables.  Returns the counts by class."""
+    made = collections.Counter()
+    proven = actions._proven
+
+    def checked(cls, *args):
+        obj = proven(cls, *args)
+        again = (PosetAction(obj.poset, obj.lattice, obj.act)
+                 if cls is PosetAction else cls(obj.leq))
+        assert _fields(again) == _fields(obj), cls
+        made[cls.__name__] += 1
+        return obj
+
+    monkeypatch.setattr(actions, "_proven", checked)
+    return made
 
 
 def test_poset_axioms_enforced():
@@ -131,7 +159,7 @@ def test_the_empty_order_is_not_bounded():
     assert exc.value.axiom == "boundedness"
 
 
-def test_submodule_lattice_tables_are_sum_and_intersection():
+def test_submodule_lattice_tables_are_sum_and_intersection(public_checks):
     z2, z4 = cyclic_ring(2), cyclic_ring(4)
     modules = [regular_module(cyclic_ring(8)),
                regular_module(product_ring([z2, z2])),
@@ -150,6 +178,7 @@ def test_submodule_lattice_tables_are_sum_and_intersection():
         assert lattice.meet == tuple(
             tuple(index[a.mask & b.mask] for b in subs) for a in subs)
     assert sizes == [4, 4, 5, 8, 16]
+    assert public_checks == {"FiniteBoundedLattice": 5}
 
 
 def test_action_axioms_enforced():
@@ -168,6 +197,21 @@ def test_action_entries_outside_the_lattice_are_refused():
         with pytest.raises(AxiomViolation) as exc:
             PosetAction(poset, lat, [row])
         assert (exc.value.axiom, exc.value.witness) == ("action range", (0, x))
+    # the table and a pulled-back map are read as module tables are: an
+    # entry that is not an integer, once a bare TypeError, is refused by
+    # name, and an integral float is read as its int
+    lat = chain(3)
+    for row in ([0, 1.5, 2], [0, "1", 2], [0, None, 2]):
+        with pytest.raises(AxiomViolation) as exc:
+            PosetAction(poset, lat, [row])
+        assert (exc.value.axiom, exc.value.witness) == ("table shape", "action")
+    action = PosetAction(poset, lat, [[0, 1.0, 2]])
+    assert action.act == ((0, 1, 2),) and type(action.act[0][1]) is int
+    for f in ([0.5], ["0"], [None]):
+        with pytest.raises(AxiomViolation) as exc:
+            pullback(action, f, poset)
+        assert (exc.value.axiom, exc.value.witness) == ("table shape", "map")
+    assert pullback(action, [0.0], poset).act == action.act
 
 
 def test_element_indices_outside_the_lattice_are_refused():
@@ -175,7 +219,8 @@ def test_element_indices_outside_the_lattice_are_refused():
     # from the top
     lat = chain(3)
     action = PosetAction(antichain_poset(1), lat, [[0, 0, 2]])
-    for x in (-1, -3, 3):
+    # and an index that is not an integer would raise a bare TypeError
+    for x in (-1, -3, 3, 1.0, 2.0, "1", None):
         for ask in (lambda: interval(lat, 0, x), lambda: interval(lat, x, 2),
                     lambda: restrict_action(action, x),
                     lambda: is_first(action, x), lambda: is_prime(action, x),
@@ -305,7 +350,7 @@ def test_restriction_is_pullback_along_inclusion():
             assert is_first(restricted, x)
 
 
-def test_module_instance_trad_family_over_z4():
+def test_module_instance_trad_family_over_z4(public_checks):
     z4 = cyclic_ring(4)
     m = regular_module(z4)
     family = [Trad(i) for i in enumerate_ideals(z4, "two-sided")]
@@ -314,22 +359,25 @@ def test_module_instance_trad_family_over_z4():
     assert inst.action.poset.size == 3
     # the middle ideal kills the socle but not the module
     assert not is_first(inst.action, inst.action.lattice.top)
+    assert public_checks == {"FiniteBoundedLattice": 1, "FinitePoset": 1}
 
 
-def test_module_instance_zero_family():
+def test_module_instance_zero_family(public_checks):
     z4 = cyclic_ring(4)
     inst = module_action_instance(regular_module(z4), [ZERO])
     assert inst.action.act == ((0, 0, 0),)
+    assert public_checks == {"FiniteBoundedLattice": 1, "FinitePoset": 1}
 
 
-def test_module_instance_soc_on_semisimple_is_identity():
+def test_module_instance_soc_on_semisimple_is_identity(public_checks):
     z2 = cyclic_ring(2)
     v = direct_sum_module([regular_module(z2), regular_module(z2)])
     inst = module_action_instance(v, [SOC])
     assert inst.action.act[0] == tuple(range(inst.action.lattice.size))
+    assert public_checks == {"FiniteBoundedLattice": 1, "FinitePoset": 1}
 
 
-def test_module_instance_collapses_ties():
+def test_module_instance_collapses_ties(public_checks):
     z4 = cyclic_ring(4)
     m = regular_module(z4)
     ideals = enumerate_ideals(z4, "two-sided")
@@ -337,9 +385,10 @@ def test_module_instance_collapses_ties():
     inst = module_action_instance(m, [Trad(ideals[1]), Trad(ideals[1])])
     assert inst.action.poset.size == 1
     assert len(inst.classes[0]) == 2
+    assert public_checks == {"FiniteBoundedLattice": 1, "FinitePoset": 1}
 
 
-def test_action_instance_firstness_matches_family_firstness():
+def test_action_instance_firstness_matches_family_firstness(public_checks):
     # firstness of the top of the submodule lattice under the family action
     # is family-firstness of the module itself; the lep and socle families
     # on whole universes are the scans behind the T14 and P12 sides
@@ -366,9 +415,11 @@ def test_action_instance_firstness_matches_family_firstness():
         inst = module_action_instance(m, family)
         top = inst.action.lattice.top
         assert is_first(inst.action, top) == is_A_first(m, family)
+    assert public_checks == {"FiniteBoundedLattice": len(cases),
+                             "FinitePoset": len(cases)}
 
 
-def test_ideal_action_firstness_is_module_primeness():
+def test_ideal_action_firstness_is_module_primeness(public_checks):
     # under the two-sided-ideal multiplication action, first modules are
     # exactly the prime modules
     from modlab.firstness import is_prime_module
@@ -383,6 +434,39 @@ def test_ideal_action_firstness_is_module_primeness():
         inst = module_action_instance(m, family)
         top = inst.action.lattice.top
         assert is_first(inst.action, top) == is_prime_module(m)
+    assert public_checks == {"FiniteBoundedLattice": len(mods),
+                             "FinitePoset": len(mods)}
+
+
+def test_the_module_instance_action_check_is_live():
+    # deflation and monotonicity of a module instance's action are facts
+    # about the evaluated preradicals, so PosetAction checks them: the
+    # first atom of each submodule is deflationary, but on F2^2 the atoms
+    # b and c lie below the top, whose value is the atom a
+    z2 = cyclic_ring(2)
+    v = direct_sum_module([regular_module(z2), regular_module(z2)])
+    with pytest.raises(AxiomViolation) as exc:
+        module_action_instance(v, [_FirstAtom()])
+    lattice, lat = submodule_bounded_lattice(v)
+    s, x, y = exc.value.witness
+    assert exc.value.axiom == "lattice monotonicity"
+    assert (s, y) == (0, lattice.top) and x in lattice.atoms()
+
+
+def test_derived_objects_pass_the_public_checks(public_checks):
+    # every poset, lattice and action the random instances of seeds
+    # 0..499 build with no scan (draws, restrictions, pullbacks and the
+    # intervals behind them), and every interval of each drawn lattice
+    intervals = 0
+    for seed in range(500):
+        assert random_instance_holds(seed) == []
+        lat = random_lattice(random.Random(seed), actions.MAX_LATTICE)
+        for lo in range(lat.size):
+            for hi in _elements(lat.up[lo]):
+                interval(lat, lo, hi)
+                intervals += 1
+    assert intervals > 5000
+    assert min(public_checks.values()) > 1000, public_checks
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,7 +26,8 @@ from modlab.modules import (ModuleMorphism, Submodule, _scan_module_axioms,
                             is_isomorphic, is_submodule_mask, is_superfluous,
                             module_from_tables,
                             quotient_module, regular_module, simple_modules,
-                            structural_summary, submodule, endomorphism_ring)
+                            structural_summary, submodule, endomorphism_ring,
+                            zero_module)
 
 from conftest import TABLE_BUILDERS, memo_cells
 from oracles import (all_function_homs, powerset_submodule_masks,
@@ -253,6 +254,14 @@ def test_endomorphism_ring_cap_returns_none():
     start = time.perf_counter()
     assert endomorphism_ring(f2_7, cap=64) is None
     assert time.perf_counter() - start < 1
+    # End(0) is the zero ring, which FiniteRing does not model: the zero
+    # module is refused by name, with or without a cap
+    zero = zero_module(z8)
+    for cap in (None, 64):
+        with pytest.raises(AxiomViolation) as exc:
+            endomorphism_ring(zero, cap=cap)
+        assert (exc.value.axiom, exc.value.witness) == (
+            "nonzero module", zero.provenance)
 
 
 def _searched_endomorphism_tables(module):

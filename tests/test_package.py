@@ -1,14 +1,17 @@
 """The package's public surface: every exported name resolves, once; no
-module of the package imports a name it does not use; module tables and
-submodule carriers from outside are checked in one place each; a whole
-Hom-set is listed, and generator images searched, only where needed; and
-no process-wide store but the memo of accepted tables grows with jobs."""
+module of the package imports a name it does not use; module tables,
+submodule carriers, orders, lattices and actions from outside are
+checked in one place each; a whole Hom-set is listed, and generator
+images searched, only where needed; and no process-wide store but the
+memo of accepted tables grows with jobs."""
 
 import ast
+import inspect
 import pathlib
 import sys
 
 import modlab
+from modlab.actions import FiniteBoundedLattice, FinitePoset, PosetAction
 from modlab.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -112,6 +115,23 @@ def test_submodule_carriers_are_checked_only_where_they_enter():
     assert callers("is_submodule_mask") == {("modules.py", "submodule")}
     assert callers("Submodule") == {("modules.py", "_intern_submodule")}
     assert callers("submodule") == set()
+
+
+def test_orders_lattices_and_actions_are_checked_only_where_they_enter():
+    # the three public constructors take one argument list each, and run
+    # the order, lattice and action scans on outside input; what the
+    # engine derives is made by _proven, which only reads the tables, and
+    # the one engine object a public constructor builds is a module
+    # instance's action, whose axioms no construction proves
+    assert [list(inspect.signature(cls).parameters)
+            for cls in (FinitePoset, FiniteBoundedLattice, PosetAction)] == [
+        ["leq"], ["leq"], ["poset", "lattice", "act"]]
+    assert callers("FinitePoset") == callers("FiniteBoundedLattice") == set()
+    assert callers("PosetAction") == {("actions.py", "module_action_instance")}
+    assert {path for path, _ in callers("_proven")} == {"actions.py"}
+    assert callers("_derive") == {("actions.py", "__init__"),
+                                  ("actions.py", "_derive"),
+                                  ("actions.py", "_proven")}
 
 
 def test_hom_is_listed_only_for_the_endomorphism_ring():
