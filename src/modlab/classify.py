@@ -6,12 +6,13 @@ its quotients by all submodules (this includes every simple module), and
 iterated pairwise direct sums up to the order cap, one module per
 isomorphism class.  The classes are told apart by keys read off the
 regular module's lattice, with no isomorphism search (the proof is in
-``generate_universe``).  Every verdict produced here is explicitly "at
-universe scale": the harness checks the finite instances of each
-equivalence, never the statement about all modules.  A module-level side
-of a theorem ("every universe module is prime", "... is lep-first", ...)
-is asked of the deciders in ``firstness`` one module at a time, through
-``_first_failure``.
+``generate_universe``).  The harness checks the finite instances of each
+equivalence "at universe scale", never the statement about all modules.
+A module-level side of a theorem ("every universe module is prime", "...
+is lep-first", ...) is asked of the deciders in ``firstness`` one module
+at a time, through ``_first_failure``.  A ring-level side is a flag of
+``classify_ring``, which reads no universe: each flag holds for R over
+every generated universe, by a theorem ``_classify`` proves.
 """
 
 from __future__ import annotations
@@ -23,16 +24,24 @@ from .config import DEFAULT_MODULE_CAP, DEFAULT_UNIVERSE_DEPTH
 from .errors import InternalInconsistency
 from .firstness import a_first_detail, a_fully_first_detail, decide
 from .modules import (atoms, direct_sum_module, enumerate_submodules,
-                      hom_nonzero_exists, is_injective, is_superfluous,
-                      is_essential, quotient_module, regular_module,
-                      simple_modules, structural_summary)
+                      is_injective, is_superfluous, is_essential,
+                      quotient_module, regular_module, simple_modules,
+                      structural_summary)
 from .preradicals import SOC, LinearFilter, left_exact_at
 from .rings import enumerate_ideals, is_simple_ring
 
 
 @dataclass(frozen=True)
 class Universe:
-    """A finite generated family of modules over one ring."""
+    """A finite generated family of modules over one ring.
+
+    The theorems replayed over it compare its modules with the flags of
+    ``classify_ring``, which describe R and match every generated
+    universe, as each holds the simple modules.  A hand-built universe
+    that leaves out a simple module can fail Perror1, where a scan of
+    the universe passed it: over Z6, a universe of the simple module Z2
+    alone has every module BJKN-prime, while Z6 is not left local.
+    """
     ring: object
     modules: tuple
     depth: int
@@ -146,7 +155,13 @@ def _quotient_keys(reg, ideals):
 
 @dataclass(frozen=True)
 class RingClassification:
-    """Flags with the scans that justify them; universe-scale flags say so."""
+    """Flags of the ring, with the witnesses of the false ones.
+
+    Every flag is read off the ring.  The two that keep "on_universe" in
+    their names hold for R over every generated universe, each by a
+    theorem for finite rings that ``_classify`` proves; the scans they
+    stand for are the oracles of ``tests/oracles.py``.
+    """
     ring_provenance: str
     is_simple: bool
     is_semisimple: bool
@@ -174,36 +189,38 @@ class RingClassification:
         }
 
 
-def classify_ring(ring, universe=None):
-    """The ring's classification over ``universe``, computed once per
-    universe and cached on the ring under the universe's own key."""
-    if universe is None:
-        universe = generate_universe(ring)
-    key = ("classification", universe.depth, universe.module_cap)
-    hit = ring._cache.get(key)
-    if hit is None or hit[0] is not universe:
-        hit = ring._cache[key] = (universe, _classify(ring, universe))
-    return hit[1]
+def classify_ring(ring):
+    """The ring's classification, computed once and cached on the ring."""
+    if "classification" not in ring._cache:
+        ring._cache["classification"] = _classify(ring)
+    return ring._cache["classification"]
 
 
-def _classify(ring, universe):
+def _classify(ring):
+    """The flags of R, read off its regular module and simple modules.
+
+    - BKN (Hom(M, N) != 0 for all nonzero universe modules M and N) is
+      left locality.  A nonzero finite M has a maximal submodule, so a
+      simple quotient, and a nonzero finite N has an atom, a simple
+      submodule.  With one simple module S, M -> S -> N is nonzero.  Two
+      non-isomorphic simples S and T have Hom(S, T) = 0, as a nonzero map
+      between simples is an isomorphism, and both are in every generated
+      universe, which adds each quotient R/I with no cap.  So the first
+      two simples are the witness.
+    - Left semiartinian (every nonzero universe module has a nonzero
+      socle) holds: J = J(R) is nilpotent, so for M != 0 the last nonzero
+      J^k.M lies in Soc(M) = {x : Jx = 0} (Anderson and Fuller, *Rings
+      and Categories of Modules*, sections 9 and 15).
+    """
     witnesses = {}
     simple = is_simple_ring(ring)
-    reg_summary = structural_summary(regular_module(ring))
-    semisimple = reg_summary.is_semisimple
+    semisimple = structural_summary(regular_module(ring)).is_semisimple
     simples = simple_modules(ring)
     left_local = len(simples) == 1
-    homogeneous = semisimple and left_local
     if not left_local:
         witnesses["left_local"] = {
             "kind": "non_isomorphic_simples",
             "orders": [s.order for s in simples[:2]]}
-    # no finite module has a zero socle: J = J(R) is nilpotent, so for
-    # M != 0 the last nonzero J^k.M lies in Soc(M) = {x : Jx = 0}
-    for m in universe.nonzero_modules():
-        if structural_summary(m).socle.is_zero():
-            raise InternalInconsistency(
-                f"nonzero module {m.provenance} has a zero socle")
     v_ring = True
     for s in simples:
         if not is_injective(s):
@@ -211,21 +228,13 @@ def _classify(ring, universe):
             witnesses["V_ring"] = {"kind": "non_injective_simple",
                                    "order": s.order}
             break
-    bkn = True
-    nonzero = universe.nonzero_modules()
-    for a in nonzero:
-        for b in nonzero:
-            if not hom_nonzero_exists(a, b):
-                bkn = False
-                witnesses["BKN"] = {"kind": "hom_zero",
-                                    "source": a.provenance,
-                                    "target": b.provenance}
-                break
-        if not bkn:
-            break
+    if not left_local:
+        witnesses["BKN"] = {"kind": "hom_zero",
+                            "source": simples[0].provenance,
+                            "target": simples[1].provenance}
     return RingClassification(
-        ring.provenance, simple, semisimple, homogeneous, left_local,
-        True, v_ring, bkn, len(simples), witnesses)
+        ring.provenance, simple, semisimple, semisimple and left_local,
+        left_local, True, v_ring, left_local, len(simples), witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +307,7 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
     """Replay one named equivalence over a ring at universe scale."""
     if universe is None:
         universe = generate_universe(ring)
-    cls = classify_ring(ring, universe)
+    cls = classify_ring(ring)
     witnesses = {}
     details = {}
 
@@ -395,7 +404,8 @@ def verify_theorem(theorem_id, ring, universe=None, pairs=None):
 
     elif theorem_id == "P8.5":
         # Both sides hold over every finite ring: see P12, and no finite
-        # module has a zero socle (checked in ``_classify``).
+        # module has a zero socle (see ``_classify``; the oracle test
+        # ``test_no_universe_module_has_a_zero_socle`` scans for one).
         in_sp, witness = _first_failure(
             universe, lambda m: a_fully_first_detail(m, [SOC]))
         if witness:

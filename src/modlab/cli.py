@@ -152,7 +152,7 @@ def cmd_corpus(args):
                                      module_cap=args.cap_module)
         block = {"ring": ring.provenance,
                  "universe_size": len(universe.modules),
-                 "classification": classify_ring(ring, universe).to_dict(),
+                 "classification": classify_ring(ring).to_dict(),
                  "modules": [], "theorems": []}
         for mod in universe.nonzero_modules():
             try:

@@ -131,10 +131,11 @@ class _Cursor:
 
     def integer(self):
         self.skip_ws()
-        m = re.match(r"\d+", self.text[self.pos:])
+        # \d would also match non-ASCII digits, which int() reads
+        m = _DIGITS.match(self.text, self.pos)
         if not m:
             self.error("expected a number")
-        self.pos += m.end()
+        self.pos = m.end()
         return int(m.group(0))
 
     def done(self):
@@ -237,8 +238,12 @@ def _split_sections(document):
 # what every constructor shares
 
 def _expression(cur, parse, what):
-    """``parse(cur)`` over the rest of the line: trailing input is an error."""
-    value = parse(cur)
+    """``parse(cur)`` over the rest of the line: trailing input is an error,
+    and so is nesting deeper than the interpreter's recursion limit."""
+    try:
+        value = parse(cur)
+    except RecursionError:
+        cur.error(f"{what} nested too deeply")
     if not cur.done():
         cur.error(f"trailing input after {what}")
     return value
@@ -498,7 +503,7 @@ def _run_compare(spec, universe, kind, left, right):
 
 
 def _run_classify(spec, universe, kind):
-    return classify_ring(spec.ring, universe).to_dict()
+    return classify_ring(spec.ring).to_dict()
 
 
 def _run_lep(spec, universe, kind):

@@ -422,8 +422,13 @@ def left_exact_at(pr, module):
 
 
 def property_flags(pr, universe):
-    """Decide idempotent/radical/left-exact/t-radical on a finite universe."""
+    """Decide idempotent/radical/left-exact/t-radical on a finite universe.
+
+    The universe names the ring through its modules, so an empty one
+    raises ``ValueError``."""
     mods = _universe_modules(universe)
+    if not mods:
+        raise ValueError("property flags need at least one module")
     idem = True
     radical = True
     lex = True

@@ -25,6 +25,9 @@ reference for the one the decider reads off rejects, with no
 tables by comparing every bound, as the lattice did before it read them
 off up-sets, and the poset oracle checks an order over every triple, as
 ``FinitePoset`` did before it checked transitivity on up-set bitmasks.
+The universe scans are the ones ``classify_ring`` ran before it read the
+BKN and left-semiartinian flags off the ring: a Hom search on every
+ordered pair of nonzero universe modules, and a socle on every one.
 """
 
 import itertools
@@ -37,7 +40,8 @@ from modlab.modules import (ModuleMorphism, _generator_data,
                             enumerate_submodules, find_isomorphism,
                             hom_nonzero_exists, is_essential,
                             is_submodule_mask, quotient_module,
-                            regular_module, submodule, trad_mask)
+                            regular_module, structural_summary, submodule,
+                            trad_mask)
 from modlab.preradicals import Alpha, Join, SOC
 from modlab.rings import enumerate_ideals
 
@@ -407,6 +411,24 @@ def rpid_family(module, joins):
     return not any(pr.evaluate(n).is_zero()
                    for pr in family if not pr.evaluate(module).is_zero()
                    for n in reps)
+
+
+def bkn_scan(universe):
+    """Whether Hom(M, N) != 0 for all nonzero universe modules M and N, by
+    ``hom_nonzero_exists`` on every ordered pair, with the first pair, in
+    universe order, that fails (None when none does)."""
+    nonzero = universe.nonzero_modules()
+    for a in nonzero:
+        for b in nonzero:
+            if not hom_nonzero_exists(a, b):
+                return False, (a, b)
+    return True, None
+
+
+def zero_socle_modules(universe):
+    """The nonzero universe modules whose socle is zero."""
+    return [m for m in universe.nonzero_modules()
+            if structural_summary(m).socle.is_zero()]
 
 
 def diuniform(module):

@@ -13,6 +13,9 @@ from modlab.modules import (enumerate_submodules, embed_submask,
 from modlab.preradicals import RAD, left_exact_at
 from modlab.rings import cyclic_ring, matrix_ring, product_ring
 
+import oracles
+from test_modules import sweep_universes
+
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)
 Z6 = cyclic_ring(6)
@@ -116,28 +119,72 @@ def test_classify_product_not_left_local():
     assert not cls.is_BKN_on_universe
 
 
-def test_classification_cached_per_universe():
-    u = generate_universe(R22)
-    cls = classify_ring(R22, u)
-    assert classify_ring(R22, u) is cls
+def test_classification_cached_per_ring():
+    cls = classify_ring(R22)
+    assert classify_ring(R22) is cls
     # a caller's edit of the report leaves the cached witnesses alone
     cls.to_dict()["witnesses"]["left_local"]["orders"].append(99)
     assert cls.witnesses["left_local"]["orders"] == [2, 2]
-    # another universe under the same key is classified afresh
-    other = Universe(R22, u.modules[:2], u.depth, u.module_cap)
-    assert classify_ring(R22, other) is not cls
+    # no universe enters it: building one of another depth changes nothing
+    generate_universe(R22, depth=3)
+    assert classify_ring(R22) is cls
 
 
-def test_zero_socle_is_an_engine_fault(monkeypatch):
-    # no finite module has one, so a zero socle is a bug, not a witness
-    real = classify.structural_summary
+def oracle_universes():
+    """(ring, universe) at depths 1-3 for the rings of the derived sweep,
+    Z2 x Z4 and Z12: local and not, semisimple and not."""
+    rings = [ring for ring, _ in sweep_universes()]
+    rings += [product_ring([cyclic_ring(2), cyclic_ring(4)]), cyclic_ring(12)]
+    for ring in rings:
+        for depth in (1, 2, 3):
+            yield ring, generate_universe(ring, depth=depth)
+
+
+def test_bkn_is_left_locality_by_the_universe_scan():
+    # the flag and its witness are read off the simple modules; the scan
+    # over every ordered pair of universe modules is their oracle
+    local = set()
+    for ring, universe in oracle_universes():
+        cls = classify_ring(ring)
+        bkn, pair = oracles.bkn_scan(universe)
+        assert bkn == cls.is_BKN_on_universe == cls.is_left_local, universe
+        local.add(bkn)
+        if not bkn:
+            assert cls.witnesses["BKN"] == {
+                "kind": "hom_zero", "source": pair[0].provenance,
+                "target": pair[1].provenance}, universe
+            s, t = simple_modules(ring)[:2]
+            (only,) = oracles.searched_hom_set(s, t)
+            assert set(only.map) == {t.zero}
+    assert local == {True, False}
+
+
+def test_no_universe_module_has_a_zero_socle(monkeypatch):
+    # J(R) is nilpotent, so the last nonzero J^k.M lies in Soc(M); this is
+    # why the left-semiartinian flag is True with no scan
+    for ring, universe in oracle_universes():
+        assert classify_ring(ring).is_left_semiartinian_on_universe
+        assert oracles.zero_socle_modules(universe) == [], universe
+    # the scan names every module whose socle reads zero
+    real = oracles.structural_summary
 
     def no_socle(m):
         return dataclasses.replace(real(m), socle=submodule(m, m.zero_mask()))
 
-    monkeypatch.setattr(classify, "structural_summary", no_socle)
-    with pytest.raises(InternalInconsistency, match="has a zero socle"):
-        classify_ring(Z2, generate_universe(Z2, depth=1))
+    monkeypatch.setattr(oracles, "structural_summary", no_socle)
+    universe = generate_universe(Z2, depth=1)
+    assert oracles.zero_socle_modules(universe) == list(
+        universe.nonzero_modules())
+
+
+def test_perror1_compares_a_universe_with_the_ring():
+    # BKN describes R, so a hand-built universe without the simple Z3 of Z6
+    # fails Perror1: its one module is BJKN-prime, and Z6 is not left local
+    two = next(s for s in simple_modules(Z6) if s.order == 2)
+    verdict = verify_theorem("Perror1", Z6, Universe(Z6, (two,), 1, 64))
+    assert verdict.sides == {"all_universe_modules_bjkn_prime": True,
+                             "BKN_on_universe": False}
+    assert not verdict.consistent
 
 
 def test_lep_of_z4_is_three_filters():
@@ -305,12 +352,11 @@ def test_all_theorems_consistent_everywhere():
 
 
 def test_depth_three_z6_is_decided_and_consistent():
-    # the depth-3 universe of Z6 holds sums of four generators, whose Hom
-    # search into a module of order 48 is over 48^4 candidate images
+    # the depth-3 universe of Z6 holds sums of four generators; every
+    # decider and every theorem settles each of its modules
     ring = cyclic_ring(6)
     uni = generate_universe(ring, depth=3)
     assert uni.depth == 3
-    classify_ring(ring, uni)
     for m in uni.nonzero_modules():
         report = firstness_report(m)
         assert set(report.verdicts) == set(NOTIONS)

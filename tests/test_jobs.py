@@ -207,6 +207,12 @@ REFUSED = [
       for kind in NOTIONS],
     (ZERO + "[preradicals]\na = alpha(S1@M)\n[checks]\na_first Z a\n",
      "a_first is defined for nonzero modules only", 9, 9),
+    # a non-ASCII digit was read as its ASCII one: cyclic(\u0663) ran as
+    # cyclic(3), and so on for the indices
+    ("[ring]\ncyclic(\u0663)\n", "expected a number", 2, 8),
+    (M + "X = sub(M, S\u0662)\n", "expected a number", 5, 13),
+    ("[ring]\nquotient(cyclic(8), I\u0662)\n", "expected a number", 2, 22),
+    (M + "[preradicals]\na = trad(I\u0661)\n", "expected a number", 6, 11),
 ]
 
 
@@ -220,6 +226,34 @@ def test_malformed_line_is_refused(document, message, line, column, tmp_path,
     assert main(["define", str(path)]) == 1
     assert capsys.readouterr().err == (
         f"parse error: {message} at line {line}, column {column}\n")
+
+
+NESTED = [
+    ("[ring]\n" + "product(" * 1000 + "cyclic(2)" + ")" * 1000 + "\n",
+     "ring constructor", 2),
+    (M + "[preradicals]\na = " + "comp(" * 1000 + "soc" + ", rad)" * 1000
+     + "\n", "preradical expression", 6),
+    (M + "[preradicals]\na = " + "join(" * 1000 + "soc" + ")" * 1000 + "\n",
+     "preradical expression", 6),
+]
+
+
+@pytest.mark.parametrize("document, what, line", NESTED,
+                         ids=["product", "comp", "join"])
+def test_deep_nesting_is_refused_on_its_line(document, what, line, tmp_path,
+                                             capsys):
+    # nesting past the recursion limit died with a RecursionError traceback,
+    # none of the documented exit codes; the column is wherever the limit
+    # was reached, which depends on the caller's stack
+    message = f"{what} nested too deeply at line {line}, column "
+    with pytest.raises(JobParseError) as exc:
+        parse_job(document)
+    assert str(exc.value).startswith(message) and exc.value.line == line
+    path = tmp_path / "job.txt"
+    path.write_text(document)
+    for command in ("define", "check"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("parse error: " + message)
 
 
 def test_zero_module_checks_defined_on_it_are_accepted():

@@ -915,7 +915,7 @@ def test_every_engine_submodule_is_closed(monkeypatch):
         for ring, universe in sweep_universes():
             for m in universe.nonzero_modules():
                 firstness_report(m)
-            classify_ring(ring, universe)
+            classify_ring(ring)
             for theorem in THEOREM_IDS:
                 verify_theorem(theorem, ring, universe)
     finally:

@@ -143,6 +143,15 @@ def test_hom_is_listed_only_for_the_endomorphism_ring():
         ("modules.py", "find_isomorphism")}
 
 
+def test_classification_reads_the_ring_alone():
+    # BKN is left locality, read off the simple modules, so the early-exit
+    # Hom search has one engine caller left, and no universe is passed
+    assert callers("hom_nonzero_exists") == {("firstness.py",
+                                              "is_retractable")}
+    assert list(inspect.signature(modlab.classify_ring).parameters) == [
+        "ring"]
+
+
 def module_level_sizes():
     """The size of every module-level dict, list and set in ``modlab.*``."""
     return {(name, attr): len(value)

@@ -163,6 +163,10 @@ def test_property_flags_examples():
     assert property_flags(w0, uni).radical
     t = Trad(enumerate_ideals(Z4, "two-sided")[1])
     assert property_flags(t, uni).t_radical
+    # an empty family names no ring: mods[0] raised a bare IndexError
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="at least one module"):
+            property_flags(SOC, empty)
 
 
 def test_compare_bounds_and_interval():
