@@ -8,10 +8,11 @@ exhaustive scans.  The module instances plug a family of preradicals (as
 the poset, ordered by universe-relative comparison with ties collapsed)
 into the submodule lattice of a module.
 
-Input is checked where it enters: ``FinitePoset(leq)`` scans the order
-axioms, ``FiniteBoundedLattice(leq)`` also refuses a pair with no join or
-meet, and ``PosetAction(poset, lattice, act)`` reads its table as integers
-and scans range, deflation and both monotonicities.  What the module
+Input is checked where it enters: ``FinitePoset(leq)`` reads its table
+as 0s and 1s and scans the order axioms, ``FiniteBoundedLattice(leq)``
+also refuses a pair with no join or meet, and ``PosetAction(poset,
+lattice, act)`` reads its table as integers and scans range, deflation
+and both monotonicities.  What the module
 derives from checked objects (intervals, restrictions, pullbacks,
 submodule lattices, a module instance's poset and the random samplers'
 draws) is built by ``_proven``, which reads the same tables with no scan;
@@ -34,11 +35,19 @@ class FinitePoset:
     """A finite poset on 0..size-1 with an explicit relation matrix;
     ``up[a]`` and ``down[a]`` are bitmasks of the elements above and below
     a.  A transitivity violation (a, b, c) is a bit c of up(b) & ~up(a),
-    checked in a triple scan's order, so a refusal names its witness."""
+    checked in a triple scan's order, so a refusal names its witness.
+    ``leq`` is read as module tables are (``rings._integer_table``): an
+    entry other than 0 and 1 (or False and True) is a ``"table shape"``
+    violation."""
 
     __slots__ = ("size", "leq", "up", "down")
 
     def __init__(self, leq):
+        leq = _integer_table("order", leq)
+        if any(v not in (0, 1) for row in leq for v in row):
+            raise AxiomViolation("table shape", "order",
+                                 "order table has an entry other than 0 "
+                                 "and 1")
         self._derive(leq)
         up = self.up
         if any(len(row) != self.size for row in self.leq):
@@ -186,6 +195,7 @@ def _require_element(lattice, x):
 
 def is_first(action, x):
     """No poset element kills a nonzero piece of x without killing x."""
+    _require_element(action.lattice, x)
     if x == action.lattice.bottom:
         raise AxiomViolation("nonzero element", (x,),
                              "firstness is defined for nonzero elements")

@@ -10,7 +10,7 @@ regular module's lattice, with no isomorphism search (the proof is in
 equivalence "at universe scale", never the statement about all modules.
 A module-level side of a theorem ("every universe module is prime", "...
 is lep-first", ...) is asked of the deciders in ``firstness`` one module
-at a time, through ``_first_failure``.  A ring-level side is a flag of
+at a time, by ``verify_theorem``'s side evaluator.  A ring-level side is a flag of
 ``classify_ring``, which reads no universe: each flag holds for R over
 every generated universe, by a theorem ``_classify`` proves.
 """
@@ -21,13 +21,13 @@ import copy
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_MODULE_CAP, DEFAULT_UNIVERSE_DEPTH
-from .errors import InternalInconsistency
+from .errors import RingMismatch
 from .firstness import a_first_detail, a_fully_first_detail, decide
 from .modules import (atoms, direct_sum_module, enumerate_submodules,
                       is_injective, is_superfluous, is_essential,
                       quotient_module, regular_module, simple_modules,
                       structural_summary)
-from .preradicals import SOC, LinearFilter, left_exact_at
+from .preradicals import SOC, LinearFilter
 from .rings import enumerate_ideals, is_simple_ring
 
 
@@ -245,9 +245,12 @@ def enumerate_lep(ring):
 
     A linear filter is a nonempty upward-closed family of left ideals,
     closed under finite intersections and under the shifts
-    (I : a) = {r | r.a in I}; the attached operator picks the elements
-    whose annihilator lies in the filter and is left exact on every
-    universe (certified by the tests and the harness).
+    (I : a) = {r | r.a in I}; the attached operator s picks the elements
+    whose annihilator lies in the filter.  s is left exact: the
+    annihilator {r | r.x = 0} of an element x is the same in every
+    submodule that holds x, so for N <= M, s(N) = {x in N | ann(x) in
+    the filter} = N & s(M).  That holds for the operator of any set of
+    left ideals; the oracle tests check it on the corpus universes.
 
     Over a finite ring a filter F is closed under finite intersections, so
     it is the up-set of its least member T.  The shifts then ask that
@@ -271,11 +274,13 @@ THEOREM_IDS = ("T15", "T14", "T14.3", "P14.1", "Perror1", "P12", "P8.5")
 
 @dataclass
 class TheoremVerdict:
-    """Both sides of one named equivalence, evaluated at universe scale.
+    """The sides of one named statement, evaluated at universe scale.
 
-    ``consistent`` is what the named statement predicts about the sides
-    (equality for equivalences, an implication for Perror1); False here
-    means an engine bug, not a mathematical discovery.
+    ``consistent`` holds when the sides agree.  The two exceptions are
+    Perror1, an implication (its first side forces its second), and
+    P14.1, whose one claim is that every (simple, hull) pair is
+    superfluous.  False here means an engine bug, not a mathematical
+    discovery.
     """
     theorem_id: str
     ring_provenance: str
@@ -303,120 +308,105 @@ def _first_failure(universe, decider):
     return True, None
 
 
-def verify_theorem(theorem_id, ring, universe=None, pairs=None):
-    """Replay one named equivalence over a ring at universe scale."""
+def _lep_first(module, filters):
+    """``a_first_detail`` for the filter operators, its witness named as
+    T14 reports it."""
+    verdict, witness = a_first_detail(module, filters)
+    return verdict, witness and {"filter": witness["member"],
+                                 "submodule": witness["submodule"]}
+
+
+def verify_theorem(theorem_id, ring, universe=None):
+    """Replay one named statement over a ring at universe scale.
+
+    A module-level side ("every nonzero universe module is ...") is
+    ``every(decider, witness_key)``: the first failing module's witness
+    goes under ``witness_key``.  A ring-level side is a flag of
+    ``classify_ring``.  The verdict is consistent when the sides agree,
+    except for Perror1 and P14.1 (see ``TheoremVerdict``).
+
+    An id outside ``THEOREM_IDS`` raises ``ValueError``, and a universe
+    over another ring ``RingMismatch``, both before any work.  P14.1's
+    hulls are the injective nonzero universe modules and its simples
+    their proper essential atoms; the linear-filter operators of T14 are
+    left exact by construction (``enumerate_lep``).
+    """
+    if theorem_id not in THEOREM_IDS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}")
     if universe is None:
         universe = generate_universe(ring)
+    elif universe.ring is not ring:
+        raise RingMismatch("universe over a different ring")
     cls = classify_ring(ring)
     witnesses = {}
     details = {}
 
+    def every(decider, witness_key):
+        holds, witness = _first_failure(universe, decider)
+        if witness and witness_key:
+            witnesses[witness_key] = witness
+        return holds
+
+    local_semiartinian = (cls.is_left_semiartinian_on_universe
+                          and cls.is_left_local)
     if theorem_id == "T15":
-        lhs = cls.is_simple
-        rhs, witness = _first_failure(universe, lambda m: decide(m, "prime"))
-        if witness:
-            witnesses["non_prime_module"] = witness
-        sides = {"ring_is_simple": lhs, "all_universe_modules_prime": rhs}
-        consistent = lhs == rhs
-
+        sides = {"ring_is_simple": cls.is_simple,
+                 "all_universe_modules_prime":
+                     every(lambda m: decide(m, "prime"), "non_prime_module")}
     elif theorem_id == "T14":
-        lhs = cls.is_left_semiartinian_on_universe and cls.is_left_local
-        evaluators = enumerate_lep(ring)
-        for pr in evaluators:
-            for u in universe.modules:
-                if not left_exact_at(pr, u):
-                    raise InternalInconsistency(
-                        f"filter operator fails left exactness on {u!r}")
-        details["filter_count"] = len(evaluators)
-        rhs, witness = _first_failure(
-            universe, lambda m: a_first_detail(m, evaluators))
-        if witness:
-            witnesses["non_lep_first"] = {"module": witness["module"],
-                                          "filter": witness["member"],
-                                          "submodule": witness["submodule"]}
-        sides = {"left_semiartinian_and_left_local": lhs,
-                 "all_universe_modules_lep_first": rhs}
-        consistent = lhs == rhs
-
+        filters = enumerate_lep(ring)
+        details["filter_count"] = len(filters)
+        sides = {"left_semiartinian_and_left_local": local_semiartinian,
+                 "all_universe_modules_lep_first":
+                     every(lambda m: _lep_first(m, filters), "non_lep_first")}
     elif theorem_id == "T14.3":
-        s1 = (cls.is_left_semiartinian_on_universe and cls.is_left_local
-              and cls.is_V_ring)
-        s2, witness = _first_failure(
-            universe, lambda m: decide(m, "bjkn_prime"))
-        if witness:
-            witnesses["non_bjkn_module"] = witness
-        s3 = cls.is_homogeneous_semisimple
-        sides = {"semiartinian_local_V_ring": s1,
-                 "all_universe_modules_bjkn_prime": s2,
-                 "homogeneous_semisimple": s3}
-        consistent = s1 == s2 == s3
-
+        sides = {"semiartinian_local_V_ring":
+                     local_semiartinian and cls.is_V_ring,
+                 "all_universe_modules_bjkn_prime":
+                     every(lambda m: decide(m, "bjkn_prime"),
+                           "non_bjkn_module"),
+                 "homogeneous_semisimple": cls.is_homogeneous_semisimple}
     elif theorem_id == "P14.1":
-        if pairs is None:
-            pairs = []
-            for e in universe.nonzero_modules():
-                if not is_injective(e):
-                    continue
-                for s in atoms(e):
-                    if s.is_full() or not is_essential(s):
-                        continue
-                    pairs.append((s, e))
-        checked = []
-        consistent = True
-        for s, e in pairs:
-            if not is_injective(e):
-                raise InternalInconsistency(
-                    "superfluity check needs an injective ambient module")
-            ok = is_superfluous(s)
-            checked.append({"simple": s.labels(), "hull": e.provenance,
-                            "superfluous": ok})
-            if not ok:
-                consistent = False
-                witnesses["non_superfluous"] = checked[-1]
-        details["pairs"] = checked
-        sides = {"pairs_checked": len(checked),
-                 "all_superfluous": consistent}
-
+        pairs = [{"simple": s.labels(), "hull": e.provenance,
+                  "superfluous": is_superfluous(s)}
+                 for e in universe.nonzero_modules() if is_injective(e)
+                 for s in atoms(e) if not s.is_full() and is_essential(s)]
+        failed = [pair for pair in pairs if not pair["superfluous"]]
+        if failed:
+            witnesses["non_superfluous"] = failed[-1]
+        details["pairs"] = pairs
+        sides = {"pairs_checked": len(pairs), "all_superfluous": not failed}
     elif theorem_id == "Perror1":
-        lhs, witness = _first_failure(
-            universe, lambda m: decide(m, "bjkn_prime"))
-        if witness:
-            witnesses["non_bjkn_module"] = witness
-        rhs = cls.is_BKN_on_universe
-        sides = {"all_universe_modules_bjkn_prime": lhs,
-                 "BKN_on_universe": rhs}
-        consistent = (not lhs) or rhs
-        details["converse_fails_here"] = rhs and not lhs
-
+        sides = {"all_universe_modules_bjkn_prime":
+                     every(lambda m: decide(m, "bjkn_prime"),
+                           "non_bjkn_module"),
+                 "BKN_on_universe": cls.is_BKN_on_universe}
     elif theorem_id == "P12":
         # Both sides hold over every finite ring: a nonzero submodule of a
         # finite module contains an atom A, and soc(A) = A, so soc kills
         # none.  The report keeps the scans, as checks of the deciders.
-        in_p, witness = _first_failure(
-            universe, lambda m: a_first_detail(m, [SOC]))
-        if witness:
-            witnesses["module_not_in_first_class"] = witness
-        in_sp, _ = _first_failure(
-            universe, lambda m: a_fully_first_detail(m, [SOC]))
-        sides = {"universe_in_socle_first_class": in_p,
-                 "universe_in_socle_fully_first_class": in_sp}
-        consistent = in_p == in_sp
-
-    elif theorem_id == "P8.5":
+        sides = {"universe_in_socle_first_class":
+                     every(lambda m: a_first_detail(m, [SOC]),
+                           "module_not_in_first_class"),
+                 "universe_in_socle_fully_first_class":
+                     every(lambda m: a_fully_first_detail(m, [SOC]), None)}
+    else:  # P8.5
         # Both sides hold over every finite ring: see P12, and no finite
         # module has a zero socle (see ``_classify``; the oracle test
         # ``test_no_universe_module_has_a_zero_socle`` scans for one).
-        in_sp, witness = _first_failure(
-            universe, lambda m: a_fully_first_detail(m, [SOC]))
-        if witness:
-            witnesses["socle_gap"] = witness
-        sides = {"universe_in_socle_fully_first_class": in_sp,
+        sides = {"universe_in_socle_fully_first_class":
+                     every(lambda m: a_fully_first_detail(m, [SOC]),
+                           "socle_gap"),
                  "left_semiartinian_on_universe":
                      cls.is_left_semiartinian_on_universe}
-        consistent = in_sp == cls.is_left_semiartinian_on_universe
 
+    if theorem_id == "Perror1":
+        bjkn, bkn = sides.values()
+        consistent = bkn or not bjkn
+        details["converse_fails_here"] = bkn and not bjkn
+    elif theorem_id == "P14.1":
+        consistent = sides["all_superfluous"]
     else:
-        raise InternalInconsistency(f"unknown theorem id {theorem_id!r}")
-
+        consistent = len(set(sides.values())) == 1
     return TheoremVerdict(theorem_id, ring.provenance, sides, consistent,
                           witnesses, details)

@@ -142,11 +142,11 @@ def cmd_corpus(args):
     start = time.perf_counter()
     inconsistencies = []
     ring_blocks = []
-    # converse gaps the sweep looks for: either a finite witness inside the
-    # corpus or an explicit "not witnessed at these caps" report
-    gap_witnesses = {"diuniform_not_bjkn_prime": None,
-                     "prime_not_bjkn_prime": None,
-                     "rpid_first_not_bjkn_prime": None}
+    # BJKN-prime implies each of these notions; the sweep looks for a
+    # module with the notion that is not BJKN-prime, and reports either a
+    # finite witness inside the corpus or "not witnessed at these caps"
+    weaker = ("diuniform", "prime", "rpid_first")
+    gap_witnesses = {f"{notion}_not_bjkn_prime": None for notion in weaker}
     for ring in corpus_rings(args.cap_ring):
         universe = generate_universe(ring, depth=args.universe_depth,
                                      module_cap=args.cap_module)
@@ -158,20 +158,16 @@ def cmd_corpus(args):
             try:
                 rep = firstness_report(mod)
                 entry = rep.to_dict()
-                verdicts = rep.verdicts
-                if verdicts["bjkn_prime"]:
-                    for weaker in ("rpid_first", "prime", "diuniform"):
-                        if not verdicts[weaker]:
-                            raise InternalInconsistency(
-                                f"bjkn-prime module fails {weaker}")
-                else:
-                    where = f"{mod.provenance} over {ring.provenance}"
-                    for notion, key in (("diuniform", "diuniform_not_bjkn_prime"),
-                                        ("prime", "prime_not_bjkn_prime"),
-                                        ("rpid_first",
-                                         "rpid_first_not_bjkn_prime")):
-                        if verdicts[notion] and gap_witnesses[key] is None:
-                            gap_witnesses[key] = where
+                bjkn = rep.verdicts["bjkn_prime"]
+                for notion in weaker:
+                    if bjkn and not rep.verdicts[notion]:
+                        raise InternalInconsistency(
+                            f"bjkn-prime module fails {notion}")
+                    key = f"{notion}_not_bjkn_prime"
+                    if (rep.verdicts[notion] and not bjkn
+                            and gap_witnesses[key] is None):
+                        gap_witnesses[key] = (f"{mod.provenance} over "
+                                              f"{ring.provenance}")
             except InternalInconsistency as exc:
                 entry = {"module": mod.provenance, "error": str(exc),
                          "status": "inconsistent"}

@@ -212,6 +212,17 @@ def test_action_entries_outside_the_lattice_are_refused():
             pullback(action, f, poset)
         assert (exc.value.axiom, exc.value.witness) == ("table shape", "map")
     assert pullback(action, [0.0], poset).act == action.act
+    # so is an order, whose entries must be 0 or 1: read by truthiness,
+    # the first two were the 2-chain and the last a 2-element antichain
+    for make, leq in ((FiniteBoundedLattice, [[1, "0"], [0, 1]]),
+                      (FiniteBoundedLattice, [[1, 2], [0, 1]]),
+                      (FinitePoset, [[1, None], [0, 1]]),
+                      (FinitePoset, [[1, 0.5], [0, 1]])):
+        with pytest.raises(AxiomViolation) as exc:
+            make(leq)
+        assert (exc.value.axiom, exc.value.witness) == ("table shape", "order")
+    assert FinitePoset([[1.0, True], [0, 1]]).leq == ((True, True),
+                                                      (False, True))
 
 
 def test_element_indices_outside_the_lattice_are_refused():
@@ -220,7 +231,7 @@ def test_element_indices_outside_the_lattice_are_refused():
     lat = chain(3)
     action = PosetAction(antichain_poset(1), lat, [[0, 0, 2]])
     # and an index that is not an integer would raise a bare TypeError
-    for x in (-1, -3, 3, 1.0, 2.0, "1", None):
+    for x in (-1, -3, 3, 0.0, 1.0, 2.0, "1", None):
         for ask in (lambda: interval(lat, 0, x), lambda: interval(lat, x, 2),
                     lambda: restrict_action(action, x),
                     lambda: is_first(action, x), lambda: is_prime(action, x),

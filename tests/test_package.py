@@ -2,8 +2,9 @@
 module of the package imports a name it does not use; module tables,
 submodule carriers, orders, lattices and actions from outside are
 checked in one place each; a whole Hom-set is listed, and generator
-images searched, only where needed; and no process-wide store but the
-memo of accepted tables grows with jobs."""
+images searched, only where needed; the theorem harness checks again
+nothing its constructions prove; and no process-wide store but the memo
+of accepted tables grows with jobs."""
 
 import ast
 import inspect
@@ -150,6 +151,20 @@ def test_classification_reads_the_ring_alone():
                                               "is_retractable")}
     assert list(inspect.signature(modlab.classify_ring).parameters) == [
         "ring"]
+
+
+def test_theorems_are_replayed_without_rechecking_constructions():
+    # the P14.1 hulls are chosen injective and the T14 filter operators
+    # are left exact by construction, so no caller passes pairs to check
+    # again and left exactness is decided only for the preradical
+    # calculus; sides that disagree are reported in the verdict, which
+    # the CLI turns into exit 4, and never raised
+    assert list(inspect.signature(modlab.verify_theorem).parameters) == [
+        "theorem_id", "ring", "universe"]
+    assert callers("left_exact_at") == {("preradicals.py", "property_flags")}
+    source = (ROOT / "src" / "modlab" / "classify.py").read_text(
+        encoding="utf-8")
+    assert name_uses(source, "InternalInconsistency") == set()
 
 
 def module_level_sizes():
