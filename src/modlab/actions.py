@@ -12,12 +12,12 @@ Input is checked where it enters: ``FinitePoset(leq)`` reads its table
 as 0s and 1s and scans the order axioms, ``FiniteBoundedLattice(leq)``
 also refuses a pair with no join or meet, and ``PosetAction(poset,
 lattice, act)`` reads its table as integers and scans range, deflation
-and both monotonicities.  What the module
-derives from checked objects (intervals, restrictions, pullbacks,
-submodule lattices, a module instance's poset and the random samplers'
-draws) is built by ``_proven``, which reads the same tables with no scan;
-each such function's docstring gives the proof that its result satisfies
-the axioms.  The one derived object checked again is a module instance's
+and both monotonicities.  What the module derives from checked objects
+(intervals, restrictions, pullbacks, submodule lattices, a module
+instance's poset and the random samplers' draws) is built by
+``_proven``, which reads the same tables with no scan; each such
+function's docstring gives the proof that its result satisfies the
+axioms.  The one derived object checked again is a module instance's
 action, whose axioms are facts about the evaluated preradicals.
 """
 

@@ -10,9 +10,9 @@ regular module's lattice, with no isomorphism search (the proof is in
 equivalence "at universe scale", never the statement about all modules.
 A module-level side of a theorem ("every universe module is prime", "...
 is lep-first", ...) is asked of the deciders in ``firstness`` one module
-at a time, by ``verify_theorem``'s side evaluator.  A ring-level side is a flag of
-``classify_ring``, which reads no universe: each flag holds for R over
-every generated universe, by a theorem ``_classify`` proves.
+at a time, by ``verify_theorem``'s side evaluator.  A ring-level side is
+a flag of ``classify_ring``, which reads no universe: each flag holds for
+R over every generated universe, by a theorem ``_classify`` proves.
 """
 
 from __future__ import annotations
