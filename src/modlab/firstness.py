@@ -37,7 +37,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from .errors import InternalInconsistency
+from .errors import AxiomViolation, InternalInconsistency
 from .modules import (_elements, _intern_submodule, _reject_mask,
                       annihilator_mask, atoms, cogenerates, cyclic_mask,
                       cyclic_submodules, hom_nonzero_exists, regular_module,
@@ -47,9 +47,11 @@ from .rings import enumerate_ideals
 
 
 def _require_nonzero(module, notion):
+    """Refuse the zero module as a ``"nonzero module"`` violation: the
+    fault is the caller's, as in ``modules.endomorphism_ring``."""
     if module.is_zero():
-        raise InternalInconsistency(
-            f"{notion} is defined for nonzero modules only")
+        raise AxiomViolation("nonzero module", module.provenance,
+                             f"{notion} is defined for nonzero modules only")
 
 
 # ---------------------------------------------------------------------------

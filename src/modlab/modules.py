@@ -39,6 +39,12 @@ gives, unscanned (``FiniteModule``); the last three build their tables
 once per process for each construction on the same operands, named by
 serial number (``rings.derived_tables``).  Carrier masks are checked
 where they enter, in ``submodule``, as tables are (``Submodule``).
+
+Additive spans are formed one way each: a sum of subgroups by
+``sum_masks`` (joins, traces, and I.N in ``trad_mask`` as the sum of the
+subgroups iN), and a generating set by the greedy
+``rings._additive_generators`` (of each relation ideal in
+``_generator_data`` and of the target in ``_hom_chain``).
 """
 
 from __future__ import annotations
@@ -52,10 +58,10 @@ from .config import DEFAULT_MODULE_CAP, MAX_HOM_CHAIN, MAX_HOM_MAPS
 from .errors import (AxiomViolation, InternalInconsistency, RingMismatch,
                      SizeCapExceeded)
 from .rings import (DIRECT_SUM, QUOTIENT_MODULE, SUBMODULE, FiniteRing,
-                    _integer_table, accepted_tables, certified_scan,
-                    derived_tables, differ, element_labels, enumerate_ideals,
-                    scan_abelian_group, scan_abelian_group_exhaustive,
-                    table_in_range)
+                    _additive_generators, _integer_table, accepted_tables,
+                    certified_scan, derived_tables, differ, element_labels,
+                    enumerate_ideals, scan_abelian_group,
+                    scan_abelian_group_exhaustive, table_in_range)
 
 
 class FiniteModule:
@@ -283,7 +289,9 @@ class Submodule:
 
 def submodule(module, mask):
     """The interned handle of a mask from outside: refused as a
-    ``"submodule"`` violation unless within the module and closed."""
+    ``"submodule"`` violation unless an int within the module and closed."""
+    if not isinstance(mask, int):
+        raise AxiomViolation("submodule", mask, "mask is not an int")
     if mask < 0 or mask >> module.order:
         raise AxiomViolation("submodule", mask, "bits outside the module")
     if not is_submodule_mask(module, mask):
@@ -346,12 +354,14 @@ def _coset_mask(module, els, y):
 
 
 def sum_masks(module, mask_a, mask_b):
-    """Sum of two submodules, as a union of cosets of the larger one.
+    """Sum of two additive subgroups, as a union of cosets of the larger.
 
-    Both masks must be submodules.  With A the larger, A + B is the union
-    of the cosets A + y for y in B, and A + y = A + y' whenever y' lies in
-    A + y; so each element of B already covered by a coset is skipped, and
-    the cost is about |A + B| additions rather than |A|.|B|.
+    Both masks need only be subgroups, not submodules.  With A the larger,
+    A + B is the union of the cosets A + y for y in B, and A + y = A + y'
+    whenever y' lies in A + y, since then y' - y lies in the subgroup A;
+    so each element of B already covered by a coset is skipped, and the
+    cost is about |A + B| additions rather than |A|.|B|.  The sum of two
+    subgroups is a subgroup, and of two submodules a submodule.
     """
     if mask_b & ~mask_a == 0:
         return mask_a
@@ -369,35 +379,24 @@ def sum_masks(module, mask_a, mask_b):
     return out
 
 
-def additive_closure_mask(module, mask):
-    """Close a subset under addition (used for I.U and trace sums)."""
-    add = module.add
-    els = [i for i in range(module.order) if mask >> i & 1]
-    queue = list(els)
-    while queue:
-        x = queue.pop()
-        row = add[x]
-        for y in els:
-            z = row[y]
-            if not mask >> z & 1:
-                mask |= 1 << z
-                els.append(z)
-                queue.append(z)
-    return mask
-
-
 def trad_mask(module, ideal, mask=None):
-    """I.N for an ideal I and a submodule carrier N (defaults to all of M)."""
+    """I.N for a two-sided ideal I and a submodule carrier N (all of M
+    when ``mask`` is None), as the sum of the subgroups iN, i in I.
+
+    Each iN = {iu : u in N} is a subgroup, since u -> iu is additive, and
+    their sum (``sum_masks``) is the additive span of the products iu,
+    which is I.N; it is a submodule, as r(iu) = (ri)u with ri in I.
+    """
     act = module.act
-    els = (range(module.order) if mask is None
-           else [i for i in range(module.order) if mask >> i & 1])
-    prods = 1 << module.zero
+    els = range(module.order) if mask is None else _elements(mask)
+    out = module.zero_mask()
     for i in ideal.carrier:
         row = act[i]
+        image = 0
         for u in els:
-            prods |= 1 << row[u]
-    # r(iu) = (ri)u stays inside, so only additive closure is needed
-    return additive_closure_mask(module, prods)
+            image |= 1 << row[u]
+        out = sum_masks(module, out, image)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +626,9 @@ def _generator_data(module):
 
     The relations ending at slot i form, modulo those ending earlier, a
     copy of the left ideal {c : c.g_i in span(g_1..g_{i-1})}; so lifting
-    additive generators of each of these ideals, c -> rep(-c.g_i) + c.e_i,
-    gives relations that additively generate every relation.
+    greedy additive generators of each of these ideals
+    (``rings._additive_generators``), c -> rep(-c.g_i) + c.e_i, gives
+    relations that additively generate every relation.
     """
     if "gendata" in module._cache:
         return module._cache["gendata"]
@@ -643,13 +643,10 @@ def _generator_data(module):
             continue
         i = len(gens)
         gens.append(x)
-        level = []
-        span = {ring.zero}
-        for c in range(ring.order):
-            if act[c][x] in reps and c not in span:
-                level.append(reps[neg[act[c][x]]] + (c,))
-                span = _extend_additive_span(ring.add, span, c)
-        lifts.append(level)
+        ideal = [c for c in range(ring.order) if act[c][x] in reps]
+        lifts.append([reps[neg[act[c][x]]] + (c,) for c in
+                      _additive_generators(ring.order, ring.add, ring.zero,
+                                           ideal)])
         new_reps = {}
         for e in sorted(reps):
             vec = reps[e]
@@ -755,16 +752,6 @@ def hom_set(source, target):
                          for hv in images), key=lambda f: f.map))
 
 
-def _extend_additive_span(add, span, c):
-    """The additive subgroup generated by the subgroup ``span`` and ``c``."""
-    out = set(span)
-    x = c
-    while x not in span:
-        out.update(add[s][x] for s in span)
-        x = add[x][c]
-    return out
-
-
 def hom_generators(source, target):
     """Maps generating the group Hom(source, target) under pointwise
     addition, at most log2|Hom| of them (cached).
@@ -774,7 +761,8 @@ def hom_generators(source, target):
     flattened ``rel_levels`` of ``_generator_data``).  An
     abelian Schreier-Sims chain (one level per coordinate, relation
     coordinates first) of the graph {(Phi(x), x)} is grown from the graph
-    of every t.e_j, t an additive generator of T.  The elements that chain
+    of every t.e_j, t a greedy additive generator of T
+    (``rings._additive_generators``).  The elements that chain
     inserts at levels >= m have zero relation values, generate the kernel,
     and each at least doubles its level's orbit, whose sizes multiply to
     |Hom|.  Every map is an integer combination of the result, so f(N) <=
@@ -839,11 +827,8 @@ def _hom_chain(source, target):
                 x = sub(x, orbit[v])
             level += 1
 
-    span = {tzero}
-    for t in range(target.order):
-        if t in span:
-            continue
-        span = _extend_additive_span(tadd, span, t)
+    for t in _additive_generators(target.order, tadd, tzero,
+                                  range(target.order)):
         for j in range(k):
             sift(tuple(tact[r[j]][t] for r in rels)
                  + tuple(t if i == j else tzero for i in range(k)), 0)
@@ -1059,7 +1044,7 @@ def _sum_tables(summands):
 
 def cyclic_module(parent, x):
     """Rx as a module in its own right."""
-    if not 0 <= x < parent.order:
+    if not isinstance(x, int) or not 0 <= x < parent.order:
         raise AxiomViolation("module element", (x,), "no such element")
     return _intern_submodule(parent, cyclic_mask(parent, x)).as_module()
 

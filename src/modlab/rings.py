@@ -378,7 +378,7 @@ def _abelian_group_certificate(n, add):
         neg = tuple([row.index(zero) for row in add])
     except ValueError:
         return None
-    gens = _additive_generators(n, add, zero)
+    gens = _additive_generators(n, add, zero, rng)
     for a in rng:
         row_a = add[a]
         for g in gens:
@@ -387,20 +387,25 @@ def _abelian_group_certificate(n, add):
     return zero, neg, gens
 
 
-def _additive_generators(n, add, zero):
-    """Greedy generators: each is the least element not yet reached.
+def _additive_generators(n, add, zero, candidates):
+    """Greedy generators drawn from ``candidates``, the one way the engine
+    chooses generators of an additive span: each is the first candidate,
+    in the order given, not yet reached.
 
     A new generator x is added to every element reached so far, and to
     every element that reaches in turn, so each reached element is a sum
     of generators formed through ``add`` alone, whatever the table.  In
     an abelian group the reached set is the subgroup generated so far,
-    which each generator at least doubles.
+    which each generator at least doubles, and at the end it is the
+    subgroup the candidates generate.  The axiom scans draw from every
+    element (``_abelian_group_certificate``); ``modules._generator_data``
+    from a left ideal, and ``modules._hom_chain`` from the target.
     """
     reached = [False] * n
     reached[zero] = True
     members = [zero]
     gens = []
-    for x in range(n):
+    for x in candidates:
         if reached[x]:
             continue
         gens.append(x)

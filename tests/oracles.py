@@ -28,6 +28,8 @@ off up-sets, and the poset oracle checks an order over every triple, as
 The universe scans are the ones ``classify_ring`` ran before it read the
 BKN and left-semiartinian flags off the ring: a Hom search on every
 ordered pair of nonzero universe modules, and a socle on every one.
+``closure_trad_mask`` forms I.N as ``trad_mask`` did before it summed the
+subgroups iN: the set of products iu closed under addition pair by pair.
 """
 
 import itertools
@@ -440,3 +442,21 @@ def diuniform(module):
             return False, {"kind": "non_essential_fully_invariant",
                            "submodule": sub.labels()}
     return True, None
+
+
+def closure_trad_mask(module, ideal, mask=None):
+    """I.N as the additive closure of the products iu, i in I, u in N."""
+    add, act = module.add, module.act
+    els = [u for u in range(module.order)
+           if mask is None or mask >> u & 1]
+    prods = {module.zero} | {act[i][u] for i in ideal.carrier for u in els}
+    closed = set(prods)
+    queue = list(prods)
+    while queue:
+        x = queue.pop()
+        for y in list(closed):
+            z = add[x][y]
+            if z not in closed:
+                closed.add(z)
+                queue.append(z)
+    return sum(1 << x for x in closed)

@@ -5,7 +5,7 @@ import pytest
 from modlab import firstness
 from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
-from modlab.errors import InternalInconsistency
+from modlab.errors import AxiomViolation, InternalInconsistency
 from modlab.firstness import (NOTIONS, ClassMembership, a_first_detail,
                               a_fully_first_detail, bjkn_prime_detail,
                               class_membership, decide, diuniform_detail,
@@ -52,9 +52,20 @@ def test_bjkn_homogeneous_vs_mixed_semisimple():
 
 
 def test_bjkn_rejects_zero_module():
+    # the fault is the caller's, so every entry that needs a nonzero module
+    # refuses the zero module as an axiom violation, not as an engine bug
     from modlab.modules import zero_module
-    with pytest.raises(InternalInconsistency):
-        bjkn_prime_detail(zero_module(Z4))
+    zero = zero_module(Z4)
+    family = [SOC]
+    for decider in (bjkn_prime_detail, is_bjkn_prime, prime_module_detail,
+                    is_prime_module, rpid_first_detail, is_rpid_first,
+                    diuniform_detail, is_diuniform,
+                    lambda m: a_first_detail(m, family),
+                    lambda m: is_A_first(m, family)):
+        with pytest.raises(AxiomViolation) as exc:
+            decider(zero)
+        assert (exc.value.axiom, exc.value.witness) == (
+            "nonzero module", zero.provenance)
 
 
 def test_prime_z4_negative_with_ideal_witness():

@@ -1,6 +1,7 @@
 """Structured reports compared byte for byte with recorded ones.
 
 The files under ``tests/golden/`` were recorded with the commands below,
+``corpus-d4-cap256.json`` at commit 7d2b318,
 ``corpus-d4-cap128.json`` at commit e656da1, ``corpus-d4.json`` at
 commit 04e7d27, ``corpus-d3.json`` at commit 829d310 and the others at
 commit e961f8e.  A change that means to alter a report re-records them
@@ -36,15 +37,18 @@ DEMO = str(ROOT / "demo.job")
     ("corpus-d4-cap128.json",
      ["corpus", "--format", "structured", "--universe-depth", "4",
       "--cap-module", "128"]),
+    ("corpus-d4-cap256.json",
+     ["corpus", "--format", "structured", "--universe-depth", "4",
+      "--cap-module", "256"]),
 ])
 def test_structured_report_is_unchanged(name, argv, capsys, empty_memo,
                                         count_builds, monkeypatch):
     # cold, then warm: the second run takes the tables and constructions
     # still in the memo of accepted tables and must print the same report.
     # Where the first run stays under the memo's bound, the second builds
-    # no table; the cap-128 run reaches it, and its oldest entries go
-    # first.  After each run the memo's cells, counted afresh, are the
-    # running count and within the bound
+    # no table; the cap-128 and cap-256 runs reach it, and its oldest
+    # entries go first.  After each run the memo's cells, counted afresh,
+    # are the running count and within the bound
     golden = (GOLDEN / name).read_text(encoding="utf-8")
     builds = count_builds(monkeypatch)
     counts = []

@@ -15,10 +15,10 @@ from modlab.cli import corpus_rings
 from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.firstness import firstness_report
 from modlab.jobs import parse_job, render_structured, run_job
-from modlab.rings import (cyclic_ring, matrix_ring, product_ring,
-                          ring_from_tables)
+from modlab.rings import (cyclic_ring, enumerate_ideals, matrix_ring,
+                          product_ring, ring_from_tables)
 from modlab.modules import (ModuleMorphism, Submodule, _scan_module_axioms,
-                            _scan_module_axioms_exhaustive, cogenerates,
+                            _scan_module_axioms_exhaustive, atoms, cogenerates,
                             cyclic_module, cyclic_submodules,
                             direct_sum_module,
                             enumerate_submodules, hom_nonzero_exists, hom_set,
@@ -27,11 +27,11 @@ from modlab.modules import (ModuleMorphism, Submodule, _scan_module_axioms,
                             module_from_tables,
                             quotient_module, regular_module, simple_modules,
                             structural_summary, submodule, endomorphism_ring,
-                            zero_module)
+                            trad_mask, zero_module)
 
 from conftest import TABLE_BUILDERS, memo_cells
-from oracles import (all_function_homs, powerset_submodule_masks,
-                     searched_hom_set)
+from oracles import (all_function_homs, closure_trad_mask,
+                     powerset_submodule_masks, searched_hom_set)
 from test_hom_generators import SMALL_RINGS, small_module
 from test_rings import f2_xy_square_zero, upper_triangular_f2
 
@@ -293,6 +293,30 @@ def test_endomorphism_rings_match_the_searched_hom_sets():
                 assert (end.add, end.mul) == want, m
                 built += 1
     assert (built, refused) == (26, 9)
+
+
+def test_ideal_products_match_the_additive_closure():
+    # I.N as a sum of the subgroups iN equals the closure of the products
+    # iu under addition, for every two-sided ideal and N the whole module
+    # (read whole or as its full mask), each cyclic submodule and each atom
+    rings = corpus_rings() + [upper_triangular_f2(), f2_xy_square_zero()]
+    checked = proper = 0
+    for ring in rings:
+        ideals = enumerate_ideals(ring, "two-sided")
+        for m in generate_universe(ring, depth=3).nonzero_modules():
+            masks = [None, m.full_mask()]
+            masks += [n.mask for n in cyclic_submodules(m)]
+            masks += [a.mask for a in atoms(m)]
+            for ideal in ideals:
+                for mask in masks:
+                    got = trad_mask(m, ideal, mask)
+                    assert got == closure_trad_mask(m, ideal, mask), (
+                        m, ideal, mask)
+                    checked += 1
+                    proper += got not in (m.zero_mask(),
+                                          m.full_mask() if mask is None
+                                          else mask)
+    assert (checked, proper) == (23401, 4844)
 
 
 def test_quotient_module_tables():
@@ -978,8 +1002,9 @@ def test_module_distributivity_alone_is_rejected():
 
 def test_cyclic_modules_of_elements_outside_the_module_are_refused():
     # unchecked, -1 would build R.3 and 4 would raise a bare IndexError
+    # and a non-int index (1.0, "3", None) would raise a bare TypeError
     m = regular_module(Z4)
-    for x in (-1, 4):
+    for x in (-1, 4, 1.0, "3", None):
         with pytest.raises(AxiomViolation) as exc:
             cyclic_module(m, x)
         assert (exc.value.axiom, exc.value.witness) == ("module element", (x,))
@@ -996,7 +1021,12 @@ def test_non_submodule_masks_are_rejected():
         with pytest.raises(AxiomViolation) as exc:
             submodule(m, mask)
         assert (exc.value.axiom, exc.value.witness) == ("submodule", carrier)
-        assert mask not in m._cache["subs"]
+        assert mask not in m._cache.get("subs", {})
+    # a mask that is not an int is refused before any comparison or shift
+    for mask in (1.0, "3", None):
+        with pytest.raises(AxiomViolation) as exc:
+            submodule(m, mask)
+        assert (exc.value.axiom, exc.value.witness) == ("submodule", mask)
 
 
 def test_masks_outside_the_module_are_rejected():

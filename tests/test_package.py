@@ -2,7 +2,8 @@
 module of the package imports a name it does not use; module tables,
 submodule carriers, orders, lattices and actions from outside are
 checked in one place each; a whole Hom-set is listed, and generator
-images searched, only where needed; the theorem harness checks again
+images searched, only where needed; additive spans are formed one way
+each; the theorem harness checks again
 nothing its constructions prove; and no process-wide store but the memo
 of accepted tables grows with jobs."""
 
@@ -142,6 +143,22 @@ def test_hom_is_listed_only_for_the_endomorphism_ring():
     assert callers("_search_images") == {
         ("modules.py", "hom_nonzero_exists"),
         ("modules.py", "find_isomorphism")}
+
+
+def test_additive_spans_are_formed_one_way():
+    # a sum of subgroups is sum_masks, I.N among them, and a greedy
+    # generating set is rings._additive_generators, with its candidates
+    # named at each call
+    from modlab import modules, rings
+    assert not hasattr(modules, "additive_closure_mask")
+    assert not hasattr(modules, "_extend_additive_span")
+    assert callers("_additive_generators") == {
+        ("rings.py", "_abelian_group_certificate"),
+        ("modules.py", "_hom_chain"), ("modules.py", "_generator_data")}
+    assert str(inspect.signature(rings._additive_generators)) == (
+        "(n, add, zero, candidates)")
+    source = inspect.getsource(modules.trad_mask)
+    assert ("trad_mask", True) in name_uses(source, "sum_masks")
 
 
 def test_classification_reads_the_ring_alone():
