@@ -15,7 +15,9 @@ with no isomorphism search; diuniformity over the fully invariant hulls
 of the atoms, the least failing hull being its first failure.
 ``decide`` caches each notion's verdict per module.  Firstness relative
 to a finite family is one scan, ``a_fully_first_detail``;
-``a_first_detail`` runs it over the members that do not kill the module.
+``a_first_detail`` runs it over the members that do not kill the module,
+and ``class_membership`` reads all four classes of a family off one
+evaluation of each member and that scan.
 These deciders are also the module-level sides of the theorems replayed
 by ``classify.verify_theorem``.
 
@@ -405,43 +407,24 @@ class ClassMembership:
 
 
 def class_membership(module, family):
-    """Membership record, with the intersection identities asserted.
+    """Membership record, each member evaluated on the module once.
 
-    The identities checked on the spot: the family classes are the
-    intersections of the singleton classes, the first class of a single
-    member is the union of its fully-first class and its kill class, and
-    both inclusions fully-first/kill-class <= first-class.
+    Pretorsion and pretorsion-free are read off those values.  The module
+    is first when it is zero or no member that leaves it nonzero kills a
+    nonzero submodule (``a_first_detail``'s scan over those members), and
+    fully first when it is first and no member kills it: a member that
+    kills M != 0 kills every atom, by naturality along the inclusion.
     """
     family = list(family)
-    in_t = all(pr.evaluate(module).is_full() for pr in family)
-    in_f = all(pr.evaluate(module).is_zero() for pr in family)
+    values = [pr.evaluate(module) for pr in family]
+    kept = [pr for pr, v in zip(family, values) if not v.is_zero()]
     if module.is_zero():
-        in_p = True
-        in_sp = True
+        in_first = in_fully_first = True
     else:
-        in_p = a_first_detail(module, family)[0]
-        in_sp = a_fully_first_detail(module, family)[0]
-    if len(family) == 1:
-        # the first class of a single member is its fully-first class
-        # together with the modules it kills
-        if in_p != (in_sp or in_f):
-            raise InternalInconsistency(
-                "first class must be fully-first union kill-class")
-    elif len(family) > 1:
-        singles = [class_membership(module, [pr]) for pr in family]
-        if in_t != all(s.in_pretorsion for s in singles):
-            raise InternalInconsistency("pretorsion intersection identity")
-        if in_f != all(s.in_pretorsion_free for s in singles):
-            raise InternalInconsistency("pretorsion-free intersection identity")
-        if in_p != all(s.in_first_class for s in singles):
-            raise InternalInconsistency("first-class intersection identity")
-        if in_sp != all(s.in_fully_first for s in singles):
-            raise InternalInconsistency("fully-first intersection identity")
-    if in_sp and not in_p:
-        raise InternalInconsistency("fully-first must imply first")
-    if in_f and not in_p:
-        raise InternalInconsistency("pretorsion-free must imply first")
-    return ClassMembership(in_t, in_f, in_p, in_sp)
+        in_first = a_fully_first_detail(module, kept)[0]
+        in_fully_first = in_first and len(kept) == len(family)
+    return ClassMembership(all(v.is_full() for v in values), not kept,
+                           in_first, in_fully_first)
 
 
 # ---------------------------------------------------------------------------

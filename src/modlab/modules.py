@@ -58,9 +58,9 @@ from .config import DEFAULT_MODULE_CAP, MAX_HOM_CHAIN, MAX_HOM_MAPS
 from .errors import (AxiomViolation, InternalInconsistency, RingMismatch,
                      SizeCapExceeded)
 from .rings import (DIRECT_SUM, QUOTIENT_MODULE, SUBMODULE, FiniteRing,
-                    _additive_generators, _integer_table, accepted_tables,
-                    certified_scan, derived_tables, differ, element_labels,
-                    enumerate_ideals, scan_abelian_group,
+                    _additive_generators, _integer_table, _proven_ring,
+                    accepted_tables, certified_scan, derived_tables, differ,
+                    element_labels, enumerate_ideals, scan_abelian_group,
                     scan_abelian_group_exhaustive, table_in_range)
 
 
@@ -549,16 +549,22 @@ def atoms(module):
 # morphisms and hom-sets
 
 class ModuleMorphism:
-    """An R-linear map, stored as an image tuple indexed by source element."""
+    """An R-linear map, stored as an image tuple indexed by source element.
+
+    A map from outside is read as ``actions.pullback`` reads its map
+    (``rings._integer_table``: an entry not equal to its int value is a
+    ``"table shape"`` violation) and checked (``check``).  The engine's
+    maps are R-linear by construction and made unchecked, by
+    ``_morphism_from_images`` alone.
+    """
 
     __slots__ = ("source", "target", "map")
 
-    def __init__(self, source, target, map_, validate=True):
+    def __init__(self, source, target, map_):
         self.source = source
         self.target = target
-        self.map = tuple(map_)
-        if validate:
-            self.check()
+        self.map = _integer_table("map", [map_])[0]
+        self.check()
 
     def check(self):
         src, tgt, f = self.source, self.target, self.map
@@ -714,13 +720,16 @@ def _morphism_from_images(source, target, images):
     Filled along the steps of ``_generator_data``: f(e) = f(e') + r.h_i
     for e = e' + r.g_i, one addition and one action per element.  Callers
     pass only image tuples that kill every basis relation, so the map is
-    well defined and every expression of e gives this value.
+    well defined, every expression of e gives this value, and it is the
+    R-map with these images: it is made without ``ModuleMorphism.check``.
     """
     tadd, tact = target.add, target.act
     fmap = [target.zero] * source.order
     for e, prev, r, i in _generator_data(source)[1]:
         fmap[e] = tadd[fmap[prev]][tact[r][images[i]]]
-    return ModuleMorphism(source, target, fmap, validate=False)
+    f = object.__new__(ModuleMorphism)
+    f.source, f.target, f.map = source, target, tuple(fmap)
+    return f
 
 
 def hom_set(source, target):
@@ -1257,6 +1266,13 @@ def endomorphism_ring(module, cap=None):
     map is listed: |End(M)| comes with ``hom_generators``' chain.  End(0)
     is the zero ring, which ``FiniteRing`` does not model, so the zero
     module is refused as a ``"nonzero module"`` violation.
+
+    A ring by construction (``rings._proven_ring``): ``hom_set`` lists
+    every R-map M -> M, and a pointwise sum or composite of two is one
+    again, so both tables are closed.  Pointwise addition makes an
+    abelian group, as M is one; composition is associative; (g+h)f =
+    gf+hf pointwise, and f(g+h) = fg+fh as f is additive; the identity
+    map is one, and it differs from the zero map as M is nonzero.
     """
     if module.is_zero():
         raise AxiomViolation("nonzero module", module.provenance,
@@ -1264,13 +1280,14 @@ def endomorphism_ring(module, cap=None):
     if cap is not None and _hom_chain(module, module)[1] > cap:
         return None
     endos = hom_set(module, module)
-    n = len(endos)
     index = {f.map: i for i, f in enumerate(endos)}
     madd = module.add
-    add = [[index[tuple(madd[f.map[x]][g.map[x]] for x in range(module.order))]
-            for g in endos] for f in endos]
-    mul = [[index[tuple(f.map[g.map[x]] for x in range(module.order))]
-            for g in endos] for f in endos]
-    labels = tuple(f"f{i}" for i in range(n))
-    return FiniteRing(add, mul, labels=labels,
-                      provenance=f"end({module.provenance})", cap=None)
+    add = tuple([tuple([index[tuple([madd[f.map[x]][g.map[x]]
+                                     for x in range(module.order)])]
+                        for g in endos]) for f in endos])
+    mul = tuple([tuple([index[tuple([f.map[g.map[x]]
+                                     for x in range(module.order)])]
+                        for g in endos]) for f in endos])
+    return FiniteRing(_proven_ring(add, mul),
+                      tuple(f"f{i}" for i in range(len(endos))),
+                      f"end({module.provenance})")

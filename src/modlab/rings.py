@@ -2,12 +2,16 @@
 
 A ring here is the index set ``0..order-1`` with full Cayley tables for
 addition and multiplication.  Constructors build cyclic rings, matrix
-rings, direct products, quotients, and rings from raw tables; every
-table pair passes every ring axiom before a ring is returned on it (see
-``scan_abelian_group`` for how the checks stay complete in O(n^2 log n)).
-Cyclic, matrix and product rings build their tables once per process
-for each construction on the same operands, named by serial number
-(``derived_tables``).
+rings, direct products, quotients, and rings from raw tables.  Tables
+from outside the engine enter through ``ring_from_tables``, the one place
+that checks the ring axioms (``_scan_ring_axioms``; see
+``scan_abelian_group`` for how the checks stay complete in
+O(n^2 log n)).  Every other ring, here and ``modules.endomorphism_ring``,
+is a ring by construction and reads its zero, one and negation off its
+tables unscanned (``_proven_ring``); each constructor's docstring gives
+the proof.  Cyclic, matrix and product rings build their tables once per
+process for each construction on the same operands, named by serial
+number (``derived_tables``).
 An ideal is a ``Submodule`` handle of the regular module: the left ideals
 are its lattice, read off ``modlab.modules`` (imported inside the functions
 that need it, since that module builds on this one), and the two-sided
@@ -17,7 +21,6 @@ ideals are the left ideals closed under right multiplication.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from operator import getitem, itemgetter, ne
 
 from .config import DEFAULT_RING_CAP, MAX_ACCEPTED_CELLS
@@ -42,12 +45,17 @@ class FiniteRing:
 
     ``add`` and ``mul`` are tuples of row tuples of ints, ``add[a][b]``
     being the index of a+b.  ``zero``/``one`` are element indices and
-    ``neg[a]`` is the additive inverse.  The tables pass
-    ``_scan_ring_axioms`` once per process, through the bounded memo of
-    accepted tables (``accepted_tables``): a ring built on tables equal to
-    accepted ones takes those tables, its identities, negation, additive
-    generators and ``serial``, the number that names those tables in
-    construction keys, from there.  Instances are immutable after
+    ``neg[a]`` is the additive inverse.  The constructor checks and looks
+    up nothing: it takes an entry of the memo of accepted tables
+    (``accepted_tables``), ``(add, mul, zero, one, neg, gens, serial)``,
+    which its caller has looked up; ``gens`` are the greedy additive
+    generators and ``serial`` the number that names the tables in
+    construction keys.  Raw tables enter through ``ring_from_tables``,
+    the one place that scans them (``_scan_ring_axioms``).  Every other
+    ring is built by the engine and is a ring by construction
+    (``_proven_ring``); the test suite still runs the exhaustive scan on
+    such rings as an oracle.  Equal tables share one entry, so rings on
+    them share their tables and serial.  Instances are immutable after
     construction and hash by identity, so they can key caches directly,
     and can be weakly referenced.
     """
@@ -56,17 +64,10 @@ class FiniteRing:
                  "labels", "provenance", "projection", "_cache",
                  "__weakref__")
 
-    def __init__(self, add, mul, labels=None, provenance="raw",
-                 projection=None, cap=DEFAULT_RING_CAP):
-        add = tuple(tuple(row) for row in add)
-        mul = tuple(tuple(row) for row in mul)
-        n = len(add)
-        if cap is not None and n > cap:
-            raise SizeCapExceeded(f"ring order {n} exceeds cap {cap}")
-        labels = element_labels(labels, n)
-        self.order = n
+    def __init__(self, entry, labels, provenance, projection=None):
         (self.add, self.mul, self.zero, self.one, self.neg, gens,
-         self.serial) = _interned_ring(add, mul)
+         self.serial) = entry
+        self.order = len(self.add)
         self.labels = labels
         self.provenance = provenance
         self.projection = projection
@@ -76,20 +77,25 @@ class FiniteRing:
         return f"FiniteRing({self.provenance}, order={self.order})"
 
 
-def _accept_ring_tables(n, *tables):
-    """The memo entry of ring tables not seen before: the tables as ints,
-    then what ``_scan_ring_axioms`` returns."""
-    tables = tuple(map(_integer_table, ("addition", "multiplication"), tables))
-    return tables + _scan_ring_axioms(n, *tables)
+def _proven_ring(add, mul):
+    """The memo's entry for the tables of a ring by construction, its
+    zero, one, negation and additive generators read off the tables,
+    unscanned.
 
-
-def _interned_ring(add, mul):
-    """The memo's entry for ring tables, scanned if new.  The table
-    builders of the ring constructors return it, so a constructor stores
-    its construction (``derived_tables``) only after the scan has accepted
-    the tables."""
-    return accepted_tables((), (add, mul),
-                           partial(_accept_ring_tables, len(add)))
+    The zero is the row of ``add`` equal to the identity row, and one is
+    the first row of ``mul`` equal to it: a left identity e has
+    e = e.1 = 1, so it is the only one.  The generators come from the
+    call ``scan_abelian_group`` makes, so an entry is the same whichever
+    path stored it (``accepted_tables``).
+    """
+    def read(add, mul):
+        n = len(add)
+        ident = tuple(range(n))
+        zero = add.index(ident)
+        return (add, mul, zero, mul.index(ident),
+                tuple([row.index(zero) for row in add]),
+                _additive_generators(n, add, zero, range(n)))
+    return accepted_tables((), (add, mul), read)
 
 
 def _scan_ring_axioms(n, add, mul):
@@ -195,24 +201,25 @@ def accepted_tables(prefix, tables, accept):
     The memo holds two kinds of entry.  A **table entry** starts with the
     tables themselves as tuples of row tuples of ints (``_integer_table``),
     ends with a serial number, and the memo keys it by ``prefix`` and its
-    tables.  ``FiniteRing`` passes no prefix and its (``add``, ``mul``),
-    and on a miss stores ``(add, mul, zero, one, neg, gens, serial)``
-    after ``_scan_ring_axioms``.  A module passes the prefix
-    ``(ring.serial,)`` and its (``add``, ``act``), and stores ``(add, act,
-    zero, neg, serial)``.  A hit returns the stored entry without a scan or
-    a copy, so equal rings and modules share their table tuples.  That is
-    exact: the ring scan reads nothing but the ring's two tables, and the
-    module scan nothing but its two tables and the ring's ``order``,
-    ``add``, ``mul``, ``one`` and ``_cache["addgens"]``, all of which
-    follow from the ring's tables, which its serial names (below); a
-    repeat would return the same.
+    tables.  A ring passes no prefix and its (``add``, ``mul``), and on a
+    miss stores ``(add, mul, zero, one, neg, gens, serial)``.  A module
+    passes the prefix ``(ring.serial,)`` and its (``add``, ``act``), and
+    stores ``(add, act, zero, neg, serial)``.  A hit returns the stored
+    entry without a scan or a copy, so equal rings and modules share their
+    table tuples.  That is exact: the ring scan reads nothing but the
+    ring's two tables, and the module scan nothing but its two tables and
+    the ring's ``order``, ``add``, ``mul``, ``one`` and
+    ``_cache["addgens"]``, all of which follow from the ring's tables,
+    which its serial names (below); a repeat would return the same.
 
-    Only raw module tables are scanned (``modules.module_from_tables``).
-    A module the engine derives from others is a module by construction,
-    and stores the zero and negation that construction gives, unscanned.
-    That is exact too: a group has one identity and one inverse of each
-    element, so equal tables have equal ``(zero, neg)``, whichever
-    construction stored them.  Interning derived tables lets equal
+    Only raw tables are scanned (``ring_from_tables``,
+    ``modules.module_from_tables``).  A ring or module the engine derives
+    from others is one by construction, and stores what its tables give,
+    unscanned (``_proven_ring``, ``modules.FiniteModule``).  That is exact
+    too: a group has one identity and one inverse of each element, a ring
+    one multiplicative identity, and the greedy generators are a function
+    of the addition table, so equal tables have equal entries, whichever
+    construction stored them.  Interning derived tables lets equal rings,
     submodules, atoms and quotients share one copy.
 
     A **construction entry** (``derived_tables``) maps a construction on
@@ -235,10 +242,7 @@ def accepted_tables(prefix, tables, accept):
     a hit does not reorder, and an entry larger than the whole bound is
     not stored.
     """
-    try:
-        found = _accepted.get(prefix + tables)
-    except TypeError:  # an unhashable entry, refused by _integer_table
-        found = None
+    found = _accepted.get(prefix + tables)
     if found is None:
         found = accept(*tables) + (next(_serials),)
         _store(prefix + found[:2], found)
@@ -253,9 +257,7 @@ def derived_tables(key, build):
     ``build`` returns a table entry that ``accepted_tables`` has
     interned, with the construction's own tuples of ints appended where
     it has any (a quotient's projection, say).  A ``build`` that raises
-    stores nothing, so a ring constructor that interns through the ring
-    scan stores its construction only once the scan has accepted the
-    tables.
+    stores nothing.
     """
     found = _accepted.get(key)
     if found is None:
@@ -450,26 +452,42 @@ def scan_abelian_group_exhaustive(n, add):
 # constructors
 
 def cyclic_ring(n, cap=DEFAULT_RING_CAP):
-    """The ring of integers mod n (n >= 2; n = 1 fails the one != zero scan)."""
+    """The ring of integers mod n, n >= 2.
+
+    A ring by construction: Z/n is the quotient of Z by the ideal nZ, and
+    its tables are the sum and product mod n of the representatives
+    0..n-1; n >= 2 makes 1 differ from 0.  n = 1 is refused as the ring
+    scan refuses the tables of Z/1, as a ``"nontriviality"`` violation.
+    """
     if n < 1:
         raise AxiomViolation("nonempty carrier", None, f"cyclic({n}) is empty")
     if cap is not None and n > cap:
         raise SizeCapExceeded(f"ring order {n} exceeds cap {cap}")
-    add, mul = derived_tables((CYCLIC_RING, n),
-                              lambda: _cyclic_tables(n))[:2]
-    return FiniteRing(add, mul, provenance=f"cyclic({n})", cap=cap)
+    if n == 1:
+        raise AxiomViolation("nontriviality", (0, 0), "one equals zero")
+    return FiniteRing(derived_tables((CYCLIC_RING, n),
+                                     lambda: _cyclic_tables(n)),
+                      tuple(map(str, range(n))), f"cyclic({n})")
 
 
 def _cyclic_tables(n):
     rng = range(n)
-    return _interned_ring(tuple([tuple([(a + b) % n for b in rng])
-                                 for a in rng]),
-                          tuple([tuple([a * b % n for b in rng])
-                                 for a in rng]))
+    return _proven_ring(tuple([tuple([(a + b) % n for b in rng])
+                               for a in rng]),
+                        tuple([tuple([a * b % n for b in rng])
+                               for a in rng]))
 
 
 def matrix_ring(base, k, cap=DEFAULT_RING_CAP):
-    """The ring of k-by-k matrices over ``base``."""
+    """The ring of k-by-k matrices over ``base``.
+
+    A ring by construction: the sum is entrywise, so it is an abelian
+    group as R is; (xy)z and x(yz) both have (i, j) entry the sum of
+    x_ia y_ab z_bj over all a, b, by associativity and both distributive
+    laws of R; x(y+z) = xy+xz and (x+y)z = xz+yz entry by entry by the
+    distributive laws of R; and the identity matrix is one, which differs
+    from the zero matrix since 1 differs from 0 in R.
+    """
     if k < 1:
         raise AxiomViolation("matrix size", (k,), "matrix size must be >= 1")
     order = base.order ** (k * k)
@@ -477,14 +495,14 @@ def matrix_ring(base, k, cap=DEFAULT_RING_CAP):
         raise SizeCapExceeded(
             f"matrix ring order {base.order}^{k * k} = {order} exceeds cap {cap}")
     elements = list(itertools.product(range(base.order), repeat=k * k))
-    add, mul = derived_tables((MATRIX_RING, base.serial, k),
-                              lambda: _matrix_tables(base, k, elements))[:2]
     labels = tuple(
         "[" + ";".join(",".join(base.labels[x[i * k + j]] for j in range(k))
                        for i in range(k)) + "]"
         for x in elements)
-    return FiniteRing(add, mul, labels=labels,
-                      provenance=f"matrix({base.provenance},{k})", cap=cap)
+    return FiniteRing(derived_tables((MATRIX_RING, base.serial, k),
+                                     lambda: _matrix_tables(base, k,
+                                                            elements)),
+                      labels, f"matrix({base.provenance},{k})")
 
 
 def _matrix_tables(base, k, elements):
@@ -509,11 +527,16 @@ def _matrix_tables(base, k, elements):
         return tuple([tuple([index[op(x, y)] for y in elements])
                       for x in elements])
 
-    return _interned_ring(table(mat_add), table(mat_mul))
+    return _proven_ring(table(mat_add), table(mat_mul))
 
 
 def product_ring(factors, cap=DEFAULT_RING_CAP):
-    """Direct product of a list of rings, componentwise operations."""
+    """Direct product of a list of rings, componentwise operations.
+
+    A ring by construction: each law holds componentwise, as it holds in
+    each factor, and the one (1, ..., 1) differs from the zero, as each
+    factor's one differs from its zero.
+    """
     factors = list(factors)
     if not factors:
         raise AxiomViolation("nonempty product", None,
@@ -524,13 +547,12 @@ def product_ring(factors, cap=DEFAULT_RING_CAP):
     if cap is not None and order > cap:
         raise SizeCapExceeded(f"product ring order {order} exceeds cap {cap}")
     elements = list(itertools.product(*[range(f.order) for f in factors]))
-    add, mul = derived_tables(
-        (PRODUCT_RING, *(f.serial for f in factors)),
-        lambda: _product_tables(factors, elements))[:2]
     labels = tuple("(" + ",".join(f.labels[c] for f, c in zip(factors, x)) + ")"
                    for x in elements)
     prov = "product(" + ",".join(f.provenance for f in factors) + ")"
-    return FiniteRing(add, mul, labels=labels, provenance=prov, cap=cap)
+    return FiniteRing(derived_tables(
+        (PRODUCT_RING, *(f.serial for f in factors)),
+        lambda: _product_tables(factors, elements)), labels, prov)
 
 
 def _product_tables(factors, elements):
@@ -541,8 +563,8 @@ def _product_tables(factors, elements):
                                          in zip(ops, x, y))]
                              for y in elements]) for x in elements])
 
-    return _interned_ring(table([f.add for f in factors]),
-                          table([f.mul for f in factors]))
+    return _proven_ring(table([f.add for f in factors]),
+                        table([f.mul for f in factors]))
 
 
 def quotient_ring(ring, ideal, cap=DEFAULT_RING_CAP):
@@ -553,6 +575,14 @@ def quotient_ring(ring, ideal, cap=DEFAULT_RING_CAP):
     cosets is the first one's least member acting on the second.  The
     canonical projection is stored on the result as ``projection`` (old
     index -> coset index).
+
+    A ring by construction: for a two-sided I the product of cosets is
+    well defined, as a'b' - ab = a'(b'-b) + (a'-a)b lies in I when
+    a' - a and b' - b do (I a left ideal for the first term, a right
+    ideal for the second), so any representatives give it, the least
+    member among them; the projection R -> R/I is onto and keeps sums
+    and products, so every law of R holds in R/I, and 1 + I differs from
+    I as I is proper.
     """
     from .modules import quotient_module, regular_module
     quo = quotient_module(regular_module(ring), ideal)
@@ -562,14 +592,32 @@ def quotient_ring(ring, ideal, cap=DEFAULT_RING_CAP):
     if ideal.is_full():
         raise AxiomViolation("proper ideal", ideal.carrier,
                              "cannot quotient by the whole ring")
+    if cap is not None and quo.order > cap:
+        raise SizeCapExceeded(f"ring order {quo.order} exceeds cap {cap}")
     proj, reps = quo.origin[3:]
-    return FiniteRing(quo.add, [quo.act[r] for r in reps], labels=quo.labels,
-                      provenance=f"quotient({ring.provenance})",
-                      projection=proj, cap=cap)
+    return FiniteRing(_proven_ring(quo.add,
+                                   tuple([quo.act[r] for r in reps])),
+                      quo.labels, f"quotient({ring.provenance})", proj)
 
 
 def ring_from_tables(add, mul, labels=None, cap=DEFAULT_RING_CAP):
-    return FiniteRing(add, mul, labels=labels, provenance="raw", cap=cap)
+    """A ring on tables from outside the engine, the only ones it scans.
+
+    The entries are read as ints (``_integer_table``), the order is
+    capped, and the tables pass ``_scan_ring_axioms`` unless equal tables
+    were accepted before in this process.  A rejected pair is not stored,
+    so it raises on every build.
+    """
+    add = _integer_table("addition", add)
+    mul = _integer_table("multiplication", mul)
+    n = len(add)
+    if cap is not None and n > cap:
+        raise SizeCapExceeded(f"ring order {n} exceeds cap {cap}")
+    labels = element_labels(labels, n)
+    return FiniteRing(accepted_tables(
+        (), (add, mul),
+        lambda add, mul: (add, mul) + _scan_ring_axioms(n, add, mul)),
+        labels, "raw")
 
 
 # ---------------------------------------------------------------------------

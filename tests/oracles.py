@@ -111,7 +111,7 @@ def all_function_homs(source, target):
     out = []
     for f in itertools.product(range(target.order), repeat=source.order):
         try:
-            out.append(ModuleMorphism(source, target, f, validate=True))
+            out.append(ModuleMorphism(source, target, f))
         except AxiomViolation:
             continue
     out.sort(key=lambda m: m.map)

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from modlab import firstness
-from modlab.classify import generate_universe
+from modlab.classify import enumerate_lep, generate_universe
 from modlab.cli import corpus_rings
 from modlab.errors import AxiomViolation, InternalInconsistency
 from modlab.firstness import (NOTIONS, ClassMembership, a_first_detail,
@@ -16,9 +16,10 @@ from modlab.firstness import (NOTIONS, ClassMembership, a_first_detail,
 from modlab.modules import (atoms, direct_sum_module, endomorphism_ring,
                             enumerate_submodules, regular_module,
                             simple_modules, submodule)
-from modlab.preradicals import Alpha, SOC, ZERO, product_in
-from modlab.rings import (cyclic_ring, is_prime_ring, matrix_ring,
-                          product_ring)
+from modlab.preradicals import (ONE, RAD, SOC, ZERO, Alpha, Beta, Compose,
+                                Join, Meet, Omega, Trad, product_in)
+from modlab.rings import (cyclic_ring, enumerate_ideals, is_prime_ring,
+                          matrix_ring, product_ring)
 
 from test_isomorphism_classes import deep_reference_modules
 
@@ -236,9 +237,9 @@ def test_class_monotonicity_in_member_and_family():
 
 
 def test_class_identities_over_corpus_with_sampled_pairs():
-    # over every corpus module: the intersection identities fire inside
-    # class_membership, and for a comparable sampled pair the fully-first
-    # class is monotone in the member and antitone in the family
+    # over every corpus module, for a comparable sampled pair, the
+    # fully-first class is monotone in the member and antitone in the
+    # family
     from modlab.classify import generate_universe
     from modlab.preradicals import compare, LE, EQ
     for ring in (Z4, Z6, R22):
@@ -255,6 +256,55 @@ def test_class_identities_over_corpus_with_sampled_pairs():
             assert cm_both.in_fully_first <= cm_small.in_fully_first
             assert cm_both.in_first_class <= cm_small.in_first_class
             assert cm_both.in_first_class <= cm_big.in_first_class
+
+
+def membership_families(ring):
+    """Singletons, neighbouring pairs and the whole of a pool of
+    preradicals over ``ring``: the left exact filter preradicals
+    (``enumerate_lep``), Soc, Rad, 0, 1, and the job language's operators
+    on them, on each two-sided ideal and on each left ideal."""
+    lattice = enumerate_submodules(regular_module(ring)).submodules
+    ideals = enumerate_ideals(ring, "two-sided")
+    pool = list(enumerate_lep(ring)) + [
+        SOC, RAD, ZERO, ONE, Join([SOC, RAD]), Meet([SOC, RAD]),
+        Compose(SOC, RAD), Compose(RAD, SOC)]
+    pool += [op(i) for i in ideals for op in (Trad, Alpha, Omega)]
+    pool += [Beta(s) for s in lattice]
+    return ([[pr] for pr in pool] + list(map(list, zip(pool, pool[1:])))
+            + [pool])
+
+
+def test_class_membership_matches_each_definition():
+    # pretorsion and pretorsion-free as all-quantifiers over the values,
+    # first and fully first as the family scans, each class the
+    # intersection of its singleton classes, a member's first class the
+    # union of its fully-first and kill classes, and both inclusions
+    count = 0
+    for ring in corpus_rings():
+        families = membership_families(ring)
+        for m in generate_universe(ring, depth=2).modules:
+            for family in families:
+                cm = class_membership(m, iter(family))  # read once
+                singles = [class_membership(m, [pr]) for pr in family]
+                values = [pr.evaluate(m) for pr in family]
+                assert cm.in_pretorsion == all(v.is_full() for v in values)
+                assert cm.in_pretorsion_free == all(v.is_zero()
+                                                    for v in values)
+                assert cm.in_first_class == (m.is_zero()
+                                             or a_first_detail(m, family)[0])
+                assert cm.in_fully_first == a_fully_first_detail(m,
+                                                                 family)[0]
+                assert cm == ClassMembership(*(all(flags) for flags in zip(
+                    *((s.in_pretorsion, s.in_pretorsion_free,
+                       s.in_first_class, s.in_fully_first)
+                      for s in singles))))
+                for s in singles:
+                    assert s.in_first_class == (s.in_fully_first
+                                                or s.in_pretorsion_free)
+                assert cm.in_fully_first <= cm.in_first_class
+                assert cm.in_pretorsion_free <= cm.in_first_class
+                count += 1
+    assert count > 2000
 
 
 def test_firstness_report_contents():

@@ -16,7 +16,7 @@ from modlab.errors import AxiomViolation, SizeCapExceeded
 from modlab.firstness import firstness_report
 from modlab.jobs import parse_job, render_structured, run_job
 from modlab.rings import (cyclic_ring, enumerate_ideals, matrix_ring,
-                          product_ring, ring_from_tables)
+                          product_ring, ring_from_tables, scan_abelian_group)
 from modlab.modules import (ModuleMorphism, Submodule, _scan_module_axioms,
                             _scan_module_axioms_exhaustive, atoms, cogenerates,
                             cyclic_module, cyclic_submodules,
@@ -331,9 +331,19 @@ def test_cyclic_module_of_regular():
 
 
 def test_morphism_validation_rejects_nonlinear():
+    # every map from outside is checked; its entries are read as ints, as
+    # table entries are, so 0.0 is 0 and "0" or None is refused where it
+    # would raise a bare TypeError
     m = regular_module(Z4)
-    with pytest.raises(AxiomViolation):
-        ModuleMorphism(m, m, (0, 2, 1, 3), validate=True)
+    with pytest.raises(AxiomViolation) as exc:
+        ModuleMorphism(m, m, (0, 2, 1, 3))
+    assert exc.value.axiom == "additivity"
+    identity = ModuleMorphism(m, m, [0.0, 1, 2, 3])
+    assert identity.map == (0, 1, 2, 3) and type(identity.map[0]) is int
+    for bad in ("0", None):
+        with pytest.raises(AxiomViolation) as exc:
+            ModuleMorphism(m, m, [bad, 1, 2, 3])
+        assert (exc.value.axiom, exc.value.witness) == ("table shape", "map")
 
 
 def test_labels_name_each_element_once():
@@ -998,6 +1008,40 @@ def test_module_distributivity_alone_is_rejected():
     with pytest.raises(AxiomViolation) as exc:
         module_from_tables(ring, add, act)
     assert exc.value.axiom == "module distributivity"
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_module_distributivity_is_checked_at_every_generator(axis):
+    # F3^2 over F3xF3: (1,0) sends m to 2 on the coordinate ``axis`` when
+    # m is 2 there and to 0 otherwise, and (0,1) acts as one minus that.
+    # r(a+b) = ra+rb for all r, a holds exactly for b on the other axis,
+    # which holds one of the two greedy generators of M, so a check that
+    # skipped the one on ``axis`` would accept.  M has exponent 3, where
+    # that subgroup and its cosets g and 2g do not force distributivity
+    # at g, as a subgroup and one coset would in exponent 2; and the ring
+    # is not additively cyclic, so scalar distributivity does not force
+    # the action.  Associativity, checked at the ring's generators only,
+    # is complete only given module distributivity, and fails first.
+    ring = product_ring([cyclic_ring(3), cyclic_ring(3)])
+    els = list(itertools.product(range(3), repeat=2))
+    index = {e: i for i, e in enumerate(els)}
+
+    def comb(c, x, d, y):
+        return tuple((c * u + d * v) % 3 for u, v in zip(x, y))
+
+    proj = {m: tuple(2 * (i == axis and m[axis] == 2) for i in range(2))
+            for m in els}
+    add = [[index[comb(1, x, 1, y)] for y in els] for x in els]
+    act = [[index[comb(a, proj[m], b, comb(1, m, 2, proj[m]))] for m in els]
+           for a, b in els]
+    gens = scan_abelian_group(9, tuple(map(tuple, add)))[2]
+    failing = [g for g in gens
+               if any(row[add[a][g]] != add[row[a]][row[g]]
+                      for row in act for a in range(9))]
+    assert len(gens) == 2 and [els[g][axis] for g in failing] == [1]
+    with pytest.raises(AxiomViolation) as exc:
+        module_from_tables(ring, add, act)
+    assert exc.value.axiom == "action associativity"
 
 
 def test_cyclic_modules_of_elements_outside_the_module_are_refused():

@@ -1,11 +1,11 @@
 """The package's public surface: every exported name resolves, once; no
-module of the package imports a name it does not use; module tables,
-submodule carriers, orders, lattices and actions from outside are
-checked in one place each; a whole Hom-set is listed, and generator
-images searched, only where needed; additive spans are formed one way
-each; the theorem harness checks again
-nothing its constructions prove; and no process-wide store but the memo
-of accepted tables grows with jobs."""
+module of the package imports a name it does not use; ring and module
+tables, maps, submodule carriers, orders, lattices and actions from
+outside are checked in one place each; a whole Hom-set is listed, and
+generator images searched, only where needed; additive spans are formed
+one way each; the theorem harness and the class memberships check again
+nothing their constructions prove; and no process-wide store but the
+memo of accepted tables grows with jobs."""
 
 import ast
 import inspect
@@ -109,6 +109,39 @@ def callers(name):
                 path.read_text(encoding="utf-8"), name) if called}
 
 
+def test_ring_tables_are_scanned_only_where_they_enter():
+    # raw tables reach the ring scan only through ring_from_tables; every
+    # other ring is built by construction, in rings.py or as End(M), and
+    # neither a ring nor a map takes a switch that skips or bounds a check
+    paths = [path for part in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / part).rglob("*.py"))]
+    builders = {(path.relative_to(ROOT).as_posix(), function)
+                for path in paths
+                for function, called in name_uses(
+                    path.read_text(encoding="utf-8"), "FiniteRing") if called}
+    assert builders == {("src/modlab/rings.py", name) for name in (
+        "cyclic_ring", "matrix_ring", "product_ring", "quotient_ring",
+        "ring_from_tables")} | {("src/modlab/modules.py",
+                                 "endomorphism_ring")}
+    assert callers("_scan_ring_axioms") == {("rings.py", "ring_from_tables")}
+    assert callers("_proven_ring") == {
+        ("rings.py", "_cyclic_tables"), ("rings.py", "_matrix_tables"),
+        ("rings.py", "_product_tables"), ("rings.py", "quotient_ring"),
+        ("modules.py", "endomorphism_ring")}
+    assert [list(inspect.signature(cls).parameters)
+            for cls in (modlab.FiniteRing, modlab.ModuleMorphism)] == [
+        ["entry", "labels", "provenance", "projection"],
+        ["source", "target", "map_"]]
+
+
+def test_class_memberships_are_read_off_one_scan():
+    # the four classes come from one evaluation of each member and the
+    # family scan, with no identity between them checked again
+    source = inspect.getsource(modlab.firstness.class_membership)
+    assert name_uses(source, "InternalInconsistency") == set()
+    assert name_uses(source, "class_membership") == set()
+
+
 def test_submodule_carriers_are_checked_only_where_they_enter():
     # a mask from outside is checked for closure only by submodule(),
     # which the engine never calls on the masks its constructions prove,
@@ -154,7 +187,8 @@ def test_additive_spans_are_formed_one_way():
     assert not hasattr(modules, "_extend_additive_span")
     assert callers("_additive_generators") == {
         ("rings.py", "_abelian_group_certificate"),
-        ("modules.py", "_hom_chain"), ("modules.py", "_generator_data")}
+        ("rings.py", "_proven_ring"), ("modules.py", "_hom_chain"),
+        ("modules.py", "_generator_data")}
     assert str(inspect.signature(rings._additive_generators)) == (
         "(n, add, zero, candidates)")
     source = inspect.getsource(modules.trad_mask)

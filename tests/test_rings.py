@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modlab.classify import generate_universe
 from modlab.cli import corpus_rings
 from modlab.errors import (AxiomViolation, NotFullyInvariant, RingMismatch,
                            SizeCapExceeded)
-from modlab.modules import (direct_sum_module, enumerate_submodules,
-                            regular_module, submodule)
+from modlab.modules import (direct_sum_module, endomorphism_ring,
+                            enumerate_submodules, regular_module, submodule)
 from modlab.preradicals import Trad
-from modlab.rings import (FiniteRing, _scan_ring_axioms,
+from modlab.rings import (_abelian_group_certificate, _scan_ring_axioms,
                           _scan_ring_axioms_exhaustive, cyclic_ring,
                           enumerate_ideals, matrix_ring, product_ring,
                           quotient_ring, ring_from_tables, scan_abelian_group,
@@ -65,9 +66,13 @@ def test_cyclic4_basic():
 
 
 def test_cyclic1_rejected():
-    with pytest.raises(AxiomViolation) as exc:
-        cyclic_ring(1)
-    assert exc.value.axiom == "nontriviality"
+    # refused by cyclic_ring itself, as the ring scan refuses Z/1's tables
+    for build in (lambda: cyclic_ring(1),
+                  lambda: ring_from_tables([[0]], [[0]])):
+        with pytest.raises(AxiomViolation) as exc:
+            build()
+        assert (exc.value.axiom, exc.value.witness, str(exc.value)) == (
+            "nontriviality", (0, 0), "one equals zero (witness: (0, 0))")
 
 
 def test_matrix_ring_order_and_noncommutativity():
@@ -204,6 +209,43 @@ def test_quotient_matches_coset_construction():
             assert (q.labels, q.projection) == (labels, proj)
 
 
+def engine_rings():
+    """The rings the engine builds by construction: Z/2 to Z/16, M2(F2),
+    the products of two corpus rings of order at most 32, the quotient of
+    each corpus ring by each proper two-sided ideal, and End(M) of order
+    at most 32 of each nonzero module of the depth-2 universes of the
+    corpus rings."""
+    corpus = corpus_rings()
+    built = [cyclic_ring(n) for n in range(2, 17)]
+    built.append(matrix_ring(cyclic_ring(2), 2))
+    built += [product_ring([a, b], cap=32)
+              for i, a in enumerate(corpus) for b in corpus[i:]
+              if a.order * b.order <= 32]
+    built += [quotient_ring(ring, ideal) for ring in corpus
+              for ideal in enumerate_ideals(ring, "two-sided")[:-1]]
+    built += [end for ring in corpus
+              for m in generate_universe(ring, depth=2).nonzero_modules()
+              for end in [endomorphism_ring(m, cap=32)] if end is not None]
+    return built
+
+
+def test_rings_by_construction_agree_with_the_scan(empty_memo):
+    # on an empty memo each ring reads its zero, one, negation and
+    # additive generators off its own tables, unscanned; the exhaustive
+    # scan, the oracle, finds every axiom holding and the same zero, one
+    # and negation, and the group certificate the same generators
+    built = engine_rings()
+    assert len(built) > 60
+    assert {ring.provenance.split("(")[0] for ring in built} == {
+        "cyclic", "matrix", "product", "quotient", "end"}
+    for ring in built:
+        n = ring.order
+        assert (_scan_ring_axioms_exhaustive(n, ring.add, ring.mul)
+                == (ring.zero, ring.one, ring.neg))
+        assert (_abelian_group_certificate(n, ring.add)[2]
+                == ring._cache["addgens"])
+
+
 def test_quotient_and_product_ring_orders():
     z8 = cyclic_ring(8)
     assert quotient_ring(z8, enumerate_ideals(z8, "two-sided")[2]).order == 2
@@ -311,7 +353,7 @@ def test_single_entry_corruption_is_rejected(data):
     add = table if which == "add" else base.add
     mul = table if which == "mul" else base.mul
     with pytest.raises(AxiomViolation):
-        FiniteRing(add, mul)
+        ring_from_tables(add, mul)
 
 
 CROSS_CHECK_RINGS = RINGS_FOR_CORRUPTION + [matrix_ring(cyclic_ring(2), 2)]
