@@ -65,7 +65,7 @@ class FinitePoset:
 
     def _derive(self, leq):
         """Read the up-sets and down-sets off ``leq``, checking nothing."""
-        self.leq = leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        self.leq = leq = tuple([tuple(map(bool, row)) for row in leq])
         self.size = len(leq)
         self.up = tuple(sum(1 << b for b, v in enumerate(row) if v)
                         for row in leq)
@@ -111,16 +111,28 @@ class FiniteBoundedLattice(FinitePoset):
         if self.bottom is None or self.top is None:
             raise AxiomViolation("boundedness", None, "no bottom or top")
 
-    def _derive(self, leq):
+    def _derive(self, leq, within=None):
         """Read join, meet, bottom and top off the up-sets and down-sets,
-        checking nothing: a missing one is None."""
+        checking nothing: a missing one is None.  ``within``, a lattice
+        and the increasing list of the elements of one of its intervals
+        that ``leq`` orders, has them read off that lattice's join and
+        meet tables through the index map instead (``interval``)."""
         super()._derive(leq)
         up, down = self.up, self.down
         by_up = {u: x for x, u in enumerate(up)}
         by_down = {d: x for x, d in enumerate(down)}
-        self.join = tuple(tuple(by_up.get(u & v) for v in up) for u in up)
-        self.meet = tuple(tuple(by_down.get(d & e) for e in down)
-                          for d in down)
+        if within is None:
+            self.join = tuple(tuple(by_up.get(u & v) for v in up)
+                              for u in up)
+            self.meet = tuple(tuple(by_down.get(d & e) for e in down)
+                              for d in down)
+        else:
+            parent, keep = within
+            pos = {x: i for i, x in enumerate(keep)}
+            self.join, self.meet = (
+                tuple(tuple([pos[row[b]] for b in keep])
+                      for row in map(table.__getitem__, keep))
+                for table in (parent.join, parent.meet))
         everything = (1 << self.size) - 1
         self.bottom = by_up.get(everything)
         self.top = by_down.get(everything)
@@ -254,10 +266,14 @@ def pullback(action, f, domain_poset):
 def interval(lattice, lo, hi):
     """The sublattice [lo, hi], plus the map new index -> old index.
 
-    [lo, hi] is a sublattice: lo <= x, y <= hi puts x v y and x ^ y in
-    it, and a least upper bound in L that lies in [lo, hi] is least
-    there too.  So the restricted order is a lattice with bottom lo and
-    top hi.
+    [lo, hi] is closed under the join and meet of L: for x, y in it,
+    lo <= x <= x v y, and x v y <= hi as hi bounds both x and y above;
+    dually lo <= x ^ y <= x <= hi.  The join in L is an upper bound of x
+    and y in [lo, hi] below every other one there, since those are upper
+    bounds in L; so it is their join in [lo, hi], and the meet likewise.
+    So the restricted order is a lattice with bottom lo and top hi, and
+    its join and meet tables are those of L read through the index map,
+    with no lookup of up-sets.
     """
     _require_element(lattice, lo)
     _require_element(lattice, hi)
@@ -265,7 +281,7 @@ def interval(lattice, lo, hi):
         raise AxiomViolation("interval bounds", (lo, hi), "lo must be <= hi")
     keep = _elements(lattice.up[lo] & lattice.down[hi])
     leq = [[lattice.leq[a][b] for b in keep] for a in keep]
-    return _proven(FiniteBoundedLattice, leq), tuple(keep)
+    return _proven(FiniteBoundedLattice, leq, (lattice, keep)), tuple(keep)
 
 
 def restrict_action(action, x):

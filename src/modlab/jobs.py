@@ -51,10 +51,18 @@ _CONSTANTS = {"soc": SOC, "rad": RAD, "zero": ZERO, "one": ONE}
 
 _DIGITS = re.compile(r"[0-9]+")
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9.]*")
+
+_ARGUMENT = re.compile(r"\S+")
+
 # a table token after optional blanks: an entry, a row break, or the end
 _TABLE_TOKEN = re.compile(r"\s*([^\s/]+|/|$)")
 
 _DEFINITION = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)")
+
+_UNIVERSE_SETTING = re.compile(r"(depth|cap)\s*=\s*([0-9]+)")
+
+_OUTPUT_SETTING = re.compile(r"(format)\s*=\s*(text|structured)")
 
 
 @dataclass
@@ -107,7 +115,7 @@ class _Cursor:
         return self.text[self.pos] if self.pos < len(self.text) else "\0"
 
     def eat(self, ch):
-        if self.peek() != ch:
+        if not self.text.startswith(ch, self.pos):
             self.error(f"expected {ch!r}")
         self.pos += 1
 
@@ -118,15 +126,17 @@ class _Cursor:
         self.eat(ch)
 
     def skip_ws(self):
-        while self.peek() in " \t":
-            self.pos += 1
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos] in " \t":
+            pos += 1
+        self.pos = pos
 
     def word(self):
         self.skip_ws()
-        m = re.match(r"[A-Za-z_][A-Za-z_0-9.]*", self.text[self.pos:])
+        m = _NAME.match(self.text, self.pos)
         if not m:
             self.error("expected a name")
-        self.pos += m.end()
+        self.pos = m.end()
         return m.group(0)
 
     def integer(self):
@@ -215,19 +225,18 @@ def _split_sections(document):
         line = raw.split("#", 1)[0].rstrip()
         if not line:
             continue
-        cur = _Cursor(line, lineno)
         stripped = line.lstrip()
         if stripped.startswith("[") and stripped.endswith("]"):
             name = stripped[1:-1].strip().lower()
             if name not in SECTIONS:
-                cur.error(f"unknown section [{name}]")
+                _Cursor(line, lineno).error(f"unknown section [{name}]")
             if name in sections:
-                cur.error(f"duplicate section [{name}]")
+                _Cursor(line, lineno).error(f"duplicate section [{name}]")
             current = name
             sections[name] = []
             continue
         if current is None:
-            cur.error("content before any section header")
+            _Cursor(line, lineno).error("content before any section header")
         sections[current].append((lineno, line))
     if "ring" not in sections or not sections["ring"]:
         raise JobParseError("missing [ring] section", 1, 1)
@@ -559,7 +568,7 @@ def _parse_check(line, lineno, modules, preradicals):
     surplus argument at the first one and a missing one at the line's
     end."""
     cur = _Cursor(line, lineno)
-    kind, *args = re.finditer(r"\S+", line)
+    kind, *args = _ARGUMENT.finditer(line)
     kind = kind.group().lower()
     if kind not in CHECKS:
         cur.error(f"unknown check {kind!r}")
@@ -588,12 +597,13 @@ def _parse_check(line, lineno, modules, preradicals):
 
 def _settings(sections, section, pattern, usage, least=None):
     """The ``key = value`` lines of a settings section, each key given at
-    most once; every line must match ``pattern`` (groups: key, value).
+    most once; every line must match the compiled ``pattern`` (groups:
+    key, value).
     ``least`` maps a key to the least integer value it may take."""
     values = {}
     for lineno, line in sections.get(section, []):
         cur = _Cursor(line, lineno)
-        m = re.fullmatch(pattern, line[cur.pos:])
+        m = pattern.fullmatch(line, cur.pos)
         if not m:
             cur.error(usage)
         key, value = m.groups()
@@ -612,11 +622,15 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
 
     Caps provided here (e.g. from CLI flags) override the document's own
     universe section; those left at None come from the document, or else
-    from the package defaults.
+    from the package defaults.  A document that is not a ``str`` (bytes,
+    say) is refused as a ``JobParseError`` with no position.
     """
+    if not isinstance(document, str):
+        raise JobParseError(f"a job document is a str, not "
+                            f"{type(document).__name__}")
     sections = _split_sections(document)
     universe = _settings(
-        sections, "universe", r"(depth|cap)\s*=\s*([0-9]+)",
+        sections, "universe", _UNIVERSE_SETTING,
         "universe lines are `depth = n` or `cap = n`",
         least={"depth": 1, "cap": 1})
     depth = int(universe.get("depth", DEFAULT_UNIVERSE_DEPTH)
@@ -624,7 +638,7 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
     mod_cap = int(universe.get("cap", DEFAULT_MODULE_CAP)
                   if module_cap is None else module_cap)
     output_format = _settings(
-        sections, "output", r"(format)\s*=\s*(text|structured)",
+        sections, "output", _OUTPUT_SETTING,
         "output lines are `format = text|structured`").get("format", "text")
 
     ring, ring_text = _parse_ring_section(sections["ring"], ring_cap)

@@ -27,9 +27,17 @@ per-image test, and what happens at a complete tuple.
 
 The full submodule lattice (``enumerate_submodules``) serves submodule
 references, actions, ideals and universes.  The deciders quantify over
-the distinct nonzero cyclic submodules instead (``cyclic_submodules``,
-cached per module) and over their minimal members, the atoms; the only
-lattice they read is the regular module's, which holds the ideals.
+the distinct nonzero cyclic submodules instead (``cyclic_submodules``)
+and over their minimal members, the atoms; the only lattice they read is
+the regular module's, which holds the ideals.
+
+Four facts read off tables are kept in the memo of accepted tables
+(``rings.derived``), as ints keyed by the serials of the tables they
+read, so that modules on equal tables compute each once per process:
+generator data, element annihilators, the masks of the cyclic
+submodules, and the generator images and order of each Hom chain.  A
+module keeps only what is made from them, its submodule handles and its
+maps.
 
 Module tables from outside the engine enter through ``module_from_tables``,
 the one place that checks the module axioms (``_scan_module_axioms``).
@@ -37,7 +45,7 @@ Regular and zero modules, submodules, quotients and direct sums are
 modules by construction and carry the zero and negation that construction
 gives, unscanned (``FiniteModule``); the last three build their tables
 once per process for each construction on the same operands, named by
-serial number (``rings.derived_tables``).  Carrier masks are checked
+serial number (``rings.derived``).  Carrier masks are checked
 where they enter, in ``submodule``, as tables are (``Submodule``).
 
 Additive spans are formed one way each: a sum of subgroups by
@@ -57,9 +65,10 @@ from operator import getitem
 from .config import DEFAULT_MODULE_CAP, MAX_HOM_CHAIN, MAX_HOM_MAPS
 from .errors import (AxiomViolation, InternalInconsistency, RingMismatch,
                      SizeCapExceeded)
-from .rings import (DIRECT_SUM, QUOTIENT_MODULE, SUBMODULE, FiniteRing,
+from .rings import (ANNIHILATORS, CYCLIC_MASKS, DIRECT_SUM, GENERATOR_DATA,
+                    HOM_CHAIN, QUOTIENT_MODULE, SUBMODULE, FiniteRing,
                     _additive_generators, _integer_table, _proven_ring,
-                    accepted_tables, certified_scan, derived_tables, differ,
+                    accepted_tables, certified_scan, derived, differ,
                     element_labels, enumerate_ideals, scan_abelian_group,
                     scan_abelian_group_exhaustive, table_in_range)
 
@@ -90,7 +99,7 @@ class FiniteModule:
     the number that names those tables in construction keys.  A
     submodule, quotient or direct sum is also remembered by its
     construction, keyed by the serials of its operands
-    (``rings.derived_tables``), so building it again from the same
+    (``rings.derived``), so building it again from the same
     tables builds nothing and hashes no table.  Labels, provenance and
     ``origin`` are made per instance.  ``origin`` records how the module
     was built (enough to re-embed carriers of submodules, preimages of
@@ -264,10 +273,10 @@ class Submodule:
             parent, carrier = self.module, self.carrier
             self._mod = FiniteModule(
                 parent.ring,
-                *derived_tables((SUBMODULE, parent.serial, self.mask),
-                                lambda: _induced_tables(
-                                    parent, carrier,
-                                    {e: i for i, e in enumerate(carrier)})),
+                *derived((SUBMODULE, parent.serial, self.mask),
+                         lambda: _induced_tables(
+                             parent, carrier,
+                             {e: i for i, e in enumerate(carrier)})),
                 self.labels(), f"sub(of {parent.provenance})",
                 ("sub", parent, carrier))
         return self._mod
@@ -505,16 +514,24 @@ def cyclic_submodules(module):
     The deciders quantify over these, not over every nonzero submodule:
     the atoms are the minimal ones (``atoms``), and trace-firstness and
     left exactness are decided on them (see ``firstness._rpid_pairwise``
-    and ``preradicals.left_exact_at`` for why that is exact).
+    and ``preradicals.left_exact_at`` for why that is exact).  Their
+    masks are a fact of the memo (``rings.derived``), keyed by the
+    module's serial: Rx is read off the action table's column at x, so
+    they depend on the module's tables and its ring's order alone.  The
+    handles are the module's own.
     """
     if "cyclics" in module._cache:
         return module._cache["cyclics"]
-    masks = {cyclic_mask(module, x)
-             for x in range(module.order) if x != module.zero}
-    result = tuple(sorted((_intern_submodule(module, m) for m in masks),
-                          key=lambda s: (s.order, s.carrier)))
+    result = tuple(_intern_submodule(module, m) for m in derived(
+        (CYCLIC_MASKS, module.serial), lambda: _cyclic_masks(module)))
     module._cache["cyclics"] = result
     return result
+
+
+def _cyclic_masks(module):
+    masks = {cyclic_mask(module, x)
+             for x in range(module.order) if x != module.zero}
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), _elements(m))))
 
 
 def atoms(module):
@@ -635,42 +652,46 @@ def _generator_data(module):
     greedy additive generators of each of these ideals
     (``rings._additive_generators``), c -> rep(-c.g_i) + c.e_i, gives
     relations that additively generate every relation.
+
+    A fact of the memo (``rings.derived``), keyed by the module's serial:
+    it reads the module's ``add``, ``act``, ``zero`` and ``neg`` and the
+    ring's ``order``, ``add`` and ``zero``, all given by the module's
+    tables and its ring's, which that serial names.
     """
-    if "gendata" in module._cache:
-        return module._cache["gendata"]
-    ring = module.ring
-    add, act, neg = module.add, module.act, module.neg
-    gens = []
-    reps = {module.zero: ()}
-    steps = []
-    lifts = [[]]
-    for x in range(module.order):
-        if x in reps:
-            continue
-        i = len(gens)
-        gens.append(x)
-        ideal = [c for c in range(ring.order) if act[c][x] in reps]
-        lifts.append([reps[neg[act[c][x]]] + (c,) for c in
-                      _additive_generators(ring.order, ring.add, ring.zero,
-                                           ideal)])
-        new_reps = {}
-        for e in sorted(reps):
-            vec = reps[e]
-            row_e = add[e]
-            for r in range(ring.order):
-                e2 = row_e[act[r][x]]
-                if e2 not in new_reps:
-                    new_reps[e2] = vec + (r,)
-                    if e2 not in reps:
-                        steps.append((e2, e, r, i))
-        reps = new_reps
-    k = len(gens)
-    pad = (ring.zero,) * k
-    rel_levels = tuple(tuple(vec + pad[len(vec):] for vec in level)
-                       for level in lifts)
-    data = (tuple(gens), tuple(steps), rel_levels)
-    module._cache["gendata"] = data
-    return data
+    def greedy():
+        ring = module.ring
+        add, act, neg = module.add, module.act, module.neg
+        gens = []
+        reps = {module.zero: ()}
+        steps = []
+        lifts = [[]]
+        for x in range(module.order):
+            if x in reps:
+                continue
+            i = len(gens)
+            gens.append(x)
+            ideal = [c for c in range(ring.order) if act[c][x] in reps]
+            lifts.append([reps[neg[act[c][x]]] + (c,) for c in
+                          _additive_generators(ring.order, ring.add,
+                                               ring.zero, ideal)])
+            new_reps = {}
+            for e in sorted(reps):
+                vec = reps[e]
+                row_e = add[e]
+                for r in range(ring.order):
+                    e2 = row_e[act[r][x]]
+                    if e2 not in new_reps:
+                        new_reps[e2] = vec + (r,)
+                        if e2 not in reps:
+                            steps.append((e2, e, r, i))
+            reps = new_reps
+        k = len(gens)
+        pad = (ring.zero,) * k
+        rel_levels = tuple(tuple(vec + pad[len(vec):] for vec in level)
+                           for level in lifts)
+        return tuple(gens), tuple(steps), rel_levels
+
+    return derived((GENERATOR_DATA, module.serial), greedy)
 
 
 def _search_images(target, rel_levels, candidates, on_full, accept=None):
@@ -788,63 +809,78 @@ def hom_generators(source, target):
 
 def _hom_chain(source, target):
     """``(hom_generators(source, target), |Hom|)``, read off one chain
-    (cached): |Hom| is the product of the orbit sizes at levels >= m."""
+    (cached): |Hom| is the product of the orbit sizes at levels >= m.
+
+    The chain's cap is checked on every call, before any cache.  The
+    generator images and |Hom| are a fact of the memo
+    (``rings.derived``), keyed by the serials of source and target: the
+    chain reads the source's generator data (a fact of its serial), the
+    target's ``order``, ``add``, ``act``, ``zero`` and ``neg``, and
+    nothing else, and the ring check makes both serials name tables over
+    one ring's.  The maps are the source's own, filled from the images.
+    """
     if source.ring is not target.ring:
         raise RingMismatch("hom-set endpoints over different rings")
-    cache = source._cache.setdefault("homgens", {})
-    if target in cache:
-        return cache[target]
     gens, _, rel_levels = _generator_data(source)
-    k = len(gens)
-    rels = [r for level in rel_levels for r in level]
-    m = len(rels)
-    width = m + k
+    width = len(gens) + sum(map(len, rel_levels))
     if width * width * target.order > MAX_HOM_CHAIN:
         raise SizeCapExceeded(
             f"hom generator chain of width {width} over a target of order "
             f"{target.order} is out of range")
-    tadd, tact, tzero = target.add, target.act, target.zero
-    rows, negs = tadd.__getitem__, target.neg.__getitem__
+    cache = source._cache.setdefault("homgens", {})
+    if target in cache:
+        return cache[target]
 
-    def add(x, y):
-        return tuple(map(getitem, map(rows, x), y))
+    def chain():
+        """The generator images of the maps, and |Hom|."""
+        k = len(gens)
+        rels = [r for level in rel_levels for r in level]
+        m = len(rels)
+        tadd, tact, tzero = target.add, target.act, target.zero
+        rows, negs = tadd.__getitem__, target.neg.__getitem__
 
-    def sub(x, y):
-        return tuple(map(getitem, map(rows, x), map(negs, y)))
+        def add(x, y):
+            return tuple(map(getitem, map(rows, x), y))
 
-    zero = (tzero,) * width
-    orbits = [{tzero: zero} for _ in range(width)]
-    images = []
+        def sub(x, y):
+            return tuple(map(getitem, map(rows, x), map(negs, y)))
 
-    def sift(x, level):
-        while level < width:
-            v = x[level]
-            orbit = orbits[level]
-            if v not in orbit:
-                # x is a new basic generator: extend the orbit by its
-                # multiples, then sift n.x - rep(n.v) one level down
-                if level >= m:
-                    images.append(x[m:])
-                old = dict(orbit)
-                mult = x
-                while mult[level] not in old:
-                    for p, rep in old.items():
-                        orbit[tadd[p][mult[level]]] = add(rep, mult)
-                    mult = add(mult, x)
-                x = sub(mult, old[mult[level]])
-            else:
-                x = sub(x, orbit[v])
-            level += 1
+        zero = (tzero,) * width
+        orbits = [{tzero: zero} for _ in range(width)]
+        images = []
 
-    for t in _additive_generators(target.order, tadd, tzero,
-                                  range(target.order)):
-        for j in range(k):
-            sift(tuple(tact[r[j]][t] for r in rels)
-                 + tuple(t if i == j else tzero for i in range(k)), 0)
-    maps = tuple(_morphism_from_images(source, target, hv) for hv in images)
-    result = maps, math.prod(map(len, orbits[m:]))
-    cache[target] = result
-    return result
+        def sift(x, level):
+            while level < width:
+                v = x[level]
+                orbit = orbits[level]
+                if v not in orbit:
+                    # x is a new basic generator: extend the orbit by its
+                    # multiples, then sift n.x - rep(n.v) one level down
+                    if level >= m:
+                        images.append(x[m:])
+                    old = dict(orbit)
+                    mult = x
+                    while mult[level] not in old:
+                        for p, rep in old.items():
+                            orbit[tadd[p][mult[level]]] = add(rep, mult)
+                        mult = add(mult, x)
+                    x = sub(mult, old[mult[level]])
+                else:
+                    x = sub(x, orbit[v])
+                level += 1
+
+        for t in _additive_generators(target.order, tadd, tzero,
+                                      range(target.order)):
+            for j in range(k):
+                sift(tuple(tact[r[j]][t] for r in rels)
+                     + tuple(t if i == j else tzero for i in range(k)), 0)
+        return tuple(images), math.prod(map(len, orbits[m:]))
+
+    images, order = derived((HOM_CHAIN, source.serial, target.serial),
+                            chain)
+    cache[target] = (tuple(_morphism_from_images(source, target, hv)
+                           for hv in images), order)
+    return cache[target]
 
 
 def hom_nonzero_exists(source, target):
@@ -859,8 +895,17 @@ def hom_nonzero_exists(source, target):
 
 
 def _element_annihilators(module):
-    if "anns" in module._cache:
-        return module._cache["anns"]
+    """The mask of ring elements killing each element, in element order.
+
+    A fact of the memo (``rings.derived``), keyed by the module's serial:
+    it reads the module's ``act`` and ``zero`` and the ring's ``order``,
+    given by the tables that serial names.
+    """
+    return derived((ANNIHILATORS, module.serial),
+                   lambda: _annihilators(module))
+
+
+def _annihilators(module):
     act = module.act
     zero = module.zero
     anns = []
@@ -870,9 +915,7 @@ def _element_annihilators(module):
             if act[r][m] == zero:
                 mask |= 1 << r
         anns.append(mask)
-    result = tuple(anns)
-    module._cache["anns"] = result
-    return result
+    return tuple(anns)
 
 
 def annihilator_mask(module, mask):
@@ -963,7 +1006,7 @@ def quotient_module(parent, kernel):
     """M/N with cosets labelled by their least member."""
     if kernel.module is not parent:
         raise RingMismatch("kernel is not a submodule of this module")
-    *entry, proj, reps = derived_tables(
+    *entry, proj, reps = derived(
         (QUOTIENT_MODULE, parent.serial, kernel.mask),
         lambda: _quotient_tables(parent, kernel))
     labels = tuple("[" + parent.labels[r] + "]" for r in reps)
@@ -1011,7 +1054,7 @@ def direct_sum_module(summands, cap=DEFAULT_MODULE_CAP):
         order *= s.order
     if cap is not None and order > cap:
         raise SizeCapExceeded(f"direct sum order {order} exceeds cap {cap}")
-    add, act, zero, neg, serial = derived_tables(
+    add, act, zero, neg, serial = derived(
         (DIRECT_SUM, *(s.serial for s in summands)),
         lambda: _sum_tables(summands))
     strides = [1]

@@ -11,7 +11,11 @@ generating set of the Hom group (``modules.hom_generators``), which gives
 the same submodule as running over every map, and socle and radical are
 {x : Jx = 0} and JM for the ring's Jacobson radical J, with no submodule
 lattice.  Expressions compare by type and frozen fields, so an
-expression built again shares the values cached for an equal one.
+expression built again shares the value handles cached for an equal one.
+The value masks are facts of the memo of accepted tables, keyed by the
+expression written in ints (``Preradical.memo_key``) and the module's
+serial, so equal expressions on modules with equal tables compute each
+value once per process.
 Every class-level property (idempotent, radical, left exact,
 t-radical, the pointwise order) is decided relative to an explicit
 finite universe of modules, never for the whole category; left
@@ -21,15 +25,17 @@ with no submodule lattice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import NotFullyInvariant, RingMismatch
-from .modules import (_element_annihilators, _intern_submodule,
+from .modules import (Submodule, _element_annihilators, _intern_submodule,
                       cyclic_submodules, embed_submask, hom_generators,
                       is_fully_invariant, quotient_module, regular_module,
                       simple_modules, structural_summary, sum_masks,
                       trad_mask)
-from .rings import enumerate_ideals, is_two_sided
+from .rings import (PRERADICAL_VALUE, FiniteRing, derived, enumerate_ideals,
+                    is_two_sided)
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
 
@@ -46,14 +52,29 @@ class Preradical:
     expression up on every call; the ring is pinned once, at construction.
     """
 
-    __slots__ = ("_hash", "_ring")
+    __slots__ = ("_hash", "_ring", "_memo")
     _fields = ()
+    _codes = itertools.count()
+
+    def __init_subclass__(cls):
+        cls.code = next(Preradical._codes)  # distinct per class
 
     def __init__(self):
         self._ring = None  # generic; the subclasses that pin a ring set it
 
     def _key(self):
         return (type(self),) + tuple(getattr(self, f) for f in self._fields)
+
+    def memo_key(self):
+        """The expression as nested tuples of ints (computed once), the
+        memo's key for its values (``evaluate``): its class's ``code``
+        and each frozen field in ints (``_int_form``)."""
+        try:
+            return self._memo
+        except AttributeError:
+            self._memo = (self.code,) + tuple(
+                _int_form(getattr(self, f)) for f in self._fields)
+            return self._memo
 
     def __eq__(self, other):
         return isinstance(other, Preradical) and self._key() == other._key()
@@ -72,7 +93,15 @@ class Preradical:
     def evaluate(self, module):
         """Value on a module, as a submodule of it.
 
-        Cached in the module, so a value lives exactly as long as its module.
+        The handle is cached in the module, so it lives exactly as long as
+        its module.  The mask is a fact of the memo (``rings.derived``),
+        keyed by ``memo_key`` and the module's serial, once the ring pin
+        is checked.  That is exact: an expression's value reads its frozen
+        fields and the module's tables alone (each class's ``_compute``),
+        and its key names each field by ints that fix what is read of it
+        (``_int_form``): a frozen submodule or ideal by its module's serial
+        and its mask, a filter's ring by its serial, a node by its parts'
+        keys.
         """
         r = self._ring
         if r is not None and r is not module.ring:
@@ -82,8 +111,9 @@ class Preradical:
         values = module._cache.setdefault("preradical_values", {})
         hit = values.get(self)
         if hit is None:
-            values[self] = hit = _intern_submodule(module,
-                                                   self._compute(module))
+            mask = derived((PRERADICAL_VALUE, self.memo_key(), module.serial),
+                           lambda: self._compute(module))
+            values[self] = hit = _intern_submodule(module, mask)
         return hit
 
     def _compute(self, module):
@@ -94,6 +124,21 @@ class Preradical:
 
     def __repr__(self):
         return self.describe()
+
+
+def _int_form(value):
+    """A frozen field in ints: a submodule as its module's serial and its
+    mask, a ring as its serial, a set of masks sorted, an expression as
+    its ``memo_key`` and a tuple of parts term by term."""
+    if isinstance(value, Preradical):
+        return value.memo_key()
+    if isinstance(value, Submodule):
+        return value.module.serial, value.mask
+    if isinstance(value, FiniteRing):
+        return value.serial
+    if isinstance(value, frozenset):
+        return tuple(sorted(value))
+    return tuple(map(_int_form, value))
 
 
 def _sub_token(sub):

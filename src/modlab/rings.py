@@ -11,7 +11,11 @@ is a ring by construction and reads its zero, one and negation off its
 tables unscanned (``_proven_ring``); each constructor's docstring gives
 the proof.  Cyclic, matrix and product rings build their tables once per
 process for each construction on the same operands, named by serial
-number (``derived_tables``).
+number (``derived``).  The same bounded memo of ints (``accepted_tables``)
+holds the facts that ``modlab.modules`` and ``modlab.preradicals`` read
+off tables: generator data, Hom chains, element annihilators, cyclic
+submodules and preradical values, each keyed by the serials of the tables
+it reads, so objects on equal tables compute each fact once.
 An ideal is a ``Submodule`` handle of the regular module: the left ideals
 are its lattice, read off ``modlab.modules`` (imported inside the functions
 that need it, since that module builds on this one), and the two-sided
@@ -182,35 +186,49 @@ def certified_scan(certificate, exhaustive, *tables):
     return result
 
 
-# The process-wide memo of accepted tables: see ``accepted_tables``.
-_accepted = {}
-_accepted_cells = 0
-_serials = itertools.count()
-
-# The int tags that start construction keys (``derived_tables``).  Those
-# keys hold ints only and a table entry's key holds tables, so the two
+# The int tags that start construction keys (``derived``) and fact keys.
+# Those keys hold ints only and a table entry's key holds tables, so the
 # kinds never share a key.
 (SUBMODULE, QUOTIENT_MODULE, DIRECT_SUM, CYCLIC_RING, MATRIX_RING,
- PRODUCT_RING) = range(6)
+ PRODUCT_RING, GENERATOR_DATA, HOM_CHAIN, ANNIHILATORS, CYCLIC_MASKS,
+ PRERADICAL_VALUE) = range(11)
+
+
+class _Memo(dict):
+    """The memo's entries by key (``accepted_tables``), the number of
+    entries holding each table (``holders``, by the table's id) and the
+    cells they count (``cells``, see ``_store``)."""
+
+    __slots__ = ("holders", "cells")
+
+    def __init__(self):
+        super().__init__()
+        self.holders = {}
+        self.cells = 0
+
+
+# The process-wide memo of accepted tables: see ``accepted_tables``.
+_accepted = _Memo()
+_serials = itertools.count()
 
 
 def accepted_tables(prefix, tables, accept):
     """The memo's entry for ``prefix + tables``, made by
     ``accept(*tables)`` the first time in this process.
 
-    The memo holds two kinds of entry.  A **table entry** starts with the
-    tables themselves as tuples of row tuples of ints (``_integer_table``),
-    ends with a serial number, and the memo keys it by ``prefix`` and its
-    tables.  A ring passes no prefix and its (``add``, ``mul``), and on a
-    miss stores ``(add, mul, zero, one, neg, gens, serial)``.  A module
-    passes the prefix ``(ring.serial,)`` and its (``add``, ``act``), and
-    stores ``(add, act, zero, neg, serial)``.  A hit returns the stored
-    entry without a scan or a copy, so equal rings and modules share their
-    table tuples.  That is exact: the ring scan reads nothing but the
-    ring's two tables, and the module scan nothing but its two tables and
-    the ring's ``order``, ``add``, ``mul``, ``one`` and
-    ``_cache["addgens"]``, all of which follow from the ring's tables,
-    which its serial names (below); a repeat would return the same.
+    The memo holds three kinds of entry.  A **table entry** starts with
+    the tables themselves as tuples of row tuples of ints
+    (``_integer_table``), ends with a serial number, and the memo keys it
+    by ``prefix`` and its tables.  A ring passes no prefix and its
+    (``add``, ``mul``), and on a miss stores ``(add, mul, zero, one, neg,
+    gens, serial)``.  A module passes the prefix ``(ring.serial,)`` and
+    its (``add``, ``act``), and stores ``(add, act, zero, neg, serial)``.
+    A hit returns the stored entry without a scan or a copy, so equal
+    rings and modules share their table tuples.  That is exact: the ring
+    scan reads nothing but the ring's two tables, and the module scan
+    nothing but its two tables and the ring's ``order``, ``add``, ``mul``,
+    ``one`` and ``_cache["addgens"]``, all of which follow from the ring's
+    tables, which its serial names (below); a repeat would return the same.
 
     Only raw tables are scanned (``ring_from_tables``,
     ``modules.module_from_tables``).  A ring or module the engine derives
@@ -222,25 +240,25 @@ def accepted_tables(prefix, tables, accept):
     construction stored them.  Interning derived tables lets equal rings,
     submodules, atoms and quotients share one copy.
 
-    A **construction entry** (``derived_tables``) maps a construction on
-    given operands to the table entry it produced, so that a repeat
-    builds nothing.  Its key is an int tag naming the construction, the
-    serial of each operand and the construction's int parameters; it
-    holds no operand table.  The serial key is exact.  Each miss takes the
+    A **construction entry** maps a construction on given operands to the
+    table entry it produced, and a **fact entry** maps a question about
+    given tables to its answer in ints (``derived``), so that a repeat
+    builds or computes nothing.  Their keys are an int tag naming the
+    construction or fact, the serial of each operand and int parameters;
+    they hold no table.  The serial key is exact.  Each miss takes the
     next number of one process-wide count, so a serial names one entry's
     tables for the life of the process, whether or not that entry is still
     in the memo: tables accepted again after an eviction get a new one.
     So a key that matches names the very operand tables the stored
-    construction read, and the construction reads nothing else.  A
-    module's key holds its ring's serial, so a module's serial fixes its
-    ring's tables as well.  A lookup hashes a few ints, never a table.
+    construction or fact read, and it reads nothing else.  A module's key
+    holds its ring's serial, so a module's serial fixes its ring's tables
+    as well.  A lookup hashes a few ints, never a table.
 
     A table ``accept`` rejects is not stored, so it raises on every
     build.  The memo holds tuples of ints only, never a ring or a module.
-    It is bounded by ``MAX_ACCEPTED_CELLS`` cells, each entry counting the
-    cells of its own two tables (``_cells``): the oldest entries go first,
-    a hit does not reorder, and an entry larger than the whole bound is
-    not stored.
+    It is bounded by ``MAX_ACCEPTED_CELLS`` cells (``_store`` says how an
+    entry counts): the oldest entries go first, a hit does not reorder,
+    and an entry larger than the whole bound is not stored.
     """
     found = _accepted.get(prefix + tables)
     if found is None:
@@ -249,15 +267,18 @@ def accepted_tables(prefix, tables, accept):
     return found
 
 
-def derived_tables(key, build):
-    """The table entry of the construction ``key``, an int tag, the
-    serials of its operands and its int parameters, from ``build()`` the
-    first time in this process (see ``accepted_tables``).
+def derived(key, build):
+    """The memo's entry for ``key``, an int tag, the serials of its
+    operands and its int parameters, from ``build()`` the first time in
+    this process (see ``accepted_tables``).
 
-    ``build`` returns a table entry that ``accepted_tables`` has
-    interned, with the construction's own tuples of ints appended where
-    it has any (a quotient's projection, say).  A ``build`` that raises
-    stores nothing.
+    For a construction (tags ``SUBMODULE`` to ``PRODUCT_RING``),
+    ``build`` returns a table entry that ``accepted_tables`` has interned,
+    with the construction's own tuples of ints appended where it has any
+    (a quotient's projection, say).  For a fact (``GENERATOR_DATA`` and
+    on), it returns an int or nested tuples of ints, read off the tables
+    that the key's serials name and nothing else; each fact's function
+    gives the proof.  A ``build`` that raises stores nothing.
     """
     found = _accepted.get(key)
     if found is None:
@@ -268,19 +289,62 @@ def derived_tables(key, build):
 
 def _store(key, entry):
     """Store ``entry`` under ``key``, evicting the oldest entries beyond
-    the bound."""
-    global _accepted_cells
-    cells = _cells(entry)
-    if cells <= MAX_ACCEPTED_CELLS:
-        _accepted[key] = entry
-        _accepted_cells += cells
-        while _accepted_cells > MAX_ACCEPTED_CELLS:
-            _accepted_cells -= _cells(_accepted.pop(next(iter(_accepted))))
+    the bound.
+
+    The memo counts the cells it holds: each distinct table once, while
+    any entry holds it, as the cells of its rows, and for each entry one
+    cell for its key and one for every other int it holds (a fact's
+    answer, a table entry's zero, negation and serial, a quotient's
+    projection), so no entry is free.  A table is the same object in
+    every entry that holds it (``accepted_tables``), so the memo counts
+    the entries holding each one, by its id.  An entry whose own cells
+    exceed the bound is not stored, and evicts nothing.
+    """
+    memo = _accepted
+    tables, ints = _parts(key, entry)
+    if ints + sum(sum(map(len, t)) for t in tables) > MAX_ACCEPTED_CELLS:
+        return
+    memo[key] = entry
+    memo.cells += ints + _hold(tables, 1)
+    while memo.cells > MAX_ACCEPTED_CELLS:
+        old = next(iter(memo))
+        tables, ints = _parts(old, memo.pop(old))
+        memo.cells -= ints + _hold(tables, -1)
 
 
-def _cells(entry):
-    """The table cells an entry holds: those of its two tables."""
-    return sum(sum(map(len, table)) for table in entry[:2])
+def _parts(key, entry):
+    """The tables an entry holds, and the cells of the rest: its other
+    ints and one for its key.  A table entry's key ends with a table; a
+    construction's key is ints only, and so is a fact's, with a tag from
+    ``GENERATOR_DATA`` on."""
+    if type(key[-1]) is tuple or key[0] < GENERATOR_DATA:
+        return entry[:2], 1 + sum(map(_ints, entry[2:]))
+    return (), 1 + _ints(entry)
+
+
+def _hold(tables, step):
+    """Add ``step`` to the holders of each of ``tables``; return the
+    cells of those that gain their first holder or lose their last."""
+    holders = _accepted.holders
+    cells = 0
+    for table in tables:
+        before = holders.pop(id(table), 0)
+        if before + step:
+            holders[id(table)] = before + step
+        if not before or not before + step:
+            cells += sum(map(len, table))
+    return cells
+
+
+def _ints(x):
+    """The ints in ``x``, an int or a tuple of such, nested, where a
+    tuple whose first member is an int holds ints only (a table entry's
+    members after its tables, and every fact, are such)."""
+    if type(x) is int:
+        return 1
+    if not x or type(x[0]) is int:
+        return len(x)
+    return sum(map(_ints, x))
 
 
 def _integer_table(name, table):
@@ -451,22 +515,30 @@ def scan_abelian_group_exhaustive(n, add):
 # ---------------------------------------------------------------------------
 # constructors
 
+def _require_int(value, axiom, what):
+    """Refuse a size that is not an int as an ``axiom`` violation, as
+    ``modules.submodule`` refuses a mask."""
+    if not isinstance(value, int):
+        raise AxiomViolation(axiom, (value,), f"{what} is not an int")
+
+
 def cyclic_ring(n, cap=DEFAULT_RING_CAP):
     """The ring of integers mod n, n >= 2.
 
     A ring by construction: Z/n is the quotient of Z by the ideal nZ, and
     its tables are the sum and product mod n of the representatives
     0..n-1; n >= 2 makes 1 differ from 0.  n = 1 is refused as the ring
-    scan refuses the tables of Z/1, as a ``"nontriviality"`` violation.
+    scan refuses the tables of Z/1, as a ``"nontriviality"`` violation,
+    and an n that is not an int as a ``"ring order"`` violation.
     """
+    _require_int(n, "ring order", "cyclic ring order")
     if n < 1:
         raise AxiomViolation("nonempty carrier", None, f"cyclic({n}) is empty")
     if cap is not None and n > cap:
         raise SizeCapExceeded(f"ring order {n} exceeds cap {cap}")
     if n == 1:
         raise AxiomViolation("nontriviality", (0, 0), "one equals zero")
-    return FiniteRing(derived_tables((CYCLIC_RING, n),
-                                     lambda: _cyclic_tables(n)),
+    return FiniteRing(derived((CYCLIC_RING, n), lambda: _cyclic_tables(n)),
                       tuple(map(str, range(n))), f"cyclic({n})")
 
 
@@ -486,8 +558,10 @@ def matrix_ring(base, k, cap=DEFAULT_RING_CAP):
     x_ia y_ab z_bj over all a, b, by associativity and both distributive
     laws of R; x(y+z) = xy+xz and (x+y)z = xz+yz entry by entry by the
     distributive laws of R; and the identity matrix is one, which differs
-    from the zero matrix since 1 differs from 0 in R.
+    from the zero matrix since 1 differs from 0 in R.  A k that is not
+    an int, or is below 1, is a ``"matrix size"`` violation.
     """
+    _require_int(k, "matrix size", "matrix size")
     if k < 1:
         raise AxiomViolation("matrix size", (k,), "matrix size must be >= 1")
     order = base.order ** (k * k)
@@ -499,9 +573,8 @@ def matrix_ring(base, k, cap=DEFAULT_RING_CAP):
         "[" + ";".join(",".join(base.labels[x[i * k + j]] for j in range(k))
                        for i in range(k)) + "]"
         for x in elements)
-    return FiniteRing(derived_tables((MATRIX_RING, base.serial, k),
-                                     lambda: _matrix_tables(base, k,
-                                                            elements)),
+    return FiniteRing(derived((MATRIX_RING, base.serial, k),
+                              lambda: _matrix_tables(base, k, elements)),
                       labels, f"matrix({base.provenance},{k})")
 
 
@@ -535,12 +608,17 @@ def product_ring(factors, cap=DEFAULT_RING_CAP):
 
     A ring by construction: each law holds componentwise, as it holds in
     each factor, and the one (1, ..., 1) differs from the zero, as each
-    factor's one differs from its zero.
+    factor's one differs from its zero.  A factor that is not a
+    ``FiniteRing`` is a ``"product factor"`` violation naming its index.
     """
     factors = list(factors)
     if not factors:
         raise AxiomViolation("nonempty product", None,
                              "product of zero rings is the trivial ring")
+    for i, f in enumerate(factors):
+        if not isinstance(f, FiniteRing):
+            raise AxiomViolation("product factor", (i,),
+                                 f"factor {i} is not a ring")
     order = 1
     for f in factors:
         order *= f.order
@@ -550,7 +628,7 @@ def product_ring(factors, cap=DEFAULT_RING_CAP):
     labels = tuple("(" + ",".join(f.labels[c] for f, c in zip(factors, x)) + ")"
                    for x in elements)
     prov = "product(" + ",".join(f.provenance for f in factors) + ")"
-    return FiniteRing(derived_tables(
+    return FiniteRing(derived(
         (PRODUCT_RING, *(f.serial for f in factors)),
         lambda: _product_tables(factors, elements)), labels, prov)
 

@@ -102,18 +102,32 @@ def count_builds():
     return _count_builds
 
 
+def _int_count(x):
+    return 1 if isinstance(x, int) else sum(map(_int_count, x))
+
+
 def memo_cells(memo):
-    """The table cells the memo's entries hold, counted afresh: each
-    entry's two tables."""
-    return sum(len(t) * len(t[0]) for entry in memo.values()
-               for t in entry[:2])
+    """The cells the memo's entries hold, counted afresh: the cells of
+    every distinct table object of a table or construction entry once,
+    and every other int of an entry and one for its key once per entry.
+    Construction and fact keys are ints only; fact tags come after the
+    construction tags."""
+    tables = {}
+    ints = len(memo)
+    for key, entry in memo.items():
+        if isinstance(key[-1], tuple) or key[0] <= rings.PRODUCT_RING:
+            for t in entry[:2]:
+                tables[id(t)] = len(t) * len(t[0])
+            ints += _int_count(entry[2:])
+        else:
+            ints += _int_count(entry)
+    return sum(tables.values()) + ints
 
 
 def _empty_memo_under(mp):
     """An empty memo of accepted tables under the monkeypatch ``mp``; the
     process memo is back when ``mp`` is undone."""
-    mp.setattr(rings, "_accepted", {})
-    mp.setattr(rings, "_accepted_cells", 0)
+    mp.setattr(rings, "_accepted", rings._Memo())
     return rings._accepted
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlab import modules
+from modlab import modules, rings
 from modlab.classify import generate_universe
 from modlab.errors import SizeCapExceeded
 from modlab.modules import (_generator_data, _morphism_from_images,
@@ -172,6 +172,31 @@ def test_chain_cap_refuses_just_above_its_bound(monkeypatch):
         hom_generators(m, t)
     monkeypatch.setattr(modules, "MAX_HOM_CHAIN", bound)
     assert _span(hom_generators(m, t), t, m.order) == \
+        {f.map for f in searched_hom_set(m, t)}
+
+
+def test_chain_cap_refuses_on_a_warm_memo(monkeypatch):
+    # the chain's images are a fact of the memo, keyed by serials, and a
+    # fact is read only after the cap: a pair whose chain the memo holds
+    # is refused just above the bound, through the object that computed
+    # it and through a fresh object on the same tables
+    m = direct_sum_module([regular_module(Z4)] * 2)
+    t = regular_module(Z4)
+    maps = {f.map for f in hom_generators(m, t)}
+    assert (rings.HOM_CHAIN, m.serial, t.serial) in rings._accepted
+    again = direct_sum_module([regular_module(Z4)] * 2)
+    assert again is not m and again.serial == m.serial
+    w = _chain_width(m)
+    bound = w * w * t.order
+    monkeypatch.setattr(modules, "MAX_HOM_CHAIN", bound - 1)
+    for source in (m, again):
+        with pytest.raises(SizeCapExceeded,
+                           match=f"chain of width {w} over a target of "
+                                 f"order 4 "):
+            hom_generators(source, t)
+    monkeypatch.setattr(modules, "MAX_HOM_CHAIN", bound)
+    assert {f.map for f in hom_generators(again, t)} == maps
+    assert _span(hom_generators(again, t), t, m.order) == \
         {f.map for f in searched_hom_set(m, t)}
 
 

@@ -157,6 +157,17 @@ def test_malformed_document_error(document, message, line, column):
         f"{message} at line {line}, column {column}", line, column)
 
 
+@pytest.mark.parametrize("document", [2.0, b"[ring]\ncyclic(2)\n", None])
+def test_a_document_that_is_not_text_is_refused(document):
+    # unchecked, a float raised a bare AttributeError and bytes a bare
+    # TypeError from the section splitter
+    with pytest.raises(JobParseError) as exc:
+        parse_job(document)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        f"a job document is a str, not {type(document).__name__}",
+        None, None)
+
+
 # documents that were accepted, silently canonicalised, or failed only in
 # the engine: each definition line holds one expression, a raw table is
 # given once, and [universe]/[output] lines must match in full

@@ -671,39 +671,53 @@ def test_memo_is_bounded_by_table_cells(empty_memo, count_certificates,
     tables = list(dict.fromkeys(
         tuple(tuple(map(tuple, t)) for t in relabelled(reg, perm))
         for perm in itertools.permutations(range(4))))
-    # Z4, the construction cyclic(4), which holds Z4's tables, and each
-    # relabelling of its regular module are 32 cells: three fit the
-    # bound, not four
+    # Z4's ring entry holds its two tables (32 cells), 8 other ints (zero,
+    # one, negation, generators, serial) and a key (1 cell); the
+    # construction cyclic(4) and the regular module's entry hold the same
+    # two tables, counted once, and 9 and 7 cells of their own: 57 cells.
+    # Each relabelling of the regular module is 32 cells of tables and 7
+    # of its own
     monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 100)
     calls = count_certificates(monkeypatch)["module"]
     keys = [(ring.add, ring.mul), (rings.CYCLIC_RING, 4),
             (ring.serial, reg.add, reg.act)]
     assert list(empty_memo) == keys
+    assert memo_cells(empty_memo) == rings._accepted.cells == 57
     first = {}
-    for add, act in tables[1:5]:
-        # a hit on the oldest module neither certifies nor reorders
-        oldest = next(key for key in empty_memo if len(key) == 3)
-        module_from_tables(ring, *oldest[1:])
+
+    def accept(add, act, cells):
         m = module_from_tables(ring, add, act)
-        first[add, act] = m.zero, m.neg
-        keys = keys[1:] + [(ring.serial, m.add, m.act)]
+        first.setdefault((add, act), (m.zero, m.neg))
+        assert (m.zero, m.neg) == first[add, act]
+        keys.append((ring.serial, m.add, m.act))
         assert list(empty_memo) == keys
-        assert memo_cells(empty_memo) == rings._accepted_cells <= 100
-    assert len(calls) == 4
+        assert memo_cells(empty_memo) == rings._accepted.cells == cells
+
+    accept(*tables[1], 96)
+    # a hit on the oldest module neither certifies nor reorders
+    module_from_tables(ring, reg.add, reg.act)
+    assert list(empty_memo) == keys
+    # the next one evicts the three Z4 entries: the ring entry and the
+    # construction free only their own ints while the regular module
+    # holds the tables, and the regular module frees the tables too
+    del keys[:3]
+    accept(*tables[2], 78)
+    del keys[0]
+    accept(*tables[3], 78)
+    assert len(calls) == 3
+    assert len(empty_memo.holders) == 4
     # an evicted pair is certified again, with the same zero and negation
-    add, act = tables[1]
-    m = module_from_tables(ring, add, act)
-    assert len(calls) == 5
-    assert (m.zero, m.neg) == first[add, act]
-    assert list(empty_memo)[-1] == (ring.serial, m.add, m.act)
+    del keys[0]
+    accept(*tables[1], 78)
+    assert len(calls) == 4
     # an entry larger than the whole bound is not stored, and evicts
     # nothing; the direct sum is a module by construction and is not
     # certified, its raw rebuild is
     before = list(empty_memo)
     big = direct_sum_module([reg, reg])
-    assert len(calls) == 5
+    assert len(calls) == 4
     module_from_tables(ring, big.add, big.act)
-    assert len(calls) == 6
+    assert len(calls) == 5
     assert list(empty_memo) == before
 
 
@@ -789,14 +803,13 @@ def test_derived_modules_are_the_same_cold_and_warm(empty_memo,
                                                     count_builds,
                                                     monkeypatch):
     # the sweep on an empty memo, then again on fresh rings over the memo
-    # it left, under a bound that holds every construction of the sweep
-    # (each counts the tables it returns, though many return one table:
-    # the sweep's 6,203 entries count 1.3 million cells over 0.33 million
-    # of distinct tables, so at the default 2^20 the oldest would go
-    # before the warm pass reads them): every warm module is a remembered
-    # construction, and carries the same as its cold build
-    monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 1 << 25)
+    # it left, under the default bound, which holds every entry of the
+    # sweep (many constructions return one table, and the memo counts
+    # each distinct table once: the sweep's 6,381 entries count 0.54
+    # million cells): every warm module is a remembered construction, and
+    # carries the same as its cold build
     cold = list(map(carried, derived_sweep()))
+    assert rings._accepted.cells < rings.MAX_ACCEPTED_CELLS
     builds = count_builds(monkeypatch)
     warm = list(map(carried, derived_sweep()))
     assert len(warm) == len(cold) > 5000
@@ -832,13 +845,15 @@ def test_a_repeated_job_builds_no_table(empty_memo, count_builds,
 
 def test_an_evicted_derivation_is_built_again(empty_memo, count_builds,
                                               monkeypatch):
-    # the submodule 2Z8 is 48 cells (16 of add, 32 of act) and 4Z8 is 20;
-    # each one's table entry and its construction count them once each.
-    # Under a bound of 80 cells Z8's own entries (128 cells) are not
-    # stored, 2Z8's construction outlives its table entry, and remembering
-    # 4Z8 evicts it, so 2Z8 is then built again, with the tables of its
-    # first build.  Fresh handles stand for later documents on the same
-    # tables, each from a module cache without its earlier handles
+    # the submodule 2Z8's tables are 48 cells (16 of add, 32 of act) and
+    # 4Z8's are 20, counted once however many entries hold them, and each
+    # entry adds its own cells (7 and 5: zero, negation, serial and its
+    # key).  Under a bound of 80 cells Z8's own entries (its 128 cells of
+    # tables and more) are not stored, and remembering 4Z8 evicts 2Z8's
+    # table entry and then its construction, so 2Z8 is then built again,
+    # with the tables of its first build.  Fresh handles stand for later
+    # documents on the same tables, each from a module cache without its
+    # earlier handles
     monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 80)
     reg = regular_module(cyclic_ring(8))
     wide, narrow = 0b01010101, 0b00010001
@@ -853,22 +868,28 @@ def test_an_evicted_derivation_is_built_again(empty_memo, count_builds,
         assert carried(sub) == first.setdefault(mask, carried(sub))
         assert_scan_agrees(sub)
         assert key in empty_memo
-        assert memo_cells(empty_memo) == rings._accepted_cells <= 80
+        assert memo_cells(empty_memo) == rings._accepted.cells <= 80
     assert steps == [(wide, False, 1), (wide, True, 0), (narrow, False, 1),
                      (wide, False, 1)]
 
 
 def test_a_construction_outlives_its_operand_entries(empty_memo,
                                                      monkeypatch):
-    # Z8's ring entry, the construction cyclic(8) and the regular
-    # module's entry are 128 cells each: under a bound of 200 cells each
-    # evicts the one before, and the submodule 2Z8's entries (48 cells
-    # each) evict the regular module's.  A serial still names the tables
+    # Z8's ring entry holds its two tables (128 cells) and 13 cells of its
+    # own (12 ints and its key); the construction cyclic(8) and the
+    # regular module's entry hold the same tables, counted once, and 13
+    # and 11 cells of their own: 165 cells under a bound of 210.  The
+    # submodule 2Z8's entries (48 cells of tables, 7 and 7 of their own)
+    # evict the ring entry and the construction, which free only their own
+    # cells, and 4Z8's (20 cells of tables, 5 and 5) evict the regular
+    # module's, which frees Z8's tables.  A serial still names the tables
     # it was given, so constructions on the older module object read and
     # store the right tables, and hold none of the module's
-    monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 200)
+    monkeypatch.setattr(rings, "MAX_ACCEPTED_CELLS", 210)
     reg = regular_module(cyclic_ring(8))
-    assert list(empty_memo) == [(reg.ring.serial, reg.add, reg.act)]
+    assert list(empty_memo) == [(reg.add, reg.act), (rings.CYCLIC_RING, 8),
+                                (reg.ring.serial, reg.add, reg.act)]
+    assert rings._accepted.cells == 165
     serials = {reg.ring.serial, reg.serial}
     wide, narrow = 0b01010101, 0b00010001
     subs = {}
@@ -884,7 +905,11 @@ def test_a_construction_outlives_its_operand_entries(empty_memo,
         entry = empty_memo[rings.SUBMODULE, reg.serial, mask]
         assert entry == (sub.add, sub.act, sub.zero, sub.neg, sub.serial)
         assert entry is empty_memo[reg.ring.serial, sub.add, sub.act]
-    assert (reg.ring.serial, reg.add, reg.act) not in empty_memo
+    assert list(empty_memo) == [
+        key for mask, sub in subs.items()
+        for key in ((reg.ring.serial, sub.add, sub.act),
+                    (rings.SUBMODULE, reg.serial, mask))]
+    assert rings._accepted.cells == 92
     # Z8/4Z8 has 2Z8's tables, and takes their entry and serial; its
     # construction adds only the projection and the coset representatives
     q = quotient_module(reg, submodule(reg, narrow))
@@ -894,7 +919,7 @@ def test_a_construction_outlives_its_operand_entries(empty_memo,
         q.add, q.act, q.zero, q.neg, q.serial, *q.origin[3:])
     assert not any(t is reg.add or t is reg.act
                    for entry in empty_memo.values() for t in entry)
-    assert memo_cells(empty_memo) == rings._accepted_cells <= 200
+    assert memo_cells(empty_memo) == rings._accepted.cells <= 210
     # the same tables accepted again take a serial no earlier entry had
     again = regular_module(cyclic_ring(8))
     assert (again.add, again.act) == (reg.add, reg.act)

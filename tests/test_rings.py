@@ -75,6 +75,21 @@ def test_cyclic1_rejected():
             "nontriviality", (0, 0), "one equals zero (witness: (0, 0))")
 
 
+@pytest.mark.parametrize("build, axiom, witness", [
+    (lambda: cyclic_ring(2.0), "ring order", (2.0,)),
+    (lambda: cyclic_ring("3"), "ring order", ("3",)),
+    (lambda: matrix_ring(cyclic_ring(2), 1.5), "matrix size", (1.5,)),
+    (lambda: product_ring([cyclic_ring(2), 3]), "product factor", (1,)),
+])
+def test_constructor_arguments_of_the_wrong_type_are_refused(build, axiom,
+                                                             witness):
+    # unchecked, each of these raised a bare TypeError or AttributeError
+    # deep inside the constructor
+    with pytest.raises(AxiomViolation) as exc:
+        build()
+    assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
+
+
 def test_matrix_ring_order_and_noncommutativity():
     m = matrix_ring(cyclic_ring(2), 2)
     assert m.order == 16
