@@ -52,7 +52,7 @@ class Preradical:
     expression up on every call; the ring is pinned once, at construction.
     """
 
-    __slots__ = ("_hash", "_ring", "_memo")
+    __slots__ = ("_hash", "_ring")
     _fields = ()
     _codes = itertools.count()
 
@@ -66,15 +66,11 @@ class Preradical:
         return (type(self),) + tuple(getattr(self, f) for f in self._fields)
 
     def memo_key(self):
-        """The expression as nested tuples of ints (computed once), the
-        memo's key for its values (``evaluate``): its class's ``code``
-        and each frozen field in ints (``_int_form``)."""
-        try:
-            return self._memo
-        except AttributeError:
-            self._memo = (self.code,) + tuple(
-                _int_form(getattr(self, f)) for f in self._fields)
-            return self._memo
+        """The expression as nested tuples of ints, the memo's key for its
+        values (``evaluate``): its class's ``code`` and each frozen field
+        in ints (``_int_form``)."""
+        return (self.code,) + tuple(_int_form(getattr(self, f))
+                                    for f in self._fields)
 
     def __eq__(self, other):
         return isinstance(other, Preradical) and self._key() == other._key()
