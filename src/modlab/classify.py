@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_MODULE_CAP, DEFAULT_UNIVERSE_DEPTH
 from .errors import RingMismatch
 from .firstness import a_first_detail, a_fully_first_detail, decide
-from .modules import (atoms, direct_sum_module, enumerate_submodules,
-                      is_injective, is_superfluous, is_essential,
-                      quotient_module, regular_module, simple_modules,
-                      structural_summary)
+from .modules import (_preimage, atoms, direct_sum_module,
+                      enumerate_submodules, is_injective, is_superfluous,
+                      is_essential, quotient_module, regular_module,
+                      simple_modules, structural_summary)
 from .preradicals import SOC, LinearFilter
 from .rings import enumerate_ideals, is_simple_ring
 
@@ -66,7 +66,8 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     Candidates are visited in that order, the regular module first, and
     the first module of each isomorphism class is kept, so a level that
     adds no class leaves every later one the same and ends the loop.  A
-    depth or a module cap below 1 raises ``ValueError``.
+    depth or a module cap that is not an int, or is below 1, raises
+    ``ValueError`` before any work.
 
     Classes are told apart by a key, with no isomorphism search, and a
     direct sum is built only when its key is new:
@@ -89,10 +90,12 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     module is; it does not replace ``is_isomorphic`` for arbitrary
     modules.
     """
-    if depth < 1:
-        raise ValueError(f"universe depth must be at least 1, not {depth!r}")
-    if module_cap < 1:
-        raise ValueError(f"module cap must be at least 1, not {module_cap!r}")
+    if not isinstance(depth, int) or depth < 1:
+        raise ValueError(
+            f"universe depth must be at least 1 and an int, not {depth!r}")
+    if not isinstance(module_cap, int) or module_cap < 1:
+        raise ValueError(
+            f"module cap must be at least 1 and an int, not {module_cap!r}")
     key = ("universe", depth, module_cap)
     if key in ring._cache:
         return ring._cache[key]
@@ -133,6 +136,7 @@ def _quotient_keys(reg, ideals):
     |J|.|K| / |J & K|.
     """
     n = reg.order
+    columns = list(zip(*reg.act))  # r -> rx, for each x
     keys = {ideals[-1].mask: ()}  # R/R
     for ideal in reversed(ideals[:-1]):
         mask, size = ideal.mask, ideal.order
@@ -143,8 +147,7 @@ def _quotient_keys(reg, ideals):
         if split is not None:
             keys[mask] = tuple(sorted(keys[split[0]] + keys[split[1]]))
         else:
-            anns = {sum(1 << r for r, row in enumerate(reg.act)
-                        if mask >> row[x] & 1) for x in range(n)}
+            anns = {_preimage(column, mask) for column in columns}
             keys[mask] = (tuple(sorted(a for a in anns
                                        if a.bit_count() == size)),)
     return keys
@@ -241,7 +244,8 @@ def _classify(ring):
 # left exact preradicals through linear filters of left ideals
 
 def enumerate_lep(ring):
-    """All linear filters of left ideals, as evaluable operators.
+    """All linear filters of left ideals, as evaluable operators, one
+    ``LinearFilter`` per two-sided ideal.
 
     A linear filter is a nonempty upward-closed family of left ideals,
     closed under finite intersections and under the shifts
@@ -257,13 +261,18 @@ def enumerate_lep(ring):
     (T : a) contain T for every a, that is T.a <= T: T is two-sided.
     Conversely the up-set of a two-sided T is a filter, as I >= T gives
     (I : a) >= (T : a) >= T.  So the filters are the up-sets of the
-    two-sided ideals, one each, sorted by (size, sorted member masks).
+    two-sided ideals, one each, and an element lies in the value of the
+    filter of T exactly when T kills it.  They are sorted by the size of
+    the filter, then by its member masks, sorted as ints.
     """
-    lefts = [i.mask for i in enumerate_ideals(ring, "left")]
-    filters = [frozenset(m for m in lefts if t.mask & ~m == 0)
-               for t in enumerate_ideals(ring, "two-sided")]
-    filters.sort(key=lambda f: (len(f), sorted(f)))
-    return tuple(LinearFilter(ring, f) for f in filters)
+    lefts = sorted(i.mask for i in enumerate_ideals(ring, "left"))
+
+    def size_and_members(t):
+        members = [m for m in lefts if t.mask & ~m == 0]
+        return len(members), members
+
+    return tuple(map(LinearFilter, sorted(enumerate_ideals(ring, "two-sided"),
+                                          key=size_and_members)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 Modules carry full addition and scalar-action tables over a ``FiniteRing``.
 Submodules are bitmasks over the element indices, interned per module so
 they can cache derived data (their own module structure, for instance).
+A submodule is its mask: its carrier and order are read off the mask.
+Every loop over the elements of a mask goes through ``_elements``, which
+pays for set bits only; every image of a list of elements under a table
+row or a map is ``_image``, and every preimage ``_preimage``.
 Maps are described through a greedy generating set, the step that first
 reached each element (e = e' + r.g_i, e' reached earlier), and a basis of
 the relations among the generators, found while the generators are
@@ -241,21 +245,28 @@ class Submodule:
     """A submodule of a fixed parent, as an interned bitmask: closed and
     within the parent, as only ``submodule`` (which checks a mask from
     outside) and ``_intern_submodule`` (masks the engine proves closed)
-    make one, so no use of a handle checks closure again."""
+    make one, so no use of a handle checks closure again.
 
-    __slots__ = ("module", "mask", "carrier", "_mod")
+    The mask is the one representation: ``carrier``, the increasing tuple
+    of its set bits, and ``order``, their number, are read off it on each
+    use and kept nowhere."""
+
+    __slots__ = ("module", "mask", "_mod")
 
     def __init__(self, module, mask, key=None):
         if key is not _intern_submodule:  # the one maker of handles
             raise TypeError("submodule handles come from submodule()")
         self.module = module
         self.mask = mask
-        self.carrier = tuple(i for i in range(module.order) if mask >> i & 1)
         self._mod = None
 
     @property
+    def carrier(self):
+        return tuple(_elements(self.mask))
+
+    @property
     def order(self):
-        return len(self.carrier)
+        return self.mask.bit_count()
 
     def is_zero(self):
         return self.mask == self.module.zero_mask()
@@ -320,18 +331,12 @@ def _intern_submodule(module, mask):
 
 
 def is_submodule_mask(module, mask):
+    """Whether ``mask`` holds 0 and is closed under + and the action."""
     if not mask >> module.zero & 1:
         return False
-    els = [i for i in range(module.order) if mask >> i & 1]
-    add, act = module.add, module.act
-    for a in els:
-        for b in els:
-            if not mask >> add[a][b] & 1:
-                return False
-        for r in range(module.ring.order):
-            if not mask >> act[r][a] & 1:
-                return False
-    return True
+    els = _elements(mask)
+    rows = [module.add[a] for a in els] + list(module.act)
+    return all(_image(row, els) & ~mask == 0 for row in rows)
 
 
 def cyclic_mask(module, x):
@@ -353,12 +358,22 @@ def _elements(mask):
     return out
 
 
-def _coset_mask(module, els, y):
-    """y + A for the elements ``els`` of A."""
-    row = module.add[y]
+def _image(row, els):
+    """The mask of the entries ``row[a]`` for a in ``els``: the image of
+    a set of elements under a table row or a map."""
     out = 0
     for a in els:
         out |= 1 << row[a]
+    return out
+
+
+def _preimage(row, mask):
+    """The mask of the indices x with ``row[x]`` in ``mask``: the
+    preimage of a set of elements under a table row or a map."""
+    out = 0
+    for x, y in enumerate(row):
+        if mask >> y & 1:
+            out |= 1 << x
     return out
 
 
@@ -382,7 +397,7 @@ def sum_masks(module, mask_a, mask_b):
     out = mask_a
     rest = mask_b & ~mask_a
     while rest:
-        coset = _coset_mask(module, els_a, (rest & -rest).bit_length() - 1)
+        coset = _image(module.add[(rest & -rest).bit_length() - 1], els_a)
         out |= coset
         rest &= ~coset
     return out
@@ -399,13 +414,24 @@ def trad_mask(module, ideal, mask=None):
     act = module.act
     els = range(module.order) if mask is None else _elements(mask)
     out = module.zero_mask()
-    for i in ideal.carrier:
-        row = act[i]
-        image = 0
-        for u in els:
-            image |= 1 << row[u]
-        out = sum_masks(module, out, image)
+    for i in _elements(ideal.mask):
+        out = sum_masks(module, out, _image(act[i], els))
     return out
+
+
+def killed_mask(module, ideal):
+    """s_T(M) = {x : T.x = 0} for a two-sided ideal T, the dual of
+    ``trad_mask``: the elements whose annihilator contains T, read off
+    the element annihilators.
+
+    It is a submodule: t.(x + y) = t.x + t.y for each t in T, and
+    T.(r.x) = (T.r).x <= T.x, as T is a right ideal.  It is the value
+    of the linear filter of the left ideals containing T
+    (``preradicals.LinearFilter``), and s_J(M) is Soc(M)
+    (``structural_summary``)."""
+    t = ideal.mask
+    return sum(1 << x for x, a in enumerate(_element_annihilators(module))
+               if t & ~a == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +526,8 @@ def enumerate_submodules(module):
             if s not in seen:
                 seen.add(s)
                 queue.append(s)
-    subs = [_intern_submodule(module, m) for m in seen]
-    subs.sort(key=lambda s: (s.order, s.carrier))
-    lat = SubmoduleLattice(module, subs)
+    lat = SubmoduleLattice(module, [_intern_submodule(module, m)
+                                    for m in _lattice_order(seen)])
     module._cache["lattice"] = lat
     return lat
 
@@ -529,9 +554,14 @@ def cyclic_submodules(module):
 
 
 def _cyclic_masks(module):
-    masks = {cyclic_mask(module, x)
-             for x in range(module.order) if x != module.zero}
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), _elements(m))))
+    return tuple(_lattice_order({cyclic_mask(module, x)
+                                 for x in range(module.order)
+                                 if x != module.zero}))
+
+
+def _lattice_order(masks):
+    """The masks sorted in lattice order, (size, carrier)."""
+    return sorted(masks, key=lambda m: (m.bit_count(), _elements(m)))
 
 
 def atoms(module):
@@ -603,19 +633,10 @@ class ModuleMorphism:
         return all(v == z for v in self.map)
 
     def image_of_mask(self, mask):
-        f = self.map
-        out = 0
-        for x in _elements(mask):
-            out |= 1 << f[x]
-        return out
+        return _image(self.map, _elements(mask))
 
     def preimage_of_mask(self, mask):
-        f = self.map
-        out = 0
-        for x in range(self.source.order):
-            if mask >> f[x] & 1:
-                out |= 1 << x
-        return out
+        return _preimage(self.map, mask)
 
     def kernel_mask(self):
         return self.preimage_of_mask(1 << self.target.zero)
@@ -906,24 +927,17 @@ def _element_annihilators(module):
 
 
 def _annihilators(module):
-    act = module.act
-    zero = module.zero
-    anns = []
-    for m in range(module.order):
-        mask = 0
-        for r in range(module.ring.order):
-            if act[r][m] == zero:
-                mask |= 1 << r
-        anns.append(mask)
-    return tuple(anns)
+    """{r : r.m = 0} for each m, the preimage of 0 under r -> r.m."""
+    zero = module.zero_mask()
+    return tuple(_preimage(column, zero) for column in zip(*module.act))
 
 
 def annihilator_mask(module, mask):
     """Ring elements killing every element of the carrier ``mask``."""
+    anns = _element_annihilators(module)
     out = (1 << module.ring.order) - 1
-    for x, ann in enumerate(_element_annihilators(module)):
-        if mask >> x & 1:
-            out &= ann
+    for x in _elements(mask):
+        out &= anns[x]
     return out
 
 
@@ -948,7 +962,7 @@ def find_isomorphism(a, b):
     span = a.zero_mask()
     for g in gens:
         span = sum_masks(a, span, cyclic_mask(a, g))
-        span_sizes.append(bin(span).count("1"))
+        span_sizes.append(span.bit_count())
     candidates = [[h for h in range(b.order) if ann_b[h] == ann_a[g]]
                   for g in gens]
     image_spans = [b.zero_mask()] + [None] * len(gens)
@@ -956,7 +970,7 @@ def find_isomorphism(a, b):
     def keeps_span_size(level, h):
         span = sum_masks(b, image_spans[level], cyclic_mask(b, h))
         image_spans[level + 1] = span
-        return bin(span).count("1") == span_sizes[level]
+        return span.bit_count() == span_sizes[level]
 
     found = _search_images(b, rel_levels, candidates, lambda hv: True,
                            keeps_span_size)
@@ -1019,6 +1033,7 @@ def _quotient_tables(parent, kernel):
     """The memo's entry for M/N, then the projection and the coset
     representatives."""
     n = parent.order
+    els = _elements(kernel.mask)
     proj = [None] * n
     reps = []
     for x in range(n):
@@ -1026,8 +1041,9 @@ def _quotient_tables(parent, kernel):
             continue
         idx = len(reps)
         reps.append(x)
-        for e in kernel.carrier:
-            proj[parent.add[x][e]] = idx
+        row = parent.add[x]
+        for e in els:
+            proj[row[e]] = idx
     return _induced_tables(parent, reps, proj) + (tuple(proj), tuple(reps))
 
 
@@ -1134,12 +1150,7 @@ def embed_submask(child, mask):
     tag = child.origin[0]
     if tag != "sub":
         raise InternalInconsistency("embed_submask needs a sub-as-module")
-    carrier = child.origin[2]
-    out = 0
-    for i in range(child.order):
-        if mask >> i & 1:
-            out |= 1 << carrier[i]
-    return out
+    return _image(child.origin[2], _elements(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -1166,8 +1177,7 @@ def structural_summary(module):
         return module._cache["structure"]
     ring, full = module.ring, module.full_mask()
     jac = jacobson_radical(ring)
-    anns = _element_annihilators(module)
-    soc_mask = sum(1 << x for x, a in enumerate(anns) if jac.mask & ~a == 0)
+    soc_mask = killed_mask(module, jac)
     ann_m = annihilator_mask(module, full)
     ideals = enumerate_ideals(ring, "two-sided")
     homogeneous = soc_mask == full and (
@@ -1255,8 +1265,8 @@ def is_injective(module):
     for ideal in enumerate_ideals(module.ring, "left"):
         if ideal.is_zero() or ideal.is_full():
             continue
-        restrictions = {tuple(act[e][m] for e in ideal.carrier)
-                        for m in range(module.order)}
+        restrictions = set(zip(*map(act.__getitem__,
+                                    _elements(ideal.mask))))
         for f in hom_generators(ideal.as_module(), module):
             if f.map not in restrictions:
                 return False

@@ -4,14 +4,17 @@ A preradical assigns to every module a fully invariant submodule,
 naturally in all maps.  Here a preradical is an expression tree whose
 leaves are trace/reject-style operators frozen at a (submodule, module)
 pair, t-radicals I.(-) for a two-sided ideal, socle, radical, the two
-constants, and linear-filter operators; the nodes are joins, meets and
-composition.  Evaluation on any module over the same ring is exact: the
-trace and reject operators sum images, or meet preimages, over a
-generating set of the Hom group (``modules.hom_generators``), which gives
-the same submodule as running over every map, and socle and radical are
-{x : Jx = 0} and JM for the ring's Jacobson radical J, with no submodule
-lattice.  Expressions compare by type and frozen fields, so an
-expression built again shares the value handles cached for an equal one.
+constants, and linear-filter operators, one per two-sided ideal T, the
+least member of the filter; the nodes are joins, meets and composition.
+Evaluation on any module over the same ring is exact: the trace and
+reject operators sum images, or meet preimages, over a generating set
+of the Hom group (``modules.hom_generators``), which gives the same
+submodule as running over every map; the filter of T gives
+s_T(M) = {x : T.x = 0}, the dual of I.M (``modules.killed_mask``); and
+socle and radical are s_J(M) and JM for the ring's Jacobson radical J,
+with no submodule lattice.  Expressions compare by type and frozen
+fields, so an expression built again shares the value handles cached for
+an equal one.
 The value masks are facts of the memo of accepted tables, keyed by the
 expression written in ints (``Preradical.memo_key``) and the module's
 serial, so equal expressions on modules with equal tables compute each
@@ -29,13 +32,12 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotFullyInvariant, RingMismatch
-from .modules import (Submodule, _element_annihilators, _intern_submodule,
-                      cyclic_submodules, embed_submask, hom_generators,
-                      is_fully_invariant, quotient_module, regular_module,
-                      simple_modules, structural_summary, sum_masks,
-                      trad_mask)
-from .rings import (PRERADICAL_VALUE, FiniteRing, derived, enumerate_ideals,
-                    is_two_sided)
+from .modules import (Submodule, _elements, _image, _intern_submodule,
+                      _preimage, cyclic_submodules, embed_submask,
+                      hom_generators, is_fully_invariant, killed_mask,
+                      quotient_module, regular_module, simple_modules,
+                      structural_summary, sum_masks, trad_mask)
+from .rings import PRERADICAL_VALUE, derived, enumerate_ideals, is_two_sided
 
 LE, GE, EQ, INCOMPARABLE = "le", "ge", "eq", "incomparable"
 
@@ -96,8 +98,7 @@ class Preradical:
         fields and the module's tables alone (each class's ``_compute``),
         and its key names each field by ints that fix what is read of it
         (``_int_form``): a frozen submodule or ideal by its module's serial
-        and its mask, a filter's ring by its serial, a node by its parts'
-        keys.
+        and its mask, a node by its parts' keys.
         """
         r = self._ring
         if r is not None and r is not module.ring:
@@ -123,17 +124,13 @@ class Preradical:
 
 
 def _int_form(value):
-    """A frozen field in ints: a submodule as its module's serial and its
-    mask, a ring as its serial, a set of masks sorted, an expression as
-    its ``memo_key`` and a tuple of parts term by term."""
+    """A frozen field in ints: a submodule or ideal as its module's serial
+    and its mask, an expression as its ``memo_key`` and a tuple of parts
+    term by term."""
     if isinstance(value, Preradical):
         return value.memo_key()
     if isinstance(value, Submodule):
         return value.module.serial, value.mask
-    if isinstance(value, FiniteRing):
-        return value.serial
-    if isinstance(value, frozenset):
-        return tuple(sorted(value))
     return tuple(map(_int_form, value))
 
 
@@ -167,9 +164,10 @@ class Beta(Preradical):
         self._ring = sub.module.ring
 
     def _compute(self, module):
+        els = _elements(self.sub.mask)
         out = module.zero_mask()
         for f in hom_generators(self.sub.module, module):
-            out = sum_masks(module, out, f.image_of_mask(self.sub.mask))
+            out = sum_masks(module, out, _image(f.map, els))
         return out
 
     def describe(self):
@@ -218,18 +216,25 @@ class Omega(Preradical):
         return f"omega({_sub_token(self.sub)})"
 
 
-class Trad(Preradical):
-    """The t-radical U -> I.U for a two-sided ideal I, a submodule of the
-    regular module."""
+class _IdealOperator(Preradical):
+    """An operator frozen at a two-sided ideal, a submodule of the regular
+    module: any other ideal is refused with ``NotFullyInvariant``."""
 
     __slots__ = ("ideal",)
     _fields = ("ideal",)
 
     def __init__(self, ideal):
         if not is_two_sided(ideal):
-            raise NotFullyInvariant("t-radicals need a two-sided ideal")
+            raise NotFullyInvariant(f"{self.kind} need a two-sided ideal")
         self.ideal = ideal
         self._ring = ideal.module.ring
+
+
+class Trad(_IdealOperator):
+    """The t-radical U -> I.U for a two-sided ideal I."""
+
+    __slots__ = ()
+    kind = "t-radicals"
 
     def _compute(self, module):
         return trad_mask(module, self.ideal)
@@ -282,30 +287,30 @@ class OnePr(Preradical):
         return "one"
 
 
-class LinearFilter(Preradical):
-    """The left exact preradical of a linear filter of left ideals.
+class LinearFilter(_IdealOperator):
+    """The left exact preradical of a linear filter of left ideals, given
+    by its least member, a two-sided ideal T.
 
-    Value on U: the elements whose annihilator belongs to the filter.
+    Over a finite ring a linear filter is the up-set of its least member,
+    which is two-sided (``classify.enumerate_lep``), so T alone gives it.
+    Value on U: the elements whose annihilator lies in the filter, that
+    is contains T, so s_T(U) = {x : T.x = 0} (``modules.killed_mask``).
+    ``describe`` names the filter's members, the left ideals containing
+    T, by their indices among the left ideals.  Any other ideal is
+    refused with ``NotFullyInvariant``, as ``Trad`` refuses one.
     """
 
-    __slots__ = ("ideal_masks",)
-    _fields = ("_ring", "ideal_masks")
-
-    def __init__(self, ring, ideal_masks):
-        self._ring = ring
-        self.ideal_masks = frozenset(ideal_masks)
+    __slots__ = ()
+    kind = "linear filters"
 
     def _compute(self, module):
-        out = 0
-        for m, ann in enumerate(_element_annihilators(module)):
-            if ann in self.ideal_masks:
-                out |= 1 << m
-        return out
+        return killed_mask(module, self.ideal)
 
     def describe(self):
-        ideals = enumerate_ideals(self._ring, "left")
-        idx = sorted(i for i, h in enumerate(ideals) if h.mask in self.ideal_masks)
-        return "lep(" + ",".join(f"I{i}" for i in idx) + ")"
+        t = self.ideal.mask
+        return "lep(" + ",".join(
+            f"I{i}" for i, h in enumerate(enumerate_ideals(self._ring, "left"))
+            if t & ~h.mask == 0) + ")"
 
 
 def _combine_rings(parts):
@@ -534,12 +539,7 @@ def radical_closure_at(pr, module):
     current = pr.evaluate(module)
     while True:
         q = quotient_module(module, current)
-        proj = q.origin[3]
-        qval = pr.evaluate(q).mask
-        nxt = 0
-        for x in range(module.order):
-            if qval >> proj[x] & 1:
-                nxt |= 1 << x
+        nxt = _preimage(q.origin[3], pr.evaluate(q).mask)
         if nxt == current.mask:
             return current
         current = _intern_submodule(module, nxt)

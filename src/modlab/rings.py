@@ -706,9 +706,10 @@ def is_two_sided(ideal):
     submodule of its ring's regular module closed under right
     multiplication.  End(R) acts on R by right multiplications, so these
     are the regular module's fully invariant submodules."""
+    from .modules import _elements
     mask, mul = ideal.mask, ideal.module.ring.mul
     return (ideal.module.origin[0] == "regular"
-            and all(mask >> x & 1 for a in ideal.carrier for x in mul[a]))
+            and all(mask >> x & 1 for a in _elements(mask) for x in mul[a]))
 
 
 def enumerate_ideals(ring, sidedness="two-sided"):

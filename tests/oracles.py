@@ -30,6 +30,12 @@ BKN and left-semiartinian flags off the ring: a Hom search on every
 ordered pair of nonzero universe modules, and a socle on every one.
 ``closure_trad_mask`` forms I.N as ``trad_mask`` did before it summed the
 subgroups iN: the set of products iu closed under addition pair by pair.
+``membership_filter_mask`` evaluates a linear filter's operator as
+``LinearFilter`` did before a filter was given by its least member: the
+elements whose annihilator, read off the action table, is a member.
+``loop_image`` and ``loop_preimage`` test every index of a row, one shift
+each, as the loops did that ``modules._image`` and ``modules._preimage``
+replace.
 """
 
 import itertools
@@ -188,6 +194,43 @@ def subset_linear_filters(ring):
             filters.append(frozenset(masks[i] for i in members))
     filters.sort(key=lambda f: (len(f), sorted(f)))
     return filters
+
+
+def filter_members(pr):
+    """The masks of the left ideals in the linear filter of the
+    ``LinearFilter`` ``pr``: those that contain its two-sided ideal."""
+    t = pr.ideal.mask
+    return frozenset(i.mask for i in enumerate_ideals(pr.ring(), "left")
+                     if t & ~i.mask == 0)
+
+
+def membership_filter_mask(module, members):
+    """The elements of ``module`` whose annihilator lies in ``members``."""
+    act, zero = module.act, module.zero
+    out = 0
+    for x in range(module.order):
+        ann = sum(1 << r for r, row in enumerate(act) if row[x] == zero)
+        if ann in members:
+            out |= 1 << x
+    return out
+
+
+def loop_image(row, mask):
+    """{row[x] : x in mask}, testing every index of ``row``."""
+    out = 0
+    for x in range(len(row)):
+        if mask >> x & 1:
+            out |= 1 << row[x]
+    return out
+
+
+def loop_preimage(row, mask):
+    """{x : row[x] in mask}, testing every index of ``row``."""
+    out = 0
+    for x in range(len(row)):
+        if mask >> row[x] & 1:
+            out |= 1 << x
+    return out
 
 
 def _pairwise_partition(mods):

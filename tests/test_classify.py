@@ -36,14 +36,16 @@ def test_universe_is_deterministic_and_nonempty():
 
 
 def test_universe_depth_below_one_is_refused():
-    for depth in (0, -1):
+    # as is a depth that is not an int (2.0, "3" and None raised TypeError)
+    for depth in (0, -1, 2.0, "3", None):
         with pytest.raises(ValueError, match="at least 1"):
             generate_universe(Z4, depth=depth)
 
 
 def test_universe_module_cap_below_one_is_refused():
-    # a cap no sum fits in ran depth 1 and was reported as given
-    for cap in (0, -5):
+    # a cap no sum fits in ran depth 1 and was reported as given; a cap
+    # that is not an int raised TypeError or, as 2.5, ran under its own key
+    for cap in (0, -5, 2.5, "3", None):
         with pytest.raises(ValueError, match="module cap must be at least 1"):
             generate_universe(Z4, depth=2, module_cap=cap)
 
@@ -190,7 +192,7 @@ def test_perror1_compares_a_universe_with_the_ring():
 def test_lep_of_z4_is_three_filters():
     lep = enumerate_lep(Z4)
     assert len(lep) == 3
-    sizes = sorted(len(p.ideal_masks) for p in lep)
+    sizes = sorted(len(oracles.filter_members(p)) for p in lep)
     assert sizes == [1, 2, 3]
     # values on the regular module: just-R is the zero operator, the
     # two-member filter picks the 2-torsion part, the full set is identity
@@ -204,7 +206,7 @@ def test_lep_extremes_always_present():
         lep = enumerate_lep(ring)
         n_ideals = len(__import__("modlab.rings", fromlist=["x"])
                        .enumerate_ideals(ring, "left"))
-        sizes = [len(p.ideal_masks) for p in lep]
+        sizes = [len(oracles.filter_members(p)) for p in lep]
         assert 1 in sizes            # just R: the zero operator
         assert n_ideals in sizes     # everything: the identity operator
 
@@ -249,8 +251,9 @@ def test_annihilators_and_lep_operators_match_definition():
             for n in enumerate_submodules(m).submodules:
                 assert annihilator_mask(m, n.mask) == ann(n.mask)
             for pr in lep:
+                members = oracles.filter_members(pr)
                 expected = sum(1 << x for x in range(m.order)
-                               if ann(1 << x) in pr.ideal_masks)
+                               if ann(1 << x) in members)
                 assert pr.evaluate(m).mask == expected
 
 

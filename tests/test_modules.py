@@ -19,7 +19,7 @@ from modlab.rings import (cyclic_ring, enumerate_ideals, matrix_ring,
                           product_ring, ring_from_tables, scan_abelian_group)
 from modlab.modules import (ModuleMorphism, Submodule, _scan_module_axioms,
                             _scan_module_axioms_exhaustive, atoms, cogenerates,
-                            cyclic_module, cyclic_submodules,
+                            cyclic_mask, cyclic_module, cyclic_submodules,
                             direct_sum_module,
                             enumerate_submodules, hom_nonzero_exists, hom_set,
                             is_atom, is_essential, is_injective,
@@ -27,7 +27,7 @@ from modlab.modules import (ModuleMorphism, Submodule, _scan_module_axioms,
                             module_from_tables,
                             quotient_module, regular_module, simple_modules,
                             structural_summary, submodule, endomorphism_ring,
-                            trad_mask, zero_module)
+                            sum_masks, trad_mask, zero_module)
 
 from conftest import TABLE_BUILDERS, memo_cells
 from oracles import (all_function_homs, closure_trad_mask,
@@ -994,6 +994,21 @@ def test_drawn_modules_intern_closed_submodules(data):
                 firstness_report(m)
         finally:
             assert_handles_closed(handles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_handle_reads_its_carrier_and_order_off_its_mask(data):
+    # a submodule is its mask: the carrier is the increasing tuple of its
+    # set bits and the order their number, read on each use
+    m = data.draw(small_module(data.draw(st.sampled_from(SMALL_RINGS))))
+    mask = m.zero_mask()
+    for x in data.draw(st.lists(st.integers(0, m.order - 1), max_size=4)):
+        mask = sum_masks(m, mask, cyclic_mask(m, x))
+    s = submodule(m, mask)
+    assert s.carrier == tuple(i for i in range(m.order) if mask >> i & 1)
+    assert s.order == len(s.carrier)
+    assert s.labels() == tuple(m.labels[i] for i in s.carrier)
 
 
 def test_only_raw_tables_are_certified(empty_memo, count_certificates,

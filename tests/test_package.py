@@ -3,9 +3,10 @@ module of the package imports a name it does not use; ring and module
 tables, maps, submodule carriers, orders, lattices and actions from
 outside are checked in one place each; a whole Hom-set is listed, and
 generator images searched, only where needed; additive spans are formed
-one way each; the theorem harness and the class memberships check again
-nothing their constructions prove; and no process-wide store but the
-memo of accepted tables grows with jobs."""
+one way each; a submodule handle keeps only its mask, and a linear filter
+only its two-sided ideal; the theorem harness and the class memberships
+check again nothing their constructions prove; and no process-wide store
+but the memo of accepted tables grows with jobs."""
 
 import ast
 import inspect
@@ -193,6 +194,22 @@ def test_additive_spans_are_formed_one_way():
         "(n, add, zero, candidates)")
     source = inspect.getsource(modules.trad_mask)
     assert ("trad_mask", True) in name_uses(source, "sum_masks")
+
+
+def test_a_submodule_is_its_mask_and_a_filter_its_ideal():
+    # a handle keeps its mask alone, images of element lists are formed by
+    # one helper, a linear filter is given by its two-sided ideal, and
+    # s_T(M) = {x : T.x = 0} is computed in one place, for the socle and
+    # for the filters
+    from modlab import modules, preradicals
+    assert modules.Submodule.__slots__ == ("module", "mask", "_mod")
+    assert not hasattr(modules, "_coset_mask")
+    assert list(inspect.signature(modlab.LinearFilter).parameters) == [
+        "ideal"]
+    assert callers("killed_mask") == {("modules.py", "structural_summary"),
+                                      ("preradicals.py", "_compute")}
+    source = inspect.getsource(preradicals.LinearFilter)
+    assert name_uses(source, "killed_mask") == {("_compute", True)}
 
 
 def test_classification_reads_the_ring_alone():

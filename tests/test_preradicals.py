@@ -6,12 +6,15 @@ from modlab.classify import enumerate_lep, generate_universe
 from modlab.cli import corpus_rings
 from modlab.errors import NotFullyInvariant, RingMismatch
 from modlab.firstness import diuniform_detail, rpid_first_detail
-from modlab.modules import (atoms, direct_sum_module, embed_submask,
-                            enumerate_submodules, quotient_module,
-                            regular_module, simple_modules,
+from modlab.modules import (_elements, _image, _preimage, atoms,
+                            cyclic_submodules, direct_sum_module,
+                            embed_submask, enumerate_submodules,
+                            hom_generators, jacobson_radical, killed_mask,
+                            quotient_module, regular_module, simple_modules,
                             structural_summary, submodule, sum_masks)
-from modlab.preradicals import (EQ, LE, Alpha, Beta, Compose,
-                                Join, Meet, Omega, ONE, RAD, SOC, Trad, ZERO,
+from modlab.preradicals import (EQ, LE, Alpha, Beta, Compose, Join,
+                                LinearFilter, Meet, Omega, ONE, RAD, SOC,
+                                Trad, ZERO,
                                 check_naturality, compare, idempotent_core_at,
                                 left_exact_at, product_hom_AB, product_in,
                                 property_flags, radical_closure_at,
@@ -20,6 +23,7 @@ from modlab.rings import cyclic_ring, enumerate_ideals, matrix_ring
 
 import oracles
 from test_atom_routes import _count_calls
+from test_modules import sweep_universes
 
 Z2 = cyclic_ring(2)
 Z4 = cyclic_ring(4)
@@ -88,9 +92,13 @@ def test_trad_of_ideal():
 
 
 def test_trad_rejects_left_only_ideal():
+    # and so does a linear filter: its least member must be two-sided
     left = enumerate_ideals(M22, "left")[1]
-    with pytest.raises(NotFullyInvariant):
-        Trad(left)
+    for operator, kind in ((Trad, "t-radicals"),
+                           (LinearFilter, "linear filters")):
+        with pytest.raises(NotFullyInvariant,
+                           match=f"{kind} need a two-sided ideal"):
+            operator(left)
 
 
 def test_ring_mismatch_is_caught():
@@ -428,3 +436,44 @@ def test_random_expressions_are_natural_and_split_sums(data):
             for b in parts[1]:
                 expected |= 1 << mod.add[a][b]
         assert pr.evaluate(mod).mask == expected
+
+
+def test_filters_images_and_preimages_match_the_loops_they_replace():
+    # on every module of the depth-3 universes: s_T read off the element
+    # annihilators is the membership route of the filter of T, the filter
+    # of J is the socle, and the one image and preimage helpers give what
+    # the loops over every index gave, on table rows, projections,
+    # carriers and the generators of End(M)
+    checked = 0
+    for ring, universe in sweep_universes():
+        filters = {pr: oracles.filter_members(pr)
+                   for pr in map(LinearFilter, enumerate_ideals(ring))}
+        socle_filter = LinearFilter(jacobson_radical(ring))
+        for u in universe.modules:
+            for pr, members in filters.items():
+                value = oracles.membership_filter_mask(u, members)
+                assert killed_mask(u, pr.ideal) == pr.evaluate(u).mask == value
+            assert socle_filter.evaluate(u) == SOC.evaluate(u)
+            for c in cyclic_submodules(u):
+                els = _elements(c.mask)
+                for row in (*u.act, *u.add):
+                    assert _image(row, els) == oracles.loop_image(row, c.mask)
+                    assert _preimage(row, c.mask) == (
+                        oracles.loop_preimage(row, c.mask))
+                for f in hom_generators(u, u):
+                    assert f.image_of_mask(c.mask) == (
+                        oracles.loop_image(f.map, c.mask))
+                    assert f.preimage_of_mask(c.mask) == (
+                        oracles.loop_preimage(f.map, c.mask))
+                cmod = c.as_module()
+                for d in cyclic_submodules(cmod):
+                    assert embed_submask(cmod, d.mask) == (
+                        oracles.loop_image(cmod.origin[2], d.mask))
+                if u.order // c.order <= 16:
+                    q = quotient_module(u, c)
+                    proj = q.origin[3]
+                    for d in cyclic_submodules(q):
+                        assert _preimage(proj, d.mask) == (
+                            oracles.loop_preimage(proj, d.mask))
+                checked += 1
+    assert checked == 3105
