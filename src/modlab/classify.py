@@ -67,7 +67,9 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     the first module of each isomorphism class is kept, so a level that
     adds no class leaves every later one the same and ends the loop.  A
     depth or a module cap that is not an int, or is below 1, raises
-    ``ValueError`` before any work.
+    ``ValueError`` before any work.  Nothing is cached on the ring: each
+    call builds the universe again, so it lives only as long as its
+    caller holds it (``cli.cmd_corpus`` sweeps one ring at a time).
 
     Classes are told apart by a key, with no isomorphism search, and a
     direct sum is built only when its key is new:
@@ -96,9 +98,6 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     if not isinstance(module_cap, int) or module_cap < 1:
         raise ValueError(
             f"module cap must be at least 1 and an int, not {module_cap!r}")
-    key = ("universe", depth, module_cap)
-    if key in ring._cache:
-        return ring._cache[key]
     reg = regular_module(ring)
     ideals = enumerate_submodules(reg).submodules
     keys = _quotient_keys(reg, ideals)
@@ -116,9 +115,7 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
                     kept[k] = direct_sum_module([a, b], cap=module_cap)
         if len(kept) == size:
             break  # the fixpoint: every later level would add nothing too
-    universe = Universe(ring, tuple(kept.values()), depth, module_cap)
-    ring._cache[key] = universe
-    return universe
+    return Universe(ring, tuple(kept.values()), depth, module_cap)
 
 
 def _quotient_keys(reg, ideals):

@@ -4,11 +4,14 @@ Commands: ``define`` validates a job document, ``check`` and ``verify``
 run the checks of a job that ``jobs.CHECKS`` gives to that command (the
 firstness/classification checks, the equivalence verifications), and
 ``corpus`` generates the built-in ring corpus and sweeps every decider plus
-the randomized order-action properties over it.
+the randomized order-action properties over it, one ring at a time.
 
 Exit codes: 0 ok (negative mathematical verdicts included), 1 parse error,
 2 size cap exceeded, 3 engine error, 4 internal inconsistency (independent
-routes to one verdict disagreed: an engine bug, never mathematics).
+routes to one verdict disagreed: an engine bug, never mathematics).  The
+engine raises every inconsistency (``firstness`` compares the routes of
+each notion and checks one notion against another); this module only
+reports them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .config import (DEFAULT_MODULE_CAP, DEFAULT_RING_CAP,
                      DEFAULT_UNIVERSE_DEPTH)
 from .errors import (InternalInconsistency, JobParseError, ModlabError,
                      SizeCapExceeded)
-from .firstness import firstness_report
+from .firstness import NOTIONS, firstness_report
 from .jobs import (CHECKS, SCHEMA_VERSION, parse_job, render_structured,
                    render_text, run_job)
 from .rings import cyclic_ring, matrix_ring, product_ring
@@ -138,48 +141,59 @@ def cmd_run(args):
     return code
 
 
+def _ring_block(ring, args, gap_witnesses, inconsistencies):
+    """The report block of one corpus ring: its universe, classification,
+    every module's firstness report and the theorems.  The first module
+    that has a notion without being BJKN-prime is recorded in
+    ``gap_witnesses``, and every inconsistency in ``inconsistencies``.
+    The universe is a local, so nothing of the ring outlives the block."""
+    universe = generate_universe(ring, depth=args.universe_depth,
+                                 module_cap=args.cap_module)
+    block = {"ring": ring.provenance,
+             "universe_size": len(universe.modules),
+             "classification": classify_ring(ring).to_dict(),
+             "modules": [], "theorems": []}
+    for mod in universe.nonzero_modules():
+        try:
+            rep = firstness_report(mod)
+            entry = rep.to_dict()
+            bjkn = rep.verdicts["bjkn_prime"]
+            for notion, verdict in rep.verdicts.items():
+                key = f"{notion}_not_bjkn_prime"
+                if verdict and not bjkn and gap_witnesses[key] is None:
+                    gap_witnesses[key] = (f"{mod.provenance} over "
+                                          f"{ring.provenance}")
+        except InternalInconsistency as exc:
+            entry = {"module": mod.provenance, "error": str(exc),
+                     "status": "inconsistent"}
+            inconsistencies.append(str(exc))
+        block["modules"].append(entry)
+    for tid in THEOREM_IDS:
+        verdict = verify_theorem(tid, ring, universe)
+        block["theorems"].append(verdict.to_dict())
+        if not verdict.consistent:
+            inconsistencies.append(f"{tid} inconsistent over {ring.provenance}")
+    return block
+
+
 def cmd_corpus(args):
+    """Sweep the corpus one ring at a time: each ring is popped off the
+    list into its block (``_ring_block``), so the ring and its universe
+    are garbage once the block is done, before the next ring's universe
+    is built."""
     start = time.perf_counter()
     inconsistencies = []
     ring_blocks = []
-    # BJKN-prime implies each of these notions; the sweep looks for a
-    # module with the notion that is not BJKN-prime, and reports either a
-    # finite witness inside the corpus or "not witnessed at these caps"
-    weaker = ("diuniform", "prime", "rpid_first")
-    gap_witnesses = {f"{notion}_not_bjkn_prime": None for notion in weaker}
-    for ring in corpus_rings(args.cap_ring):
-        universe = generate_universe(ring, depth=args.universe_depth,
-                                     module_cap=args.cap_module)
-        block = {"ring": ring.provenance,
-                 "universe_size": len(universe.modules),
-                 "classification": classify_ring(ring).to_dict(),
-                 "modules": [], "theorems": []}
-        for mod in universe.nonzero_modules():
-            try:
-                rep = firstness_report(mod)
-                entry = rep.to_dict()
-                bjkn = rep.verdicts["bjkn_prime"]
-                for notion in weaker:
-                    if bjkn and not rep.verdicts[notion]:
-                        raise InternalInconsistency(
-                            f"bjkn-prime module fails {notion}")
-                    key = f"{notion}_not_bjkn_prime"
-                    if (rep.verdicts[notion] and not bjkn
-                            and gap_witnesses[key] is None):
-                        gap_witnesses[key] = (f"{mod.provenance} over "
-                                              f"{ring.provenance}")
-            except InternalInconsistency as exc:
-                entry = {"module": mod.provenance, "error": str(exc),
-                         "status": "inconsistent"}
-                inconsistencies.append(str(exc))
-            block["modules"].append(entry)
-        for tid in THEOREM_IDS:
-            verdict = verify_theorem(tid, ring, universe)
-            block["theorems"].append(verdict.to_dict())
-            if not verdict.consistent:
-                inconsistencies.append(
-                    f"{tid} inconsistent over {ring.provenance}")
-        ring_blocks.append(block)
+    # BJKN-prime implies each other notion (firstness_report raises when
+    # it does not hold); the sweep looks for a module with the notion that
+    # is not BJKN-prime, and reports either a finite witness inside the
+    # corpus or "not witnessed at these caps", in the report's key order
+    gap_witnesses = {f"{notion}_not_bjkn_prime": None
+                     for notion in sorted(NOTIONS) if notion != "bjkn_prime"}
+    rings = corpus_rings(args.cap_ring)
+    while rings:
+        ring_blocks.append(_ring_block(rings.pop(0), args, gap_witnesses,
+                                       inconsistencies))
     action_failures = []
     for i in range(args.actions):
         action_failures.extend(random_instance_holds(args.seed + i))

@@ -2,22 +2,26 @@
 
 Each notion is decided through the finite characterization that makes it
 checkable without quantifying over all preradicals: BJKN-primeness
-through two separately computed equivalent conditions (which must agree,
-or an InternalInconsistency is raised), homogeneous semisimplicity read
-off J(R) and cogeneration by the atoms over generating sets of Hom
-groups, with the witness of a negative verdict read off the rejects of
-the distinct cyclic submodules and no Hom-set enumerated; primeness
-through both the annihilator and the ideal-action route; trace-firstness
-through nonzero homs from the distinct cyclic submodules to the atoms,
-decided by the action of the atoms' annihilators, cross-checked against
-the traces of the cyclic submodules, one per distinct pair of tables,
-with no isomorphism search; diuniformity over the fully invariant hulls
-of the atoms, the least failing hull being its first failure.
-``decide`` caches each notion's verdict per module.  Firstness relative
-to a finite family is one scan, ``a_fully_first_detail``;
-``a_first_detail`` runs it over the members that do not kill the module,
-and ``class_membership`` reads all four classes of a family off one
-evaluation of each member and that scan.
+through two separately computed equivalent conditions, homogeneous
+semisimplicity read off J(R) and cogeneration by the atoms over
+generating sets of Hom groups, with the witness of a negative verdict
+read off the rejects of the distinct cyclic submodules and no Hom-set
+enumerated; primeness through both the annihilator and the ideal-action
+route; trace-firstness through nonzero homs from the distinct cyclic
+submodules to the atoms, decided by the action of the atoms'
+annihilators, cross-checked against the traces of the cyclic
+submodules, one per distinct pair of tables, with no isomorphism search;
+diuniformity over the fully invariant hulls of the atoms, the least
+failing hull being its first failure.
+Each decider passes its routes, by name, to ``_agreed``, the one
+function that compares routes: verdicts that differ raise one
+``InternalInconsistency`` naming each route's verdict.  The one check
+between notions, that a BJKN-prime module has the other three, is
+``firstness_report``'s.  ``decide`` caches each notion's verdict per
+module.  Firstness relative to a finite family is one scan,
+``a_fully_first_detail``; ``a_first_detail`` runs it over the members
+that do not kill the module, and ``class_membership`` reads all four
+classes of a family off one evaluation of each member and that scan.
 These deciders are also the module-level sides of the theorems replayed
 by ``classify.verify_theorem``.
 
@@ -54,6 +58,26 @@ def _require_nonzero(module, notion):
     if module.is_zero():
         raise AxiomViolation("nonzero module", module.provenance,
                              f"{notion} is defined for nonzero modules only")
+
+
+def _agreed(module, notion, **routes):
+    """Each route's ``(verdict, witness)`` on ``module``, by name, once
+    every verdict agrees.
+
+    The one place where independent routes to a notion's verdict are
+    compared.  The zero module is refused first (``_require_nonzero``);
+    the routes run in the order given; verdicts that differ raise one
+    ``InternalInconsistency`` naming every route's verdict.  Each decider
+    passes its routes by name, looked up when it runs, and picks the
+    witness it returns.
+    """
+    _require_nonzero(module, notion)
+    results = {name: route(module) for name, route in routes.items()}
+    if len({verdict for verdict, _ in results.values()}) > 1:
+        verdicts = {name: verdict for name, (verdict, _) in results.items()}
+        raise InternalInconsistency(
+            f"{notion} routes disagree on {module!r}: {verdicts}")
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +120,7 @@ def _cond_atoms_cogenerate(module):
             continue
         seen.add(ann)
         if not cogenerates(a, module):
-            return False, {"kind": "non_cogenerating_atom",
-                           "submodule": a.labels()}
+            return False, None
     return True, None
 
 
@@ -123,7 +146,7 @@ def _inseparable_pair(module):
 
 
 def bjkn_prime_detail(module):
-    """Verdict plus witness, with the two routes asserted to agree.
+    """Verdict plus witness, the two routes agreeing (``_agreed``).
 
     Every nonzero submodule cogenerates M, decided from J(R) and from the
     rejects of the atoms.  Two equivalent conditions need no route of
@@ -141,22 +164,16 @@ def bjkn_prime_detail(module):
     the distinct Ry in order of their least generator y
     (``_inseparable_pair``).  A negative verdict without one raises.
     """
-    _require_nonzero(module, "BJKN-primeness")
-    verdicts = {
-        "homogeneous_semisimple": _cond_homogeneous_semisimple(module)[0],
-        "atoms_cogenerate": _cond_atoms_cogenerate(module)[0],
-    }
-    verdict = verdicts["homogeneous_semisimple"]
-    if verdicts["atoms_cogenerate"] != verdict:
-        raise InternalInconsistency(
-            f"BJKN-prime routes disagree on {module!r}: {verdicts}")
-    if verdict:
+    results = _agreed(module, "BJKN-primeness",
+                      homogeneous_semisimple=_cond_homogeneous_semisimple,
+                      atoms_cogenerate=_cond_atoms_cogenerate)
+    if results["homogeneous_semisimple"][0]:
         return True, None
     witness = _inseparable_pair(module)
     if witness is None:
         raise InternalInconsistency(
-            f"BJKN-prime routes find no inseparable pair on {module!r}: "
-            f"{verdicts}")
+            f"BJKN-primeness routes find no inseparable pair on {module!r}: "
+            f"{dict.fromkeys(results, False)}")
     return False, witness
 
 
@@ -193,16 +210,11 @@ def _prime_via_ideals(module):
 
 
 def prime_module_detail(module):
-    """Verdict plus the ideal-action route's witness, with the
-    annihilator and ideal-action routes asserted to agree."""
-    _require_nonzero(module, "primeness")
-    routes = {"annihilators": _prime_via_annihilators(module),
-              "ideal_action": _prime_via_ideals(module)}
-    verdicts = {name: v for name, (v, _) in routes.items()}
-    if len(set(verdicts.values())) != 1:
-        raise InternalInconsistency(
-            f"primeness routes disagree on {module!r}: {verdicts}")
-    return routes["ideal_action"]
+    """Verdict plus the ideal-action route's witness, the annihilator and
+    ideal-action routes agreeing (``_agreed``)."""
+    return _agreed(module, "primeness",
+                   annihilators=_prime_via_annihilators,
+                   ideal_action=_prime_via_ideals)["ideal_action"]
 
 
 def is_prime_module(module):
@@ -269,8 +281,7 @@ def _one_per_table(subs):
     as all of ``subs`` are, share it while their entry is alive.  After
     an eviction equal tables may carry two serials.  That only repeats a
     member whose values equal another's, so an ``any`` over the members,
-    as in ``rpid_first_detail``, is unchanged and the verdict stays
-    exact."""
+    as in ``_rpid_family``, is unchanged and the verdict stays exact."""
     firsts = {}
     for n in subs:
         m = n.as_module()
@@ -278,41 +289,40 @@ def _one_per_table(subs):
     return list(firsts.values())
 
 
-def rpid_first_detail(module):
-    """Pairwise nonzero-hom criterion, cross-checked against quantification
-    over a generated family of idempotent operators.
+def _rpid_family(module):
+    """Quantification over a generated family of idempotent operators,
+    the route that checks ``_rpid_pairwise``; only the verdict is read.
 
     The family is the trace alpha_C of one nonzero cyclic submodule C per
     distinct pair of tables (``_one_per_table``).  Every member leaves
     the module nonzero, as alpha_C(M) contains C != 0, so none is
-    filtered out.  The family route tests the members on the atoms, one
-    per distinct pair of tables; alpha_C(A) != 0 exactly when
-    Hom(C, A) != 0.  Some nonzero N has Hom(N, A) = 0 for an atom A
-    exactly when some cyclic C does (the least-order argument of
-    ``_rpid_pairwise``), so the verdict is exact.  The reductions to one
-    per table are exact, because a preradical t commutes with
-    isomorphisms: for an isomorphism f: N -> N', naturality along f and
-    along its inverse gives f(t(N)) = t(N').  So t kills N exactly when
-    it kills every N' isomorphic to N, and alpha_N = alpha_N' (a map from
-    N' is a map from N composed with f, with the same image).  Adding
-    the socle or joins of members would change nothing: Soc(A) = A != 0
-    for an atom A, and a join is zero on A only when each part is.  The
-    family route reads no annihilator and searches for no isomorphism,
-    so it checks the pairwise route independently.  The pairwise route
-    gives the witness; the routes must agree.
+    filtered out.  The members are tested on the atoms, one per distinct
+    pair of tables; alpha_C(A) != 0 exactly when Hom(C, A) != 0.  Some
+    nonzero N has Hom(N, A) = 0 for an atom A exactly when some cyclic C
+    does (the least-order argument of ``_rpid_pairwise``), so the verdict
+    is exact.  The reductions to one per table are exact, because a
+    preradical t commutes with isomorphisms: for an isomorphism
+    f: N -> N', naturality along f and along its inverse gives
+    f(t(N)) = t(N').  So t kills N exactly when it kills every N'
+    isomorphic to N, and alpha_N = alpha_N' (a map from N' is a map from
+    N composed with f, with the same image).  Adding the socle or joins
+    of members would change nothing: Soc(A) = A != 0 for an atom A, and
+    a join is zero on A only when each part is.  The route reads no
+    annihilator and searches for no isomorphism, so it checks the
+    pairwise route independently.
     """
-    _require_nonzero(module, "trace-firstness")
-    verdict, witness = _rpid_pairwise(module)
     family = [Alpha(_intern_submodule(c, c.full_mask()))
               for c in _one_per_table(cyclic_submodules(module))]
     simple = _one_per_table(atoms(module))
-    via_family = not any(pr.evaluate(a).is_zero()
-                         for pr in family for a in simple)
-    if via_family != verdict:
-        verdicts = {"pairwise": verdict, "family": via_family}
-        raise InternalInconsistency(
-            f"trace-firstness routes disagree on {module!r}: {verdicts}")
-    return verdict, witness
+    return not any(pr.evaluate(a).is_zero()
+                   for pr in family for a in simple), None
+
+
+def rpid_first_detail(module):
+    """Verdict plus the pairwise route's witness, the pairwise and
+    family routes agreeing (``_agreed``)."""
+    return _agreed(module, "trace-firstness", pairwise=_rpid_pairwise,
+                   family=_rpid_family)["pairwise"]
 
 
 def is_rpid_first(module):
@@ -361,7 +371,7 @@ def is_A_fully_first(module, family):
     return a_fully_first_detail(module, family)[0]
 
 
-def diuniform_detail(module):
+def _least_failing_hull(module):
     """Every nonzero fully invariant submodule is essential, decided on the
     fully invariant hulls End(M)A of the atoms A, with no lattice of M.
 
@@ -374,7 +384,6 @@ def diuniform_detail(module):
     Soc(M), where only Soc(M) is essential, so the witness is the least
     hull other than Soc(M).  The hull of A is ``Beta(A)`` on M.
     """
-    _require_nonzero(module, "diuniformity")
     socle = structural_summary(module).socle
     failing = [hull for hull in (Beta(a).evaluate(module)
                                  for a in atoms(module)) if hull != socle]
@@ -383,6 +392,13 @@ def diuniform_detail(module):
         return False, {"kind": "non_essential_fully_invariant",
                        "submodule": hull.labels()}
     return True, None
+
+
+def diuniform_detail(module):
+    """Verdict plus witness of diuniformity's one route, the least
+    failing hull (``_agreed``)."""
+    return _agreed(module, "diuniformity",
+                   hulls=_least_failing_hull)["hulls"]
 
 
 def is_diuniform(module):
@@ -445,34 +461,50 @@ class FirstnessReport:
                 "witnesses": dict(self.witnesses)}
 
 
-NOTIONS = ("bjkn_prime", "prime", "rpid_first", "diuniform")
+# notion -> the name of its decider in this module; ``decide`` looks the
+# decider up per call, so a decider patched in this module is used
+NOTIONS = {"bjkn_prime": "bjkn_prime_detail", "prime": "prime_module_detail",
+           "rpid_first": "rpid_first_detail", "diuniform": "diuniform_detail"}
 
 
 def decide(module, notion):
     """``(verdict, witness)`` of one of the ``NOTIONS`` deciders, computed
     once per module and cached in it.
 
+    A notion outside ``NOTIONS`` raises ``ValueError`` before any work.
     Each call returns its own copy of the witness, so a caller cannot
     change what later callers read.
     """
+    if notion not in NOTIONS:
+        raise ValueError(f"unknown notion {notion!r}; the notions are "
+                         f"{', '.join(NOTIONS)}")
     decided = module._cache.setdefault("decided", {})
     if notion not in decided:
-        # looked up per call, so a decider patched in this module is used
-        decider = {"bjkn_prime": bjkn_prime_detail,
-                   "prime": prime_module_detail,
-                   "rpid_first": rpid_first_detail,
-                   "diuniform": diuniform_detail}[notion]
-        decided[notion] = decider(module)
+        decided[notion] = globals()[NOTIONS[notion]](module)
     verdict, witness = decided[notion]
     return verdict, copy.deepcopy(witness)
 
 
 def firstness_report(module):
-    """Run every decider and collect verdicts plus witnesses."""
+    """Run every decider and collect verdicts plus witnesses.
+
+    A BJKN-prime module is homogeneous semisimple, S^n, so each nonzero
+    submodule is some S^k: all have one annihilator, Hom(S^k, S^j) != 0
+    for k, j > 0, and S^n is the only nonzero fully invariant submodule.
+    So it is prime, trace-first and diuniform, and a report in which a
+    BJKN-prime module fails another notion raises
+    ``InternalInconsistency``.  This is the one check between deciders;
+    each decider's own routes agree through ``_agreed``.
+    """
     report = FirstnessReport(module.provenance, module.order)
     for notion in NOTIONS:
         verdict, witness = decide(module, notion)
         report.verdicts[notion] = verdict
         if witness is not None:
             report.witnesses[notion] = witness
+    if report.verdicts["bjkn_prime"]:
+        for notion, verdict in report.verdicts.items():
+            if not verdict:
+                raise InternalInconsistency(
+                    f"bjkn-prime module fails {notion}")
     return report

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -333,6 +334,42 @@ def test_cli_corpus_reports_converse_gaps(capsys):
     gaps = data["gap_witnesses"]
     assert "cyclic(4)" in gaps["diuniform_not_bjkn_prime"]
     assert gaps["prime_not_bjkn_prime"] == "not witnessed at these caps"
+
+
+def test_corpus_bjkn_prime_module_failing_a_notion_is_inconsistent(
+        monkeypatch, capsys):
+    # regular Z2 is BJKN-prime; a primeness decider that says no on it
+    # makes firstness_report raise, and the sweep marks the entry
+    detail = firstness.prime_module_detail
+    monkeypatch.setattr(
+        firstness, "prime_module_detail",
+        lambda m: (False, None) if m.order == m.ring.order == 2 else detail(m))
+    assert main(["corpus", "--format", "structured"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    z2 = data["rings"][0]
+    assert z2["ring"] == "cyclic(2)"
+    assert z2["modules"][0]["status"] == "inconsistent"
+    assert z2["modules"][0]["error"] == "bjkn-prime module fails prime"
+    assert "bjkn-prime module fails prime" in data["inconsistencies"]
+
+
+def test_corpus_frees_each_ring_before_the_next(monkeypatch, capsys):
+    # each ring's block holds the ring and its universe; once the block
+    # is done nothing else does, so a collection frees them before the
+    # next ring's universe is built, with no collection in the sweep
+    refs, alive = [], []
+    generate = cli.generate_universe
+
+    def collect_then_generate(ring, **kwargs):
+        gc.collect()
+        alive.append([ref() is not None for ref in refs])
+        refs.append(weakref.ref(ring))
+        return generate(ring, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_universe", collect_then_generate)
+    assert main(["corpus", "--universe-depth", "1"]) == 0
+    capsys.readouterr()
+    assert alive == [[False] * k for k in range(6)]
 
 
 def test_corpus_computes_each_fact_once(monkeypatch, capsys):

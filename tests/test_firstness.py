@@ -338,6 +338,25 @@ def test_decide_caches_and_copies_witnesses():
     assert decide(m, "prime") == prime_module_detail(m)
 
 
+def test_decide_refuses_an_unknown_notion():
+    m = regular_module(cyclic_ring(4))
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown notion 'nope'; the notions are bjkn_prime, prime, "
+            "rpid_first, diuniform")):
+        decide(m, "nope")
+    assert "decided" not in m._cache  # refused before any work
+
+
+def test_report_of_a_bjkn_prime_module_failing_a_notion_raises(monkeypatch):
+    # a fresh ring, so no decision is cached; regular Z2 is BJKN-prime
+    m = regular_module(cyclic_ring(2))
+    monkeypatch.setattr(firstness, "prime_module_detail",
+                        lambda module: (False, None))
+    with pytest.raises(InternalInconsistency,
+                       match="^bjkn-prime module fails prime$"):
+        firstness_report(m)
+
+
 def _products_full_scan(module):
     """BJKN's products route without the reduction to atoms: one product
     per ordered pair of nonzero submodules."""
@@ -374,6 +393,23 @@ def test_trace_firstness_disagreement_names_each_route(monkeypatch):
                        match=re.escape(f"disagree on {regular_module(Z2)!r}"
                                        f": {verdicts}")):
         rpid_first_detail(regular_module(Z2))
+
+
+@pytest.mark.parametrize("detail, route, verdicts", [
+    (prime_module_detail, "_prime_via_ideals",
+     {"annihilators": True, "ideal_action": False}),
+    (rpid_first_detail, "_rpid_family", {"pairwise": True, "family": False}),
+    (bjkn_prime_detail, "_cond_homogeneous_semisimple",
+     {"homogeneous_semisimple": False, "atoms_cogenerate": True})])
+def test_the_other_route_of_each_notion_is_compared_too(monkeypatch, detail,
+                                                        route, verdicts):
+    # the disagreement tests above flip one route per notion; flipping the
+    # other one must raise as well, with every route's verdict named
+    monkeypatch.setattr(firstness, route, lambda module: (False, None))
+    with pytest.raises(InternalInconsistency,
+                       match=re.escape(f"disagree on {regular_module(Z2)!r}"
+                                       f": {verdicts}")):
+        detail(regular_module(Z2))
 
 
 def test_one_member_per_table_of_the_atoms():

@@ -5,8 +5,10 @@ outside are checked in one place each; a whole Hom-set is listed, and
 generator images searched, only where needed; additive spans are formed
 one way each; a submodule handle keeps only its mask, and a linear filter
 only its two-sided ideal; the theorem harness and the class memberships
-check again nothing their constructions prove; and no process-wide store
-but the memo of accepted tables grows with jobs."""
+check again nothing their constructions prove; the routes of every notion
+are compared in one function, and the CLI raises no inconsistency of its
+own; no universe is cached on its ring; and no process-wide store but the
+memo of accepted tables grows with jobs."""
 
 import ast
 import inspect
@@ -233,6 +235,36 @@ def test_theorems_are_replayed_without_rechecking_constructions():
     source = (ROOT / "src" / "modlab" / "classify.py").read_text(
         encoding="utf-8")
     assert name_uses(source, "InternalInconsistency") == set()
+
+
+def test_one_function_compares_the_routes_of_a_notion():
+    # each decider passes its routes to firstness._agreed, the one place
+    # a route disagreement is raised; BJKN's missing witness and the check
+    # between notions in firstness_report are the other raises, and the
+    # CLI only reports what the engine raised
+    source = (ROOT / "src" / "modlab" / "firstness.py").read_text(
+        encoding="utf-8")
+    assert name_uses(source, "InternalInconsistency") == {
+        ("_agreed", True), ("bjkn_prime_detail", True),
+        ("firstness_report", True)}
+    assert [name for name in ("_agreed", "bjkn_prime_detail",
+                              "firstness_report")
+            if "routes disagree" in inspect.getsource(
+                getattr(modlab.firstness, name))] == ["_agreed"]
+    assert callers("_agreed") == {("firstness.py", name) for name in (
+        "bjkn_prime_detail", "prime_module_detail", "rpid_first_detail",
+        "diuniform_detail")}
+    cli_source = (ROOT / "src" / "modlab" / "cli.py").read_text(
+        encoding="utf-8")
+    assert not any(called for _, called in name_uses(
+        cli_source, "InternalInconsistency"))
+
+
+def test_a_universe_is_not_cached_on_its_ring():
+    ring = modlab.cyclic_ring(4)
+    modlab.generate_universe(ring, depth=3)
+    assert not any(isinstance(value, modlab.Universe)
+                   for value in ring._cache.values())
 
 
 def module_level_sizes():
