@@ -59,20 +59,45 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
                       module_cap=DEFAULT_MODULE_CAP):
     """Deterministic universe: regular module, quotients, then direct sums.
 
+    The modules are those of ``plan_universe``, built in its order from
+    its recipes: R/I by ``quotient_module`` (R itself for I = 0), a sum
+    by ``direct_sum_module`` of the two entries it names, both built
+    before it.  A depth or a module cap that is not an int, or is below
+    1, raises ``ValueError`` before any work.  Nothing is cached on the
+    ring: each call builds the universe again, so it lives only as long
+    as its caller holds it (``cli.cmd_corpus`` sweeps one ring at a
+    time).
+    """
+    built = []
+    for _, recipe in plan_universe(ring, depth, module_cap).values():
+        if isinstance(recipe, tuple):
+            i, j = recipe
+            built.append(direct_sum_module([built[i], built[j]],
+                                           cap=module_cap))
+        else:
+            built.append(recipe.module if recipe.is_zero()
+                         else quotient_module(recipe.module, recipe))
+    return Universe(ring, tuple(built), depth, module_cap)
+
+
+def plan_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
+                  module_cap=DEFAULT_MODULE_CAP):
+    """The universe's classes, in order, with no module built: a dict
+    from each class's key to its order and its recipe.  A recipe is a
+    left ideal I for R/I (I = 0 gives the regular module) or the
+    positions (i, j) of the two earlier entries it is the direct sum of.
+    Its length is the universe's size.  Refuses as ``generate_universe``
+    does.
+
     Quotients of the regular module by maximal submodules are the simple
     modules, so those are always present.  Each extra depth level adds the
     pairwise direct sums of everything present at the level's start (zero
     summands are skipped; the zero module itself stays in the universe).
     Candidates are visited in that order, the regular module first, and
     the first module of each isomorphism class is kept, so a level that
-    adds no class leaves every later one the same and ends the loop.  A
-    depth or a module cap that is not an int, or is below 1, raises
-    ``ValueError`` before any work.  Nothing is cached on the ring: each
-    call builds the universe again, so it lives only as long as its
-    caller holds it (``cli.cmd_corpus`` sweeps one ring at a time).
+    adds no class leaves every later one the same and ends the loop.
 
-    Classes are told apart by a key, with no isomorphism search, and a
-    direct sum is built only when its key is new:
+    Classes are told apart by a key, with no isomorphism search:
 
     - A cyclic module Ry is R/ann(y), and an isomorphism maps generators
       to generators and keeps annihilators.  So G(M), the sorted set of
@@ -91,31 +116,51 @@ def generate_universe(ring, depth=DEFAULT_UNIVERSE_DEPTH,
     The key is exact only for sums of cyclic modules, as every universe
     module is; it does not replace ``is_isomorphic`` for arbitrary
     modules.
+
+    The walk builds no module but R and its lattice, yet keeps the keys
+    that a walk building every candidate would keep, in the same order.
+    That walk visits the same candidates in the same order, and keeps
+    one exactly when its key is new and, for a sum, its order is within
+    the cap; a level's summands are its nonzero entries.  So it reads a
+    candidate's key and order alone, and the plan reads both off the
+    entries a candidate comes from: the key by the rule above, the order
+    as |R/I| = |R|/|I| and |A + B| = |A|.|B|, and a module is zero
+    exactly when its order is 1.  Testing the cap before the key keeps
+    the same sums, as a sum is kept only when both tests pass.  The
+    lattice is sorted by size, so the zero ideal comes first, and R/0 is
+    R itself, the regular module that walk puts first.
     """
-    if not isinstance(depth, int) or depth < 1:
-        raise ValueError(
-            f"universe depth must be at least 1 and an int, not {depth!r}")
-    if not isinstance(module_cap, int) or module_cap < 1:
-        raise ValueError(
-            f"module cap must be at least 1 and an int, not {module_cap!r}")
+    _at_least_one("universe depth", depth)
+    _at_least_one("module cap", module_cap)
     reg = regular_module(ring)
     ideals = enumerate_submodules(reg).submodules
     keys = _quotient_keys(reg, ideals)
-    kept = {keys[reg.zero_mask()]: reg}  # key -> first module, in order
+    plan = {}  # key -> (order, recipe), the first of each class, in order
     for ideal in ideals:
-        if keys[ideal.mask] not in kept:
-            kept[keys[ideal.mask]] = quotient_module(reg, ideal)
+        if keys[ideal.mask] not in plan:
+            plan[keys[ideal.mask]] = (reg.order // ideal.order, ideal)
     for _ in range(depth - 1):
-        current = [(k, m) for k, m in kept.items() if not m.is_zero()]
-        size = len(kept)
-        for i, (ka, a) in enumerate(current):
-            for kb, b in current[i:]:
-                k = tuple(sorted(ka + kb))
-                if k not in kept and a.order * b.order <= module_cap:
-                    kept[k] = direct_sum_module([a, b], cap=module_cap)
-        if len(kept) == size:
+        current = [(i, k, order)
+                   for i, (k, (order, _)) in enumerate(plan.items())
+                   if order > 1]
+        size = len(plan)
+        for n, (i, ka, a) in enumerate(current):
+            for j, kb, b in current[n:]:
+                if a * b <= module_cap:
+                    k = tuple(sorted(ka + kb))
+                    if k not in plan:
+                        plan[k] = (a * b, (i, j))
+        if len(plan) == size:
             break  # the fixpoint: every later level would add nothing too
-    return Universe(ring, tuple(kept.values()), depth, module_cap)
+    return plan
+
+
+def _at_least_one(what, value):
+    """Refuse, as ``ValueError``, a ``value`` of ``what`` that is not an
+    int of at least 1."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(
+            f"{what} must be at least 1 and an int, not {value!r}")
 
 
 def _quotient_keys(reg, ideals):

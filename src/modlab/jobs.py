@@ -29,8 +29,9 @@ from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .classify import (THEOREM_IDS, classify_ring, enumerate_lep,
-                       generate_universe, verify_theorem)
+from .classify import (THEOREM_IDS, _at_least_one, classify_ring,
+                       enumerate_lep, generate_universe, plan_universe,
+                       verify_theorem)
 from .config import (DEFAULT_MODULE_CAP, DEFAULT_RING_CAP,
                      DEFAULT_UNIVERSE_DEPTH)
 from .errors import InternalInconsistency, JobParseError, ModlabError
@@ -463,9 +464,12 @@ def _parse_preradical_expr(cur, ring, modules, preradicals):
 # ---------------------------------------------------------------------------
 # checks
 #
-# A runner takes the spec, the universe, the check kind and the argument
-# names, and returns the fields of the check's report entry.  It calls the
-# engine through this module's globals, looked up at call time.
+# A runner takes the spec, a function of no arguments that returns the
+# job's universe, the check kind and the argument names, and returns the
+# fields of the check's report entry.  Only ``flags``, ``compare`` and
+# ``verify`` call that function, so a job whose checks are all others
+# builds no universe.  A runner calls the engine through this module's
+# globals, looked up at call time.
 
 def _verdict(verdict, witness):
     out = {"verdict": verdict}
@@ -503,12 +507,12 @@ def _run_evaluate(spec, universe, kind, preradical, module):
 
 
 def _run_flags(spec, universe, kind, preradical):
-    return asdict(property_flags(spec.preradicals[preradical], universe))
+    return asdict(property_flags(spec.preradicals[preradical], universe()))
 
 
 def _run_compare(spec, universe, kind, left, right):
     return {"relation": compare(spec.preradicals[left],
-                                spec.preradicals[right], universe)}
+                                spec.preradicals[right], universe())}
 
 
 def _run_classify(spec, universe, kind):
@@ -522,7 +526,7 @@ def _run_lep(spec, universe, kind):
 
 
 def _run_verify(spec, universe, kind, theorem):
-    verdict = verify_theorem(theorem, spec.ring, universe)
+    verdict = verify_theorem(theorem, spec.ring, universe())
     if not verdict.consistent:
         raise InternalInconsistency(
             f"theorem {theorem} sides disagree: {verdict.sides}")
@@ -622,9 +626,16 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
 
     Caps provided here (e.g. from CLI flags) override the document's own
     universe section; those left at None come from the document, or else
-    from the package defaults.  A document that is not a ``str`` (bytes,
-    say) is refused as a ``JobParseError`` with no position.
+    from the package defaults, and a ``ring_cap`` of None caps no ring.
+    An override that is not None must be an int of at least 1, or
+    ``ValueError`` is raised before any work.  A document that is not a
+    ``str`` (bytes, say) is refused as a ``JobParseError`` with no
+    position.
     """
+    for what, value in (("ring cap", ring_cap), ("module cap", module_cap),
+                        ("universe depth", universe_depth)):
+        if value is not None:
+            _at_least_one(what, value)
     if not isinstance(document, str):
         raise JobParseError(f"a job document is a str, not "
                             f"{type(document).__name__}")
@@ -633,10 +644,10 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
         sections, "universe", _UNIVERSE_SETTING,
         "universe lines are `depth = n` or `cap = n`",
         least={"depth": 1, "cap": 1})
-    depth = int(universe.get("depth", DEFAULT_UNIVERSE_DEPTH)
-                if universe_depth is None else universe_depth)
-    mod_cap = int(universe.get("cap", DEFAULT_MODULE_CAP)
-                  if module_cap is None else module_cap)
+    depth = (int(universe.get("depth", DEFAULT_UNIVERSE_DEPTH))
+             if universe_depth is None else universe_depth)
+    mod_cap = (int(universe.get("cap", DEFAULT_MODULE_CAP))
+               if module_cap is None else module_cap)
     output_format = _settings(
         sections, "output", _OUTPUT_SETTING,
         "output lines are `format = text|structured`").get("format", "text")
@@ -666,11 +677,21 @@ def run_job(spec, kinds=None):
     ``kinds`` restricts execution (the CLI runs the kinds whose ``CHECKS``
     command is the one given).  Exit code 4 signals at least one internal
     inconsistency; math negatives leave it at 0.
+
+    The universe is built at the first check that reads it, and at most
+    once.  A job that reads none builds none: its ``universe_size`` is
+    counted off ``plan_universe``, which builds no module.
     """
     results = []
     exit_code = 0
-    universe = generate_universe(spec.ring, depth=spec.universe_depth,
-                                 module_cap=spec.module_cap)
+    built = []
+
+    def universe():
+        if not built:
+            built.append(generate_universe(spec.ring, depth=spec.universe_depth,
+                                           module_cap=spec.module_cap))
+        return built[0]
+
     for kind, args, text in spec.checks:
         if kinds is not None and kind not in kinds:
             continue
@@ -689,7 +710,8 @@ def run_job(spec, kinds=None):
         "ring": spec.ring_text,
         "caps": {"ring": spec.ring_cap, "module": spec.module_cap,
                  "universe_depth": spec.universe_depth},
-        "universe_size": len(universe.modules),
+        "universe_size": len(built[0].modules) if built else len(
+            plan_universe(spec.ring, spec.universe_depth, spec.module_cap)),
         "checks": results,
     }
     return report, exit_code

@@ -1,5 +1,6 @@
 """Isomorphism classes: the universe's keys against isomorphism search,
-and trace-firstness's pairwise route against its full scan."""
+the universe's plan against the universe it builds, and trace-firstness's
+pairwise route against its full scan."""
 
 import json
 import pathlib
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from modlab import classify
-from modlab.classify import generate_universe
+from modlab.classify import generate_universe, plan_universe
 from modlab.cli import corpus_rings, main
 from modlab.firstness import _rpid_pairwise, rpid_first_detail
 from modlab.modules import (annihilator_mask, cyclic_mask, direct_sum_module,
@@ -70,6 +71,38 @@ def test_quotient_keys_are_complete_invariants():
                 pairs += 1
                 twins += iso and a != b
     assert (pairs, twins, split) == (180, 8, 5)
+
+
+@pytest.mark.parametrize("cap", [16, 64, 256])
+def test_the_plan_lists_the_built_universe(cap):
+    # the plan counts the universe and gives each module's order, and
+    # each recipe names what the module was built from
+    for ring in corpus_rings() + [upper_triangular_f2(), f2_xy_square_zero()]:
+        for depth in range(1, 5):
+            plan = plan_universe(ring, depth, cap)
+            mods = generate_universe(ring, depth, cap).modules
+            assert [order for order, _ in plan.values()] == [
+                m.order for m in mods], (ring, depth)
+            for m, (_, recipe) in zip(mods, plan.values()):
+                if isinstance(recipe, tuple):
+                    assert m.origin[1] == tuple(mods[i] for i in recipe)
+                elif recipe.is_zero():
+                    assert m is regular_module(ring)
+                else:
+                    assert m.origin[1:3] == (regular_module(ring), recipe)
+
+
+def test_depth_five_sizes_through_the_plan_alone(monkeypatch):
+    # at depth 5 and cap 1024 the corpus universes hold 11, 36, 41, 67, 66
+    # and 6 modules, the zero module counted, and the plan counts them
+    # without building a quotient or a sum
+    def refuse(*args, **kwargs):
+        raise AssertionError("a universe module was built")
+
+    monkeypatch.setattr(classify, "quotient_module", refuse)
+    monkeypatch.setattr(classify, "direct_sum_module", refuse)
+    assert [len(plan_universe(ring, 5, 1024)) for ring in corpus_rings()] == [
+        11, 36, 41, 67, 66, 6]
 
 
 def test_universes_and_corpus_search_no_isomorphism(monkeypatch, capsys):

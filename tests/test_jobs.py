@@ -1,7 +1,9 @@
 """Job-document parsing pinned at its edges: the error (message, line and
-column) of each malformed document, the canonical round trip of every
-well-formed document the repository ships, and the check table kept in
-step with the demo and the README."""
+column) of each malformed document, the refusal of caps and depths passed
+in that a document may not hold, the canonical round trip of every
+well-formed document the repository ships, the check table kept in step
+with the demo and the README, and a universe built only for the checks
+that read it."""
 
 import json
 import pathlib
@@ -9,7 +11,8 @@ import re
 
 import pytest
 
-from modlab.classify import THEOREM_IDS
+from modlab import jobs
+from modlab.classify import THEOREM_IDS, generate_universe
 from modlab.cli import main
 from modlab.errors import JobParseError
 from modlab.firstness import NOTIONS
@@ -265,6 +268,63 @@ def test_deep_nesting_is_refused_on_its_line(document, what, line, tmp_path,
     for command in ("define", "check"):
         assert main([command, str(path)]) == 1
         assert capsys.readouterr().err.startswith("parse error: " + message)
+
+
+@pytest.mark.parametrize("override, value, what", [
+    ("universe_depth", 0, "universe depth"),
+    ("universe_depth", "3", "universe depth"),
+    ("universe_depth", 2.0, "universe depth"),
+    ("module_cap", 2.5, "module cap"),
+    ("module_cap", -1, "module cap"),
+    ("ring_cap", 2.5, "ring cap"),
+    ("ring_cap", 0, "ring cap")])
+def test_an_override_a_document_may_not_hold_is_refused(override, value,
+                                                        what, monkeypatch):
+    # unchecked, depth 0 parsed and failed in run_job, a cap of 2.5 was
+    # cut to 2 or reached the ring constructors, and "3" was read as 3
+    def no_work(*args):
+        raise AssertionError("the document was read")
+
+    monkeypatch.setattr(jobs, "_split_sections", no_work)
+    with pytest.raises(ValueError) as exc:
+        parse_job(M, **{override: value})
+    assert str(exc.value) == (
+        f"{what} must be at least 1 and an int, not {value!r}")
+
+
+def test_an_override_left_at_none_keeps_its_meaning():
+    # None takes the cap and depth from the document and caps no ring
+    spec = parse_job("[ring]\ncyclic(32)\n[universe]\ndepth = 3\ncap = 8\n",
+                     ring_cap=None, module_cap=None, universe_depth=None)
+    assert (spec.ring.order, spec.ring_cap, spec.universe_depth,
+            spec.module_cap) == (32, None, 3, 8)
+
+
+def _counted_universes(monkeypatch):
+    """Count ``run_job``'s calls of ``generate_universe``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate_universe(*args, **kwargs)
+
+    monkeypatch.setattr(jobs, "generate_universe", counted)
+    return calls
+
+
+@pytest.mark.parametrize("checks, kinds, built", [
+    ("bjkn_prime M\nclassify\nlep\nevaluate a M\nclasses M a\n", None, 0),
+    # ``modlab verify`` on a document whose readers are all check lines
+    ("flags a\ncompare a a\nprime M\n", ["verify"], 0),
+    ("flags a\ncompare a a\nverify T15\nverify P12\n", None, 1)])
+def test_a_universe_is_built_only_when_a_check_reads_it(checks, kinds, built,
+                                                        monkeypatch):
+    calls = _counted_universes(monkeypatch)
+    spec = parse_job(P + "[checks]\n" + checks)
+    report, code = run_job(spec, kinds)
+    assert (code, len(calls)) == (0, built)
+    assert report["universe_size"] == len(
+        generate_universe(spec.ring, 2, 64).modules) == 6
 
 
 def test_zero_module_checks_defined_on_it_are_accepted():
