@@ -110,7 +110,11 @@ def build_parser():
 
 def _load_spec(args):
     with open(args.job, encoding="utf-8") as fh:
-        document = fh.read()
+        try:
+            document = fh.read()
+        except UnicodeDecodeError as exc:
+            raise JobParseError(f"job file is not UTF-8 text: {exc.reason} "
+                                f"at offset {exc.start}") from None
     return parse_job(document, ring_cap=args.cap_ring,
                      module_cap=args.cap_module,
                      universe_depth=args.universe_depth)
@@ -141,12 +145,11 @@ def cmd_run(args):
     return code
 
 
-def _ring_block(ring, args, gap_witnesses, inconsistencies):
+def _ring_block(ring, args):
     """The report block of one corpus ring: its universe, classification,
-    every module's firstness report and the theorems.  The first module
-    that has a notion without being BJKN-prime is recorded in
-    ``gap_witnesses``, and every inconsistency in ``inconsistencies``.
-    The universe is a local, so nothing of the ring outlives the block."""
+    every module's firstness report and the theorems, a function of the
+    ring and the caps alone.  The universe is a local, so nothing of the
+    ring outlives the block."""
     universe = generate_universe(ring, depth=args.universe_depth,
                                  module_cap=args.cap_module)
     block = {"ring": ring.provenance,
@@ -155,24 +158,13 @@ def _ring_block(ring, args, gap_witnesses, inconsistencies):
              "modules": [], "theorems": []}
     for mod in universe.nonzero_modules():
         try:
-            rep = firstness_report(mod)
-            entry = rep.to_dict()
-            bjkn = rep.verdicts["bjkn_prime"]
-            for notion, verdict in rep.verdicts.items():
-                key = f"{notion}_not_bjkn_prime"
-                if verdict and not bjkn and gap_witnesses[key] is None:
-                    gap_witnesses[key] = (f"{mod.provenance} over "
-                                          f"{ring.provenance}")
+            entry = firstness_report(mod).to_dict()
         except InternalInconsistency as exc:
             entry = {"module": mod.provenance, "error": str(exc),
                      "status": "inconsistent"}
-            inconsistencies.append(str(exc))
         block["modules"].append(entry)
     for tid in THEOREM_IDS:
-        verdict = verify_theorem(tid, ring, universe)
-        block["theorems"].append(verdict.to_dict())
-        if not verdict.consistent:
-            inconsistencies.append(f"{tid} inconsistent over {ring.provenance}")
+        block["theorems"].append(verify_theorem(tid, ring, universe).to_dict())
     return block
 
 
@@ -182,18 +174,28 @@ def cmd_corpus(args):
     are garbage once the block is done, before the next ring's universe
     is built."""
     start = time.perf_counter()
-    inconsistencies = []
     ring_blocks = []
-    # BJKN-prime implies each other notion (firstness_report raises when
-    # it does not hold); the sweep looks for a module with the notion that
-    # is not BJKN-prime, and reports either a finite witness inside the
-    # corpus or "not witnessed at these caps", in the report's key order
-    gap_witnesses = {f"{notion}_not_bjkn_prime": None
-                     for notion in sorted(NOTIONS) if notion != "bjkn_prime"}
     rings = corpus_rings(args.cap_ring)
     while rings:
-        ring_blocks.append(_ring_block(rings.pop(0), args, gap_witnesses,
-                                       inconsistencies))
+        ring_blocks.append(_ring_block(rings.pop(0), args))
+    inconsistencies = []
+    for block in ring_blocks:
+        inconsistencies += [entry["error"] for entry in block["modules"]
+                            if entry.get("status") == "inconsistent"]
+        inconsistencies += [f"{t['theorem']} inconsistent over {block['ring']}"
+                            for t in block["theorems"] if not t["consistent"]]
+    # BJKN-prime implies each other notion (firstness_report raises when
+    # it does not hold); the sweep looks for a module with the notion that
+    # is not BJKN-prime, and reports the first finite witness inside the
+    # corpus or "not witnessed at these caps", in the report's key order
+    gap_witnesses = {
+        f"{notion}_not_bjkn_prime": next(
+            (f"{entry['module']} over {block['ring']}"
+             for block in ring_blocks for entry in block["modules"]
+             if "verdicts" in entry and entry["verdicts"][notion]
+             and not entry["verdicts"]["bjkn_prime"]),
+            "not witnessed at these caps")
+        for notion in sorted(NOTIONS) if notion != "bjkn_prime"}
     action_failures = []
     for i in range(args.actions):
         action_failures.extend(random_instance_holds(args.seed + i))
@@ -205,8 +207,7 @@ def cmd_corpus(args):
         "caps": {"ring": args.cap_ring, "module": args.cap_module,
                  "universe_depth": args.universe_depth},
         "rings": ring_blocks,
-        "gap_witnesses": {k: v or "not witnessed at these caps"
-                          for k, v in gap_witnesses.items()},
+        "gap_witnesses": gap_witnesses,
         "action_instances": args.actions,
         "action_failures": len(action_failures),
         "inconsistencies": inconsistencies,

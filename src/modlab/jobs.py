@@ -50,6 +50,14 @@ SECTIONS = ("ring", "modules", "preradicals", "checks", "universe", "output")
 
 _CONSTANTS = {"soc": SOC, "rad": RAD, "zero": ZERO, "one": ONE}
 
+_FILTERS = {"alpha": Alpha, "omega": Omega, "beta": Beta}
+
+_LATTICE_OPS = {"join": Join, "meet": Meet}
+
+# every word a preradical expression reads as a built-in, in any case: a
+# definition may not take one, or the name would mean two things
+_BUILTINS = {*_CONSTANTS, *_FILTERS, "trad", *_LATTICE_OPS, "comp"}
+
 _DIGITS = re.compile(r"[0-9]+")
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9.]*")
@@ -259,8 +267,9 @@ def _expression(cur, parse, what):
     return value
 
 
-def _definitions(lines, kind, noun, parse):
-    """``name = expression`` lines, in order, each name defined once.
+def _definitions(lines, kind, noun, parse, reserved=()):
+    """``name = expression`` lines, in order, each name defined once and
+    none in ``reserved`` in any case.
 
     ``parse(cursor, defined)`` reads one expression and may refer to the
     names defined above it.  Returns the definitions by name and their
@@ -276,6 +285,8 @@ def _definitions(lines, kind, noun, parse):
         name = m.group(1)
         if name in defined:
             cur.error(f"duplicate {kind} name {name!r}")
+        if name.lower() in reserved:
+            cur.error(f"{kind} name {name!r} is a built-in {kind}")
         cur.pos = m.start(2)
         value, text = _expression(cur, lambda cur: parse(cur, defined),
                                   f"{kind} {noun}")
@@ -429,7 +440,7 @@ def _parse_preradical_expr(cur, ring, modules, preradicals):
     lowered = name.lower()
     if lowered in _CONSTANTS:
         return _CONSTANTS[lowered], lowered
-    if lowered in ("alpha", "omega", "beta"):
+    if lowered in _FILTERS:
         cur.eat("(")
         idx = cur.index("S")
         cur.expect("@")
@@ -437,7 +448,7 @@ def _parse_preradical_expr(cur, ring, modules, preradicals):
         cur.expect(")")
         sub = _submodule(cur, module, idx)
         try:
-            pr = {"alpha": Alpha, "omega": Omega, "beta": Beta}[lowered](sub)
+            pr = _FILTERS[lowered](sub)
         except ModlabError as exc:
             cur.error(str(exc))
         return pr, f"{lowered}(S{idx}@{ref})"
@@ -446,9 +457,9 @@ def _parse_preradical_expr(cur, ring, modules, preradicals):
         idx = cur.index("I")
         cur.expect(")")
         return Trad(_ideal(cur, ring, idx)), f"trad(I{idx})"
-    if lowered in ("join", "meet"):
+    if lowered in _LATTICE_OPS:
         parts, text = cur.items(operand)
-        return (Join if lowered == "join" else Meet)(parts), f"{lowered}({text})"
+        return _LATTICE_OPS[lowered](parts), f"{lowered}({text})"
     if lowered == "comp":
         cur.eat("(")
         outer, outer_text = operand()
@@ -659,7 +670,7 @@ def parse_job(document, ring_cap=DEFAULT_RING_CAP, module_cap=None,
     preradicals, preradical_texts = _definitions(
         sections.get("preradicals", []), "preradical", "expression",
         lambda cur, defined: _parse_preradical_expr(cur, ring, modules,
-                                                    defined))
+                                                    defined), _BUILTINS)
     checks = [_parse_check(line, lineno, modules, preradicals)
               for lineno, line in sections.get("checks", [])]
 

@@ -6,7 +6,8 @@ they can cache derived data (their own module structure, for instance).
 A submodule is its mask: its carrier and order are read off the mask.
 Every loop over the elements of a mask goes through ``_elements``, which
 pays for set bits only; every image of a list of elements under a table
-row or a map is ``_image``, and every preimage ``_preimage``.
+row or a map is ``_image``, every preimage ``_preimage``, and every
+partition into the cosets of a subgroup ``_cosets``.
 Maps are described through a greedy generating set, the step that first
 reached each element (e = e' + r.g_i, e' reached earlier), and a basis of
 the relations among the generators, found while the generators are
@@ -377,6 +378,37 @@ def _preimage(row, mask):
     return out
 
 
+def _cosets(module, mask):
+    """The cosets x + N of the additive subgroup N = ``mask``: the least
+    member of each, in increasing order; each coset's mask; and the index
+    of each element's coset, in element order.
+
+    The least element x not covered by the cosets found so far is the
+    least member of its coset: every element below x is covered, so lies
+    in an earlier coset, and distinct cosets are disjoint.  So taking x
+    and covering x + N, the image of N under y -> x + y, lists each coset
+    once, in the order of its least member.
+    """
+    els = _elements(mask)
+    add = module.add
+    reps, masks = [], []
+    label = [0] * module.order
+    uncovered = module.full_mask()
+    while uncovered:
+        x = (uncovered & -uncovered).bit_length() - 1
+        row = add[x]
+        i = len(reps)
+        coset = 0
+        for a in els:
+            y = row[a]
+            coset |= 1 << y
+            label[y] = i
+        reps.append(x)
+        masks.append(coset)
+        uncovered &= ~coset
+    return reps, masks, label
+
+
 def sum_masks(module, mask_a, mask_b):
     """Sum of two additive subgroups, as a union of cosets of the larger.
 
@@ -484,41 +516,21 @@ def enumerate_submodules(module):
     Every submodule is a sum Rx_1 + ... + Rx_k, so closing {0} under
     m -> m + Rx reaches all of them.  For a submodule m, m + Rx depends
     only on the coset x + m: for a in m, m + R(x + a) = m + Rx, as each
-    side contains both x and x + a.  So each m is summed with one cyclic
-    per coset, not one per element.  The pass that finds one
-    representative per coset also labels every element with its coset
-    of m; m + Rx is the union of the cosets m + rx, so it is read off the
-    labels of the distinct elements rx, |Rx| lookups.
+    side contains both x and x + a.  So each m is summed with the cyclic
+    of one representative per coset of m (``_cosets``) outside m, not
+    with one per element; m + Rx is the union of the cosets m + rx, so
+    it is read off the coset labels of the distinct elements rx, the
+    entries of column x of the action table, |Rx| lookups.
     """
     if "lattice" in module._cache:
         return module._cache["lattice"]
-    # the distinct elements rx of each Rx
-    cyclics = [{row[x] for row in module.act} for x in range(module.order)]
-    add = module.add
-    full = module.full_mask()
-    label = [0] * module.order  # element -> index of its coset in cosets
+    cyclics = list(map(set, zip(*module.act)))
     seen = {module.zero_mask()}
     queue = list(seen)
     while queue:
         m = queue.pop()
-        els = _elements(m)
-        for a in els:
-            label[a] = 0
-        cosets = [m]
-        reps = []
-        uncovered = full & ~m
-        while uncovered:
-            x = (uncovered & -uncovered).bit_length() - 1
-            row = add[x]
-            i = len(cosets)
-            coset = 0
-            for a in els:
-                y = row[a]
-                coset |= 1 << y
-                label[y] = i
-            cosets.append(coset)
-            reps.append(x)
-            uncovered &= ~coset
+        reps, cosets, label = _cosets(module, m)
+        del reps[label[module.zero]]  # m itself, the coset of 0
         for x in reps:
             s = m
             for y in cyclics[x]:
@@ -906,6 +918,8 @@ def _hom_chain(source, target):
 
 def hom_nonzero_exists(source, target):
     """Whether a nonzero map source -> target exists (early exit)."""
+    if source.ring is not target.ring:
+        raise RingMismatch("hom-set endpoints over different rings")
     gens, _, rel_levels = _generator_data(source)
     tzero = target.zero
     # try nonzero images first so a hit surfaces early
@@ -1031,19 +1045,9 @@ def quotient_module(parent, kernel):
 
 def _quotient_tables(parent, kernel):
     """The memo's entry for M/N, then the projection and the coset
-    representatives."""
-    n = parent.order
-    els = _elements(kernel.mask)
-    proj = [None] * n
-    reps = []
-    for x in range(n):
-        if proj[x] is not None:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        row = parent.add[x]
-        for e in els:
-            proj[row[e]] = idx
+    representatives, read off the cosets of N (``_cosets``): coset i of
+    M/N is the one whose least member is the i-th representative."""
+    reps, _, proj = _cosets(parent, kernel.mask)
     return _induced_tables(parent, reps, proj) + (tuple(proj), tuple(reps))
 
 

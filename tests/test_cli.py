@@ -249,6 +249,17 @@ def test_cli_parse_error_exit_one(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["define", "check", "verify"])
+def test_cli_job_file_not_utf8_is_a_parse_error(command, tmp_path, capsys):
+    # the decode error once escaped main as a traceback
+    path = tmp_path / "job.job"
+    path.write_bytes(b"[ring]\ncyclic(4)\n\xff")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "parse error: job file is not UTF-8 text: invalid start byte at "
+        "offset 17\n")
+
+
 def test_cli_cap_error_exit_two(tmp_path, capsys):
     bad = "[ring]\nmatrix(cyclic(3),2)\n"
     assert main(["define", _write(tmp_path, bad)]) == 2

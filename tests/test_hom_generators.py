@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from modlab import modules, rings
 from modlab.classify import generate_universe
-from modlab.errors import SizeCapExceeded
+from modlab.errors import RingMismatch, SizeCapExceeded
 from modlab.modules import (_generator_data, _morphism_from_images,
                             _reject_mask, _search_images, cyclic_mask,
                             direct_sum_module, enumerate_submodules,
@@ -159,6 +159,19 @@ def _chain_width(module):
     """m + k: the basis relations and the generators of ``module``."""
     gens, _, rel_levels = _generator_data(module)
     return sum(map(len, rel_levels)) + len(gens)
+
+
+@pytest.mark.parametrize("query", [hom_set, hom_generators,
+                                   hom_nonzero_exists])
+def test_hom_queries_refuse_endpoints_over_different_rings(query):
+    # the nonzero-map test once answered True for Z4 -> Z2, and for two
+    # separately built copies of Z2, where the Hom-set queries refuse
+    for source, target in ((regular_module(Z4), regular_module(Z2)),
+                           (regular_module(Z2),
+                            regular_module(cyclic_ring(2)))):
+        with pytest.raises(RingMismatch,
+                           match="hom-set endpoints over different rings"):
+            query(source, target)
 
 
 def test_chain_cap_refuses_just_above_its_bound(monkeypatch):

@@ -143,6 +143,16 @@ MALFORMED = [
     (TWO + "X = raw(add = 0 1 / 1 0 ; act = )\n", "empty table row", 4, 33),
     ("[ring]\nraw\nadd = 0 1 / 1 0\nmul = 0 0 / 0 1 /  \n",
      "empty table row", 4, 18),
+    # a definition may not take a built-in's name, in any case: an
+    # expression reads the name as the built-in, a check as the definition
+    (M + "[preradicals]\nsoc = rad\n",
+     "preradical name 'soc' is a built-in preradical", 6, 1),
+    (M + "[preradicals]\na = soc\n  Rad = a\n",
+     "preradical name 'Rad' is a built-in preradical", 7, 3),
+    *((M + f"[preradicals]\n{name} = soc\n",
+       f"preradical name {name!r} is a built-in preradical", 6, 1)
+      for name in ("zero", "ONE", "alpha", "Omega", "beta", "trad", "join",
+                   "meet", "comp")),
 ]
 
 

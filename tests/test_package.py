@@ -3,8 +3,9 @@ module of the package imports a name it does not use; ring and module
 tables, maps, submodule carriers, orders, lattices and actions from
 outside are checked in one place each; a whole Hom-set is listed, and
 generator images searched, only where needed; additive spans are formed
-one way each; a submodule handle keeps only its mask, and a linear filter
-only its two-sided ideal; the theorem harness and the class memberships
+one way each, and so is a module's partition into cosets; a submodule
+handle keeps only its mask, and a linear filter only its two-sided
+ideal; the theorem harness and the class memberships
 check again nothing their constructions prove; the routes of every notion
 are compared in one function, and the CLI raises no inconsistency of its
 own; no universe is cached on its ring; and no process-wide store but the
@@ -196,6 +197,23 @@ def test_additive_spans_are_formed_one_way():
         "(n, add, zero, candidates)")
     source = inspect.getsource(modules.trad_mask)
     assert ("trad_mask", True) in name_uses(source, "sum_masks")
+
+
+def test_a_module_is_split_into_cosets_one_way():
+    # the lattice closure and the quotient module read their cosets from
+    # one kernel, and neither keeps a partition loop of its own: the
+    # lattice's loops are the closure and the one that interns its handles
+    from modlab import modules
+    assert callers("_cosets") == {("modules.py", "enumerate_submodules"),
+                                  ("modules.py", "_quotient_tables")}
+
+    def loops(function):
+        return [type(node).__name__
+                for node in ast.walk(ast.parse(inspect.getsource(function)))
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert loops(modules._quotient_tables) == []
+    assert sorted(loops(modules.enumerate_submodules)) == [
+        "For", "For", "While", "comprehension"]
 
 
 def test_a_submodule_is_its_mask_and_a_filter_its_ideal():
