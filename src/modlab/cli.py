@@ -17,6 +17,7 @@ reports them.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 import time
@@ -74,7 +75,11 @@ def _add_common_flags(sub):
                      help="direct-sum generation depth of universes")
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process on first use:
+    ``parse_args`` leaves it unchanged, and building it at import would
+    slow every import of the package."""
     parser = argparse.ArgumentParser(
         prog="modlab",
         description="module-theory laboratory over explicit finite rings")
@@ -171,13 +176,17 @@ def _ring_block(ring, args):
 def cmd_corpus(args):
     """Sweep the corpus one ring at a time: each ring is popped off the
     list into its block (``_ring_block``), so the ring and its universe
-    are garbage once the block is done, before the next ring's universe
-    is built."""
+    are garbage once the block is done.  They form reference cycles, so
+    a collection after each block frees them before the next ring's
+    universe is built, and the sweep holds one universe at a time.
+    ``main`` has frozen every object older than the command, so each
+    collection visits the command's own objects only."""
     start = time.perf_counter()
     ring_blocks = []
     rings = corpus_rings(args.cap_ring)
     while rings:
         ring_blocks.append(_ring_block(rings.pop(0), args))
+        gc.collect()
     inconsistencies = []
     for block in ring_blocks:
         inconsistencies += [entry["error"] for entry in block["modules"]
@@ -250,10 +259,18 @@ def cmd_corpus(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {"define": cmd_define, "check": cmd_run, "verify": cmd_run,
                 "corpus": cmd_corpus}
+    # rings, modules and submodules refer to each other in cycles
+    # (ring -> regular module -> ring, module -> submodule -> module), so
+    # only the cyclic collector frees them.  Freezing every older object
+    # (the interpreter's, the caller's, the memo's) keeps each collection
+    # of the command to the objects the command made; a caller that holds
+    # frozen objects of its own keeps its freeze state as it is
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         return handlers[args.command](args)
     except JobParseError as exc:
@@ -272,12 +289,11 @@ def main(argv=None):
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_ENGINE
     finally:
-        # rings, modules and submodules refer to each other in cycles
-        # (ring -> regular module -> ring, module -> submodule -> module),
-        # so only the cyclic collector frees them; collecting here, after
-        # the handler's frame is gone, frees the command's objects when it
-        # returns rather than whenever the collector next runs
+        # after the handler's frame is gone: the command's objects are
+        # freed when it returns, not whenever the collector next runs
         gc.collect()
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

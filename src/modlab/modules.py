@@ -342,10 +342,9 @@ def is_submodule_mask(module, mask):
 
 def cyclic_mask(module, x):
     """Carrier of Rx; already a submodule since rx + sx = (r+s)x."""
-    act = module.act
     mask = 0
-    for r in range(module.ring.order):
-        mask |= 1 << act[r][x]
+    for row in module.act:
+        mask |= 1 << row[x]
     return mask
 
 
@@ -963,9 +962,13 @@ def find_isomorphism(a, b):
     generator (an isomorphism preserves annihilators exactly), must kill
     the generator relations, and the span of the partial image must keep
     the size of the span of the generators (injectivity).  A full
-    assignment is then a surjective map between equal orders.
+    assignment is then a surjective map between equal orders.  Modules
+    over different ring objects raise ``RingMismatch``, as the Hom-set
+    queries do.
     """
-    if a.ring is not b.ring or a.order != b.order:
+    if a.ring is not b.ring:
+        raise RingMismatch("hom-set endpoints over different rings")
+    if a.order != b.order:
         return None
     ann_a = _element_annihilators(a)
     ann_b = _element_annihilators(b)

@@ -428,3 +428,72 @@ def test_corpus_command_frees_its_rings_and_modules(capsys):
         gc.enable()
     capsys.readouterr()
     assert left == []
+
+
+def test_a_command_leaves_no_cyclic_garbage(capsys):
+    # the command collects after its handler returns and holds nothing
+    # cyclic past that point (the parser is built once, not per call), so
+    # with automatic collection off a collection right after finds nothing.
+    # Building the parser leaves garbage that predates the command, once
+    # per process, so a first call builds it
+    main(["corpus", "--actions", "2"])
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["corpus", "--actions", "2"]) == 0
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert unreachable == 0
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["corpus", "--universe-depth", "1"]),
+    (1, ["define", "[ring]\ncyclic(\n"]),  # a parse error
+    (2, ["check", DEMO, "--cap-module", "4"]),  # D has order 8
+], ids=["ok", "parse-error", "size-cap"])
+def test_main_leaves_the_freeze_state_as_it_found_it(code, argv, tmp_path,
+                                                     capsys):
+    # main freezes what predates the command and unfreezes it on the way
+    # out, on every exit path; objects the caller froze stay frozen
+    if argv[0] != "corpus":
+        argv = [argv[0], _write(tmp_path, argv[1])] + argv[2:]
+    assert gc.get_freeze_count() == 0
+    assert main(argv) == code
+    assert gc.get_freeze_count() == 0
+
+    held = []
+    held.append(held)  # a cycle the collector tracks
+    gc.freeze()
+    try:
+        assert main(argv) == code
+        assert gc.get_freeze_count() > 0
+        assert not any(o is held for o in gc.get_objects())
+    finally:
+        gc.unfreeze()
+    assert any(o is held for o in gc.get_objects())
+    capsys.readouterr()
+
+
+def test_corpus_collects_each_ring_before_the_next(monkeypatch, capsys):
+    # the sweep itself frees every earlier ring before the next universe
+    # is generated: automatic collection is off and the test collects
+    # nothing, so only the sweep's own collections can free them
+    refs, alive = [], []
+    generate = cli.generate_universe
+
+    def check_then_generate(ring, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        refs.append(weakref.ref(ring))
+        return generate(ring, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_universe", check_then_generate)
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["corpus", "--universe-depth", "1"]) == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert alive == [[False] * k for k in range(6)]

@@ -17,8 +17,9 @@ from modlab.modules import (_generator_data, _morphism_from_images,
                             _reject_mask, _search_images, cyclic_mask,
                             direct_sum_module, enumerate_submodules,
                             find_isomorphism, hom_generators,
-                            hom_nonzero_exists, hom_set, module_from_tables,
-                            quotient_module, regular_module, submodule)
+                            hom_nonzero_exists, hom_set, is_isomorphic,
+                            module_from_tables, quotient_module,
+                            regular_module, submodule)
 from modlab.preradicals import Beta, Omega
 from modlab.rings import cyclic_ring, matrix_ring, product_ring
 
@@ -162,10 +163,12 @@ def _chain_width(module):
 
 
 @pytest.mark.parametrize("query", [hom_set, hom_generators,
-                                   hom_nonzero_exists])
+                                   hom_nonzero_exists, find_isomorphism,
+                                   is_isomorphic])
 def test_hom_queries_refuse_endpoints_over_different_rings(query):
-    # the nonzero-map test once answered True for Z4 -> Z2, and for two
-    # separately built copies of Z2, where the Hom-set queries refuse
+    # the nonzero-map test once answered True for Z4 -> Z2, and the
+    # isomorphism search answered "not isomorphic" for two separately
+    # built copies of Z2, where the Hom-set queries refuse
     for source, target in ((regular_module(Z4), regular_module(Z2)),
                            (regular_module(Z2),
                             regular_module(cyclic_ring(2)))):

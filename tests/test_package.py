@@ -216,6 +216,20 @@ def test_a_module_is_split_into_cosets_one_way():
         "For", "For", "While", "comprehension"]
 
 
+def test_only_the_command_line_collects_garbage():
+    # the collection policy lives in one place: cli.main freezes what
+    # predates a command and collects what the command made
+    importers = set()
+    for path in (ROOT / "src" / "modlab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "gc" in names:
+                importers.add(path.name)
+    assert importers == {"cli.py"}
+
+
 def test_a_submodule_is_its_mask_and_a_filter_its_ideal():
     # a handle keeps its mask alone, images of element lists are formed by
     # one helper, a linear filter is given by its two-sided ideal, and
